@@ -473,6 +473,7 @@ let ablation_helping ~threads_list ~seconds ~trials ~seed ~csv =
         descent_nodes_delete = 0;
         descent_nodes_replace = 0;
         descent_searches = 0;
+        renewals = 0;
       }
   in
   Format.printf
@@ -531,6 +532,7 @@ let ablation_helping ~threads_list ~seconds ~trials ~seed ~csv =
                     descent_nodes_replace =
                       s.descent_nodes_replace - b.descent_nodes_replace;
                     descent_searches = s.descent_searches - b.descent_searches;
+                    renewals = s.renewals - b.renewals;
                   }
             | None -> zero
           in
@@ -2221,10 +2223,11 @@ let replicate_cmd =
 (* ------------------------------------------------------------------ *)
 (* scan subcommand: what a frozen view costs — snapshot cost vs trie
    size (the O(1) claim), scan goodput vs range width, and writer
-   throughput with a continuous scanner attached (the copy-on-descent
-   overhead on the write path).  In-process measurements of lib/core's
-   snapshot machinery; the served SCAN path is exercised by
-   `load --scan-every` and the bench driver's "scan" section. *)
+   throughput with a continuous scanner attached or with one page cut
+   per 1 000 updates (the copy-on-descent overhead on the write path).
+   In-process measurements of lib/core's snapshot machinery; the served
+   SCAN path is exercised by `load --scan-every` and the bench driver's
+   "scan" section. *)
 
 let scan_cmd =
   let universe_arg =
@@ -2256,17 +2259,19 @@ let scan_cmd =
             in
             (mean, sqrt var)
       in
-      let prefilled () =
-        let t = Core.Patricia.create ~universe () in
+      let prefilled ?record_stats () =
+        let t = Core.Patricia.create ~universe ?record_stats () in
         let rng = Rng.of_int_seed seed in
         for _ = 1 to universe / 2 do
           ignore (Core.Patricia.insert t (Rng.int rng universe) : bool)
         done;
         t
       in
-      let churn t rng =
+      (* One uniform update: [kinds] 3 is i33-d33-r33, 10 is the
+         ladder's i10-d10-r80. *)
+      let churn ?(kinds = 3) t rng =
         let k = Rng.int rng universe in
-        match Rng.int rng 3 with
+        match Rng.int rng kinds with
         | 0 -> ignore (Core.Patricia.insert t k : bool)
         | 1 -> ignore (Core.Patricia.delete t k : bool)
         | _ ->
@@ -2371,10 +2376,10 @@ let scan_cmd =
          (plus --writers-1 background ones) with and without a
          continuous whole-view scanner attached. *)
       Printf.printf "\nWriter throughput (measured domain, ops/s):\n";
-      let writer_step t =
+      let writer_step ?kinds t =
         let rng = Rng.of_int_seed (seed + 5) in
         fun () ->
-          churn t rng;
+          churn ?kinds t rng;
           1.0
       in
       let quiet =
@@ -2391,6 +2396,48 @@ let scan_cmd =
       if mq > 0.0 then
         Printf.printf "  scanner overhead on the write path: %.1f%%\n"
           ((1.0 -. (ms /. mq)) *. 100.0);
+      (* 4. One writer alone on the ladder's i10-d10-r80 mix, with and
+         without a ~256-key page cut from a fresh snapshot after every
+         1 000 of its updates (the ladder's scan-churn rate).  Each page
+         makes every path stale again; the trie's counters show what
+         renewing them costs per update. *)
+      Printf.printf "\nPaged writer, alone, i10-d10-r80 (ops/s):\n";
+      let paged name ~pages =
+        let t = prefilled ~record_stats:true () in
+        let churn_step = writer_step ~kinds:10 t in
+        let updates = ref 0 and cursor = ref 0 in
+        let step () =
+          ignore (churn_step () : float);
+          incr updates;
+          if pages && !updates mod 1000 = 0 then begin
+            let v = Core.Patricia.snapshot t in
+            ignore
+              (Core.Patricia.View.fold_range v ~lo:!cursor ~hi:(!cursor + 511)
+                 ~init:0 ~f:(fun n _ -> n + 1)
+                : int);
+            cursor := (!cursor + 512) mod universe
+          end;
+          1.0
+        in
+        let before = Core.Patricia.stats_snapshot t in
+        let xs = samples ~bg:0 ~scanner:false t step in
+        report name xs "ops/s";
+        (match (before, Core.Patricia.stats_snapshot t) with
+        | Some a, Some b ->
+            let per f =
+              float_of_int (f b - f a) /. float_of_int (max 1 !updates)
+            in
+            Printf.printf "    attempts/update %.3f, renewals/update %.3f\n"
+              (per (fun s -> s.Core.Patricia.attempts))
+              (per (fun s -> s.Core.Patricia.renewals))
+        | _ -> ());
+        fst (mean_stddev xs)
+      in
+      let alone = paged "no pages" ~pages:false in
+      let with_pages = paged "one page per 1 000 updates" ~pages:true in
+      if with_pages > 0.0 then
+        Printf.printf "  writer slowdown from paging: %.2fx\n"
+          (alone /. with_pages);
       if csv then begin
         Printf.printf "\ndatapoint,mean,stddev\n";
         List.iter
@@ -2403,7 +2450,8 @@ let scan_cmd =
   let doc =
     "Measure what a frozen view costs: snapshot latency vs trie size (the \
      O(1) claim), scan goodput vs range width under writer churn, and \
-     writer throughput with a continuous scanner attached."
+     writer throughput with a continuous scanner attached or paged once per \
+     1 000 updates."
   in
   Cmd.v (Cmd.info "scan" ~doc)
     Term.(

@@ -8,6 +8,7 @@
    active, so it is allowed to be striped-but-ordinary code. *)
 
 type site =
+  | Renew
   | Flag_cas
   | Child_cas
   | After_child_cas
@@ -25,6 +26,7 @@ type site =
 
 let all_sites =
   [
+    Renew;
     Flag_cas;
     Child_cas;
     After_child_cas;
@@ -42,6 +44,7 @@ let all_sites =
   ]
 
 let site_name = function
+  | Renew -> "renew"
   | Flag_cas -> "flag_cas"
   | Child_cas -> "child_cas"
   | After_child_cas -> "after_child_cas"
@@ -58,20 +61,21 @@ let site_name = function
   | Repl_apply -> "repl_apply"
 
 let site_index = function
-  | Flag_cas -> 0
-  | Child_cas -> 1
-  | After_child_cas -> 2
-  | Unflag -> 3
-  | Backtrack -> 4
-  | Retry -> 5
-  | Net_accept -> 6
-  | Net_read -> 7
-  | Net_write -> 8
-  | Net_decode -> 9
-  | Wal_append -> 10
-  | Wal_fsync -> 11
-  | Wal_rotate -> 12
-  | Repl_apply -> 13
+  | Renew -> 0
+  | Flag_cas -> 1
+  | Child_cas -> 2
+  | After_child_cas -> 3
+  | Unflag -> 4
+  | Backtrack -> 5
+  | Retry -> 6
+  | Net_accept -> 7
+  | Net_read -> 8
+  | Net_write -> 9
+  | Net_decode -> 10
+  | Wal_append -> 11
+  | Wal_fsync -> 12
+  | Wal_rotate -> 13
+  | Repl_apply -> 14
 
 let n_sites = List.length all_sites
 

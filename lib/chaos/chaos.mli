@@ -26,6 +26,11 @@
     Shafiei's pseudocode), followed by the network-path sites of the
     patserve set server ([lib/server]). *)
 type site =
+  | Renew
+      (** snapshot copy-on-descent (not in the paper): an update's search
+          met a stale-generation internal node, built its live copy and
+          is about to publish and run the renewal descriptor that swings
+          the parent's child to it *)
   | Flag_cas  (** about to attempt a flag CAS on an internal node's
                   [info] field (help, lines 87-92) *)
   | Child_cas  (** all flags acquired, [flag_done] set; about to swing

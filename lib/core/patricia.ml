@@ -114,6 +114,8 @@ and stats = {
   backtracks : Obs.Counter.t; (* failed flag phases backed out in help *)
   backoff_waits : Obs.Counter.t;
       (* retries that paused in the contention backoff (Chaos.Backoff) *)
+  renewals : Obs.Counter.t;
+      (* committed copy-on-descent renewals of stale-generation nodes *)
   (* Descent-cost accounting: nodes visited per search (root included),
      split by the opcode that ran the search, plus a depth histogram
      for the tail.  One search = one histogram record + one counter
@@ -139,6 +141,7 @@ type snapshot = {
   descent_nodes_delete : int;
   descent_nodes_replace : int;
   descent_searches : int;
+  renewals : int;
 }
 
 type t = {
@@ -193,6 +196,7 @@ let make_stats () : stats =
     flag_failures = Obs.Counter.create ();
     backtracks = Obs.Counter.create ();
     backoff_waits = Obs.Counter.create ();
+    renewals = Obs.Counter.create ();
     descent_find = Obs.Counter.create ();
     descent_insert = Obs.Counter.create ();
     descent_delete = Obs.Counter.create ();
@@ -717,7 +721,10 @@ let copy_node ~gen = function
    info field, which frozen-view traversals ignore.)  A renewal is an
    ordinary two-flag descriptor (the stale node is marked forever, the
    parent's child pointer swings to the copy), so it validates like any
-   update and aborts if a snapshot intervenes. *)
+   update and aborts if a snapshot intervenes.  A committed renewal does
+   not end the descent: the search re-reads the parent and goes on
+   through the copy, so a path that is stale all the way down is renewed
+   node by node in one pass. *)
 
 let run_own t fi =
   let slot = my_slot t in
@@ -726,12 +733,16 @@ let run_own t fi =
   Atomic.set slot None;
   r
 
+(* Swing [p]'s child [i] (stale, boxed as [c_boxed]) to a live-generation
+   copy.  [true] iff the renewal committed; [false] after helping a
+   descriptor pending on [i] or [p], or when the attempt aborted. *)
 let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
   let width = t.width and stats = t.stats in
   match Atomic.get i.iinfo with
   | (Flag _ | Snap _) as fi ->
       bump stats (fun s -> s.helps_given);
-      ignore (help fi)
+      ignore (help fi);
+      false
   | Unflag _ as ii -> (
       (* The copy is taken after [ii] was read; the flag CAS on [ii]
          then certifies the children did not change in between (the same
@@ -753,11 +764,22 @@ let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
         new_flag2 ~width ~stats ~fh:h ~cell:t.holder ~a:p ~a_old:p_info ~b:i
           ~b_old:ii ~old_child:c_boxed ~new_child:copy
       with
-      | Some fi -> ignore (run_own t fi)
-      | None -> ())
+      | Some fi ->
+          chaos_point Chaos.Renew;
+          let ok = run_own t fi in
+          if ok then bump stats (fun s -> s.renewals);
+          ok
+      | None -> false)
 
-(* [None] means the descent hit a stale node and (at most) renewed it:
-   the caller restarts the attempt from a fresh holder read. *)
+(* A stale node on the path is renewed and the descent continues from
+   its parent: the committed renewal left a fresh Unflag in [p.iinfo]
+   (the old [p_info] would fail every later flag CAS on [p]), so re-read
+   it — before the child, the order Lemma 31 needs — and the child slot
+   now holds the copy.  [gp], [gp_info], [p_boxed] and the depth are
+   untouched by the renewal.  [None] means a renewal failed (it aborted,
+   or it helped a pending descriptor instead): the caller restarts from
+   a fresh holder read, so once a snapshot supersedes [h] the descent
+   stops at its first aborted renewal. *)
 let search_renew t (h : holder) v =
   let width = t.width in
   let rec go gp gp_info (p : internal) p_boxed p_info d =
@@ -768,10 +790,9 @@ let search_renew t (h : holder) v =
     | Internal i when Label.is_prefix_of_key ~width i.label v ->
         if i.gen == h.hgen then
           go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
-        else begin
-          renew_child t h p p_info node i;
-          None
-        end
+        else if renew_child t h p p_info node i then
+          go gp gp_info p p_boxed (Atomic.get p.iinfo) d
+        else None
     | _ ->
         let rmvd =
           match node with
@@ -1357,6 +1378,7 @@ let stats_snapshot t : snapshot option =
           descent_nodes_delete = Obs.Counter.sum s.descent_delete;
           descent_nodes_replace = Obs.Counter.sum s.descent_replace;
           descent_searches = Obs.Counter.sum s.descent_searches;
+          renewals = Obs.Counter.sum s.renewals;
         }
 
 (* Monotone cumulative counters only: the harness differences two of
@@ -1376,6 +1398,7 @@ let stats_to_alist (s : snapshot) =
     ("descent_nodes_delete", s.descent_nodes_delete);
     ("descent_nodes_replace", s.descent_nodes_replace);
     ("descent_searches", s.descent_searches);
+    ("renewals", s.renewals);
   ]
 
 let descent_stats t =

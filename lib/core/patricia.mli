@@ -101,7 +101,8 @@ val snapshot : t -> view
     the keys for which a successful insert linearized before it and no
     successful delete/replace-removal did.  Subsequent updates pay a
     one-time copy of each internal node they first descend through in
-    the new generation (copy-on-descent); {!member} is unaffected.
+    the new generation (copy-on-descent), within that same descent;
+    {!member} is unaffected.
     Lock-free; any number of snapshots may run concurrently with any
     number of updates. *)
 
@@ -179,6 +180,11 @@ type snapshot = {
   descent_searches : int;
       (** completed searches — divide [descent_nodes_*] sums by this for
           the mean descent depth *)
+  renewals : int;
+      (** committed copy-on-descent renewals: stale internal nodes an
+          update copied into the live generation after a {!snapshot}.
+          Each is paid once, inside the descent that met it, so it does
+          not add to [attempts] *)
 }
 
 val stats_snapshot : t -> snapshot option

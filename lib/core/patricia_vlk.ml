@@ -395,9 +395,12 @@ let run_own t fi =
   Atomic.set slot None;
   r
 
+(* [true] iff the renewal of [p]'s stale child [i] committed. *)
 let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
   match Atomic.get i.iinfo with
-  | (Flag _ | Snap _) as fi -> ignore (help fi)
+  | (Flag _ | Snap _) as fi ->
+      ignore (help fi);
+      false
   | Unflag _ as ii -> (
       let copy =
         Internal
@@ -418,11 +421,15 @@ let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
           ~unflag:[ p ] ~pnodes:[ p ] ~old_children:[ c_boxed ]
           ~new_children:[ copy ] ~rmv_leaf:None
       with
-      | Some fi -> ignore (run_own t fi)
-      | None -> ())
+      | Some fi ->
+          chaos_point Chaos.Renew;
+          run_own t fi
+      | None -> false)
 
-(* [None]: the descent hit a stale-generation internal and (at most)
-   renewed it; the caller restarts from a fresh holder read. *)
+(* After a committed renewal the descent goes on from the parent with
+   its info re-read, as in {!Patricia.search_renew}.  [None]: a renewal
+   aborted or helped a pending descriptor; the caller restarts from a
+   fresh holder read. *)
 let search_renew t (h : holder) v =
   let rec go gp gp_info (p : internal) p_boxed p_info d =
     let node = Atomic.get p.children.(B.next_bit p.label v) in
@@ -430,10 +437,9 @@ let search_renew t (h : holder) v =
     | Internal i when B.is_proper_prefix i.label v ->
         if i.gen == h.hgen then
           go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
-        else begin
-          renew_child t h p p_info node i;
-          None
-        end
+        else if renew_child t h p p_info node i then
+          go gp gp_info p p_boxed (Atomic.get p.iinfo) d
+        else None
     | _ ->
         let rmvd =
           match node with

@@ -157,6 +157,94 @@ let test_stall_insert_before_unflag () =
     ()
 
 (* ------------------------------------------------------------------ *)
+(* Snapshot renewal stalled *)
+
+(* One trie's side of the scenario below, keys as strings. *)
+type renew_subject = {
+  insert : string -> bool;
+  delete : string -> bool;
+  snapshot : unit -> unit -> string list;  (** freeze; the thunk re-walks *)
+  live : unit -> string list;
+  audit : unit -> (unit, string) result;
+}
+
+(* After snapshot v1 every path is stale.  The victim's insert builds
+   the renewal of the first stale node (the root's child, above every
+   key here) and freezes at [Renew] before publishing it.  The main
+   domain meanwhile deletes and inserts keys under that same node —
+   renewing it itself — and takes snapshot v2.  The victim's renewal is
+   now against a superseded generation and a changed parent, so on
+   release it must fail and restart rather than write into a frozen
+   version: its insert still succeeds, v1 and v2 keep their key sets. *)
+let renew_stall ~name s ~prefill ~victim ~gone ~added () =
+  let sorted l = List.sort compare l in
+  List.iter (fun k -> assert (s.insert k)) prefill;
+  let v1 = s.snapshot () in
+  let st = Chaos.Stall.install Chaos.Renew in
+  Chaos.set_policy ~name (Some (Chaos.Stall.hook st));
+  Fun.protect
+    ~finally:(fun () ->
+      Chaos.Stall.release st;
+      Chaos.set_policy None)
+  @@ fun () ->
+  let result = Atomic.make false in
+  let d = Domain.spawn (fun () -> Atomic.set result (s.insert victim)) in
+  if not (Chaos.Stall.wait_stalled ~timeout_s:60.0 st) then begin
+    Domain.join d;
+    Alcotest.failf "%s: victim never reached the renew site" name
+  end;
+  assert (s.delete gone);
+  assert (s.insert added);
+  let v2 = s.snapshot () in
+  if not (Chaos.Stall.stalled st) then
+    Alcotest.failf "%s: victim left the stall early" name;
+  Chaos.Stall.release st;
+  Domain.join d;
+  Alcotest.(check bool) (name ^ ": victim's insert") true (Atomic.get result);
+  let expect1 = sorted prefill in
+  let expect2 = sorted (added :: List.filter (( <> ) gone) prefill) in
+  Alcotest.(check (list string)) (name ^ ": first view") expect1 (sorted (v1 ()));
+  Alcotest.(check (list string)) (name ^ ": second view") expect2 (sorted (v2 ()));
+  Alcotest.(check (list string))
+    (name ^ ": live set")
+    (sorted (victim :: expect2))
+    (sorted (s.live ()));
+  match s.audit () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: invariants: %s" name e
+
+let test_stall_renew () =
+  (* Same keys as the stalled-domain scenarios (universe 16, width 5):
+     all of them sit under the root's child labelled 0. *)
+  let t = P.create ~universe:16 () in
+  let str = List.map string_of_int and int = int_of_string in
+  renew_stall ~name:"PAT renew stalled"
+    {
+      insert = (fun k -> P.insert t (int k));
+      delete = (fun k -> P.delete t (int k));
+      snapshot =
+        (fun () ->
+          let v = P.snapshot t in
+          fun () -> str (P.View.to_list v));
+      live = (fun () -> str (P.to_list t));
+      audit = (fun () -> P.check_invariants t);
+    }
+    ~prefill:(str [ 9; 11; 12 ]) ~victim:"10" ~gone:"12" ~added:"13" ();
+  let t = V.create () in
+  renew_stall ~name:"PAT-VLK renew stalled"
+    {
+      insert = V.insert t;
+      delete = V.delete t;
+      snapshot =
+        (fun () ->
+          let v = V.snapshot t in
+          fun () -> V.View.to_list v);
+      live = (fun () -> V.to_list t);
+      audit = (fun () -> V.check_invariants t);
+    }
+    ~prefill:[ "k1"; "k2"; "k3" ] ~victim:"k0" ~gone:"k2" ~added:"k4" ()
+
+(* ------------------------------------------------------------------ *)
 (* Figure 6 special cases of replace *)
 
 (* Exhaustive sequential sweep over a tiny universe: every (remove, add)
@@ -341,6 +429,8 @@ let () =
             test_stall_replace_between_cases;
           Alcotest.test_case "insert: before unflag" `Quick
             test_stall_insert_before_unflag;
+          Alcotest.test_case "renewal across a second snapshot" `Quick
+            test_stall_renew;
         ] );
       ( "figure 6 replace",
         [

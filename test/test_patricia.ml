@@ -332,6 +332,7 @@ let test_stats_recording () =
           "descent_nodes_delete";
           "descent_nodes_replace";
           "descent_searches";
+          "renewals";
         ]
         (List.map fst alist);
       Alcotest.(check int)

@@ -141,11 +141,101 @@ let test_root_flag_helped_to_commit_by_snapshot () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "invariants: %s" e)
 
+(* The internal nodes of a quiescent PAT over user [keys] in a trie of
+   key width [width], root excluded, as (bits, length) labels.  A binary
+   Patricia trie over sorted leaves l0 < ... < ln has one internal node
+   per adjacent pair, labelled by their longest common prefix; the
+   leaves are the keys shifted by the +1 embedding plus both sentinels,
+   and the pair straddling the top bit is the root (length 0). *)
+let pat_labels ~width keys =
+  let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1) in
+  let rec pairs = function
+    | a :: (b :: _ as rest) ->
+        let len = width - bit_length (a lxor b) in
+        (a lsr (width - len), len) :: pairs rest
+    | _ -> []
+  in
+  let leaves =
+    (0 :: List.map succ (IS.elements keys)) @ [ (1 lsl width) - 1 ]
+  in
+  List.filter (fun (_, len) -> len > 0) (pairs leaves)
+
+(* How many of [labels] an update searching for each of [keys]
+   descends through: those whose label prefixes the key. *)
+let nodes_on_paths ~width labels keys =
+  List.length
+    (List.filter
+       (fun (bits, len) ->
+         List.exists (fun k -> (k + 1) lsr (width - len) = bits) keys)
+       labels)
+
+let test_renewal_continues () =
+  (* Right after a snapshot every internal node but the root belongs to
+     the frozen generation.  An update must renew each one on its path
+     (or paths, for a replace) and still finish in one attempt: one
+     renewal per stale node, one search per key, no restart. *)
+  let universe = 1000 and width = 10 in
+  let t = P.create ~universe ~record_stats:true () in
+  let st = Random.State.make [| 12 |] in
+  let model = ref IS.empty in
+  for _ = 1 to 400 do
+    let k = Random.State.int st universe in
+    if P.insert t k then model := IS.add k !model
+  done;
+  let first p lo = List.find p (List.init (universe - lo) (fun i -> lo + i)) in
+  let present k = IS.mem k !model and absent k = not (IS.mem k !model) in
+  let stats () = Option.get (P.stats_snapshot t) in
+  let views = ref [] in
+  let run name ~paths op ~expect ~apply =
+    let v = P.snapshot t in
+    let frozen = P.View.to_list v in
+    views := (name, v, frozen) :: !views;
+    let stale = nodes_on_paths ~width (pat_labels ~width !model) paths in
+    if stale < 5 then
+      Alcotest.failf "%s: only %d stale nodes on its path" name stale;
+    let s0 = stats () in
+    Alcotest.(check bool) (name ^ " result") expect (op ());
+    let s1 = stats () in
+    model := apply !model;
+    Alcotest.(check int) (name ^ ": one attempt") 1 (s1.attempts - s0.attempts);
+    Alcotest.(check int)
+      (name ^ ": one renewal per stale node")
+      stale (s1.renewals - s0.renewals);
+    Alcotest.(check int)
+      (name ^ ": one search per key")
+      (List.length paths)
+      (s1.descent_searches - s0.descent_searches)
+  in
+  let ins = first absent 100 in
+  run "insert" ~paths:[ ins ] (fun () -> P.insert t ins) ~expect:true
+    ~apply:(IS.add ins);
+  let del = first present 200 in
+  run "delete" ~paths:[ del ] (fun () -> P.delete t del) ~expect:true
+    ~apply:(IS.remove del);
+  (* [remove] below 512 and [add] above it: the two paths part at the
+     root, so renewing the second cannot touch the first's parents. *)
+  let vd = first present 300 and vi = first absent 700 in
+  run "replace" ~paths:[ vd; vi ]
+    (fun () -> P.replace t ~remove:vd ~add:vi)
+    ~expect:true
+    ~apply:(fun s -> IS.add vi (IS.remove vd s));
+  List.iter
+    (fun (name, v, frozen) ->
+      Alcotest.(check (list int)) ("view before " ^ name) frozen
+        (P.View.to_list v))
+    !views;
+  Alcotest.(check (list int)) "live set" (IS.elements !model) (P.to_list t);
+  match P.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invariants: %s" e
+
 let test_storm_stability () =
   (* Snapshots taken during an insert/delete/replace storm: every view
      must be internally stable (re-walking gives the same answer) and
      duplicate-free, and the trie must pass the invariant audit after
-     the storm. *)
+     the storm.  Every view is walked once more after the writers are
+     joined: a difference would mean a writer wrote into a frozen
+     generation. *)
   let t = P.create ~universe:4096 () in
   let stop = Atomic.make false in
   let doms =
@@ -161,6 +251,7 @@ let test_storm_stability () =
             done))
   in
   let last_epoch = ref (-1) in
+  let taken = ref [] in
   for _ = 1 to 100 do
     let v = P.snapshot t in
     if P.View.epoch v <= !last_epoch then
@@ -169,10 +260,17 @@ let test_storm_stability () =
     let l = P.View.to_list v in
     if P.View.to_list v <> l then Alcotest.failf "view not frozen";
     if List.sort_uniq compare l <> l then
-      Alcotest.failf "view has duplicates or disorder"
+      Alcotest.failf "view has duplicates or disorder";
+    taken := (v, l) :: !taken
   done;
   Atomic.set stop true;
   List.iter Domain.join doms;
+  List.iter
+    (fun (v, l) ->
+      if P.View.to_list v <> l then
+        Alcotest.failf "view of epoch %d changed after the storm"
+          (P.View.epoch v))
+    !taken;
   match P.check_invariants t with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants after storm: %s" e
@@ -338,6 +436,34 @@ let test_vlk_frozen () =
     (SS.equal
        (SS.of_list (V.View.to_list v2))
        (SS.of_list [ "alpha"; "delta"; "epsilon"; "zeta"; "eta" ]));
+  (* A deeper trie, with a fresh snapshot before each update so that its
+     whole path is stale and renewed in one descent. *)
+  let key i = Printf.sprintf "key-%03d" i in
+  for i = 0 to 199 do
+    assert (V.insert t (key (2 * i)))
+  done;
+  let views =
+    List.map
+      (fun (name, op) ->
+        let v = V.snapshot t in
+        let frozen = V.View.to_list v in
+        Alcotest.(check bool) name true (op ());
+        (name, v, frozen))
+      [
+        ("insert", fun () -> V.insert t (key 201));
+        ("delete", fun () -> V.delete t (key 100));
+        ("replace", fun () -> V.replace t ~remove:(key 300) ~add:(key 3));
+      ]
+  in
+  List.iter
+    (fun (name, v, frozen) ->
+      Alcotest.(check (list string)) ("view before " ^ name) frozen
+        (V.View.to_list v))
+    views;
+  Alcotest.(check bool) "updates applied" true
+    (V.member t (key 201) && V.member t (key 3)
+    && (not (V.member t (key 100)))
+    && not (V.member t (key 300)));
   match V.check_invariants t with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
@@ -361,6 +487,7 @@ let test_vlk_storm () =
             done))
   in
   let last = ref (-1) in
+  let taken = ref [] in
   for _ = 1 to 60 do
     let v = V.snapshot t in
     if V.View.epoch v <= !last then Alcotest.failf "epoch regressed";
@@ -368,10 +495,17 @@ let test_vlk_storm () =
     let l = V.View.to_list v in
     if V.View.to_list v <> l then Alcotest.failf "view not frozen";
     if List.length (List.sort_uniq compare l) <> List.length l then
-      Alcotest.failf "view has duplicates"
+      Alcotest.failf "view has duplicates";
+    taken := (v, l) :: !taken
   done;
   Atomic.set stop true;
   List.iter Domain.join doms;
+  List.iter
+    (fun (v, l) ->
+      if V.View.to_list v <> l then
+        Alcotest.failf "view of epoch %d changed after the storm"
+          (V.View.epoch v))
+    !taken;
   match V.check_invariants t with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants after storm: %s" e
@@ -392,6 +526,8 @@ let () =
             test_abandoned_flag_cannot_commit_across_snapshot;
           Alcotest.test_case "root flag helped to commit" `Quick
             test_root_flag_helped_to_commit_by_snapshot;
+          Alcotest.test_case "stale path renewed in one attempt" `Quick
+            test_renewal_continues;
         ] );
       ( "storms",
         [

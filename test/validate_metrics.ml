@@ -72,9 +72,13 @@ let check_counters ctx = function
         kvs;
       (* PAT's counter set is emitted whole: a snapshot that has
          "attempts" must also carry the backoff counter added with the
-         fault-injection layer. *)
-      if List.mem_assoc "attempts" kvs && not (List.mem_assoc "backoff_waits" kvs)
-      then err "%s: counters with \"attempts\" lack \"backoff_waits\"" ctx
+         fault-injection layer and the snapshot renewal counter. *)
+      if List.mem_assoc "attempts" kvs then
+        List.iter
+          (fun k ->
+            if not (List.mem_assoc k kvs) then
+              err "%s: counters with \"attempts\" lack %S" ctx k)
+          [ "backoff_waits"; "renewals" ]
   | _ -> err "%s: \"counters\" is not an object" ctx
 
 let check_gc ctx = function
