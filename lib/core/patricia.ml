@@ -35,8 +35,14 @@ and node = Leaf of leaf | Internal of internal
 and leaf = { key : int; linfo : info Atomic.t }
 
 and internal = {
-  label : Label.t;
-  children : node Atomic.t array; (* length 2: left (bit 0), right (bit 1) *)
+  lbits : int;
+  llen : int;
+      (* The node's label, the first [llen] bits of its keys right-aligned
+         in [lbits]: two immediate fields rather than a boxed [Label.t],
+         so a descent step reads the label from the record it already
+         holds. *)
+  c0 : node Atomic.t; (* left child (next bit 0) *)
+  c1 : node Atomic.t; (* right child (next bit 1) *)
   iinfo : info Atomic.t;
   gen : unit ref;
       (* Generation stamp: physically equal to [hgen] of the holder that
@@ -63,8 +69,8 @@ and decision = Pending | Commit | Abort
 (* The Flag descriptor (paper Figure 2, lines 8-16).  [flag_nodes] are the
    internal nodes to flag, sorted by label; [old_infos.(i)] is the value
    that must still be in [flag_nodes.(i).iinfo] for the flag CAS to
-   succeed.  [pnodes.(i).children.(k)] is CASed from [old_children.(i)] to
-   [new_children.(i)].  [unflag_nodes] are unflagged afterwards; flagged
+   succeed.  Child [k] of [pnodes.(i)] is CASed from [old_children.(i)]
+   to [new_children.(i)].  [unflag_nodes] are unflagged afterwards; flagged
    nodes absent from it are removed from the trie and stay flagged
    ("marked") forever.  [rmv_leaf] is the leaf logically removed by a
    general-case replace. *)
@@ -184,9 +190,44 @@ let node_info = function
   | Leaf l -> l.linfo
   | Internal i -> i.iinfo
 
+let[@inline] child (i : internal) k = if k = 0 then i.c0 else i.c1
+
+(* The label predicates the descent and the flag order need, computed on
+   the two label fields directly; [Label.t] values are built only by the
+   cold paths below ([create_node], invariants, printers).  An internal
+   label is always shorter than the key width (Invariant 7), so the
+   shifts are in range. *)
+let[@inline] next_bit_of_key ~width (i : internal) v =
+  (v lsr (width - i.llen - 1)) land 1
+
+let[@inline] is_prefix_of_key ~width (i : internal) v =
+  v lsr (width - i.llen) = i.lbits
+
+(* Line 115's total order: length, then bits (as [Label.compare]). *)
+let[@inline] compare_label (a : internal) (b : internal) =
+  match Int.compare a.llen b.llen with 0 -> Int.compare a.lbits b.lbits | c -> c
+
+let label_of (i : internal) = { Label.bits = i.lbits; len = i.llen }
+
 let node_label ~width = function
   | Leaf l -> Label.of_key ~width l.key
-  | Internal i -> i.label
+  | Internal i -> label_of i
+
+let make_internal ~gen ~lbits ~llen c0 c1 =
+  {
+    lbits;
+    llen;
+    c0 = Atomic.make c0;
+    c1 = Atomic.make c1;
+    iinfo = Atomic.make (fresh_unflag ());
+    gen;
+  }
+
+(* A copy of [i] in generation [gen], children read now: callers read
+   [i]'s info field first (see [copy_node]). *)
+let copy_internal ~gen (i : internal) =
+  make_internal ~gen ~lbits:i.lbits ~llen:i.llen (Atomic.get i.c0)
+    (Atomic.get i.c1)
 
 let make_stats () : stats =
   {
@@ -303,14 +344,7 @@ let create_width ~width ?(record_stats = false) () =
      children start as the two sentinel leaves 00...0 and 11...1, which
      are never elements of D. *)
   let gen = ref () in
-  let root =
-    {
-      label = Label.empty;
-      children = [| Atomic.make (Leaf lo); Atomic.make (Leaf hi) |];
-      iinfo = Atomic.make (fresh_unflag ());
-      gen;
-    }
-  in
+  let root = make_internal ~gen ~lbits:0 ~llen:0 (Leaf lo) (Leaf hi) in
   {
     width;
     holder = Atomic.make { epoch = 0; hgen = gen; hroot = root };
@@ -348,13 +382,13 @@ let logically_removed = function
   | Flag f ->
       let p = f.pnodes.(0) and old = f.old_children.(0) in
       not
-        (Atomic.get p.children.(0) == old || Atomic.get p.children.(1) == old)
+        (Atomic.get p.c0 == old || Atomic.get p.c1 == old)
 
 type search_result = {
   gp : internal option;
   p : internal;
   p_node : node;
-      (* The *same physical* [node] value stored in gp's child array for
+      (* The *same physical* [node] value stored in gp's child field for
          [p].  CAS compares physical identity, so an update whose old
          child is [p] must use this value — re-wrapping [p] in the
          [Internal] constructor would allocate a distinct block and the
@@ -370,26 +404,40 @@ type search_result = {
          holds, so uninstrumented searches pay one add per level. *)
 }
 
+(* The result of a descent that stopped at [node], child of [p].  The
+   descent carries [gp] and [gp_info] unboxed, with the root and its info
+   as placeholders while [p] is still the root (depth [d] = 0); the
+   options are built here, once per search, not once per level. *)
+let[@inline] found gp gp_info (p : internal) p_boxed p_info d node =
+  let rmvd =
+    match node with
+    | Leaf l -> logically_removed (Atomic.get l.linfo)
+    | Internal _ -> false
+  in
+  {
+    gp = (if d > 0 then Some gp else None);
+    p;
+    p_node = p_boxed;
+    node;
+    gp_info = (if d > 0 then Some gp_info else None);
+    p_info;
+    rmvd;
+    depth = d + 1;
+  }
+
 let search_from ~width (root : internal) v =
   (* The root's label ε is a prefix of every key, so the loop body runs at
      least once and [p] is always an internal node on return.  The root is
      never an old child of any CAS, so its boxed stand-in is harmless. *)
   let rec go gp gp_info (p : internal) p_boxed p_info d =
-    let node =
-      Atomic.get p.children.(Label.next_bit_of_key ~width p.label v)
-    in
+    let node = Atomic.get (child p (next_bit_of_key ~width p v)) in
     match node with
-    | Internal i when Label.is_prefix_of_key ~width i.label v ->
-        go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
-    | _ ->
-        let rmvd =
-          match node with
-          | Leaf l -> logically_removed (Atomic.get l.linfo)
-          | Internal _ -> false
-        in
-        { gp; p; p_node = p_boxed; node; gp_info; p_info; rmvd; depth = d + 1 }
+    | Internal i when is_prefix_of_key ~width i v ->
+        go p p_info i node (Atomic.get i.iinfo) (d + 1)
+    | _ -> found gp gp_info p p_boxed p_info d node
   in
-  go None None root (Internal root) (Atomic.get root.iinfo) 0
+  let ri = Atomic.get root.iinfo in
+  go root ri root (Internal root) ri 0
 
 let search t v = search_from ~width:t.width (Atomic.get t.holder).hroot v
 
@@ -430,9 +478,13 @@ let child_cas_phase f =
       let nc = f.new_children.(i) in
       (* Line 97: the child index is the (|p.label|+1)-th bit of the new
          child's label, which p.label properly prefixes by Invariant 7. *)
-      let k = Label.next_bit p.label (node_label ~width:f.fwidth nc) in
+      let k =
+        match nc with
+        | Leaf l -> next_bit_of_key ~width:f.fwidth p l.key
+        | Internal c -> (c.lbits lsr (c.llen - p.llen - 1)) land 1
+      in
       chaos_point Chaos.Child_cas;
-      if not (Atomic.compare_and_set p.children.(k) f.old_children.(i) nc) then
+      if not (Atomic.compare_and_set (child p k) f.old_children.(i) nc) then
         (* Expected old child already gone: a helper or a conflicting
            update got there first.  Attempt number unknown on the
            helper side, recorded as 0. *)
@@ -449,6 +501,43 @@ let help_counter_hook : (unit -> unit) option ref = ref None
 let help_snap (si : info) (s : snap) =
   ignore (Atomic.compare_and_set s.s_cell s.s_old s.s_new);
   ignore (Atomic.compare_and_set s.s_old.hroot.iinfo si (fresh_unflag ()))
+
+(* Helpers of the array-based [new_flag] below, over the first [m]
+   entries of an array.  [index_of a m x 0] is the position of [x] among
+   [a.(0 .. m-1)] (physical equality), or -1. *)
+let rec index_of (a : internal array) m x j =
+  if j = m then -1 else if a.(j) == x then j else index_of a m x (j + 1)
+
+(* Position of the first Flag or Snap among [infos], or its length. *)
+let rec first_flagged (infos : info array) i =
+  if i = Array.length infos || flagged infos.(i) then i
+  else first_flagged infos (i + 1)
+
+(* Lines 112-114: duplicates among the nodes to flag are fine iff they
+   carry the same old info value (the same node read twice); otherwise
+   the node changed between two reads and the attempt must retry (-1).
+   Compacts the first occurrence of each node, with its info, into
+   [nodes.(0 .. m-1)] and returns [m]. *)
+let rec dedup_flags (nodes : internal array) (infos : info array) i m =
+  if i = Array.length nodes then m
+  else
+    let j = index_of nodes m nodes.(i) 0 in
+    if j < 0 then begin
+      nodes.(m) <- nodes.(i);
+      infos.(m) <- infos.(i);
+      dedup_flags nodes infos (i + 1) (m + 1)
+    end
+    else if infos.(j) == infos.(i) then dedup_flags nodes infos (i + 1) m
+    else -1
+
+(* Compacts the first occurrence of each node into [a.(0 .. k-1)]. *)
+let rec dedup_nodes (a : internal array) i k =
+  if i = Array.length a then k
+  else if index_of a k a.(i) 0 >= 0 then dedup_nodes a (i + 1) k
+  else begin
+    a.(k) <- a.(i);
+    dedup_nodes a (i + 1) (k + 1)
+  end
 
 let rec help (fi : info) : bool =
   match fi with
@@ -570,7 +659,7 @@ and new_flag2 ~width ~stats ~fh ~cell ~a ~a_old ~b ~b_old ~old_child ~new_child 
             else None
           else
             let flag_nodes, old_infos =
-              if Label.compare a.label b.label <= 0 then
+              if compare_label a b <= 0 then
                 ([| a; b |], [| a_old; b_old |])
               else ([| b; a |], [| b_old; a_old |])
             in
@@ -592,70 +681,58 @@ and new_flag2 ~width ~stats ~fh ~cell ~a ~a_old ~b ~b_old ~old_child ~new_child 
                  }))
 
 (* newFlag (lines 107-116), generic form used by the replace cases that
-   flag three or four nodes.  Takes the nodes to flag paired with the
-   info values read from them; returns the shared [Flag] info value, or
-   [None] after helping a conflicting update (the caller then retries). *)
-and new_flag ~width ~stats ~fh ~cell ~flags ~unflag ~pnodes ~old_children
-    ~new_children ~rmv_leaf =
-  match
-    List.find_opt
-      (fun (_, i) -> match i with Flag _ | Snap _ -> true | Unflag _ -> false)
-      flags
-  with
-  | Some (_, old) ->
-      (* Lines 109-111: someone else's update is pending on a node we
-         need; help it, then fail so our caller restarts from scratch. *)
-      bump stats (fun s -> s.helps_given);
-      ignore (help old);
-      None
-  | None -> (
-      (* Lines 112-114: duplicates in [flags] are fine iff they carry the
-         same old info value (the same node read twice); otherwise the
-         node changed between our two reads and we must retry. *)
-      let rec dedup acc = function
-        | [] -> Some (List.rev acc)
-        | (n, i) :: rest -> (
-            match List.find_opt (fun (n', _) -> n' == n) acc with
-            | Some (_, i') -> if i' == i then dedup acc rest else None
-            | None -> dedup ((n, i) :: acc) rest)
-      in
-      match dedup [] flags with
-      | None -> None
-      | Some flags ->
-          let flags =
-            (* Line 115: flag in a fixed total order to avoid livelock. *)
-            List.sort
-              (fun ((a : internal), _) (b, _) -> Label.compare a.label b.label)
-              flags
-          in
-          let dedup_nodes l =
-            List.fold_left
-              (fun acc n -> if List.exists (fun n' -> n' == n) acc then acc else n :: acc)
-              [] l
-            |> List.rev
-          in
-          let unflag = dedup_nodes unflag in
-          Some
-            (Flag
-               {
-                 flag_nodes = Array.of_list (List.map fst flags);
-                 old_infos = Array.of_list (List.map snd flags);
-                 unflag_nodes = Array.of_list unflag;
-                 pnodes = Array.of_list pnodes;
-                 old_children = Array.of_list old_children;
-                 new_children = Array.of_list new_children;
-                 rmv_leaf;
-                 decision = Atomic.make Pending;
-                 fholder = fh;
-                 fcell = cell;
-                 fwidth = width;
-                 fstats = stats;
-               }))
+   flag three or four nodes.  [nodes.(i)] is a node to flag and
+   [infos.(i)] the info value read from it; returns the shared [Flag]
+   info value, or [None] after helping a conflicting update (the caller
+   then retries).  Callers pass fresh array literals, which are
+   de-duplicated and sorted in place. *)
+and new_flag ~width ~stats ~fh ~cell ~(nodes : internal array) ~infos ~unflag
+    ~pnodes ~old_children ~new_children ~rmv_leaf =
+  let n = Array.length nodes in
+  let p = first_flagged infos 0 in
+  if p < n then begin
+    (* Lines 109-111: someone else's update is pending on a node we
+       need; help it, then fail so our caller restarts from scratch. *)
+    bump stats (fun s -> s.helps_given);
+    ignore (help infos.(p));
+    None
+  end
+  else
+    let m = dedup_flags nodes infos 0 0 in
+    if m < 0 then None
+    else begin
+      (* Line 115: flag in a fixed total order to avoid livelock.  A
+         stable insertion sort: at most four entries. *)
+      for i = 1 to m - 1 do
+        let x = nodes.(i) and xi = infos.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && compare_label nodes.(!j) x > 0 do
+          nodes.(!j + 1) <- nodes.(!j);
+          infos.(!j + 1) <- infos.(!j);
+          decr j
+        done;
+        nodes.(!j + 1) <- x;
+        infos.(!j + 1) <- xi
+      done;
+      let u = Array.length unflag and k = dedup_nodes unflag 0 0 in
+      Some
+        (Flag
+           {
+             flag_nodes = (if m = n then nodes else Array.sub nodes 0 m);
+             old_infos = (if m = n then infos else Array.sub infos 0 m);
+             unflag_nodes = (if k = u then unflag else Array.sub unflag 0 k);
+             pnodes;
+             old_children;
+             new_children;
+             rmv_leaf;
+             decision = Atomic.make Pending;
+             fholder = fh;
+             fcell = cell;
+             fwidth = width;
+             fstats = stats;
+           })
+    end
 
-(* createNode (lines 117-121): a new internal node whose children are
-   [n1] and [n2], unless one label prefixes the other — in which case the
-   trie already (logically) contains a conflicting key and the caller
-   must retry, after helping the update recorded in [info] if any. *)
 and create_node ~width ~stats ~gen n1 n2 info =
   let l1 = node_label ~width n1 and l2 = node_label ~width n2 in
   if Label.is_prefix l1 l2 || Label.is_prefix l2 l1 then begin
@@ -668,15 +745,10 @@ and create_node ~width ~stats ~gen n1 n2 info =
   end
   else
     let lcp = Label.lcp l1 l2 in
-    let d1 = Label.next_bit lcp l1 in
-    let c0, c1 = if d1 = 0 then (n1, n2) else (n2, n1) in
+    let lbits = lcp.Label.bits and llen = Label.length lcp in
     Some
-      {
-        label = lcp;
-        children = [| Atomic.make c0; Atomic.make c1 |];
-        iinfo = Atomic.make (fresh_unflag ());
-        gen;
-      }
+      (if Label.next_bit lcp l1 = 0 then make_internal ~gen ~lbits ~llen n1 n2
+       else make_internal ~gen ~lbits ~llen n2 n1)
 
 (* ------------------------------------------------------------------ *)
 (* Node copying (lines 26 and 52).  The copy must be taken *after* the
@@ -686,18 +758,7 @@ and create_node ~width ~stats ~gen n1 n2 info =
 
 let copy_node ~gen = function
   | Leaf l -> Leaf (new_leaf l.key)
-  | Internal i ->
-      Internal
-        {
-          label = i.label;
-          children =
-            [|
-              Atomic.make (Atomic.get i.children.(0));
-              Atomic.make (Atomic.get i.children.(1));
-            |];
-          iinfo = Atomic.make (fresh_unflag ());
-          gen;
-        }
+  | Internal i -> Internal (copy_internal ~gen i)
 
 (* ------------------------------------------------------------------ *)
 (* Update-side search: publication and copy-on-descent renewal.
@@ -747,19 +808,7 @@ let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
       (* The copy is taken after [ii] was read; the flag CAS on [ii]
          then certifies the children did not change in between (the same
          Lemma 31 discipline as an insert replacing an internal node). *)
-      let copy =
-        Internal
-          {
-            label = i.label;
-            children =
-              [|
-                Atomic.make (Atomic.get i.children.(0));
-                Atomic.make (Atomic.get i.children.(1));
-              |];
-            iinfo = Atomic.make (fresh_unflag ());
-            gen = h.hgen;
-          }
-      in
+      let copy = Internal (copy_internal ~gen:h.hgen i) in
       match
         new_flag2 ~width ~stats ~fh:h ~cell:t.holder ~a:p ~a_old:p_info ~b:i
           ~b_old:ii ~old_child:c_boxed ~new_child:copy
@@ -783,26 +832,17 @@ let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
 let search_renew t (h : holder) v =
   let width = t.width in
   let rec go gp gp_info (p : internal) p_boxed p_info d =
-    let node =
-      Atomic.get p.children.(Label.next_bit_of_key ~width p.label v)
-    in
+    let node = Atomic.get (child p (next_bit_of_key ~width p v)) in
     match node with
-    | Internal i when Label.is_prefix_of_key ~width i.label v ->
-        if i.gen == h.hgen then
-          go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
+    | Internal i when is_prefix_of_key ~width i v ->
+        if i.gen == h.hgen then go p p_info i node (Atomic.get i.iinfo) (d + 1)
         else if renew_child t h p p_info node i then
           go gp gp_info p p_boxed (Atomic.get p.iinfo) d
         else None
-    | _ ->
-        let rmvd =
-          match node with
-          | Leaf l -> logically_removed (Atomic.get l.linfo)
-          | Internal _ -> false
-        in
-        Some
-          { gp; p; p_node = p_boxed; node; gp_info; p_info; rmvd; depth = d + 1 }
+    | _ -> Some (found gp gp_info p p_boxed p_info d node)
   in
-  go None None h.hroot (Internal h.hroot) (Atomic.get h.hroot.iinfo) 0
+  let ri = Atomic.get h.hroot.iinfo in
+  go h.hroot ri h.hroot (Internal h.hroot) ri 0
 
 (* ------------------------------------------------------------------ *)
 (* find (lines 72-75) *)
@@ -818,7 +858,7 @@ let member t k = member_internal t (internal_key t k)
 (* insert (lines 20-32) *)
 
 let sibling_index ~width (p : internal) v =
-  1 - Label.next_bit_of_key ~width p.label v
+  1 - next_bit_of_key ~width p v
 
 let insert_internal t v =
   let width = t.width and stats = t.stats in
@@ -902,7 +942,7 @@ let delete_internal t v =
             false
         else begin
           let node_sibling =
-            Atomic.get r.p.children.(sibling_index ~width r.p v)
+            Atomic.get (child r.p (sibling_index ~width r.p v))
           in
           match (r.gp, r.gp_info) with
           | Some gp, Some gp_info -> (
@@ -969,7 +1009,7 @@ let replace_internal t vd vi =
       else begin
         let node_info_i = Atomic.get (node_info ri.node) in
         let node_sibling_d =
-          Atomic.get rd.p.children.(sibling_index ~width rd.p vd)
+          Atomic.get (child rd.p (sibling_index ~width rd.p vd))
         in
         let node_d = rd.node and node_i = ri.node in
         let pd = rd.p and pi = ri.p in
@@ -1006,26 +1046,21 @@ let replace_internal t vd vi =
                 match node_i with
                 | Internal i ->
                     new_flag ~width ~stats ~fh:h ~cell:t.holder
-                      ~flags:
-                        [
-                          (gpd, gpd_info);
-                          (pd, rd.p_info);
-                          (pi, ri.p_info);
-                          (i, node_info_i);
-                        ]
-                      ~unflag:[ gpd; pi ]
-                      ~pnodes:[ pi; gpd ]
-                      ~old_children:[ node_i; rd.p_node ]
-                      ~new_children:[ Internal new_node_i; node_sibling_d ]
+                      ~nodes:[| gpd; pd; pi; i |]
+                      ~infos:[| gpd_info; rd.p_info; ri.p_info; node_info_i |]
+                      ~unflag:[| gpd; pi |]
+                      ~pnodes:[| pi; gpd |]
+                      ~old_children:[| node_i; rd.p_node |]
+                      ~new_children:[| Internal new_node_i; node_sibling_d |]
                       ~rmv_leaf:(Some leaf_d)
                 | Leaf _ ->
                     new_flag ~width ~stats ~fh:h ~cell:t.holder
-                      ~flags:
-                        [ (gpd, gpd_info); (pd, rd.p_info); (pi, ri.p_info) ]
-                      ~unflag:[ gpd; pi ]
-                      ~pnodes:[ pi; gpd ]
-                      ~old_children:[ node_i; rd.p_node ]
-                      ~new_children:[ Internal new_node_i; node_sibling_d ]
+                      ~nodes:[| gpd; pd; pi |]
+                      ~infos:[| gpd_info; rd.p_info; ri.p_info |]
+                      ~unflag:[| gpd; pi |]
+                      ~pnodes:[| pi; gpd |]
+                      ~old_children:[| node_i; rd.p_node |]
+                      ~new_children:[| Internal new_node_i; node_sibling_d |]
                       ~rmv_leaf:(Some leaf_d))
           end
           else if same_node node_i node_d then
@@ -1063,7 +1098,7 @@ let replace_internal t vd vi =
                and the new leaf. *)
             let gpd = Option.get rd.gp in
             let p_sibling_d =
-              Atomic.get gpd.children.(sibling_index ~width gpd vd)
+              Atomic.get (child gpd (sibling_index ~width gpd vd))
             in
             match
               create_node ~width ~stats ~gen:h.hgen node_sibling_d p_sibling_d
@@ -1078,10 +1113,10 @@ let replace_internal t vd vi =
                 | None -> None
                 | Some new_node_i ->
                     new_flag ~width ~stats ~fh:h ~cell:t.holder
-                      ~flags:
-                        [ (pi, ri.p_info); (gpd, Option.get rd.gp_info); (pd, rd.p_info) ]
-                      ~unflag:[ pi ] ~pnodes:[ pi ] ~old_children:[ node_i ]
-                      ~new_children:[ Internal new_node_i ] ~rmv_leaf:None)
+                      ~nodes:[| pi; gpd; pd |]
+                      ~infos:[| ri.p_info; Option.get rd.gp_info; rd.p_info |]
+                      ~unflag:[| pi |] ~pnodes:[| pi |] ~old_children:[| node_i |]
+                      ~new_children:[| Internal new_node_i |] ~rmv_leaf:None)
           end
           else None
         in
@@ -1134,7 +1169,7 @@ let fold_leaves t ~init ~f =
           || logically_removed (Atomic.get l.linfo)
         then acc
         else f acc l.key
-    | Internal i -> go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
+    | Internal i -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
   in
   go init (Internal (Atomic.get t.holder).hroot)
 
@@ -1162,8 +1197,8 @@ let max_elt t =
           && not (logically_removed (Atomic.get l.linfo))
         then raise_notrace (Found_key (l.key - t.offset))
     | Internal i ->
-        go (Atomic.get i.children.(1));
-        go (Atomic.get i.children.(0))
+        go (Atomic.get i.c1);
+        go (Atomic.get i.c0)
   in
   match go (Internal (Atomic.get t.holder).hroot) with
   | () -> None
@@ -1191,11 +1226,11 @@ let fold_range t ~lo ~hi ~init ~f =
       | Internal i ->
           (* The subtree under a node labelled (bits, len) holds exactly
              the keys in [bits << (width-len), (bits+1) << (width-len)). *)
-          let shift = width - Label.length i.label in
-          let node_lo = i.label.Label.bits lsl shift in
+          let shift = width - i.llen in
+          let node_lo = i.lbits lsl shift in
           let node_hi = node_lo lor ((1 lsl shift) - 1) in
           if node_hi < ilo || node_lo > ihi then acc
-          else go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
+          else go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
     in
     go init (Internal (Atomic.get t.holder).hroot)
   end
@@ -1256,17 +1291,8 @@ let snapshot t =
         ignore (help fi);
         attempt ()
     | Unflag _ as ri ->
-        let c0 = Atomic.get root.children.(0)
-        and c1 = Atomic.get root.children.(1) in
         let gen' = ref () in
-        let root' =
-          {
-            label = root.label;
-            children = [| Atomic.make c0; Atomic.make c1 |];
-            iinfo = Atomic.make (fresh_unflag ());
-            gen = gen';
-          }
-        in
+        let root' = copy_internal ~gen:gen' root in
         let h' = { epoch = h.epoch + 1; hgen = gen'; hroot = root' } in
         let si = Snap { s_old = h; s_new = h'; s_cell = t.holder } in
         if Atomic.compare_and_set root.iinfo ri si then begin
@@ -1305,7 +1331,7 @@ module View = struct
       | Leaf l ->
           if l.key = 0 || l.key = maxs then acc else f acc (l.key - v.voffset)
       | Internal i ->
-          go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
+          go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
     in
     go init (Internal v.vroot)
 
@@ -1321,12 +1347,12 @@ module View = struct
             if l.key >= ilo && l.key <= ihi then f acc (l.key - v.voffset)
             else acc
         | Internal i ->
-            let shift = width - Label.length i.label in
-            let node_lo = i.label.Label.bits lsl shift in
+            let shift = width - i.llen in
+            let node_lo = i.lbits lsl shift in
             let node_hi = node_lo lor ((1 lsl shift) - 1) in
             if node_hi < ilo || node_lo > ihi then acc
             else
-              go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
+              go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
       in
       go init (Internal v.vroot)
     end
@@ -1343,8 +1369,8 @@ module View = struct
           else Seq.Cons (l.key - v.voffset, tail)
       | Internal i ->
           walk
-            (Atomic.get i.children.(0))
-            (fun () -> walk (Atomic.get i.children.(1)) tail ())
+            (Atomic.get i.c0)
+            (fun () -> walk (Atomic.get i.c1) tail ())
             ()
     in
     fun () -> walk (Internal v.vroot) (fun () -> Seq.Nil) ()
@@ -1438,7 +1464,8 @@ let check_invariants t =
     | Flag _ -> (
         match node with
         | Leaf l -> err "residual flag on reachable leaf %d" l.key
-        | Internal i -> err "residual flag on internal %a" Label.pp i.label));
+        | Internal i ->
+            err "residual flag on internal %a" Label.pp (label_of i)));
     match node with
     | Leaf l ->
         let kl = Label.of_key ~width l.key in
@@ -1448,24 +1475,25 @@ let check_invariants t =
           err "leaf %d out of order (previous leaf %d)" l.key !last_key;
         last_key := l.key
     | Internal i ->
-        if not (Label.equal i.label lab) && not (Label.is_proper_prefix lab i.label)
-        then err "internal label %a does not extend path %a" Label.pp i.label Label.pp lab;
-        if Label.length i.label >= width then
-          err "internal label %a too long" Label.pp i.label;
-        let c0 = Atomic.get i.children.(0) and c1 = Atomic.get i.children.(1) in
+        let il = label_of i in
+        if not (Label.equal il lab) && not (Label.is_proper_prefix lab il)
+        then err "internal label %a does not extend path %a" Label.pp il Label.pp lab;
+        if Label.length il >= width then
+          err "internal label %a too long" Label.pp il;
+        let c0 = Atomic.get i.c0 and c1 = Atomic.get i.c1 in
         let check_child dir c =
-          let expect = Label.extend i.label dir in
+          let expect = Label.extend il dir in
           let cl = node_label ~width c in
           if not (Label.is_prefix expect cl) then
             err "child %d of %a has label %a (expected prefix %a)" dir Label.pp
-              i.label Label.pp cl Label.pp expect;
-          if Label.length cl <= Label.length i.label then
-            err "child of %a has shorter label %a" Label.pp i.label Label.pp cl
+              il Label.pp cl Label.pp expect;
+          if Label.length cl <= Label.length il then
+            err "child of %a has shorter label %a" Label.pp il Label.pp cl
         in
         check_child 0 c0;
         check_child 1 c1;
-        go (Label.extend i.label 0) c0;
-        go (Label.extend i.label 1) c1
+        go (Label.extend il 0) c0;
+        go (Label.extend il 1) c1
   in
   let root = (Atomic.get t.holder).hroot in
   go Label.empty (Internal root);
@@ -1473,7 +1501,7 @@ let check_invariants t =
   let rec find_leaf k = function
     | Leaf l -> l.key = k
     | Internal i ->
-        find_leaf k (Atomic.get i.children.(Label.next_bit_of_key ~width i.label k))
+        find_leaf k (Atomic.get (child i (next_bit_of_key ~width i k)))
   in
   if not (find_leaf 0 (Internal root)) then err "missing sentinel 00...0";
   if not (find_leaf (max_sentinel t) (Internal root)) then
@@ -1484,9 +1512,9 @@ let check_invariants t =
 (* Shape census (Obs.Shape): weakly-consistent walk like [fold_leaves],
    exact in quiescence.  Per-node word estimates, 64-bit layout:
 
-     internal:  Internal wrapper 2 + record 5 (incl. gen) + Label.t 3
-                + children array 3 + 2 child Atomics 4
-                + iinfo Atomic 2 + Unflag wrapper/ref 4     = 23
+     internal:  Internal wrapper 2 + record 7 (header, lbits, llen,
+                c0, c1, iinfo, gen) + 2 child Atomics 4
+                + iinfo Atomic 2 + Unflag wrapper/ref 4     = 19
      leaf:      Leaf wrapper 2 + record 3 + linfo Atomic 2
                 + Unflag wrapper/ref 4                      = 11
 
@@ -1494,7 +1522,7 @@ let check_invariants t =
    [measured_words] cross-checks the estimate with
    [Obj.reachable_words] from the root, which also charges shared or
    flag-retained blocks the estimate ignores. *)
-let internal_words = 23
+let internal_words = 19
 let leaf_words = 11
 
 let census t =
@@ -1508,10 +1536,10 @@ let census t =
         in
         Obs.Shape.leaf a ~depth ~keys ~sentinel ~words:leaf_words
     | Internal i ->
-        Obs.Shape.internal a ~depth ~prefix_len:(Label.length i.label)
+        Obs.Shape.internal a ~depth ~prefix_len:i.llen
           ~children:2 ~words:internal_words;
-        go (depth + 1) (Atomic.get i.children.(0));
-        go (depth + 1) (Atomic.get i.children.(1))
+        go (depth + 1) (Atomic.get i.c0);
+        go (depth + 1) (Atomic.get i.c1)
   in
   let root = (Atomic.get t.holder).hroot in
   go 0 (Internal root);
@@ -1548,14 +1576,14 @@ module For_testing = struct
           match r.node with
           | Internal i ->
               new_flag ~width ~stats ~fh:h ~cell:t.holder
-                ~flags:[ (r.p, r.p_info); (i, node_info_v) ]
-                ~unflag:[ r.p ] ~pnodes:[ r.p ] ~old_children:[ r.node ]
-                ~new_children:[ Internal new_node ] ~rmv_leaf:None
+                ~nodes:[| r.p; i |] ~infos:[| r.p_info; node_info_v |]
+                ~unflag:[| r.p |] ~pnodes:[| r.p |] ~old_children:[| r.node |]
+                ~new_children:[| Internal new_node |] ~rmv_leaf:None
           | Leaf _ ->
               new_flag ~width ~stats ~fh:h ~cell:t.holder
-                ~flags:[ (r.p, r.p_info) ]
-                ~unflag:[ r.p ] ~pnodes:[ r.p ] ~old_children:[ r.node ]
-                ~new_children:[ Internal new_node ] ~rmv_leaf:None)
+                ~nodes:[| r.p |] ~infos:[| r.p_info |]
+                ~unflag:[| r.p |] ~pnodes:[| r.p |] ~old_children:[| r.node |]
+                ~new_children:[| Internal new_node |] ~rmv_leaf:None)
 
   (* Run one delete attempt up to descriptor creation without applying
      it.  Returns None if the key is absent or the attempt would have
@@ -1567,7 +1595,7 @@ module For_testing = struct
     let r = search t v in
     if not (key_in_trie r.node v r.rmvd) then None
     else
-      let node_sibling = Atomic.get r.p.children.(sibling_index ~width r.p v) in
+      let node_sibling = Atomic.get (child r.p (sibling_index ~width r.p v)) in
       match (r.gp, r.gp_info) with
       | Some gp, Some gp_info ->
           new_flag2 ~width ~stats:t.stats ~fh:h ~cell:t.holder ~a:gp
@@ -1596,8 +1624,8 @@ module For_testing = struct
           let acc =
             acc + match Atomic.get i.iinfo with Flag _ -> 1 | _ -> 0
           in
-          if Label.is_prefix_of_key ~width i.label v then
-            go acc (Atomic.get i.children.(Label.next_bit_of_key ~width i.label v))
+          if is_prefix_of_key ~width i v then
+            go acc (Atomic.get (child i (next_bit_of_key ~width i v)))
           else acc
     in
     go 0 (Internal (Atomic.get t.holder).hroot)

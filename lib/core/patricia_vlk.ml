@@ -30,7 +30,8 @@ and leaf = { key : B.t; linfo : info Atomic.t }
 
 and internal = {
   label : B.t;
-  children : node Atomic.t array;
+  c0 : node Atomic.t; (* left child (next bit 0) *)
+  c1 : node Atomic.t; (* right child (next bit 1) *)
   iinfo : info Atomic.t;
   gen : unit ref; (* generation stamp, as in {!Patricia} *)
 }
@@ -162,22 +163,30 @@ let[@inline] retry_cause2 a b =
 
 let node_info = function Leaf l -> l.linfo | Internal i -> i.iinfo
 let node_label = function Leaf l -> l.key | Internal i -> i.label
+let[@inline] child (i : internal) k = if k = 0 then i.c0 else i.c1
+
+let make_internal ~gen label c0 c1 =
+  {
+    label;
+    c0 = Atomic.make c0;
+    c1 = Atomic.make c1;
+    iinfo = Atomic.make (fresh_unflag ());
+    gen;
+  }
+
+(* A copy of [i] in generation [gen], children read now: callers read
+   [i]'s info field first (Lemma 31, as in {!Patricia.copy_internal}). *)
+let copy_internal ~gen (i : internal) =
+  make_internal ~gen i.label (Atomic.get i.c0) (Atomic.get i.c1)
 
 let name = "PAT-VLK"
 
 let create ?(record_stats = false) () =
   let gen = ref () in
   let root =
-    {
-      label = B.empty;
-      children =
-        [|
-          Atomic.make (Leaf (new_leaf B.sentinel_lo));
-          Atomic.make (Leaf (new_leaf B.sentinel_hi));
-        |];
-      iinfo = Atomic.make (fresh_unflag ());
-      gen;
-    }
+    make_internal ~gen B.empty
+      (Leaf (new_leaf B.sentinel_lo))
+      (Leaf (new_leaf B.sentinel_hi))
   in
   {
     holder = Atomic.make { epoch = 0; hgen = gen; hroot = root };
@@ -194,7 +203,7 @@ let logically_removed = function
   | Flag f ->
       let p = f.pnodes.(0) and old = f.old_children.(0) in
       not
-        (Atomic.get p.children.(0) == old || Atomic.get p.children.(1) == old)
+        (Atomic.get p.c0 == old || Atomic.get p.c1 == old)
 
 type search_result = {
   gp : internal option;
@@ -209,21 +218,36 @@ type search_result = {
           (the root's direct child is depth 1) *)
 }
 
+(* As in {!Patricia.found}: the descent carries [gp] and [gp_info]
+   unboxed (the root stands in while [d] = 0) and the options are built
+   once per search. *)
+let[@inline] found gp gp_info (p : internal) p_boxed p_info d node =
+  let rmvd =
+    match node with
+    | Leaf l -> logically_removed (Atomic.get l.linfo)
+    | Internal _ -> false
+  in
+  {
+    gp = (if d > 0 then Some gp else None);
+    p;
+    p_node = p_boxed;
+    node;
+    gp_info = (if d > 0 then Some gp_info else None);
+    p_info;
+    rmvd;
+    depth = d + 1;
+  }
+
 let search_from (root : internal) v =
   let rec go gp gp_info (p : internal) p_boxed p_info d =
-    let node = Atomic.get p.children.(B.next_bit p.label v) in
+    let node = Atomic.get (child p (B.next_bit p.label v)) in
     match node with
     | Internal i when B.is_proper_prefix i.label v ->
-        go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
-    | _ ->
-        let rmvd =
-          match node with
-          | Leaf l -> logically_removed (Atomic.get l.linfo)
-          | Internal _ -> false
-        in
-        { gp; p; p_node = p_boxed; node; gp_info; p_info; rmvd; depth = d + 1 }
+        go p p_info i node (Atomic.get i.iinfo) (d + 1)
+    | _ -> found gp gp_info p p_boxed p_info d node
   in
-  go None None root (Internal root) (Atomic.get root.iinfo) 0
+  let ri = Atomic.get root.iinfo in
+  go root ri root (Internal root) ri 0
 
 let search t v = search_from (Atomic.get t.holder).hroot v
 
@@ -258,10 +282,47 @@ let child_cas_phase f =
       let nc = f.new_children.(i) in
       let k = B.next_bit p.label (node_label nc) in
       chaos_point Chaos.Child_cas;
-      if not (Atomic.compare_and_set p.children.(k) f.old_children.(i) nc) then
+      if not (Atomic.compare_and_set (child p k) f.old_children.(i) nc) then
         Obs.Attribution.mark Obs.Attribution.Child_cas_lost ~attempt:0;
       chaos_point Chaos.After_child_cas)
     f.pnodes
+
+(* Helpers of the array-based [new_flag] below, over the first [m]
+   entries of an array.  [index_of a m x 0] is the position of [x] among
+   [a.(0 .. m-1)] (physical equality), or -1. *)
+let rec index_of (a : internal array) m x j =
+  if j = m then -1 else if a.(j) == x then j else index_of a m x (j + 1)
+
+(* Position of the first Flag or Snap among [infos], or its length. *)
+let rec first_flagged (infos : info array) i =
+  if i = Array.length infos || flagged infos.(i) then i
+  else first_flagged infos (i + 1)
+
+(* Lines 112-114: duplicates among the nodes to flag are fine iff they
+   carry the same old info value (the same node read twice); otherwise
+   the node changed between two reads and the attempt must retry (-1).
+   Compacts the first occurrence of each node, with its info, into
+   [nodes.(0 .. m-1)] and returns [m]. *)
+let rec dedup_flags (nodes : internal array) (infos : info array) i m =
+  if i = Array.length nodes then m
+  else
+    let j = index_of nodes m nodes.(i) 0 in
+    if j < 0 then begin
+      nodes.(m) <- nodes.(i);
+      infos.(m) <- infos.(i);
+      dedup_flags nodes infos (i + 1) (m + 1)
+    end
+    else if infos.(j) == infos.(i) then dedup_flags nodes infos (i + 1) m
+    else -1
+
+(* Compacts the first occurrence of each node into [a.(0 .. k-1)]. *)
+let rec dedup_nodes (a : internal array) i k =
+  if i = Array.length a then k
+  else if index_of a k a.(i) 0 >= 0 then dedup_nodes a (i + 1) k
+  else begin
+    a.(k) <- a.(i);
+    dedup_nodes a (i + 1) (k + 1)
+  end
 
 let rec help (fi : info) : bool =
   match fi with
@@ -302,53 +363,50 @@ and help_flag (fi : info) (f : flag) : bool =
       false
   | Pending -> assert false
 
-and new_flag ~fh ~cell ~flags ~unflag ~pnodes ~old_children ~new_children
-    ~rmv_leaf =
-  match
-    List.find_opt
-      (fun (_, i) -> match i with Flag _ | Snap _ -> true | _ -> false)
-      flags
-  with
-  | Some (_, old) ->
-      ignore (help old);
-      None
-  | None -> (
-      let rec dedup acc = function
-        | [] -> Some (List.rev acc)
-        | (n, i) :: rest -> (
-            match List.find_opt (fun (n', _) -> n' == n) acc with
-            | Some (_, i') -> if i' == i then dedup acc rest else None
-            | None -> dedup ((n, i) :: acc) rest)
-      in
-      match dedup [] flags with
-      | None -> None
-      | Some flags ->
-          let flags =
-            List.sort
-              (fun ((a : internal), _) (b, _) -> B.compare a.label b.label)
-              flags
-          in
-          let dedup_nodes l =
-            List.fold_left
-              (fun acc n ->
-                if List.exists (fun n' -> n' == n) acc then acc else n :: acc)
-              [] l
-            |> List.rev
-          in
-          Some
-            (Flag
-               {
-                 flag_nodes = Array.of_list (List.map fst flags);
-                 old_infos = Array.of_list (List.map snd flags);
-                 unflag_nodes = Array.of_list (dedup_nodes unflag);
-                 pnodes = Array.of_list pnodes;
-                 old_children = Array.of_list old_children;
-                 new_children = Array.of_list new_children;
-                 rmv_leaf;
-                 decision = Atomic.make Pending;
-                 fholder = fh;
-                 fcell = cell;
-               }))
+(* Array-based, as {!Patricia.new_flag}: [nodes.(i)] was read with
+   info [infos.(i)]; both are fresh array literals, de-duplicated and
+   sorted in place. *)
+and new_flag ~fh ~cell ~(nodes : internal array) ~infos ~unflag ~pnodes
+    ~old_children ~new_children ~rmv_leaf =
+  let n = Array.length nodes in
+  let p = first_flagged infos 0 in
+  if p < n then begin
+    ignore (help infos.(p));
+    None
+  end
+  else
+    let m = dedup_flags nodes infos 0 0 in
+    if m < 0 then None
+    else begin
+      (* Line 115: flag in a fixed total order to avoid livelock.  A
+         stable insertion sort: at most four entries. *)
+      for i = 1 to m - 1 do
+        let x = nodes.(i) and xi = infos.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && B.compare nodes.(!j).label x.label > 0 do
+          nodes.(!j + 1) <- nodes.(!j);
+          infos.(!j + 1) <- infos.(!j);
+          decr j
+        done;
+        nodes.(!j + 1) <- x;
+        infos.(!j + 1) <- xi
+      done;
+      let u = Array.length unflag and k = dedup_nodes unflag 0 0 in
+      Some
+        (Flag
+           {
+             flag_nodes = (if m = n then nodes else Array.sub nodes 0 m);
+             old_infos = (if m = n then infos else Array.sub infos 0 m);
+             unflag_nodes = (if k = u then unflag else Array.sub unflag 0 k);
+             pnodes;
+             old_children;
+             new_children;
+             rmv_leaf;
+             decision = Atomic.make Pending;
+             fholder = fh;
+             fcell = cell;
+           })
+    end
 
 and create_node ~gen n1 n2 info =
   let l1 = node_label n1 and l2 = node_label n2 in
@@ -360,30 +418,13 @@ and create_node ~gen n1 n2 info =
   end
   else
     let lcp = B.lcp l1 l2 in
-    let d1 = B.next_bit lcp l1 in
-    let c0, c1 = if d1 = 0 then (n1, n2) else (n2, n1) in
     Some
-      {
-        label = lcp;
-        children = [| Atomic.make c0; Atomic.make c1 |];
-        iinfo = Atomic.make (fresh_unflag ());
-        gen;
-      }
+      (if B.next_bit lcp l1 = 0 then make_internal ~gen lcp n1 n2
+       else make_internal ~gen lcp n2 n1)
 
 let copy_node ~gen = function
   | Leaf l -> Leaf (new_leaf l.key)
-  | Internal i ->
-      Internal
-        {
-          label = i.label;
-          children =
-            [|
-              Atomic.make (Atomic.get i.children.(0));
-              Atomic.make (Atomic.get i.children.(1));
-            |];
-          iinfo = Atomic.make (fresh_unflag ());
-          gen;
-        }
+  | Internal i -> Internal (copy_internal ~gen i)
 
 (* Publication wrapper and copy-on-descent renewal — the update-side
    snapshot machinery, as in {!Patricia.run_own} / [search_renew]. *)
@@ -402,24 +443,11 @@ let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
       ignore (help fi);
       false
   | Unflag _ as ii -> (
-      let copy =
-        Internal
-          {
-            label = i.label;
-            children =
-              [|
-                Atomic.make (Atomic.get i.children.(0));
-                Atomic.make (Atomic.get i.children.(1));
-              |];
-            iinfo = Atomic.make (fresh_unflag ());
-            gen = h.hgen;
-          }
-      in
+      let copy = Internal (copy_internal ~gen:h.hgen i) in
       match
-        new_flag ~fh:h ~cell:t.holder
-          ~flags:[ (p, p_info); (i, ii) ]
-          ~unflag:[ p ] ~pnodes:[ p ] ~old_children:[ c_boxed ]
-          ~new_children:[ copy ] ~rmv_leaf:None
+        new_flag ~fh:h ~cell:t.holder ~nodes:[| p; i |] ~infos:[| p_info; ii |]
+          ~unflag:[| p |] ~pnodes:[| p |] ~old_children:[| c_boxed |]
+          ~new_children:[| copy |] ~rmv_leaf:None
       with
       | Some fi ->
           chaos_point Chaos.Renew;
@@ -432,24 +460,17 @@ let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
    fresh holder read. *)
 let search_renew t (h : holder) v =
   let rec go gp gp_info (p : internal) p_boxed p_info d =
-    let node = Atomic.get p.children.(B.next_bit p.label v) in
+    let node = Atomic.get (child p (B.next_bit p.label v)) in
     match node with
     | Internal i when B.is_proper_prefix i.label v ->
-        if i.gen == h.hgen then
-          go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
+        if i.gen == h.hgen then go p p_info i node (Atomic.get i.iinfo) (d + 1)
         else if renew_child t h p p_info node i then
           go gp gp_info p p_boxed (Atomic.get p.iinfo) d
         else None
-    | _ ->
-        let rmvd =
-          match node with
-          | Leaf l -> logically_removed (Atomic.get l.linfo)
-          | Internal _ -> false
-        in
-        Some
-          { gp; p; p_node = p_boxed; node; gp_info; p_info; rmvd; depth = d + 1 }
+    | _ -> Some (found gp gp_info p p_boxed p_info d node)
   in
-  go None None h.hroot (Internal h.hroot) (Atomic.get h.hroot.iinfo) 0
+  let ri = Atomic.get h.hroot.iinfo in
+  go h.hroot ri h.hroot (Internal h.hroot) ri 0
 
 (* ------------------------------------------------------------------ *)
 (* Operations over raw encoded keys *)
@@ -502,14 +523,16 @@ let insert_key t v =
                 match r.node with
                 | Internal i ->
                     new_flag ~fh:h ~cell:t.holder
-                      ~flags:[ (r.p, r.p_info); (i, node_info_v) ]
-                      ~unflag:[ r.p ] ~pnodes:[ r.p ] ~old_children:[ r.node ]
-                      ~new_children:[ Internal new_node ] ~rmv_leaf:None
+                      ~nodes:[| r.p; i |] ~infos:[| r.p_info; node_info_v |]
+                      ~unflag:[| r.p |] ~pnodes:[| r.p |]
+                      ~old_children:[| r.node |]
+                      ~new_children:[| Internal new_node |] ~rmv_leaf:None
                 | Leaf _ ->
                     new_flag ~fh:h ~cell:t.holder
-                      ~flags:[ (r.p, r.p_info) ]
-                      ~unflag:[ r.p ] ~pnodes:[ r.p ] ~old_children:[ r.node ]
-                      ~new_children:[ Internal new_node ] ~rmv_leaf:None
+                      ~nodes:[| r.p |] ~infos:[| r.p_info |]
+                      ~unflag:[| r.p |] ~pnodes:[| r.p |]
+                      ~old_children:[| r.node |]
+                      ~new_children:[| Internal new_node |] ~rmv_leaf:None
               in
               match fi with
               | Some fi when run_own t fi ->
@@ -543,14 +566,15 @@ let delete_key t v =
           attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0 ~site:"absent"
             false
         else begin
-          let node_sibling = Atomic.get r.p.children.(sibling_index r.p v) in
+          let node_sibling = Atomic.get (child r.p (sibling_index r.p v)) in
           match (r.gp, r.gp_info) with
           | Some gp, Some gp_info -> (
               match
                 new_flag ~fh:h ~cell:t.holder
-                  ~flags:[ (gp, gp_info); (r.p, r.p_info) ]
-                  ~unflag:[ gp ] ~pnodes:[ gp ] ~old_children:[ r.p_node ]
-                  ~new_children:[ node_sibling ] ~rmv_leaf:None
+                  ~nodes:[| gp; r.p |] ~infos:[| gp_info; r.p_info |]
+                  ~unflag:[| gp |] ~pnodes:[| gp |]
+                  ~old_children:[| r.p_node |]
+                  ~new_children:[| node_sibling |] ~rmv_leaf:None
               with
               | Some fi when run_own t fi ->
                   attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0
@@ -601,7 +625,7 @@ let replace_key t vd vi =
             false
         else begin
           let node_info_i = Atomic.get (node_info ri.node) in
-          let node_sibling_d = Atomic.get rd.p.children.(sibling_index rd.p vd) in
+          let node_sibling_d = Atomic.get (child rd.p (sibling_index rd.p vd)) in
           let node_d = rd.node and node_i = ri.node in
           let pd = rd.p and pi = ri.p in
           let leaf_d =
@@ -638,33 +662,28 @@ let replace_key t vd vi =
                   match node_i with
                   | Internal i ->
                       new_flag ~fh:h ~cell:t.holder
-                        ~flags:
-                          [
-                            (gpd, gpd_info);
-                            (pd, rd.p_info);
-                            (pi, ri.p_info);
-                            (i, node_info_i);
-                          ]
-                        ~unflag:[ gpd; pi ]
-                        ~pnodes:[ pi; gpd ]
-                        ~old_children:[ node_i; rd.p_node ]
-                        ~new_children:[ Internal new_node_i; node_sibling_d ]
+                        ~nodes:[| gpd; pd; pi; i |]
+                        ~infos:[| gpd_info; rd.p_info; ri.p_info; node_info_i |]
+                        ~unflag:[| gpd; pi |]
+                        ~pnodes:[| pi; gpd |]
+                        ~old_children:[| node_i; rd.p_node |]
+                        ~new_children:[| Internal new_node_i; node_sibling_d |]
                         ~rmv_leaf:(Some leaf_d)
                   | Leaf _ ->
                       new_flag ~fh:h ~cell:t.holder
-                        ~flags:
-                          [ (gpd, gpd_info); (pd, rd.p_info); (pi, ri.p_info) ]
-                        ~unflag:[ gpd; pi ]
-                        ~pnodes:[ pi; gpd ]
-                        ~old_children:[ node_i; rd.p_node ]
-                        ~new_children:[ Internal new_node_i; node_sibling_d ]
+                        ~nodes:[| gpd; pd; pi |]
+                        ~infos:[| gpd_info; rd.p_info; ri.p_info |]
+                        ~unflag:[| gpd; pi |]
+                        ~pnodes:[| pi; gpd |]
+                        ~old_children:[| node_i; rd.p_node |]
+                        ~new_children:[| Internal new_node_i; node_sibling_d |]
                         ~rmv_leaf:(Some leaf_d))
             end
             else if same_node node_i node_d then
               new_flag ~fh:h ~cell:t.holder
-                ~flags:[ (pd, rd.p_info) ]
-                ~unflag:[ pd ] ~pnodes:[ pd ] ~old_children:[ node_i ]
-                ~new_children:[ Leaf (new_leaf vi) ] ~rmv_leaf:None
+                ~nodes:[| pd |] ~infos:[| rd.p_info |]
+                ~unflag:[| pd |] ~pnodes:[| pd |] ~old_children:[| node_i |]
+                ~new_children:[| Leaf (new_leaf vi) |] ~rmv_leaf:None
             else if
               (node_i_is node_i pd
               && match rd.gp with Some gp -> pi == gp | None -> false)
@@ -679,15 +698,16 @@ let replace_key t vd vi =
               | None -> None
               | Some new_node_i ->
                   new_flag ~fh:h ~cell:t.holder
-                    ~flags:[ (gpd, gpd_info); (pd, rd.p_info) ]
-                    ~unflag:[ gpd ] ~pnodes:[ gpd ] ~old_children:[ rd.p_node ]
-                    ~new_children:[ Internal new_node_i ] ~rmv_leaf:None
+                    ~nodes:[| gpd; pd |] ~infos:[| gpd_info; rd.p_info |]
+                    ~unflag:[| gpd |] ~pnodes:[| gpd |]
+                    ~old_children:[| rd.p_node |]
+                    ~new_children:[| Internal new_node_i |] ~rmv_leaf:None
             end
             else if
               match rd.gp with Some gp -> node_i_is node_i gp | None -> false
             then begin
               let gpd = Option.get rd.gp in
-              let p_sibling_d = Atomic.get gpd.children.(sibling_index gpd vd) in
+              let p_sibling_d = Atomic.get (child gpd (sibling_index gpd vd)) in
               match create_node ~gen:h.hgen node_sibling_d p_sibling_d None with
               | None -> None
               | Some new_child_i -> (
@@ -698,14 +718,11 @@ let replace_key t vd vi =
                   | None -> None
                   | Some new_node_i ->
                       new_flag ~fh:h ~cell:t.holder
-                        ~flags:
-                          [
-                            (pi, ri.p_info);
-                            (gpd, Option.get rd.gp_info);
-                            (pd, rd.p_info);
-                          ]
-                        ~unflag:[ pi ] ~pnodes:[ pi ] ~old_children:[ node_i ]
-                        ~new_children:[ Internal new_node_i ] ~rmv_leaf:None)
+                        ~nodes:[| pi; gpd; pd |]
+                        ~infos:[| ri.p_info; Option.get rd.gp_info; rd.p_info |]
+                        ~unflag:[| pi |] ~pnodes:[| pi |]
+                        ~old_children:[| node_i |]
+                        ~new_children:[| Internal new_node_i |] ~rmv_leaf:None)
             end
             else None
           in
@@ -750,7 +767,7 @@ let fold_leaves t ~init ~f =
         then acc
         else f acc l.key
     | Internal i ->
-        go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
+        go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
   in
   go init (Internal (Atomic.get t.holder).hroot)
 
@@ -777,7 +794,7 @@ let check_invariants t =
     | Internal i ->
         if not (B.is_prefix path i.label) then
           err "internal %a not under path %a" B.pp i.label B.pp path;
-        let c0 = Atomic.get i.children.(0) and c1 = Atomic.get i.children.(1) in
+        let c0 = Atomic.get i.c0 and c1 = Atomic.get i.c1 in
         let check dir c =
           let expect = B.extend i.label dir in
           if not (B.is_prefix expect (node_label c)) then
@@ -808,17 +825,8 @@ let snapshot t =
         ignore (help fi);
         attempt ()
     | Unflag _ as ri ->
-        let c0 = Atomic.get root.children.(0)
-        and c1 = Atomic.get root.children.(1) in
         let gen' = ref () in
-        let root' =
-          {
-            label = root.label;
-            children = [| Atomic.make c0; Atomic.make c1 |];
-            iinfo = Atomic.make (fresh_unflag ());
-            gen = gen';
-          }
-        in
+        let root' = copy_internal ~gen:gen' root in
         let h' = { epoch = h.epoch + 1; hgen = gen'; hroot = root' } in
         let si = Snap { s_old = h; s_new = h'; s_cell = t.holder } in
         if Atomic.compare_and_set root.iinfo ri si then begin
@@ -852,7 +860,7 @@ module View = struct
             acc
           else f acc l.key
       | Internal i ->
-          go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
+          go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
     in
     go init (Internal v.vroot)
 
@@ -868,16 +876,18 @@ end
 
 (* Per-node footprint on 64-bit, in words.  Fixed parts match
    {!Patricia} (variant wrapper 2, record fields + header, one Atomic
-   box of 2 per mutable slot, [Unflag (ref ())] info 4); labels and
-   keys add a {!Bitkey.Bitstr.t} record (3 words) plus its backing
-   string block (header + padded data words).  Shared strings (the
+   box of 2 per mutable slot, [Unflag (ref ())] info 4): an internal is
+   wrapper 2 + record 6 (header, label, c0, c1, iinfo, gen) + 2 child
+   Atomics 4 + iinfo Atomic 2 + Unflag 4 = 18 words before its label.
+   Labels and keys add a {!Bitkey.Bitstr.t} record (3 words) plus its
+   backing string block (header + padded data words).  Shared strings (the
    sentinels, [B.empty]) are counted once per node by the estimate;
    [Obj.reachable_words] in [census] reports the deduplicated truth. *)
 let bitstr_words b =
   let bytes = (B.length b + 7) / 8 in
   3 + 1 + ((bytes + 8) / 8)
 
-let internal_base_words = 20 (* +1 over the PR 8 layout: the gen field *)
+let internal_base_words = 18
 let leaf_base_words = 11
 
 let census t =
@@ -896,8 +906,8 @@ let census t =
     | Internal i ->
         Obs.Shape.internal a ~depth ~prefix_len:(B.length i.label) ~children:2
           ~words:(internal_base_words + bitstr_words i.label);
-        go (depth + 1) (Atomic.get i.children.(0));
-        go (depth + 1) (Atomic.get i.children.(1))
+        go (depth + 1) (Atomic.get i.c0);
+        go (depth + 1) (Atomic.get i.c1)
   in
   let root = (Atomic.get t.holder).hroot in
   go 0 (Internal root);

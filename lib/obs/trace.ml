@@ -7,9 +7,16 @@
     retry cause / CAS site label and a duration) to its own ring with
     plain writes — no synchronization on the hot path — and [dump]
     stitches the rings back together in timestamp order once the run is
-    quiescent.  With the default capacity of 1024 events per stripe a
+    quiescent.  With the default capacity of 1024 events per domain a
     failing schedule's last few thousand operations are always available
     without the tracing itself changing the schedule much.
+
+    A domain's ring is created on its first event and found again
+    through a domain-local key, so two live domains never share one.
+    (A domain-id stripe, {!Stripe}, wraps once more than [Stripe.count]
+    domains have been spawned; two writers of one ring would lose each
+    other's events uncounted.)  Rings of finished domains stay
+    registered, so their events survive into [dump].
 
     A full ring overwrites its oldest slot; each overwrite is counted in
     a per-ring [dropped] counter (plain single-writer int, like the ring
@@ -54,7 +61,11 @@ type ring = {
   buf : event array;
 }
 
-type t = { rings : ring array; capacity : int }
+type t = {
+  rings : ring list Atomic.t; (* every ring ever created, newest first *)
+  mine : ring Domain.DLS.key; (* the calling domain's ring *)
+  capacity : int;
+}
 
 let default_capacity = 1024
 
@@ -76,12 +87,20 @@ let create ?(capacity = default_capacity) () =
       dur_ns = 0;
     }
   in
-  {
-    rings =
-      Array.init Stripe.count (fun _ ->
-          { next = 0; filled = 0; dropped = 0; buf = Array.make capacity dummy });
-    capacity;
-  }
+  let rings = Atomic.make [] in
+  let mine =
+    Domain.DLS.new_key (fun () ->
+        let r =
+          { next = 0; filled = 0; dropped = 0; buf = Array.make capacity dummy }
+        in
+        let rec register () =
+          let l = Atomic.get rings in
+          if not (Atomic.compare_and_set rings l (r :: l)) then register ()
+        in
+        register ();
+        r)
+  in
+  { rings; mine; capacity }
 
 let capacity t = t.capacity
 
@@ -90,7 +109,7 @@ let capacity t = t.capacity
    (e.g. the runtime-events domain) may set to another domain's track
    while still being the sole writer of their own ring. *)
 let[@inline] push t (e : event) =
-  let r = Array.unsafe_get t.rings (Stripe.index ()) in
+  let r = Domain.DLS.get t.mine in
   Array.unsafe_set r.buf r.next e;
   r.next <- (r.next + 1) land (t.capacity - 1);
   if r.filled < t.capacity then r.filled <- r.filled + 1
@@ -154,7 +173,7 @@ let add_span t kind ~track ~key ~ok ~retries ~attempt ~site ~t0_ns ~dur_ns =
 
 (** Total events lost to ring overwrites since creation (or {!clear}). *)
 let dropped t =
-  Array.fold_left (fun acc r -> acc + r.dropped) 0 t.rings
+  List.fold_left (fun acc r -> acc + r.dropped) 0 (Atomic.get t.rings)
 
 (** All retained events, oldest first (merged across domains by
     timestamp).  Quiescent use: concurrent emitters may tear the very
@@ -170,17 +189,17 @@ let dump t =
       List.init r.filled (fun i ->
           r.buf.((start + i) land (t.capacity - 1)))
   in
-  Array.to_list t.rings
+  Atomic.get t.rings
   |> List.concat_map per_ring
   |> List.stable_sort (fun a b -> compare a.t_ns b.t_ns)
 
 let clear t =
-  Array.iter
+  List.iter
     (fun r ->
       r.next <- 0;
       r.filled <- 0;
       r.dropped <- 0)
-    t.rings
+    (Atomic.get t.rings)
 
 let event_to_json e =
   let base =

@@ -206,6 +206,54 @@ let test_trace_dropped () =
   T.clear t;
   Alcotest.(check int) "clear resets" 0 (T.dropped t)
 
+(* Two live domains whose ids are congruent modulo [Obs.Stripe.count]
+   (so a domain-id stripe would hand them the same ring) write
+   concurrently; every event survives and none is counted dropped. *)
+let test_trace_colliding_domains () =
+  let per_domain = 5_000 in
+  let t = T.create ~capacity:8192 () in
+  let stripe () = (Domain.self () :> int) land Obs.Stripe.mask in
+  let mine = stripe () in
+  let ready = Atomic.make 0 in
+  let emit () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for i = 1 to per_domain do
+      T.emit_span t T.Insert ~key:i ~ok:true ~retries:0 ~attempt:1 ~site:"s"
+        ~t0_ns:(Obs.Clock.now_ns ())
+    done
+  in
+  (* Domain ids grow by one per spawn, so one of the next
+     [Stripe.count] domains lands on the caller's stripe. *)
+  let rec spawn_colliding tries =
+    if tries = 0 then Alcotest.fail "no domain landed on the caller's stripe";
+    let verdict = Atomic.make 0 in
+    let d =
+      Domain.spawn (fun () ->
+          if stripe () = mine then begin
+            Atomic.set verdict 1;
+            emit ()
+          end
+          else Atomic.set verdict 2)
+    in
+    while Atomic.get verdict = 0 do
+      Domain.cpu_relax ()
+    done;
+    if Atomic.get verdict = 1 then d
+    else begin
+      Domain.join d;
+      spawn_colliding (tries - 1)
+    end
+  in
+  let d = spawn_colliding (2 * Obs.Stripe.count) in
+  emit ();
+  Domain.join d;
+  Alcotest.(check int) "every event kept" (2 * per_domain)
+    (List.length (T.dump t));
+  Alcotest.(check int) "nothing dropped" 0 (T.dropped t)
+
 (* Attempt spans: closed spans with attempt number, site and duration. *)
 let test_trace_spans () =
   let t = T.create ~capacity:8 () in
@@ -911,6 +959,8 @@ let () =
           Alcotest.test_case "event json" `Quick test_trace_json;
           Alcotest.test_case "overflow counted, never silent" `Quick
             test_trace_dropped;
+          Alcotest.test_case "colliding domain ids keep every event" `Quick
+            test_trace_colliding_domains;
           Alcotest.test_case "attempt spans" `Quick test_trace_spans;
           Alcotest.test_case "global recorder wires the trie" `Quick
             test_trace_recorder;

@@ -343,6 +343,36 @@ let test_no_stats_by_default () =
   let t = P.create ~universe:64 () in
   Alcotest.(check bool) "no stats" true (P.stats_snapshot t = None)
 
+(* Minor words allocated per [member] on a half-full trie over
+   [universe] keys, one domain, stats off. *)
+let member_words ~universe =
+  let t = P.create ~universe () in
+  let rng = Rng.of_int_seed 2013 in
+  let n = ref 0 in
+  while !n < universe / 2 do
+    if P.insert t (Rng.int rng universe) then incr n
+  done;
+  let probes = Array.init 1024 (fun _ -> Rng.int rng universe) in
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    for i = 0 to 1023 do
+      ignore (P.member t probes.(i))
+    done
+  done;
+  (Gc.minor_words () -. before) /. float_of_int (rounds * 1024)
+
+(* A search allocates its result once, not once per level: a lookup
+   about 16 levels deep (2^16 keys) costs what one about 4 levels deep
+   (2^4) costs, within 2 words. *)
+let test_member_allocation_flat () =
+  let small = member_words ~universe:16
+  and big = member_words ~universe:65536 in
+  Alcotest.(check bool)
+    (Printf.sprintf "2^16: %.1f words/member <= 2^4: %.1f + 2" big small)
+    true
+    (big <= small +. 2.)
+
 let () =
   Alcotest.run "patricia"
     [
@@ -384,5 +414,7 @@ let () =
         [
           Alcotest.test_case "recording" `Quick test_stats_recording;
           Alcotest.test_case "off by default" `Quick test_no_stats_by_default;
+          Alcotest.test_case "member allocation independent of depth" `Quick
+            test_member_allocation_flat;
         ] );
     ]
