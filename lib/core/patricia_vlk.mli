@@ -96,3 +96,23 @@ val descent_stats : t -> (string * int) list option
 val descent_summary : t -> Obs.Histogram.summary option
 (** Depth histogram of all recorded searches; [None] without
     [~record_stats:true]. *)
+
+(** Test-only access to the coordination machinery, the same as
+    {!Patricia.For_testing} over raw encoded keys: both tries are one
+    algorithm, so the suites that stall an update mid-flight run on
+    both. *)
+module For_testing : sig
+  type descriptor
+
+  val prepare_insert : t -> Bitkey.Bitstr.t -> descriptor option
+  val prepare_delete : t -> Bitkey.Bitstr.t -> descriptor option
+  val flag_only : descriptor -> bool
+  val help : descriptor -> bool
+  val set_help_hook : (unit -> unit) option -> unit
+  val flags_on_path : t -> Bitkey.Bitstr.t -> int
+
+  val counters : t -> (string * int) list option
+  (** Every counter of a trie created with [~record_stats:true], named
+      as in {!Patricia.stats_to_alist} (helps received, backtracks,
+      renewals, ...); [None] otherwise. *)
+end

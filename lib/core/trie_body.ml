@@ -1,0 +1,1371 @@
+(* The non-blocking Patricia trie with replace operations, once for both
+   key representations.
+
+   This is a direct transcription of the algorithm of
+
+     N. Shafiei, "Non-blocking Patricia Tries with Replace Operations",
+     ICDCS 2013 (arXiv:1303.3626),
+
+   for an asynchronous shared-memory system with single-word CAS.  Line
+   numbers in comments refer to the paper's pseudocode (Figures 2-4).
+
+   This file is not a module of its own.  The dune rules of lib/core
+   paste a key module [K] (pat_key.ml or vlk_key.ml) and then this file
+   into one compilation unit per instance: PAT, whose keys are l-bit
+   ints, and PAT-VLK, the Section-VI extension whose keys are bit
+   strings of unbounded length.  Patricia and Patricia_vlk add only
+   their front ends.  [K] sits in the same unit as the descent so its
+   label operations compile to direct, inlinable code: a functor
+   application would make each of them an indirect call on this
+   compiler, which has no flambda.  Edit the algorithm here; the two
+   instances are generated under _build.
+
+   Concurrency notes specific to OCaml 5:
+
+   - [Atomic.compare_and_set] compares by physical equality, which matches
+     the paper's pointer-identity CAS.
+   - The paper avoids the ABA problem on [info] fields by installing a
+     *newly allocated* Unflag object on every unflag/backtrack CAS; we
+     reproduce this with [Unflag (ref ())], whose block is fresh per
+     allocation, so two Unflags are never physically equal.
+   - A Flag descriptor must be wrapped in the [info] variant exactly once
+     so that all CASes and reads compare the same physical value; the
+     shared wrapper is created in [new_flag] and threaded everywhere.
+
+   With unbounded keys (PAT-VLK) searches remain non-blocking but are no
+   longer wait-free, as the paper notes: concurrent insertions of
+   ever-longer keys can extend a search path.
+
+   Snapshots (not part of the paper; see the [Snapshots] section below):
+   the trie root sits behind a generation-stamped holder, every update
+   descriptor validates the holder at a single decision CAS, and a
+   snapshot swings the holder to a copied root — O(1) in the number of
+   keys — after which the old generation is immutable. *)
+
+(* What an instance's key module provides.  A label is the common
+   prefix of the keys below an internal node; a span is the set of keys
+   a node covers, so both leaves and internal nodes have one. *)
+module type KEY = sig
+  val name : string
+
+  type ctx (* per-trie key parameters *)
+  type key (* what a leaf stores *)
+  type user (* a key as the operations take it *)
+  type label
+
+  val import : ctx -> user -> key
+  (** Validates and embeds a user key.  @raise Invalid_argument *)
+
+  val export : ctx -> key -> user
+  val sentinel_lo : ctx -> key
+  val sentinel_hi : ctx -> key
+  val is_sentinel : ctx -> key -> bool
+  val equal_key : key -> key -> bool
+  val trace_key : key -> int
+  val root_label : ctx -> label
+
+  val bit : label -> key -> bool
+  (** The key's bit after the label: [true] is the right child. *)
+
+  val is_prefix : label -> key -> bool
+  (** The label is a proper prefix of the key. *)
+
+  val child_bit : label -> label -> bool
+  (** [child_bit p c]: the bit of [c] after [p], for [c] below [p]. *)
+
+  val compare_label : label -> label -> int
+  (** Line 115's total order: length, then bits. *)
+
+  type span
+
+  val key_span : key -> span
+  val label_span : label -> span
+  val half : label -> bool -> span
+  val within : span -> span -> bool
+  val lcp : span -> span -> label
+  val span_bit : label -> span -> bool
+  val label_length : ctx -> label -> int
+  val key_words : key -> int
+  val label_words : label -> int
+  val pp_key : Format.formatter -> key -> unit
+  val pp_label : ctx -> Format.formatter -> label -> unit
+end
+
+module _ : KEY = K
+
+type info = Unflag of unit ref | Flag of flag | Snap of snap
+
+and node = Leaf of leaf | Internal of internal
+
+and leaf = { key : K.key; linfo : info Atomic.t }
+
+and internal = {
+  label : K.label;
+  c0 : node Atomic.t; (* left child (next bit 0) *)
+  c1 : node Atomic.t; (* right child (next bit 1) *)
+  iinfo : info Atomic.t;
+  gen : unit ref;
+      (* Generation stamp: physically equal to [hgen] of the holder that
+         was current when this node was created.  Immutable.  Updates
+         renew (copy into the current generation) every internal node
+         they descend through whose stamp is stale, so the nodes whose
+         children they CAS always belong to the live generation and the
+         frozen generations behind past snapshots are never mutated. *)
+}
+
+(* One generation of the trie.  [hroot] is that generation's root;
+   [hgen] is the identity the root's descendants are stamped with.
+   The live generation is the one in [t.holder]; a snapshot replaces it
+   wholesale (fresh [hroot] sharing the old children), so a holder value
+   doubles as a frozen, immutable version once superseded. *)
+and holder = { epoch : int; hgen : unit ref; hroot : internal }
+
+(* The fate of an update descriptor.  [Pending] until some process that
+   completed the flagging phase validates the generation; the single
+   decision CAS is the only place an update commits, so a snapshot that
+   swings the holder strictly before that CAS is never missed. *)
+and decision = Pending | Commit | Abort
+
+(* The Flag descriptor (paper Figure 2, lines 8-16).  [flag_nodes] are the
+   internal nodes to flag, sorted by label; [old_infos.(i)] is the value
+   that must still be in [flag_nodes.(i).iinfo] for the flag CAS to
+   succeed.  Child [k] of [pnodes.(i)] is CASed from [old_children.(i)]
+   to [new_children.(i)].  [unflag_nodes] are unflagged afterwards; flagged
+   nodes absent from it are removed from the trie and stay flagged
+   ("marked") forever.  [rmv_leaf] is the leaf logically removed by a
+   general-case replace. *)
+and flag = {
+  flag_nodes : internal array;
+  old_infos : info array;
+  unflag_nodes : internal array;
+  pnodes : internal array;
+  old_children : node array;
+  new_children : node array;
+  rmv_leaf : leaf option;
+  decision : decision Atomic.t;
+      (* Replaces the paper's [flag_done] bit: [Commit] is decided by
+         the single CAS of a process that observed every flag CAS
+         succeed *and* the owning trie's holder still equal to
+         [fholder]; the child CASes run only under a [Commit].  The
+         paper's semantics are the special case where the holder never
+         changes. *)
+  fholder : holder; (* the generation this attempt's search ran against *)
+  fcell : holder Atomic.t; (* the owning trie's holder cell, for validation *)
+  fstats : stats option;
+      (* The owning trie's counters, carried by the descriptor so that
+         helpers — which see only the descriptor — can attribute events
+         (helps received, backtracks) to the right trie. *)
+}
+
+(* Descriptor of an in-flight snapshot, installed on the old root's
+   [iinfo] like a one-node flag: it proves the root's children did not
+   change between being copied into [s_new.hroot] and the holder CAS,
+   and it lets any process (an update that finds it while flagging the
+   root, or a concurrent snapshot) complete the swing. *)
+and snap = { s_old : holder; s_new : holder; s_cell : holder Atomic.t }
+
+(* Counters for the help-rate ablation and the observability layer;
+   disabled (None) by default so the hot path pays a single branch.
+   Each counter is striped per domain ([Obs.Counter]): enabling stats
+   does not share one Atomic.t across domains, so the instrumentation
+   does not become the contention hotspot it is measuring. *)
+and stats = {
+  attempts : Obs.Counter.t; (* retry-loop iterations across all updates *)
+  helps_given : Obs.Counter.t; (* calls to help on *another* op's descriptor *)
+  helps_received : Obs.Counter.t;
+      (* flag CASes lost because another process had already installed
+         this very descriptor — i.e. our operation was helped along *)
+  flag_failures : Obs.Counter.t; (* attempts abandoned in the flagging phase *)
+  backtracks : Obs.Counter.t; (* failed flag phases backed out in help *)
+  backoff_waits : Obs.Counter.t;
+      (* retries that paused in the contention backoff (Chaos.Backoff) *)
+  renewals : Obs.Counter.t;
+      (* committed copy-on-descent renewals of stale-generation nodes *)
+  (* Descent-cost accounting: nodes visited per search (root included),
+     split by the opcode that ran the search, plus a depth histogram
+     for the tail.  One search = one histogram record + one counter
+     add, on the recording domain's own stripe. *)
+  descent_find : Obs.Counter.t;
+  descent_insert : Obs.Counter.t;
+  descent_delete : Obs.Counter.t;
+  descent_replace : Obs.Counter.t;
+  descent_searches : Obs.Counter.t;
+  descent_depth : Obs.Histogram.t;
+}
+
+(* Point-in-time merged view of the counters (see [stats_snapshot]). *)
+type snapshot = {
+  attempts : int;
+  helps_given : int;
+  helps_received : int;
+  flag_failures : int;
+  backtracks : int;
+  backoff_waits : int;
+  descent_nodes_find : int;
+  descent_nodes_insert : int;
+  descent_nodes_delete : int;
+  descent_nodes_replace : int;
+  descent_searches : int;
+  renewals : int;
+}
+
+type t = {
+  ctx : K.ctx;
+  holder : holder Atomic.t; (* the live generation; swung only by snapshots *)
+  slots : info option Atomic.t list Atomic.t;
+      (* Published-descriptor registry: one slot per domain that ever
+         updated this trie.  An update publishes its descriptor before
+         the flagging phase and clears the slot after completion, so a
+         snapshot can resolve (commit or abort) every descriptor that
+         might still commit against the generation it froze — the scan
+         is O(#domains), independent of the key count. *)
+  slot_key : info option Atomic.t option ref Domain.DLS.key;
+  stats : stats option;
+}
+
+let name = K.name
+
+(* The calling domain's published-descriptor slot for [t], created and
+   registered on first use. *)
+let my_slot t =
+  let r = Domain.DLS.get t.slot_key in
+  match !r with
+  | Some s -> s
+  | None ->
+      let s = Atomic.make None in
+      let rec push () =
+        let l = Atomic.get t.slots in
+        if not (Atomic.compare_and_set t.slots l (s :: l)) then push ()
+      in
+      push ();
+      r := Some s;
+      s
+
+let fresh_unflag () = Unflag (ref ())
+
+let new_leaf key = { key; linfo = Atomic.make (fresh_unflag ()) }
+
+let node_info = function
+  | Leaf l -> l.linfo
+  | Internal i -> i.iinfo
+
+let[@inline] child (i : internal) b = if b then i.c1 else i.c0
+
+let node_span = function
+  | Leaf l -> K.key_span l.key
+  | Internal i -> K.label_span i.label
+
+let make_internal ~gen label c0 c1 =
+  {
+    label;
+    c0 = Atomic.make c0;
+    c1 = Atomic.make c1;
+    iinfo = Atomic.make (fresh_unflag ());
+    gen;
+  }
+
+(* A copy of [i] in generation [gen], children read now: callers read
+   [i]'s info field first (see [copy_node]). *)
+let copy_internal ~gen (i : internal) =
+  make_internal ~gen i.label (Atomic.get i.c0) (Atomic.get i.c1)
+
+let make_stats () : stats =
+  {
+    attempts = Obs.Counter.create ();
+    helps_given = Obs.Counter.create ();
+    helps_received = Obs.Counter.create ();
+    flag_failures = Obs.Counter.create ();
+    backtracks = Obs.Counter.create ();
+    backoff_waits = Obs.Counter.create ();
+    renewals = Obs.Counter.create ();
+    descent_find = Obs.Counter.create ();
+    descent_insert = Obs.Counter.create ();
+    descent_delete = Obs.Counter.create ();
+    descent_replace = Obs.Counter.create ();
+    descent_searches = Obs.Counter.create ();
+    descent_depth = Obs.Histogram.create ();
+  }
+
+(* The disabled-stats hot path must stay a single branch: [None -> ()]
+   and nothing else.  The closure arguments below are constant (capture
+   nothing), so the compiler lifts them to static data — no allocation
+   either way. *)
+let[@inline] bump (stats : stats option) (field : stats -> Obs.Counter.t) =
+  match stats with None -> () | Some s -> Obs.Counter.incr (field s)
+
+(* One completed search: [d] nodes visited, attributed to the opcode's
+   counter.  Same disabled contract as [bump] — [None] is one branch. *)
+let[@inline] descent (stats : stats option) (field : stats -> Obs.Counter.t) d =
+  match stats with
+  | None -> ()
+  | Some s ->
+      Obs.Counter.add (field s) d;
+      Obs.Counter.incr s.descent_searches;
+      Obs.Histogram.record s.descent_depth d
+
+(* Fault-injection site (lib/chaos).  Same hot-path discipline as
+   [bump]: with no chaos policy installed this is one atomic load and an
+   untaken branch, inlined at every labelled synchronization point. *)
+let[@inline] chaos_point (s : Chaos.site) =
+  if Atomic.get Chaos.active then Chaos.hit s
+
+(* Pause before retrying a failed update attempt.  [bo] is the backoff
+   state (a plain int) threaded through the attempt loop; with backoff
+   disabled (the default) this retries immediately, as in the paper. *)
+let[@inline] retry_pause (stats : stats option) bo =
+  chaos_point Chaos.Retry;
+  if Chaos.Backoff.enabled () then begin
+    bump stats (fun s -> s.backoff_waits);
+    Chaos.Backoff.wait bo
+  end
+  else bo
+
+(* ------------------------------------------------------------------ *)
+(* Flight recorder (lib/obs).  Two further gated instrumentation
+   families alongside [bump] and [chaos_point], with the same disabled
+   cost — one atomic load and an untaken branch per site:
+
+   - one closed span per update attempt into the global trace recorder
+     ([Obs.Trace.set_recorder]), labelled with the attempt number and
+     the retry cause / CAS site it ended at;
+   - per-cause retry attribution ([Obs.Attribution.mark] and
+     [op_complete], both gated internally on their own flag).
+
+   [span_start] reads the clock only when tracing is live; a zero start
+   marks the attempt as untraced, so the completion helpers need no
+   second atomic load. *)
+
+let[@inline] span_start () =
+  if Atomic.get Obs.Trace.active then Obs.Clock.now_ns () else 0
+
+let span_emit kind ~key ~ok ~attempt ~site ~t0 =
+  match Obs.Trace.recorder () with
+  | Some tr ->
+      Obs.Trace.emit_span tr kind ~key:(K.trace_key key) ~ok
+        ~retries:(attempt - 1) ~attempt ~site ~t0_ns:t0
+  | None -> ()
+
+(* Attempt finished with outcome [ok]; [site] says how ("applied", or
+   why the operation was a no-op). *)
+let[@inline] attempt_done kind ~key ~attempt ~t0 ~site ok =
+  if t0 <> 0 then span_emit kind ~key ~ok ~attempt ~site ~t0;
+  Obs.Attribution.op_complete ();
+  ok
+
+(* Attempt failed and the loop will go around; [cause] names the CAS it
+   lost or the conflict it hit. *)
+let[@inline] attempt_retry kind ~key ~attempt ~t0 cause =
+  Obs.Attribution.mark cause ~attempt;
+  if t0 <> 0 then
+    span_emit kind ~key ~ok:false ~attempt
+      ~site:(Obs.Attribution.cause_name cause)
+      ~t0
+
+let[@inline] flagged = function
+  | Flag _ | Snap _ -> true
+  | Unflag _ -> false
+
+(* Cause of a [None] return from [new_flag], recovered from the info
+   values the attempt read: if any was a Flag we restarted after helping
+   a pending descriptor; otherwise a node changed between two reads of
+   the same attempt. *)
+let[@inline] retry_cause2 a b =
+  if flagged a || flagged b then Obs.Attribution.Flagged_ancestor
+  else Obs.Attribution.Conflict
+
+(* ------------------------------------------------------------------ *)
+(* Construction *)
+
+(* Line 18-19: the root is permanent (within its generation), its
+   children start as the two sentinel leaves, which are never elements
+   of D. *)
+let make ~record_stats ctx =
+  let gen = ref () in
+  let root =
+    make_internal ~gen (K.root_label ctx)
+      (Leaf (new_leaf (K.sentinel_lo ctx)))
+      (Leaf (new_leaf (K.sentinel_hi ctx)))
+  in
+  {
+    ctx;
+    holder = Atomic.make { epoch = 0; hgen = gen; hroot = root };
+    slots = Atomic.make [];
+    slot_key = Domain.DLS.new_key (fun () -> ref None);
+    stats = (if record_stats then Some (make_stats ()) else None);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Search (lines 76-85) — no writes; wait-free for fixed-width keys *)
+
+(* logicallyRemoved (lines 122-124): a leaf flagged by a general-case
+   replace is logically removed once the replace's first child CAS has
+   happened, i.e. once oldChild[0] is no longer a child of pNode[0]. *)
+let logically_removed = function
+  | Unflag _ | Snap _ -> false
+  | Flag f ->
+      let p = f.pnodes.(0) and old = f.old_children.(0) in
+      not
+        (Atomic.get p.c0 == old || Atomic.get p.c1 == old)
+
+type search_result = {
+  gp : internal option;
+  p : internal;
+  p_node : node;
+      (* The *same physical* [node] value stored in gp's child field for
+         [p].  CAS compares physical identity, so an update whose old
+         child is [p] must use this value — re-wrapping [p] in the
+         [Internal] constructor would allocate a distinct block and the
+         child CAS would never succeed. *)
+  node : node;
+  gp_info : info option;
+  p_info : info;
+  rmvd : bool;
+  depth : int;
+      (* Child pointers followed to reach [node] — the pointer-chase
+         cost of this search, counting the terminal node but not the
+         root (root's child = 1).  Computed from values the loop already
+         holds, so uninstrumented searches pay one add per level. *)
+}
+
+(* The result of a descent that stopped at [node], child of [p].  The
+   descent carries [gp] and [gp_info] unboxed, with the root and its info
+   as placeholders while [p] is still the root (depth [d] = 0); the
+   options are built here, once per search, not once per level. *)
+let[@inline] found gp gp_info (p : internal) p_boxed p_info d node =
+  let rmvd =
+    match node with
+    | Leaf l -> logically_removed (Atomic.get l.linfo)
+    | Internal _ -> false
+  in
+  {
+    gp = (if d > 0 then Some gp else None);
+    p;
+    p_node = p_boxed;
+    node;
+    gp_info = (if d > 0 then Some gp_info else None);
+    p_info;
+    rmvd;
+    depth = d + 1;
+  }
+
+let search_from (root : internal) v =
+  (* The root's label is a prefix of every key, so the loop body runs at
+     least once and [p] is always an internal node on return.  The root is
+     never an old child of any CAS, so its boxed stand-in is harmless. *)
+  let rec go gp gp_info (p : internal) p_boxed p_info d =
+    let node = Atomic.get (child p (K.bit p.label v)) in
+    match node with
+    | Internal i when K.is_prefix i.label v ->
+        go p p_info i node (Atomic.get i.iinfo) (d + 1)
+    | _ -> found gp gp_info p p_boxed p_info d node
+  in
+  let ri = Atomic.get root.iinfo in
+  go root ri root (Internal root) ri 0
+
+let search t v = search_from (Atomic.get t.holder).hroot v
+
+(* keyInTrie (lines 125-126) *)
+let key_in_trie node v rmvd =
+  match node with
+  | Leaf l -> K.equal_key l.key v && not rmvd
+  | Internal _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* help (lines 86-106) *)
+
+(* [flag_phase fi f] performs the flag CASes in order (lines 87-92) and
+   returns the paper's [doChildCAS]: whether every node in f.flag_nodes
+   was observed flagged with [fi] immediately after our CAS on it.
+
+   A CAS that fails while the node nevertheless holds [fi] means some
+   other process installed this very descriptor before us — the
+   operation is being helped; count it on the owning trie. *)
+let flag_phase fi f =
+  let n = Array.length f.flag_nodes in
+  let rec loop i =
+    if i >= n then true
+    else begin
+      let x = f.flag_nodes.(i) in
+      chaos_point Chaos.Flag_cas;
+      let ours = Atomic.compare_and_set x.iinfo f.old_infos.(i) fi in
+      if Atomic.get x.iinfo == fi then begin
+        if not ours then bump f.fstats (fun s -> s.helps_received);
+        loop (i + 1)
+      end
+      else false
+    end
+  in
+  loop 0
+
+let child_cas_phase f =
+  Array.iteri
+    (fun i p ->
+      let nc = f.new_children.(i) in
+      (* Line 97: the child index is the (|p.label|+1)-th bit of the new
+         child's label, which p.label properly prefixes by Invariant 7. *)
+      let b =
+        match nc with
+        | Leaf l -> K.bit p.label l.key
+        | Internal c -> K.child_bit p.label c.label
+      in
+      chaos_point Chaos.Child_cas;
+      if not (Atomic.compare_and_set (child p b) f.old_children.(i) nc) then
+        (* Expected old child already gone: a helper or a conflicting
+           update got there first.  Attempt number unknown on the
+           helper side, recorded as 0. *)
+        Obs.Attribution.mark Obs.Attribution.Child_cas_lost ~attempt:0;
+      chaos_point Chaos.After_child_cas)
+    f.pnodes
+
+let help_counter_hook : (unit -> unit) option ref = ref None
+
+(* Complete an in-flight snapshot found installed on a root: swing the
+   holder (idempotent — the new holder value is carried by the
+   descriptor, so every helper CASes to the same value) and release the
+   old root's info field. *)
+let help_snap (si : info) (s : snap) =
+  ignore (Atomic.compare_and_set s.s_cell s.s_old s.s_new);
+  ignore (Atomic.compare_and_set s.s_old.hroot.iinfo si (fresh_unflag ()))
+
+let rec help (fi : info) : bool =
+  match fi with
+  | Unflag _ -> assert false
+  | Snap s ->
+      (* A snapshot never fails; completing it counts as success and the
+         helper retries its own operation against the new generation. *)
+      help_snap fi s;
+      true
+  | Flag f -> help_flag fi f
+
+and help_flag (fi : info) (f : flag) : bool =
+  (match !help_counter_hook with Some h -> h () | None -> ());
+  let do_child_cas = flag_phase fi f in
+  (* The decision CAS (not in the paper): an update commits only if some
+     process that saw every flag in place also saw the trie's holder
+     still at the generation the attempt searched — so a snapshot that
+     swung the holder first wins, and the update aborts and retries
+     against the new generation.  Exactly one of Commit/Abort ever
+     lands; every helper then follows the recorded outcome, which
+     subsumes the paper's [flag_done] protocol. *)
+  (if Atomic.get f.decision = Pending then
+     let d =
+       if do_child_cas && Atomic.get f.fcell == f.fholder then Commit
+       else Abort
+     in
+     ignore (Atomic.compare_and_set f.decision Pending d));
+  match Atomic.get f.decision with
+  | Commit ->
+      (* Line 95: flag the leaf removed by a general-case replace; leaves
+         are flagged by a plain write, never by CAS, and never unflagged. *)
+      (match f.rmv_leaf with Some l -> Atomic.set l.linfo fi | None -> ());
+      child_cas_phase f;
+      (* Lines 99-102: unflag, in reverse order, the nodes still in the trie. *)
+      chaos_point Chaos.Unflag;
+      for i = Array.length f.unflag_nodes - 1 downto 0 do
+        ignore
+          (Atomic.compare_and_set f.unflag_nodes.(i).iinfo fi (fresh_unflag ()))
+      done;
+      true
+  | Abort ->
+      (* Lines 103-106: flagging failed (or the generation moved on) —
+         back the flags out. *)
+      chaos_point Chaos.Backtrack;
+      bump f.fstats (fun s -> s.backtracks);
+      Obs.Attribution.mark Obs.Attribution.Backtrack ~attempt:0;
+      for i = Array.length f.flag_nodes - 1 downto 0 do
+        ignore
+          (Atomic.compare_and_set f.flag_nodes.(i).iinfo fi (fresh_unflag ()))
+      done;
+      false
+  | Pending -> assert false
+
+(* Helpers of [new_flag] below, over the first [m] entries of an array.
+   [index_of a m x 0] is the position of [x] among [a.(0 .. m-1)]
+   (physical equality), or -1. *)
+let rec index_of (a : internal array) m x j =
+  if j = m then -1 else if a.(j) == x then j else index_of a m x (j + 1)
+
+(* Position of the first Flag or Snap among [infos], or its length. *)
+let rec first_flagged (infos : info array) i =
+  if i = Array.length infos || flagged infos.(i) then i
+  else first_flagged infos (i + 1)
+
+(* Lines 112-114: duplicates among the nodes to flag are fine iff they
+   carry the same old info value (the same node read twice); otherwise
+   the node changed between two reads and the attempt must retry (-1).
+   Compacts the first occurrence of each node, with its info, into
+   [nodes.(0 .. m-1)] and returns [m]. *)
+let rec dedup_flags (nodes : internal array) (infos : info array) i m =
+  if i = Array.length nodes then m
+  else
+    let j = index_of nodes m nodes.(i) 0 in
+    if j < 0 then begin
+      nodes.(m) <- nodes.(i);
+      infos.(m) <- infos.(i);
+      dedup_flags nodes infos (i + 1) (m + 1)
+    end
+    else if infos.(j) == infos.(i) then dedup_flags nodes infos (i + 1) m
+    else -1
+
+(* Compacts the first occurrence of each node into [a.(0 .. k-1)]. *)
+let rec dedup_nodes (a : internal array) i k =
+  if i = Array.length a then k
+  else if index_of a k a.(i) 0 >= 0 then dedup_nodes a (i + 1) k
+  else begin
+    a.(k) <- a.(i);
+    dedup_nodes a (i + 1) (k + 1)
+  end
+
+(* newFlag (lines 107-116) for an attempt of [t] that searched
+   generation [h].  [nodes.(i)] is a node to flag and [infos.(i)] the
+   info value read from it; returns the shared [Flag] info value, or
+   [None] after helping a conflicting update (the caller then retries).
+   Callers pass fresh array literals, which are de-duplicated and sorted
+   in place. *)
+let new_flag t h ~(nodes : internal array) ~infos ~unflag ~pnodes
+    ~old_children ~new_children ~rmv_leaf =
+  let n = Array.length nodes in
+  let p = first_flagged infos 0 in
+  if p < n then begin
+    (* Lines 109-111: someone else's update is pending on a node we
+       need; help it, then fail so our caller restarts from scratch. *)
+    bump t.stats (fun s -> s.helps_given);
+    ignore (help infos.(p));
+    None
+  end
+  else
+    let m = dedup_flags nodes infos 0 0 in
+    if m < 0 then None
+    else begin
+      (* Line 115: flag in a fixed total order to avoid livelock.  A
+         stable insertion sort: at most four entries. *)
+      for i = 1 to m - 1 do
+        let x = nodes.(i) and xi = infos.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && K.compare_label nodes.(!j).label x.label > 0 do
+          nodes.(!j + 1) <- nodes.(!j);
+          infos.(!j + 1) <- infos.(!j);
+          decr j
+        done;
+        nodes.(!j + 1) <- x;
+        infos.(!j + 1) <- xi
+      done;
+      let u = Array.length unflag and k = dedup_nodes unflag 0 0 in
+      Some
+        (Flag
+           {
+             flag_nodes = (if m = n then nodes else Array.sub nodes 0 m);
+             old_infos = (if m = n then infos else Array.sub infos 0 m);
+             unflag_nodes = (if k = u then unflag else Array.sub unflag 0 k);
+             pnodes;
+             old_children;
+             new_children;
+             rmv_leaf;
+             decision = Atomic.make Pending;
+             fholder = h;
+             fcell = t.holder;
+             fstats = t.stats;
+           })
+    end
+
+(* The single-child-CAS shape: flag [nodes] (read with [infos]), swing
+   [p]'s child from [old_child] to [new_child], and unflag only [p] —
+   the other flagged nodes leave the trie.  One array serves as both
+   [unflag] and [pnodes]: de-duplicating a single node changes nothing. *)
+let swing_flag t h ~nodes ~infos p old_child new_child =
+  let ps = [| p |] in
+  new_flag t h ~nodes ~infos ~unflag:ps ~pnodes:ps
+    ~old_children:[| old_child |] ~new_children:[| new_child |] ~rmv_leaf:None
+
+(* createNode (lines 117-121): a fresh internal node in [h]'s generation
+   over [n1] and [n2], or [None] when one's label prefixes the other's
+   (after helping [info] if it is pending). *)
+let create_node t (h : holder) n1 n2 info =
+  let s1 = node_span n1 and s2 = node_span n2 in
+  if K.within s1 s2 || K.within s2 s1 then begin
+    (match info with
+    | Some ((Flag _ | Snap _) as fi) ->
+        bump t.stats (fun s -> s.helps_given);
+        ignore (help fi)
+    | _ -> ());
+    None
+  end
+  else
+    let lcp = K.lcp s1 s2 in
+    Some
+      (if K.span_bit lcp s1 then make_internal ~gen:h.hgen lcp n2 n1
+       else make_internal ~gen:h.hgen lcp n1 n2)
+
+(* ------------------------------------------------------------------ *)
+(* Node copying (lines 26 and 52).  The copy must be taken *after* the
+   node's info field was read: the flag CAS on that info value then
+   guarantees the children did not change in between (Lemma 31), so the
+   copy's children equal the original's at the child CAS. *)
+
+let copy_node ~gen = function
+  | Leaf l -> Leaf (new_leaf l.key)
+  | Internal i -> Internal (copy_internal ~gen i)
+
+(* ------------------------------------------------------------------ *)
+(* Update-side search: publication and copy-on-descent renewal.
+
+   [run_own] wraps [help] on a descriptor this domain created: the
+   descriptor is published in the domain's slot before the flagging
+   phase and withdrawn after completion.  The SC ordering argument the
+   snapshot relies on: a descriptor's Commit decision reads the holder
+   *after* the slot publish, and a snapshot reads the slots *after* its
+   holder CAS — so any descriptor that committed against the old
+   generation is either visible in a slot (and helped to completion
+   before the snapshot returns) or already fully applied.
+
+   [search_renew] is [search] for updates: it additionally copies every
+   stale-generation internal node the path descends *through* into the
+   current generation ([renew_child]) before using it, so the nodes an
+   update flags-and-CASes-children-of always carry the live generation
+   stamp and frozen views behind past snapshots are never structurally
+   mutated.  (Terminal nodes that only get *marked* — e.g. an internal
+   node an insert replaces — may be stale: marking touches only the
+   info field, which frozen-view traversals ignore.)  A renewal is an
+   ordinary two-flag descriptor (the stale node is marked forever, the
+   parent's child pointer swings to the copy), so it validates like any
+   update and aborts if a snapshot intervenes.  A committed renewal does
+   not end the descent: the search re-reads the parent and goes on
+   through the copy, so a path that is stale all the way down is renewed
+   node by node in one pass. *)
+
+let run_own t fi =
+  let slot = my_slot t in
+  Atomic.set slot (Some fi);
+  let r = help fi in
+  Atomic.set slot None;
+  r
+
+(* Swing [p]'s child [i] (stale, boxed as [c_boxed]) to a live-generation
+   copy.  [true] iff the renewal committed; [false] after helping a
+   descriptor pending on [i] or [p], or when the attempt aborted. *)
+let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
+  match Atomic.get i.iinfo with
+  | (Flag _ | Snap _) as fi ->
+      bump t.stats (fun s -> s.helps_given);
+      ignore (help fi);
+      false
+  | Unflag _ as ii -> (
+      (* The copy is taken after [ii] was read; the flag CAS on [ii]
+         then certifies the children did not change in between (the same
+         Lemma 31 discipline as an insert replacing an internal node). *)
+      let copy = Internal (copy_internal ~gen:h.hgen i) in
+      match
+        swing_flag t h ~nodes:[| p; i |] ~infos:[| p_info; ii |] p c_boxed copy
+      with
+      | Some fi ->
+          chaos_point Chaos.Renew;
+          let ok = run_own t fi in
+          if ok then bump t.stats (fun s -> s.renewals);
+          ok
+      | None -> false)
+
+(* A stale node on the path is renewed and the descent continues from
+   its parent: the committed renewal left a fresh Unflag in [p.iinfo]
+   (the old [p_info] would fail every later flag CAS on [p]), so re-read
+   it — before the child, the order Lemma 31 needs — and the child slot
+   now holds the copy.  [gp], [gp_info], [p_boxed] and the depth are
+   untouched by the renewal.  [None] means a renewal failed (it aborted,
+   or it helped a pending descriptor instead): the caller restarts from
+   a fresh holder read, so once a snapshot supersedes [h] the descent
+   stops at its first aborted renewal. *)
+let search_renew t (h : holder) v =
+  let rec go gp gp_info (p : internal) p_boxed p_info d =
+    let node = Atomic.get (child p (K.bit p.label v)) in
+    match node with
+    | Internal i when K.is_prefix i.label v ->
+        if i.gen == h.hgen then go p p_info i node (Atomic.get i.iinfo) (d + 1)
+        else if renew_child t h p p_info node i then
+          go gp gp_info p p_boxed (Atomic.get p.iinfo) d
+        else None
+    | _ -> Some (found gp gp_info p p_boxed p_info d node)
+  in
+  let ri = Atomic.get h.hroot.iinfo in
+  go h.hroot ri h.hroot (Internal h.hroot) ri 0
+
+(* ------------------------------------------------------------------ *)
+(* find (lines 72-75) *)
+
+let member t k =
+  let v = K.import t.ctx k in
+  let r = search t v in
+  descent t.stats (fun s -> s.descent_find) r.depth;
+  key_in_trie r.node v r.rmvd
+
+(* ------------------------------------------------------------------ *)
+(* insert (lines 20-32) *)
+
+(* The flag descriptor of an insert of [v] whose search ended at [r]
+   (lines 27-31), or [None] if the attempt must restart. *)
+let insert_flag t h r v node_info_v =
+  let node_copy = copy_node ~gen:h.hgen r.node in
+  match create_node t h node_copy (Leaf (new_leaf v)) (Some node_info_v) with
+  | None -> None
+  | Some new_node -> (
+      let new_child = Internal new_node in
+      match r.node with
+      | Internal i ->
+          (* Line 30: replacing an internal node permanently flags it,
+             since it leaves the trie. *)
+          swing_flag t h ~nodes:[| r.p; i |] ~infos:[| r.p_info; node_info_v |]
+            r.p r.node new_child
+      | Leaf _ ->
+          swing_flag t h ~nodes:[| r.p |] ~infos:[| r.p_info |] r.p r.node
+            new_child)
+
+let insert t k =
+  let v = K.import t.ctx k in
+  let stats = t.stats in
+  let rec attempt bo n =
+    bump stats (fun s -> s.attempts);
+    let t0 = span_start () in
+    let h = Atomic.get t.holder in
+    match search_renew t h v with
+    | None ->
+        attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
+          Obs.Attribution.Conflict;
+        attempt (retry_pause stats bo) (n + 1)
+    | Some r -> (
+        descent stats (fun s -> s.descent_insert) r.depth;
+        if key_in_trie r.node v r.rmvd then
+          attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0 ~site:"present"
+            false
+        else
+          let node_info_v = Atomic.get (node_info r.node) in
+          match insert_flag t h r v node_info_v with
+          | Some fi when run_own t fi ->
+              attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0
+                ~site:"applied" true
+          | Some _ ->
+              bump stats (fun s -> s.flag_failures);
+              attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
+                Obs.Attribution.Flag_cas_lost;
+              attempt (retry_pause stats bo) (n + 1)
+          | None ->
+              attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
+                (retry_cause2 r.p_info node_info_v);
+              attempt (retry_pause stats bo) (n + 1))
+  in
+  attempt Chaos.Backoff.init 1
+
+(* ------------------------------------------------------------------ *)
+(* delete (lines 33-41) *)
+
+(* Line 40: flag gp, mark p (p leaves the trie), and swing gp's child
+   from p to node's sibling.  [None] when gp is absent: that can only be
+   observed transiently, since a real key's leaf always has an internal
+   proper ancestor besides the root (the sentinel on its side shares
+   that subtree), or when [new_flag] fails. *)
+let delete_flag t h r v =
+  match (r.gp, r.gp_info) with
+  | Some gp, Some gp_info ->
+      let node_sibling = Atomic.get (child r.p (not (K.bit r.p.label v))) in
+      swing_flag t h ~nodes:[| gp; r.p |] ~infos:[| gp_info; r.p_info |] gp
+        r.p_node node_sibling
+  | _ -> None
+
+let delete t k =
+  let v = K.import t.ctx k in
+  let stats = t.stats in
+  let rec attempt bo n =
+    bump stats (fun s -> s.attempts);
+    let t0 = span_start () in
+    let h = Atomic.get t.holder in
+    match search_renew t h v with
+    | None ->
+        attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
+          Obs.Attribution.Conflict;
+        attempt (retry_pause stats bo) (n + 1)
+    | Some r -> (
+        descent stats (fun s -> s.descent_delete) r.depth;
+        if not (key_in_trie r.node v r.rmvd) then
+          attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0 ~site:"absent"
+            false
+        else
+          match delete_flag t h r v with
+          | Some fi when run_own t fi ->
+              attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0
+                ~site:"applied" true
+          | Some _ ->
+              bump stats (fun s -> s.flag_failures);
+              attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
+                Obs.Attribution.Flag_cas_lost;
+              attempt (retry_pause stats bo) (n + 1)
+          | None ->
+              attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
+                (match r.gp_info with
+                | Some gp_info -> retry_cause2 gp_info r.p_info
+                | None -> Obs.Attribution.Conflict);
+              attempt (retry_pause stats bo) (n + 1))
+  in
+  attempt Chaos.Backoff.init 1
+
+(* ------------------------------------------------------------------ *)
+(* replace (lines 42-71) *)
+
+(* The flag descriptor of a replace of [vd] by [vi] whose searches ended
+   at [rd] and [ri] (lines 48-70), or [None] if the attempt must
+   restart. *)
+let replace_flag t h rd ri vd vi node_info_i =
+  let node_sibling_d = Atomic.get (child rd.p (not (K.bit rd.p.label vd))) in
+  let node_d = rd.node and node_i = ri.node in
+  let pd = rd.p and pi = ri.p in
+  let leaf_d = match node_d with Leaf l -> l | Internal _ -> assert false in
+  let same_node a b =
+    match (a, b) with
+    | Leaf x, Leaf y -> x == y
+    | Internal x, Internal y -> x == y
+    | _ -> false
+  in
+  let node_i_is ni (x : internal) =
+    match ni with Internal i -> i == x | Leaf _ -> false
+  in
+  let node_i_is_gpd =
+    match rd.gp with Some gp -> node_i_is node_i gp | None -> false
+  in
+  if
+    rd.gp <> None
+    && (not (same_node node_i node_d))
+    && (not (node_i_is node_i pd))
+    && (not node_i_is_gpd)
+    && not (pi == pd)
+  then begin
+    (* General case (lines 51-57): insert vi at pi, then delete vd's leaf
+       by swinging gp_d — two child CASes, linearized at the first;
+       noded is flagged as the logically-removed leaf in between. *)
+    let gpd = Option.get rd.gp and gpd_info = Option.get rd.gp_info in
+    let copy_i = copy_node ~gen:h.hgen node_i in
+    match create_node t h copy_i (Leaf (new_leaf vi)) (Some node_info_i) with
+    | None -> None
+    | Some new_node_i -> (
+        let unflag = [| gpd; pi |] and pnodes = [| pi; gpd |] in
+        let old_children = [| node_i; rd.p_node |]
+        and new_children = [| Internal new_node_i; node_sibling_d |] in
+        match node_i with
+        | Internal i ->
+            new_flag t h ~nodes:[| gpd; pd; pi; i |]
+              ~infos:[| gpd_info; rd.p_info; ri.p_info; node_info_i |]
+              ~unflag ~pnodes ~old_children ~new_children
+              ~rmv_leaf:(Some leaf_d)
+        | Leaf _ ->
+            new_flag t h ~nodes:[| gpd; pd; pi |]
+              ~infos:[| gpd_info; rd.p_info; ri.p_info |]
+              ~unflag ~pnodes ~old_children ~new_children
+              ~rmv_leaf:(Some leaf_d))
+  end
+  else if same_node node_i node_d then
+    (* Special case 1 (lines 58-59): both searches ended at vd's leaf;
+       replace it by a fresh leaf containing vi. *)
+    swing_flag t h ~nodes:[| pd |] ~infos:[| rd.p_info |] pd node_i
+      (Leaf (new_leaf vi))
+  else if
+    (node_i_is node_i pd
+    && match rd.gp with Some gp -> pi == gp | None -> false)
+    || (rd.gp <> None && pi == pd)
+  then begin
+    (* Special cases 2 and 3 (lines 60-64): the insertion point is pd
+       itself (or shares it), and pd is removed by the deletion; one CAS
+       replaces pd by a new node built from noded's sibling and the new
+       leaf. *)
+    let gpd = Option.get rd.gp and gpd_info = Option.get rd.gp_info in
+    let sib_info = Atomic.get (node_info node_sibling_d) in
+    match
+      create_node t h node_sibling_d (Leaf (new_leaf vi)) (Some sib_info)
+    with
+    | None -> None
+    | Some new_node_i ->
+        swing_flag t h ~nodes:[| gpd; pd |] ~infos:[| gpd_info; rd.p_info |] gpd
+          rd.p_node (Internal new_node_i)
+  end
+  else if node_i_is_gpd then begin
+    (* Special case 4 (lines 65-70): the insertion replaces gp_d, which
+       the deletion also restructures; one CAS replaces gp_d by a new
+       two-level node built from the two siblings and the new leaf. *)
+    let gpd = Option.get rd.gp in
+    let p_sibling_d = Atomic.get (child gpd (not (K.bit gpd.label vd))) in
+    match create_node t h node_sibling_d p_sibling_d None with
+    | None -> None
+    | Some new_child_i -> (
+        match
+          create_node t h (Internal new_child_i) (Leaf (new_leaf vi)) None
+        with
+        | None -> None
+        | Some new_node_i ->
+            swing_flag t h ~nodes:[| pi; gpd; pd |]
+              ~infos:[| ri.p_info; Option.get rd.gp_info; rd.p_info |]
+              pi node_i (Internal new_node_i))
+  end
+  else None
+
+let replace_keys t vd vi =
+  let stats = t.stats in
+  let rec attempt bo n =
+    bump stats (fun s -> s.attempts);
+    let t0 = span_start () in
+    let h = Atomic.get t.holder in
+    match search_renew t h vd with
+    | None -> retry bo n t0 Obs.Attribution.Conflict
+    | Some rd -> (
+        descent stats (fun s -> s.descent_replace) rd.depth;
+        if not (key_in_trie rd.node vd rd.rmvd) then
+          attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0 ~site:"absent"
+            false
+        else
+          match search_renew t h vi with
+          | None -> retry bo n t0 Obs.Attribution.Conflict
+          | Some ri -> (
+              descent stats (fun s -> s.descent_replace) ri.depth;
+              if key_in_trie ri.node vi ri.rmvd then
+                attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0
+                  ~site:"present" false
+              else
+                let node_info_i = Atomic.get (node_info ri.node) in
+                match replace_flag t h rd ri vd vi node_info_i with
+                | Some fi when run_own t fi ->
+                    attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0
+                      ~site:"applied" true
+                | Some _ ->
+                    bump stats (fun s -> s.flag_failures);
+                    retry bo n t0 Obs.Attribution.Flag_cas_lost
+                | None ->
+                    (* Recover the cause from every info value this
+                       attempt read; [new_flag]'s [None] collapses
+                       help-and-restart and read-read conflicts into one
+                       constructor. *)
+                    retry bo n t0
+                      (if
+                         flagged node_info_i || flagged rd.p_info
+                         || flagged ri.p_info
+                         ||
+                         match rd.gp_info with
+                         | Some i -> flagged i
+                         | None -> false
+                       then Obs.Attribution.Flagged_ancestor
+                       else Obs.Attribution.Conflict)))
+  and retry bo n t0 cause =
+    attempt_retry Obs.Trace.Replace ~key:vd ~attempt:n ~t0 cause;
+    attempt (retry_pause stats bo) (n + 1)
+  in
+  attempt Chaos.Backoff.init 1
+
+(* replace(v, v) is always false: the sequential specification requires
+   [remove] present *and* [add] absent, which a single key cannot satisfy. *)
+let replace t ~remove ~add =
+  let vd = K.import t.ctx remove and vi = K.import t.ctx add in
+  if K.equal_key vd vi then false else replace_keys t vd vi
+
+(* ------------------------------------------------------------------ *)
+(* Quiescent traversals and invariant checking (test/debug interface) *)
+
+(* In-order traversal of the current leaves.  Like the Ctrie paper's
+   snapshot-free iterator this is weakly consistent: each leaf is
+   observed at the moment the traversal reaches it, so the view is a
+   union of states the trie passed through, exact in quiescence.
+   Children are visited in label order, so keys come out ascending. *)
+let fold t ~init ~f =
+  let c = t.ctx in
+  let rec go acc = function
+    | Leaf l ->
+        if K.is_sentinel c l.key || logically_removed (Atomic.get l.linfo) then
+          acc
+        else f acc (K.export c l.key)
+    | Internal i -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
+  in
+  go init (Internal (Atomic.get t.holder).hroot)
+
+let size t = fold t ~init:0 ~f:(fun acc _ -> acc + 1)
+
+(* ------------------------------------------------------------------ *)
+(* Snapshots.
+
+   [snapshot t] atomically freezes the current generation and returns a
+   view of it, in O(1) of the key count (O(#domains) for the slot scan):
+
+     1. read the holder [h] and the root's info field; if a Flag or a
+        Snap is pending, help it and retry;
+     2. read the root's two children and build a fresh-generation root
+        copy around them;
+     3. CAS the root's info from the Unflag read in (1) to a [Snap]
+        descriptor — the sandwich proves the children did not change
+        since (2), because children are only CASed under a Flag and
+        every unflag installs a physically fresh Unflag (no ABA);
+     4. swing the holder to the new generation (helpers of the Snap do
+        the same CAS, so this is idempotent) and release the old root's
+        info field;
+     5. help every descriptor published in the per-domain slots.
+
+   Step 4's holder CAS is the linearization point.  Step 5 makes the
+   frozen generation *physically* complete before [snapshot] returns:
+   a descriptor that committed against [h] (its decision CAS saw the
+   holder still equal to [h], hence ran before step 4) either already
+   finished its child CASes or is still published in its owner's slot
+   — the publish precedes the decision read, and our scan follows the
+   holder CAS, so SC order leaves no third case.  Helping it completes
+   those child CASes, which are the last writes the frozen subtree can
+   ever receive: updates after step 4 renew every internal node they
+   descend through into the new generation before CASing its children,
+   and late straggler CASes of old descriptors fail by no-ABA.
+
+   The frozen walk therefore ignores info fields entirely: every
+   reachable non-sentinel leaf is an element of the frozen set.  A
+   [logically_removed] mark on a shared leaf can only come from a
+   replace that committed *after* the snapshot (pre-snapshot commits
+   were physically completed in step 5, removing their victim from this
+   structure; aborted attempts never set the mark), and such a leaf was
+   present at the linearization point. *)
+
+type view = { vctx : K.ctx; vepoch : int; vroot : internal }
+
+let snapshot t =
+  let rec attempt () =
+    let h = Atomic.get t.holder in
+    let root = h.hroot in
+    match Atomic.get root.iinfo with
+    | (Flag _ | Snap _) as fi ->
+        ignore (help fi);
+        attempt ()
+    | Unflag _ as ri ->
+        let gen' = ref () in
+        let root' = copy_internal ~gen:gen' root in
+        let h' = { epoch = h.epoch + 1; hgen = gen'; hroot = root' } in
+        let si = Snap { s_old = h; s_new = h'; s_cell = t.holder } in
+        if Atomic.compare_and_set root.iinfo ri si then begin
+          (* If this holder CAS fails, a concurrent snapshot already
+             superseded [h] — then [h] is frozen all the same and this
+             call linearizes at that snapshot's swing. *)
+          ignore (Atomic.compare_and_set t.holder h h');
+          ignore (Atomic.compare_and_set root.iinfo si (fresh_unflag ()));
+          List.iter
+            (fun slot ->
+              match Atomic.get slot with
+              | Some fi -> ignore (help fi)
+              | None -> ())
+            (Atomic.get t.slots);
+          h
+        end
+        else attempt ()
+  in
+  let h = attempt () in
+  { vctx = t.ctx; vepoch = h.epoch; vroot = h.hroot }
+
+module View = struct
+  type t = view
+
+  let epoch v = v.vepoch
+
+  (* Frozen walk: info fields are ignored (see above) — every reachable
+     non-sentinel leaf is an element of the frozen set. *)
+  let fold v ~init ~f =
+    let c = v.vctx in
+    let rec go acc = function
+      | Leaf l ->
+          if K.is_sentinel c l.key then acc else f acc (K.export c l.key)
+      | Internal i -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
+    in
+    go init (Internal v.vroot)
+
+  let size v = fold v ~init:0 ~f:(fun acc _ -> acc + 1)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Counters *)
+
+let stats_snapshot t : snapshot option =
+  match t.stats with
+  | None -> None
+  | Some s ->
+      Some
+        {
+          attempts = Obs.Counter.sum s.attempts;
+          helps_given = Obs.Counter.sum s.helps_given;
+          helps_received = Obs.Counter.sum s.helps_received;
+          flag_failures = Obs.Counter.sum s.flag_failures;
+          backtracks = Obs.Counter.sum s.backtracks;
+          backoff_waits = Obs.Counter.sum s.backoff_waits;
+          descent_nodes_find = Obs.Counter.sum s.descent_find;
+          descent_nodes_insert = Obs.Counter.sum s.descent_insert;
+          descent_nodes_delete = Obs.Counter.sum s.descent_delete;
+          descent_nodes_replace = Obs.Counter.sum s.descent_replace;
+          descent_searches = Obs.Counter.sum s.descent_searches;
+          renewals = Obs.Counter.sum s.renewals;
+        }
+
+(* Monotone cumulative counters only: the harness differences two of
+   these alists around a timed window, so a percentile or a mean here
+   would produce garbage.  Mean descent depth is derived downstream as
+   descent_nodes_* / descent_searches over the deltas. *)
+let stats_to_alist (s : snapshot) =
+  [
+    ("attempts", s.attempts);
+    ("helps_given", s.helps_given);
+    ("helps_received", s.helps_received);
+    ("flag_failures", s.flag_failures);
+    ("backtracks", s.backtracks);
+    ("backoff_waits", s.backoff_waits);
+    ("descent_nodes_find", s.descent_nodes_find);
+    ("descent_nodes_insert", s.descent_nodes_insert);
+    ("descent_nodes_delete", s.descent_nodes_delete);
+    ("descent_nodes_replace", s.descent_nodes_replace);
+    ("descent_searches", s.descent_searches);
+    ("renewals", s.renewals);
+  ]
+
+let descent_stats t =
+  match stats_snapshot t with
+  | None -> None
+  | Some s ->
+      Some
+        [
+          ("descent_nodes_find", s.descent_nodes_find);
+          ("descent_nodes_insert", s.descent_nodes_insert);
+          ("descent_nodes_delete", s.descent_nodes_delete);
+          ("descent_nodes_replace", s.descent_nodes_replace);
+          ("descent_searches", s.descent_searches);
+        ]
+
+let descent_summary t =
+  match t.stats with
+  | None -> None
+  | Some s -> Some (Obs.Histogram.snapshot s.descent_depth)
+
+(* Structural invariants of the Patricia trie (paper Invariant 7 and the
+   sentinel properties), plus the quiescence condition the chaos suite
+   audits after every fault-injection scenario: no residual flags on any
+   reachable node (every descriptor must have been completed or backed
+   out, including on behalf of stalled processes).  Each node must lie
+   in the half of its parent's span its child slot stands for, so every
+   internal label strictly extends its parent's plus the branch bit and
+   the leaves come out in strictly ascending key order.  Only
+   meaningful in quiescent states. *)
+let check_invariants t =
+  let c = t.ctx in
+  let errors = ref [] in
+  let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
+  let rec go path node =
+    (match (Atomic.get (node_info node), node) with
+    | Unflag _, _ -> ()
+    | Snap _, _ -> err "residual snapshot descriptor on reachable node"
+    | Flag _, Leaf l -> err "residual flag on reachable leaf %a" K.pp_key l.key
+    | Flag _, Internal i ->
+        err "residual flag on internal %a" (K.pp_label c) i.label);
+    match node with
+    | Leaf l ->
+        if not (K.within (K.key_span l.key) path) then
+          err "leaf %a outside its parent's half" K.pp_key l.key
+    | Internal i ->
+        if not (K.within (K.label_span i.label) path) then
+          err "internal %a outside its parent's half" (K.pp_label c) i.label;
+        go (K.half i.label false) (Atomic.get i.c0);
+        go (K.half i.label true) (Atomic.get i.c1)
+  in
+  let root = (Atomic.get t.holder).hroot in
+  go (K.label_span root.label) (Internal root);
+  (* The two sentinels must always be logically in the trie (Lemma 62). *)
+  let present k = key_in_trie (search_from root k).node k false in
+  if not (present (K.sentinel_lo c)) then err "missing low sentinel";
+  if not (present (K.sentinel_hi c)) then err "missing high sentinel";
+  match !errors with [] -> Ok () | es -> Error (String.concat "; " es)
+
+(* ------------------------------------------------------------------ *)
+(* Shape census (Obs.Shape): weakly-consistent walk like [fold], exact
+   in quiescence.  Per-node word estimates, 64-bit layout:
+
+     internal:  Internal wrapper 2 + record 6 (header, label, c0, c1,
+                iinfo, gen) + 2 child Atomics 4 + iinfo Atomic 2
+                + Unflag wrapper/ref 4                      = 18
+     leaf:      Leaf wrapper 2 + record 3 + linfo Atomic 2
+                + Unflag wrapper/ref 4                      = 11
+
+   plus whatever a boxed label or key adds ([K.label_words],
+   [K.key_words]; nothing for PAT's immediate ints).  An Atomic.t is a
+   one-field record; Unflag carries a fresh ref.  [measured_words]
+   cross-checks the estimate with [Obj.reachable_words] from the root,
+   which also charges shared or flag-retained blocks the estimate
+   ignores and counts shared label blocks once. *)
+let internal_words = 18
+let leaf_words = 11
+
+let census t =
+  let c = t.ctx in
+  let a = Obs.Shape.acc ~structure:name in
+  let rec go depth node =
+    match node with
+    | Leaf l ->
+        let sentinel = K.is_sentinel c l.key in
+        let keys =
+          if sentinel || logically_removed (Atomic.get l.linfo) then 0 else 1
+        in
+        Obs.Shape.leaf a ~depth ~keys ~sentinel
+          ~words:(leaf_words + K.key_words l.key)
+    | Internal i ->
+        Obs.Shape.internal a ~depth
+          ~prefix_len:(K.label_length c i.label)
+          ~children:2
+          ~words:(internal_words + K.label_words i.label);
+        go (depth + 1) (Atomic.get i.c0);
+        go (depth + 1) (Atomic.get i.c1)
+  in
+  let root = (Atomic.get t.holder).hroot in
+  go 0 (Internal root);
+  let measured_words = Obj.reachable_words (Obj.repr root) in
+  Some (Obs.Shape.finish ~measured_words a)
+
+(* ------------------------------------------------------------------ *)
+(* Test-only access to the coordination machinery, used to exercise the
+   helping paths deterministically (e.g. a process that "crashes" after
+   flagging, which others must complete — paper Section IV, part 4). *)
+
+module For_testing = struct
+  type descriptor = info
+
+  let help = help
+
+  (* Run one insert attempt up to and including descriptor creation, but
+     do not apply it.  Returns None if the attempt would have restarted. *)
+  let prepare_insert t k =
+    let v = K.import t.ctx k in
+    let h = Atomic.get t.holder in
+    let r = search t v in
+    if key_in_trie r.node v r.rmvd then None
+    else insert_flag t h r v (Atomic.get (node_info r.node))
+
+  (* Run one delete attempt up to descriptor creation without applying
+     it.  Returns None if the key is absent or the attempt would have
+     restarted. *)
+  let prepare_delete t k =
+    let v = K.import t.ctx k in
+    let h = Atomic.get t.holder in
+    let r = search t v in
+    if not (key_in_trie r.node v r.rmvd) then None else delete_flag t h r v
+
+  (* Perform only the flagging phase of a descriptor, simulating a
+     process that dies between flagging and the child CAS. *)
+  let flag_only fi =
+    match fi with
+    | Flag f -> flag_phase fi f
+    | Unflag _ | Snap _ -> invalid_arg "flag_only: not a Flag descriptor"
+
+  let set_help_hook h = help_counter_hook := h
+  let counters t = Option.map stats_to_alist (stats_snapshot t)
+
+  (* Count of nodes currently flagged along the search path of [k]. *)
+  let flags_on_path t k =
+    let v = K.import t.ctx k in
+    let rec go acc (node : node) =
+      match node with
+      | Leaf l -> (
+          acc + match Atomic.get l.linfo with Flag _ -> 1 | _ -> 0)
+      | Internal i ->
+          let acc =
+            acc + match Atomic.get i.iinfo with Flag _ -> 1 | _ -> 0
+          in
+          if K.is_prefix i.label v then
+            go acc (Atomic.get (child i (K.bit i.label v)))
+          else acc
+    in
+    go 0 (Internal (Atomic.get t.holder).hroot)
+end

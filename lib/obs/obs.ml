@@ -40,8 +40,6 @@
       samples to DLS-labeled regions, rendered as [patserve_alloc_*]
       families and the [/debug/allocs] top-sites dump (start degrades
       to a warning on runtimes without memprof support);
-    - {!Instrument}: a functor adding latency histograms to any
-      [Dset_intf.CONCURRENT_SET] without touching its internals;
     - {!Json}: a dependency-free JSON emitter/parser for the
       machine-readable metrics files written by the benchmark drivers;
     - {!Clock}: the monotonic nanosecond clock behind all timestamps. *)
@@ -62,9 +60,3 @@ module Watchdog = Watchdog
 module Runtime = Runtime
 module Shape = Shape
 module Memprof = Memprof
-
-module type INSTRUMENTED = Instrument_impl.INSTRUMENTED
-
-module Instrument (S : Dset_intf.CONCURRENT_SET) :
-  INSTRUMENTED with type underlying = S.t =
-  Instrument_impl.Make (S)

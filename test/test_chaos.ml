@@ -29,6 +29,80 @@ let check_ok ?(ctx = "") t =
   | Error e -> Alcotest.failf "invariants violated%s: %s" ctx e
 
 (* ------------------------------------------------------------------ *)
+(* Both tries as one subject *)
+
+(* The stall scenarios and the Figure 6 sweeps run on PAT and on
+   PAT-VLK: the two are one algorithm over two key types.  PAT-VLK gets
+   each int key [k] as the raw key 01 followed by the [width]-bit
+   binary of [k + 1], PAT's internal key for a universe of the same
+   size.  Two permanent keys, 01 followed by all zeros and by all ones,
+   stand in for PAT's sentinels, so the subtree under 01 has exactly
+   the shape of the whole PAT trie and each scenario meets the same
+   replace case on both. *)
+type subject = {
+  tag : string;
+  insert : int -> bool;
+  delete : int -> bool;
+  member : int -> bool;
+  replace : remove:int -> add:int -> bool;
+  keys : unit -> int list;  (** ascending *)
+  flags_on_path : int -> int;
+  helps_received : unit -> int;
+  audit : unit -> (unit, string) result;
+}
+
+let pat ~universe =
+  let t = P.create ~universe ~record_stats:true () in
+  {
+    tag = "PAT";
+    insert = P.insert t;
+    delete = P.delete t;
+    member = P.member t;
+    replace = P.replace t;
+    keys = (fun () -> P.to_list t);
+    flags_on_path = P.For_testing.flags_on_path t;
+    helps_received =
+      (fun () ->
+        match P.stats_snapshot t with Some s -> s.helps_received | None -> 0);
+    audit = (fun () -> P.check_invariants t);
+  }
+
+let vlk ~universe =
+  let width = max 2 (Bitkey.bit_length (universe + 1)) in
+  let bits v =
+    Bitkey.Bitstr.of_string
+      ("01"
+      ^ String.init width (fun i ->
+            if (v lsr (width - 1 - i)) land 1 = 1 then '1' else '0'))
+  in
+  let raw k = bits (k + 1) in
+  let t = V.create ~record_stats:true () in
+  assert (V.insert_key t (bits 0) && V.insert_key t (bits ((1 lsl width) - 1)));
+  let member k = V.member_key t (raw k) in
+  {
+    tag = "PAT-VLK";
+    insert = (fun k -> V.insert_key t (raw k));
+    delete = (fun k -> V.delete_key t (raw k));
+    member;
+    replace = (fun ~remove ~add -> V.replace_key t (raw remove) (raw add));
+    keys = (fun () -> List.filter member (List.init universe Fun.id));
+    flags_on_path = (fun k -> V.For_testing.flags_on_path t (raw k));
+    helps_received =
+      (fun () ->
+        match V.For_testing.counters t with
+        | Some c -> List.assoc "helps_received" c
+        | None -> 0);
+    audit = (fun () -> V.check_invariants t);
+  }
+
+let subjects = [ ("", pat); ("PAT-VLK ", vlk) ]
+
+let check_subject ?(ctx = "") s =
+  match s.audit () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s invariants violated%s: %s" s.tag ctx e
+
+(* ------------------------------------------------------------------ *)
 (* Stalled-domain scenarios *)
 
 (* Keys are chosen by their internal representation (external key + 1,
@@ -38,9 +112,10 @@ let check_ok ?(ctx = "") t =
    top subtree, making replace 9 -> 15 take the general two-child-CAS
    path).  Workers hammer 11 and 12: their deletes must flag the very
    nodes the victim left flagged, which forces them to help. *)
-let scenario ~name ~prefill ~op ~site ~after ~watch ~expect () =
-  let t = P.create ~universe:16 ~record_stats:true () in
-  List.iter (fun k -> ignore (P.insert t k)) prefill;
+let scenario ~make ~name ~prefill ~op ~site ~after ~watch ~expect () =
+  let s = make ~universe:16 in
+  let name = s.tag ^ " " ^ name in
+  List.iter (fun k -> ignore (s.insert k)) prefill;
   let st = Chaos.Stall.install ~after site in
   Chaos.set_policy ~name (Some (Chaos.Stall.hook st));
   let stop = Atomic.make false in
@@ -53,7 +128,7 @@ let scenario ~name ~prefill ~op ~site ~after ~watch ~expect () =
       Chaos.Stall.release st;
       Chaos.set_policy None)
   @@ fun () ->
-  let victim = Domain.spawn (fun () -> Atomic.set result (op t)) in
+  let victim = Domain.spawn (fun () -> Atomic.set result (op s)) in
   if not (Chaos.Stall.wait_stalled ~timeout_s:60.0 st) then begin
     ignore (Domain.join victim);
     Alcotest.failf "%s: victim never reached the stall point" name
@@ -65,15 +140,11 @@ let scenario ~name ~prefill ~op ~site ~after ~watch ~expect () =
         while not (Atomic.get stop) do
           let k = keys.(!i mod 2) in
           incr i;
-          ignore (P.delete t k);
-          ignore (P.insert t k)
+          ignore (s.delete k);
+          ignore (s.insert k)
         done)
   in
-  let helped () =
-    match P.stats_snapshot t with
-    | Some s -> s.helps_received > 0
-    | None -> false
-  in
+  let helped () = s.helps_received () > 0 in
   (* [helps_received] can also be bumped by the workers helping *each
      other*, so on its own it does not prove the victim's descriptor was
      completed.  Additionally require the watched paths to be flag-free:
@@ -82,12 +153,10 @@ let scenario ~name ~prefill ~op ~site ~after ~watch ~expect () =
      (worker flags on the same path are transient and drain; the
      victim's is permanent until helped, so polling eventually sees a
      clean moment iff the help happened). *)
-  let flags_drained () =
-    List.for_all (fun k -> P.For_testing.flags_on_path t k = 0) watch
-  in
+  let flags_drained () = List.for_all (fun k -> s.flags_on_path k = 0) watch in
   let completed =
     Chaos.Backoff.wait_until ~timeout_s:60.0 (fun () ->
-        expect t && helped () && flags_drained ())
+        expect s && helped () && flags_drained ())
   in
   Atomic.set stop true;
   Tutil.join_all workers |> ignore;
@@ -99,62 +168,54 @@ let scenario ~name ~prefill ~op ~site ~after ~watch ~expect () =
      only helpers can have run the frozen descriptor to completion. *)
   List.iter
     (fun k ->
-      let f = P.For_testing.flags_on_path t k in
+      let f = s.flags_on_path k in
       if f <> 0 then
         Alcotest.failf "%s: %d residual flag(s) on the path of %d" name f k)
     watch;
-  if not (expect t) then
+  if not (expect s) then
     Alcotest.failf "%s: update effect lost after workers drained" name;
-  (match P.stats_snapshot t with
-  | Some s ->
-      if s.helps_received = 0 then
-        Alcotest.failf "%s: no helping recorded for the frozen update" name
-  | None -> Alcotest.fail "stats not recorded");
-  check_ok ~ctx:(" in " ^ name ^ " with the victim frozen") t;
+  if not (helped ()) then
+    Alcotest.failf "%s: no helping recorded for the frozen update" name;
+  check_subject ~ctx:(" in " ^ name ^ " with the victim frozen") s;
   Chaos.Stall.release st;
   ignore (Domain.join victim);
   if not (Atomic.get result) then
     Alcotest.failf "%s: released victim did not report success" name;
-  check_ok ~ctx:(" in " ^ name ^ " after release") t
+  check_subject ~ctx:(" in " ^ name ^ " after release") s
 
-let test_stall_insert_before_child_cas () =
-  scenario ~name:"insert stalled before child CAS" ~prefill:[ 11; 12 ]
-    ~op:(fun t -> P.insert t 9)
+let test_stall_insert_before_child_cas make =
+  scenario ~make ~name:"insert stalled before child CAS" ~prefill:[ 11; 12 ]
+    ~op:(fun s -> s.insert 9)
     ~site:Chaos.Child_cas ~after:0 ~watch:[ 9 ]
-    ~expect:(fun t -> P.member t 9)
-    ()
+    ~expect:(fun s -> s.member 9)
 
-let test_stall_delete_before_child_cas () =
-  scenario ~name:"delete stalled before child CAS" ~prefill:[ 9; 11; 12 ]
-    ~op:(fun t -> P.delete t 9)
+let test_stall_delete_before_child_cas make =
+  scenario ~make ~name:"delete stalled before child CAS" ~prefill:[ 9; 11; 12 ]
+    ~op:(fun s -> s.delete 9)
     ~site:Chaos.Child_cas ~after:0 ~watch:[ 9 ]
-    ~expect:(fun t -> not (P.member t 9))
-    ()
+    ~expect:(fun s -> not (s.member 9))
 
-let test_stall_replace_before_first_cas () =
-  scenario ~name:"replace stalled before first child CAS"
+let test_stall_replace_before_first_cas make =
+  scenario ~make ~name:"replace stalled before first child CAS"
     ~prefill:[ 9; 11; 12 ]
-    ~op:(fun t -> P.replace t ~remove:9 ~add:15)
+    ~op:(fun s -> s.replace ~remove:9 ~add:15)
     ~site:Chaos.Child_cas ~after:0 ~watch:[ 9; 15 ]
-    ~expect:(fun t -> (not (P.member t 9)) && P.member t 15)
-    ()
+    ~expect:(fun s -> (not (s.member 9)) && s.member 15)
 
-let test_stall_replace_between_cases () =
+let test_stall_replace_between_cases make =
   (* after:1 lets the first child CAS (the linearization point) through
      and freezes the victim on its way to the second one. *)
-  scenario ~name:"replace stalled between its two child CASes"
+  scenario ~make ~name:"replace stalled between its two child CASes"
     ~prefill:[ 9; 11; 12 ]
-    ~op:(fun t -> P.replace t ~remove:9 ~add:15)
+    ~op:(fun s -> s.replace ~remove:9 ~add:15)
     ~site:Chaos.Child_cas ~after:1 ~watch:[ 9; 15 ]
-    ~expect:(fun t -> (not (P.member t 9)) && P.member t 15)
-    ()
+    ~expect:(fun s -> (not (s.member 9)) && s.member 15)
 
-let test_stall_insert_before_unflag () =
-  scenario ~name:"insert stalled before unflag" ~prefill:[ 11; 12 ]
-    ~op:(fun t -> P.insert t 9)
+let test_stall_insert_before_unflag make =
+  scenario ~make ~name:"insert stalled before unflag" ~prefill:[ 11; 12 ]
+    ~op:(fun s -> s.insert 9)
     ~site:Chaos.Unflag ~after:0 ~watch:[ 9 ]
-    ~expect:(fun t -> P.member t 9)
-    ()
+    ~expect:(fun s -> s.member 9)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot renewal stalled *)
@@ -251,7 +312,7 @@ let test_stall_renew () =
    pair against several trie shapes hits each of the paper's Figure 6
    configurations — remove-parent = add-parent, remove adjacent to the
    add position, and the general case — plus the trivial failures. *)
-let replace_pairs_sweep () =
+let replace_pairs_sweep make () =
   let universe = 8 in
   let shapes a b =
     [
@@ -266,36 +327,37 @@ let replace_pairs_sweep () =
       if a <> b then
         List.iter
           (fun prefill ->
-            let t = P.create ~universe () in
-            List.iter (fun k -> ignore (P.insert t k)) prefill;
-            let had_a = P.member t a and had_b = P.member t b in
-            let before = P.to_list t in
-            let ok = P.replace t ~remove:a ~add:b in
+            let s : subject = make ~universe in
+            List.iter (fun k -> ignore (s.insert k)) prefill;
+            let had_a = s.member a and had_b = s.member b in
+            let before = s.keys () in
+            let ok = s.replace ~remove:a ~add:b in
             if ok <> (had_a && not had_b) then
-              Alcotest.failf "replace %d->%d: returned %b (a:%b b:%b)" a b ok
-                had_a had_b;
+              Alcotest.failf "%s replace %d->%d: returned %b (a:%b b:%b)" s.tag
+                a b ok had_a had_b;
             if ok then begin
-              if P.member t a then
-                Alcotest.failf "replace %d->%d: %d still present" a b a;
-              if not (P.member t b) then
-                Alcotest.failf "replace %d->%d: %d absent" a b b
+              if s.member a then
+                Alcotest.failf "%s replace %d->%d: %d still present" s.tag a b a;
+              if not (s.member b) then
+                Alcotest.failf "%s replace %d->%d: %d absent" s.tag a b b
             end
-            else if P.to_list t <> before then
-              Alcotest.failf "failed replace %d->%d changed the set" a b;
-            check_ok ~ctx:(Printf.sprintf " after replace %d->%d" a b) t)
+            else if s.keys () <> before then
+              Alcotest.failf "%s failed replace %d->%d changed the set" s.tag a
+                b;
+            check_subject ~ctx:(Printf.sprintf " after replace %d->%d" a b) s)
           (shapes a b)
     done
   done
 
-let test_replace_special_cases_seq () = replace_pairs_sweep ()
+let test_replace_special_cases_seq make = replace_pairs_sweep make ()
 
-let test_replace_special_cases_delayed () =
+let test_replace_special_cases_delayed make =
   (* Same sweep under a delay schedule: every labeled site may burst-spin,
      perturbing nothing semantically (single domain) but proving the
      instrumented paths tolerate arbitrary pauses at every site. *)
   Chaos.with_policy ~name:"delays"
     (Chaos.Policy.delays ~prob_per_mille:400 ~max_spins:50 ~seed:chaos_seed ())
-    replace_pairs_sweep
+    (replace_pairs_sweep make)
 
 let test_replace_linearizable_chaos () =
   (* Concurrent replaces on tiny universes are dominated by the Figure 6
@@ -418,29 +480,39 @@ let () =
   Alcotest.run "chaos"
     [
       ( "stalled domain",
-        [
-          Alcotest.test_case "insert: before child CAS" `Quick
-            test_stall_insert_before_child_cas;
-          Alcotest.test_case "delete: before child CAS" `Quick
-            test_stall_delete_before_child_cas;
-          Alcotest.test_case "replace: before first child CAS" `Quick
-            test_stall_replace_before_first_cas;
-          Alcotest.test_case "replace: between child CASes" `Quick
-            test_stall_replace_between_cases;
-          Alcotest.test_case "insert: before unflag" `Quick
-            test_stall_insert_before_unflag;
-          Alcotest.test_case "renewal across a second snapshot" `Quick
-            test_stall_renew;
-        ] );
+        List.concat_map
+          (fun (prefix, make) ->
+            [
+              Alcotest.test_case (prefix ^ "insert: before child CAS") `Quick
+                (fun () -> test_stall_insert_before_child_cas make ());
+              Alcotest.test_case (prefix ^ "delete: before child CAS") `Quick
+                (fun () -> test_stall_delete_before_child_cas make ());
+              Alcotest.test_case (prefix ^ "replace: before first child CAS")
+                `Quick (fun () -> test_stall_replace_before_first_cas make ());
+              Alcotest.test_case (prefix ^ "replace: between child CASes") `Quick
+                (fun () -> test_stall_replace_between_cases make ());
+              Alcotest.test_case (prefix ^ "insert: before unflag") `Quick
+                (fun () -> test_stall_insert_before_unflag make ());
+            ])
+          subjects
+        @ [
+            Alcotest.test_case "renewal across a second snapshot" `Quick
+              test_stall_renew;
+          ] );
       ( "figure 6 replace",
-        [
-          Alcotest.test_case "exhaustive pairs, sequential" `Quick
-            test_replace_special_cases_seq;
-          Alcotest.test_case "exhaustive pairs, delay schedule" `Quick
-            test_replace_special_cases_delayed;
-          Alcotest.test_case "linearizable under chaos" `Quick
-            test_replace_linearizable_chaos;
-        ] );
+        List.concat_map
+          (fun (prefix, make) ->
+            [
+              Alcotest.test_case (prefix ^ "exhaustive pairs, sequential") `Quick
+                (fun () -> test_replace_special_cases_seq make);
+              Alcotest.test_case (prefix ^ "exhaustive pairs, delay schedule")
+                `Quick (fun () -> test_replace_special_cases_delayed make);
+            ])
+          subjects
+        @ [
+            Alcotest.test_case "linearizable under chaos" `Quick
+              test_replace_linearizable_chaos;
+          ] );
       ( "backoff",
         [
           Alcotest.test_case "counter" `Quick test_backoff_counter;

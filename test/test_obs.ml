@@ -1,7 +1,7 @@
 (* Tests for the Obs observability library: bucket math and percentile
    bracketing properties for the histogram, cross-domain correctness of
-   the striped counters, ring semantics of the tracer, JSON round-trips,
-   and the Instrument functor over a real structure. *)
+   the striped counters, ring semantics of the tracer and JSON
+   round-trips. *)
 
 module H = Obs.Histogram
 module C = Obs.Counter
@@ -636,45 +636,6 @@ let test_attribution_concurrent () =
   | None -> Alcotest.fail "stats requested but absent"
 
 (* ------------------------------------------------------------------ *)
-(* Instrument functor over a real structure *)
-
-module IPat = Obs.Instrument (Registry.Pat)
-
-let test_instrument_counts () =
-  let t = IPat.create ~universe:1024 () in
-  Alcotest.(check string) "keeps the name" "PAT" IPat.name;
-  for k = 0 to 99 do
-    ignore (IPat.insert t k)
-  done;
-  for k = 0 to 49 do
-    ignore (IPat.member t k)
-  done;
-  ignore (IPat.delete t 0);
-  Alcotest.(check int) "behaves as a set" 99 (IPat.size t);
-  let summaries = IPat.latency_summaries t in
-  Alcotest.(check int)
-    "insert samples" 100
-    (List.assoc "insert" summaries).H.count;
-  Alcotest.(check int)
-    "member samples" 50
-    (List.assoc "member" summaries).H.count;
-  Alcotest.(check int)
-    "delete samples" 1
-    (List.assoc "delete" summaries).H.count;
-  let ins = List.assoc "insert" summaries in
-  Alcotest.(check bool) "percentiles ordered" true
-    (ins.H.min <= ins.H.p50 && ins.H.p50 <= ins.H.p99
-   && ins.H.p99 <= ins.H.max);
-  (* Direct timings through the underlying structure still work. *)
-  Alcotest.(check bool)
-    "inner reachable" true
-    (Core.Patricia.member (IPat.inner t) 1);
-  IPat.reset_latencies t;
-  Alcotest.(check int)
-    "reset zeroes" 0
-    (IPat.latency_summary t `Insert).H.count
-
-(* ------------------------------------------------------------------ *)
 (* Slowlog: lock-free exact top-K of slowest requests *)
 
 let slow_entry total =
@@ -991,10 +952,6 @@ let () =
             test_attribution_disabled_is_noop;
           Alcotest.test_case "concurrent workload balances" `Quick
             test_attribution_concurrent;
-        ] );
-      ( "instrument",
-        [
-          Alcotest.test_case "functor over PAT" `Quick test_instrument_counts;
         ] );
       ( "slowlog",
         [

@@ -52,6 +52,71 @@ let test_create_width_raw_keys () =
   Alcotest.check_raises "sentinel high" (Invalid_argument "Patricia: key out of the universe")
     (fun () -> ignore (P.insert t 1023))
 
+(* The extremes of [create_width]: at width 2 every label is the root
+   or one bit long, and at width 62 the root's span is every int from 0
+   to max_int, where twice the root's marker bit would overflow.  Keys
+   1, the middle and 2^w - 2 go through inserts, replaces and deletes,
+   each checked against the sequential trie; after every step
+   [fold_range] and a frozen view's [View.fold_range] must agree with
+   its key list over every range with ends at, next to or beyond those
+   keys. *)
+let test_extreme_widths () =
+  List.iter
+    (fun width ->
+      let top = (1 lsl width) - 2 in
+      let mid = (top / 2) + 1 in
+      let keys = List.sort_uniq compare [ 1; mid; top ] in
+      let ends =
+        List.sort_uniq compare [ 0; 1; 2; mid - 1; mid; mid + 1; top - 1; top; top + 1 ]
+      in
+      let t = P.create_width ~width () and s = PS.create_width ~width () in
+      let step name p q =
+        let ctx = Printf.sprintf "width %d: %s" width name in
+        Alcotest.(check bool) ctx (q ()) (p ());
+        let expect = PS.to_list s in
+        Alcotest.(check (list int)) (ctx ^ ": keys") expect (P.to_list t);
+        (match P.check_invariants t with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: %s" ctx e);
+        let v = P.snapshot t in
+        List.iter
+          (fun lo ->
+            List.iter
+              (fun hi ->
+                let want = List.filter (fun k -> lo <= k && k <= hi) expect in
+                let got fold = List.rev (fold ~lo ~hi ~init:[] ~f:(fun acc k -> k :: acc)) in
+                Alcotest.(check (list int))
+                  (Printf.sprintf "%s: fold_range %d %d" ctx lo hi)
+                  want (got (P.fold_range t));
+                Alcotest.(check (list int))
+                  (Printf.sprintf "%s: View.fold_range %d %d" ctx lo hi)
+                  want (got (P.View.fold_range v)))
+              ends)
+          ends
+      in
+      let each f = List.iter f keys in
+      let pairs f = each (fun a -> each (fun b -> f a b)) in
+      let replace a b =
+        step
+          (Printf.sprintf "replace %d %d" a b)
+          (fun () -> P.replace t ~remove:a ~add:b)
+          (fun () -> PS.replace s ~remove:a ~add:b)
+      in
+      each (fun k ->
+          step (Printf.sprintf "insert %d" k)
+            (fun () -> P.insert t k)
+            (fun () -> PS.insert s k));
+      pairs replace;
+      step (Printf.sprintf "delete %d" mid)
+        (fun () -> P.delete t mid)
+        (fun () -> PS.delete s mid);
+      pairs replace;
+      each (fun k ->
+          step (Printf.sprintf "delete %d" k)
+            (fun () -> P.delete t k)
+            (fun () -> PS.delete s k)))
+    [ 2; 62 ]
+
 let test_fill_drain () =
   let t = P.create ~universe:1024 () in
   for k = 0 to 1023 do
@@ -383,6 +448,8 @@ let () =
           Alcotest.test_case "universe edges" `Quick test_universe_edges;
           Alcotest.test_case "bad parameters" `Quick test_bad_universe;
           Alcotest.test_case "raw width keys" `Quick test_create_width_raw_keys;
+          Alcotest.test_case "widths 2 and 62 against the model" `Quick
+            test_extreme_widths;
           Alcotest.test_case "fill then drain" `Quick test_fill_drain;
           Alcotest.test_case "replace cases" `Quick test_replace_cases;
           Alcotest.test_case "replace chain keeps one key" `Quick
