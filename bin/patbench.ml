@@ -474,6 +474,7 @@ let ablation_helping ~threads_list ~seconds ~trials ~seed ~csv =
         descent_nodes_replace = 0;
         descent_searches = 0;
         renewals = 0;
+        renew_paths = 0;
       }
   in
   Format.printf
@@ -533,6 +534,7 @@ let ablation_helping ~threads_list ~seconds ~trials ~seed ~csv =
                       s.descent_nodes_replace - b.descent_nodes_replace;
                     descent_searches = s.descent_searches - b.descent_searches;
                     renewals = s.renewals - b.renewals;
+                    renew_paths = s.renew_paths - b.renew_paths;
                   }
             | None -> zero
           in
@@ -2427,9 +2429,12 @@ let scan_cmd =
             let per f =
               float_of_int (f b - f a) /. float_of_int (max 1 !updates)
             in
-            Printf.printf "    attempts/update %.3f, renewals/update %.3f\n"
+            Printf.printf
+              "    attempts/update %.3f, renewals/update %.3f, renewal \
+               descriptors/update %.3f\n"
               (per (fun s -> s.Core.Patricia.attempts))
               (per (fun s -> s.Core.Patricia.renewals))
+              (per (fun s -> s.Core.Patricia.renew_paths))
         | _ -> ());
         fst (mean_stddev xs)
       in

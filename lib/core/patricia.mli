@@ -181,10 +181,13 @@ type snapshot = {
       (** completed searches — divide [descent_nodes_*] sums by this for
           the mean descent depth *)
   renewals : int;
-      (** committed copy-on-descent renewals: stale internal nodes an
-          update copied into the live generation after a {!snapshot}.
-          Each is paid once, inside the descent that met it, so it does
-          not add to [attempts] *)
+      (** stale internal nodes that committed renewals copied into the
+          live generation after a {!snapshot}.  Each is paid once,
+          inside the descent that met it, so it does not add to
+          [attempts] *)
+  renew_paths : int;
+      (** committed renewal descriptors: one renews a whole stale run
+          of a path, so a search that meets stale nodes commits one *)
 }
 
 val stats_snapshot : t -> snapshot option
@@ -245,4 +248,14 @@ module For_testing : sig
   val flags_on_path : t -> int -> int
   (** Number of flagged nodes on the search path of a key — 0 in any
       quiescent state where no update died holding flags. *)
+
+  val view_flags_on_path : view -> int -> int
+  (** {!flags_on_path} in a frozen view.  The live trie's renewals mark
+      the stale nodes they copy, so a node of the view that has been
+      renewed since the snapshot counts here. *)
+
+  val stale_on_path : t -> int -> int
+  (** Number of internal nodes on the search path of a key that belong
+      to a generation a {!snapshot} has frozen: the stale run an update
+      of that key would renew with one descriptor. *)
 end

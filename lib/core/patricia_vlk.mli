@@ -110,6 +110,8 @@ module For_testing : sig
   val help : descriptor -> bool
   val set_help_hook : (unit -> unit) option -> unit
   val flags_on_path : t -> Bitkey.Bitstr.t -> int
+  val view_flags_on_path : view -> Bitkey.Bitstr.t -> int
+  val stale_on_path : t -> Bitkey.Bitstr.t -> int
 
   val counters : t -> (string * int) list option
   (** Every counter of a trie created with [~record_stats:true], named

@@ -180,7 +180,8 @@ and stats = {
   backoff_waits : Obs.Counter.t;
       (* retries that paused in the contention backoff (Chaos.Backoff) *)
   renewals : Obs.Counter.t;
-      (* committed copy-on-descent renewals of stale-generation nodes *)
+      (* stale-generation nodes copied by committed path renewals *)
+  renew_paths : Obs.Counter.t; (* committed path-renewal descriptors *)
   (* Descent-cost accounting: nodes visited per search (root included),
      split by the opcode that ran the search, plus a depth histogram
      for the tail.  One search = one histogram record + one counter
@@ -207,6 +208,7 @@ type snapshot = {
   descent_nodes_replace : int;
   descent_searches : int;
   renewals : int;
+  renew_paths : int;
 }
 
 type t = {
@@ -278,6 +280,7 @@ let make_stats () : stats =
     backtracks = Obs.Counter.create ();
     backoff_waits = Obs.Counter.create ();
     renewals = Obs.Counter.create ();
+    renew_paths = Obs.Counter.create ();
     descent_find = Obs.Counter.create ();
     descent_insert = Obs.Counter.create ();
     descent_delete = Obs.Counter.create ();
@@ -638,7 +641,9 @@ let new_flag t h ~(nodes : internal array) ~infos ~unflag ~pnodes
     if m < 0 then None
     else begin
       (* Line 115: flag in a fixed total order to avoid livelock.  A
-         stable insertion sort: at most four entries. *)
+         stable insertion sort: at most four entries, the general
+         replace's.  Path renewals, which can flag a whole path, build
+         their descriptor in order without coming here ([renew_run]). *)
       for i = 1 to m - 1 do
         let x = nodes.(i) and xi = infos.(i) in
         let j = ref (i - 1) in
@@ -720,18 +725,23 @@ let copy_node ~gen = function
 
    [search_renew] is [search] for updates: it additionally copies every
    stale-generation internal node the path descends *through* into the
-   current generation ([renew_child]) before using it, so the nodes an
+   current generation ([renew_path]) before using it, so the nodes an
    update flags-and-CASes-children-of always carry the live generation
    stamp and frozen views behind past snapshots are never structurally
    mutated.  (Terminal nodes that only get *marked* — e.g. an internal
    node an insert replaces — may be stale: marking touches only the
-   info field, which frozen-view traversals ignore.)  A renewal is an
-   ordinary two-flag descriptor (the stale node is marked forever, the
-   parent's child pointer swings to the copy), so it validates like any
-   update and aborts if a snapshot intervenes.  A committed renewal does
-   not end the descent: the search re-reads the parent and goes on
-   through the copy, so a path that is stale all the way down is renewed
-   node by node in one pass. *)
+   info field, which frozen-view traversals ignore.)  Every node below a
+   stale node is stale too, so the descent meets stale nodes in runs: a
+   renewal copies the whole run toward the key at once, the way the
+   paper's general replace flags four nodes with one descriptor.  It is
+   an ordinary descriptor: it flags the live parent and every node of
+   the run, swings the parent's child to the top copy and unflags only
+   the parent, so the run stays marked forever like any removed node.
+   It validates at the same decision CAS as any update and aborts if a
+   snapshot intervenes.  A committed renewal does not end the descent:
+   the search re-reads the parent and goes on through the copies, so a
+   path that is stale all the way down costs one renewal descriptor and
+   one pass. *)
 
 let run_own t fi =
   let slot = my_slot t in
@@ -740,35 +750,93 @@ let run_own t fi =
   Atomic.set slot None;
   r
 
-(* Swing [p]'s child [i] (stale, boxed as [c_boxed]) to a live-generation
-   copy.  [true] iff the renewal committed; [false] after helping a
-   descriptor pending on [i] or [p], or when the attempt aborted. *)
-let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
+(* The descriptor of a path renewal, built from the bottom of the stale
+   run up.  [i] is the [j]-th stale node (from 0) of the run that
+   hangs from the live node [p] (read with [p_info]) through the child
+   value [p_child].  The run goes on through every internal node whose
+   label prefixes [v]; all of them are stale, since only live nodes
+   ever get new children.  Each node's info is read before its children
+   (Lemma 31): the flag CAS on that info then certifies the children
+   the copy took.  The bottom frame allocates the descriptor, sized now
+   that the run's length is known, and each frame on the way back up
+   enters its node and info and wraps the copy below it in a copy of its
+   own node, whose other child is the original one.  [None] after
+   helping a descriptor pending on the run. *)
+let rec renew_run t h v (p : internal) p_info p_child j (i : internal) =
   match Atomic.get i.iinfo with
   | (Flag _ | Snap _) as fi ->
       bump t.stats (fun s -> s.helps_given);
       ignore (help fi);
-      false
+      None
   | Unflag _ as ii -> (
-      (* The copy is taken after [ii] was read; the flag CAS on [ii]
-         then certifies the children did not change in between (the same
-         Lemma 31 discipline as an insert replacing an internal node). *)
-      let copy = Internal (copy_internal ~gen:h.hgen i) in
-      match
-        swing_flag t h ~nodes:[| p; i |] ~infos:[| p_info; ii |] p c_boxed copy
-      with
-      | Some fi ->
-          chaos_point Chaos.Renew;
-          let ok = run_own t fi in
-          if ok then bump t.stats (fun s -> s.renewals);
-          ok
-      | None -> false)
+      let c0 = Atomic.get i.c0 and c1 = Atomic.get i.c1 in
+      let b = K.bit i.label v in
+      let r =
+        match if b then c1 else c0 with
+        | Internal n when K.is_prefix n.label v ->
+            renew_run t h v p p_info p_child (j + 1) n
+        | below ->
+            (* A root-to-leaf path has distinct nodes, already in
+               [compare_label] order: no [new_flag] dedup or sort. *)
+            let ps = [| p |] in
+            Some
+              {
+                flag_nodes = Array.make (j + 2) p;
+                old_infos = Array.make (j + 2) p_info;
+                unflag_nodes = ps;
+                pnodes = ps;
+                old_children = [| p_child |];
+                new_children = [| below |];
+                rmv_leaf = None;
+                decision = Atomic.make Pending;
+                fholder = h;
+                fcell = t.holder;
+                fstats = t.stats;
+              }
+      in
+      match r with
+      | None -> r
+      | Some f ->
+          f.flag_nodes.(j + 1) <- i;
+          f.old_infos.(j + 1) <- ii;
+          let below = f.new_children.(0) and gen = h.hgen in
+          f.new_children.(0) <-
+            Internal
+              (if b then make_internal ~gen i.label c0 below
+               else make_internal ~gen i.label below c1);
+          r)
 
-(* A stale node on the path is renewed and the descent continues from
-   its parent: the committed renewal left a fresh Unflag in [p.iinfo]
-   (the old [p_info] would fail every later flag CAS on [p]), so re-read
-   it — before the child, the order Lemma 31 needs — and the child slot
-   now holds the copy.  [gp], [gp_info], [p_boxed] and the depth are
+(* Renew the stale run below the live node [p] — the first stale node
+   [i] (boxed as [p_child]) and every node under it toward [v] — with
+   one descriptor: flag [p] and the whole run, swing [p]'s child to the
+   top copy, unflag only [p].  The run stays marked, as a removed node
+   does.  [true] iff the renewal committed; [false] after helping a
+   descriptor pending on [p] or the run, or when the attempt aborted. *)
+let renew_path t (h : holder) (p : internal) p_info p_child (i : internal) v =
+  if flagged p_info then begin
+    bump t.stats (fun s -> s.helps_given);
+    ignore (help p_info);
+    false
+  end
+  else
+    match renew_run t h v p p_info p_child 0 i with
+    | None -> false
+    | Some f ->
+        chaos_point Chaos.Renew;
+        let ok = run_own t (Flag f) in
+        (match t.stats with
+        | Some s when ok ->
+            Obs.Counter.add s.renewals (Array.length f.flag_nodes - 1);
+            Obs.Counter.incr s.renew_paths
+        | _ -> ());
+        ok
+
+(* The stale run under [p] is renewed and the descent continues from
+   [p]: the committed renewal left a fresh Unflag in [p.iinfo] (the old
+   [p_info] would fail every later flag CAS on [p]), so re-read it —
+   before the child, the order Lemma 31 needs — and the child slot now
+   holds the top copy, under which the rest of the run's copies are
+   live.  [gp], [gp_info], [p_boxed] and the depth are
    untouched by the renewal.  [None] means a renewal failed (it aborted,
    or it helped a pending descriptor instead): the caller restarts from
    a fresh holder read, so once a snapshot supersedes [h] the descent
@@ -779,7 +847,7 @@ let search_renew t (h : holder) v =
     match node with
     | Internal i when K.is_prefix i.label v ->
         if i.gen == h.hgen then go p p_info i node (Atomic.get i.iinfo) (d + 1)
-        else if renew_child t h p p_info node i then
+        else if renew_path t h p p_info node i v then
           go gp gp_info p p_boxed (Atomic.get p.iinfo) d
         else None
     | _ -> Some (found gp gp_info p p_boxed p_info d node)
@@ -1192,6 +1260,7 @@ let stats_snapshot t : snapshot option =
           descent_nodes_replace = Obs.Counter.sum s.descent_replace;
           descent_searches = Obs.Counter.sum s.descent_searches;
           renewals = Obs.Counter.sum s.renewals;
+          renew_paths = Obs.Counter.sum s.renew_paths;
         }
 
 (* Monotone cumulative counters only: the harness differences two of
@@ -1212,6 +1281,7 @@ let stats_to_alist (s : snapshot) =
     ("descent_nodes_replace", s.descent_nodes_replace);
     ("descent_searches", s.descent_searches);
     ("renewals", s.renewals);
+    ("renew_paths", s.renew_paths);
   ]
 
 let descent_stats t =
@@ -1352,9 +1422,9 @@ module For_testing = struct
   let set_help_hook h = help_counter_hook := h
   let counters t = Option.map stats_to_alist (stats_snapshot t)
 
-  (* Count of nodes currently flagged along the search path of [k]. *)
-  let flags_on_path t k =
-    let v = K.import t.ctx k in
+  (* Count of nodes currently flagged along the search path of [v] from
+     [root]. *)
+  let flags_from root v =
     let rec go acc (node : node) =
       match node with
       | Leaf l -> (
@@ -1367,5 +1437,25 @@ module For_testing = struct
             go acc (Atomic.get (child i (K.bit i.label v)))
           else acc
     in
-    go 0 (Internal (Atomic.get t.holder).hroot)
+    go 0 (Internal root)
+
+  let flags_on_path t k = flags_from (Atomic.get t.holder).hroot (K.import t.ctx k)
+
+  (* The same count in a frozen view: a stale node the live trie renewed
+     since the snapshot is marked, so it counts here. *)
+  let view_flags_on_path w k = flags_from w.vroot (K.import w.vctx k)
+
+  (* Count of internal nodes the search path of [k] descends through
+     that belong to an older generation than the live one: the stale
+     run an update of [k] would renew. *)
+  let stale_on_path t k =
+    let v = K.import t.ctx k in
+    let h = Atomic.get t.holder in
+    let rec go acc (i : internal) =
+      let acc = if i.gen == h.hgen then acc else acc + 1 in
+      match Atomic.get (child i (K.bit i.label v)) with
+      | Internal c when K.is_prefix c.label v -> go acc c
+      | _ -> acc
+    in
+    go 0 h.hroot
 end

@@ -145,7 +145,8 @@ and help (u : update) =
       | _ -> ())
   | _ -> ()
 
-let insert t k =
+(* [flagged] sees the IFlag record of the attempt that succeeds. *)
+let insert_with ~flagged t k =
   if k < 0 || k >= t.inf1 then invalid_arg "Nbbst.insert: key out of universe";
   let rec attempt () =
     let r = search t k in
@@ -157,16 +158,20 @@ let insert t k =
     else begin
       let old_key = leaf_key r.l in
       let new_leaf = Leaf k in
-      (* The old leaf node is reused as a child of the new internal node,
-         exactly as in the paper (no copy is needed: leaves are immutable
-         and the old leaf is not removed from the tree). *)
+      (* The old leaf is copied, as in the paper's Insert (newSibling),
+         so no node is ever linked into the tree twice.  Reusing [r.l]
+         would be an ABA: deleting [k] again splices [r.l] back under
+         [r.p], and a helper of this insert still holding its IFlag
+         record would then win its child CAS and re-link [inner]. *)
+      let sibling = Leaf old_key in
       let inner =
-        if k < old_key then new_internal old_key new_leaf r.l
-        else new_internal k r.l new_leaf
+        if k < old_key then new_internal old_key new_leaf sibling
+        else new_internal k sibling new_leaf
       in
       let op = { ip = r.p; il = r.l; new_internal = Node inner } in
       let u = { state = IFlag; info = I op } in
       if Atomic.compare_and_set r.p.update r.pupdate u then begin
+        flagged u;
         help_insert_u u;
         true
       end
@@ -177,6 +182,8 @@ let insert t k =
     end
   in
   attempt ()
+
+let insert t k = insert_with ~flagged:ignore t k
 
 let delete t k =
   if k < 0 || k >= t.inf1 then invalid_arg "Nbbst.delete: key out of universe";
@@ -254,3 +261,12 @@ let census _ = None
 let descent_stats _ = None
 
 let snapshot _ = None
+
+module For_testing = struct
+  let insert_with_late_helper t k =
+    let late = ref ignore in
+    let inserted =
+      insert_with ~flagged:(fun u -> late := fun () -> help_insert_u u) t k
+    in
+    (inserted, !late)
+end

@@ -48,3 +48,12 @@ val snapshot : t -> Dset_intf.view option
 (** Always [None] — the explicit "unsupported" marker of the atomic
     snapshot capability; this baseline's weakly-consistent traversals
     cannot masquerade as a frozen linearizable view. *)
+
+(** Hooks for tests only. *)
+module For_testing : sig
+  val insert_with_late_helper : t -> int -> bool * (unit -> unit)
+  (** [insert_with_late_helper t k] is [insert t k] paired with a replay
+      of a helper that read the winning insert's IFlag record and then
+      stalled: calling the replay runs that helper's child CAS and unflag
+      CAS.  The replay does nothing when the insert returned [false]. *)
+end

@@ -256,6 +256,25 @@ let test_bst_single_key_cycle () =
   Alcotest.(check int) "empty" 0 (Nbbst.size t);
   match Nbbst.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e
 
+let test_bst_late_insert_helper () =
+  (* A helper of an insert that stalls before its child CAS must not
+     re-link the new internal node once the key has been deleted again:
+     the splice of that delete puts a leaf back under the same parent,
+     and it must not be the leaf the stalled helper expects. *)
+  let t = Nbbst.create ~universe:100 () in
+  assert (Nbbst.insert t 10);
+  let inserted, late_helper = Nbbst.For_testing.insert_with_late_helper t 20 in
+  Alcotest.(check bool) "insert 20" true inserted;
+  Alcotest.(check bool) "delete 20" true (Nbbst.delete t 20);
+  late_helper ();
+  Alcotest.(check (list int)) "20 stays deleted" [ 10 ] (Nbbst.to_list t);
+  Alcotest.(check bool) "member 20" false (Nbbst.member t 20);
+  (match Nbbst.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e);
+  (* Updates below that parent still complete. *)
+  Alcotest.(check bool) "insert 15" true (Nbbst.insert t 15);
+  Alcotest.(check bool) "delete 10" true (Nbbst.delete t 10);
+  Alcotest.(check (list int)) "final" [ 15 ] (Nbbst.to_list t)
+
 let () =
   Alcotest.run "baseline_edges"
     [
@@ -293,5 +312,7 @@ let () =
         [
           Alcotest.test_case "extreme keys" `Quick test_bst_extreme_keys;
           Alcotest.test_case "single-key cycles" `Quick test_bst_single_key_cycle;
+          Alcotest.test_case "late insert helper" `Quick
+            test_bst_late_insert_helper;
         ] );
     ]

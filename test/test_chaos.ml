@@ -220,18 +220,63 @@ let test_stall_insert_before_unflag make =
 (* ------------------------------------------------------------------ *)
 (* Snapshot renewal stalled *)
 
-(* One trie's side of the scenario below, keys as strings. *)
+(* A snapshot taken in the scenarios below: [walk] re-walks it, [marked]
+   counts the flagged nodes on a key's path in it. *)
+type frozen = { walk : unit -> string list; marked : string -> int }
+
+(* One trie's side of the scenarios below, keys as strings. *)
 type renew_subject = {
   insert : string -> bool;
   delete : string -> bool;
-  snapshot : unit -> unit -> string list;  (** freeze; the thunk re-walks *)
+  snapshot : unit -> frozen;
   live : unit -> string list;
+  stale_on_path : string -> int;
   audit : unit -> (unit, string) result;
 }
 
+(* PAT over universe 16 (width 5), keys as decimal strings. *)
+let pat_renew_subject () =
+  let t = P.create ~universe:16 () in
+  let str = List.map string_of_int and int = int_of_string in
+  {
+    insert = (fun k -> P.insert t (int k));
+    delete = (fun k -> P.delete t (int k));
+    snapshot =
+      (fun () ->
+        let v = P.snapshot t in
+        {
+          walk = (fun () -> str (P.View.to_list v));
+          marked = (fun k -> P.For_testing.view_flags_on_path v (int k));
+        });
+    live = (fun () -> str (P.to_list t));
+    stale_on_path = (fun k -> P.For_testing.stale_on_path t (int k));
+    audit = (fun () -> P.check_invariants t);
+  }
+
+(* PAT-VLK through its byte-string API. *)
+let vlk_renew_subject () =
+  let t = V.create () in
+  {
+    insert = V.insert t;
+    delete = V.delete t;
+    snapshot =
+      (fun () ->
+        let v = V.snapshot t in
+        {
+          walk = (fun () -> V.View.to_list v);
+          marked =
+            (fun k ->
+              V.For_testing.view_flags_on_path v (Bitkey.Bitstr.encode_bytes k));
+        });
+    live = (fun () -> V.to_list t);
+    stale_on_path =
+      (fun k -> V.For_testing.stale_on_path t (Bitkey.Bitstr.encode_bytes k));
+    audit = (fun () -> V.check_invariants t);
+  }
+
 (* After snapshot v1 every path is stale.  The victim's insert builds
-   the renewal of the first stale node (the root's child, above every
-   key here) and freezes at [Renew] before publishing it.  The main
+   the renewal of its stale run, which starts at the root's child above
+   every key here, and freezes at [Renew] before publishing it.  The main
    domain meanwhile deletes and inserts keys under that same node —
    renewing it itself — and takes snapshot v2.  The victim's renewal is
    now against a superseded generation and a changed parent, so on
@@ -264,8 +309,12 @@ let renew_stall ~name s ~prefill ~victim ~gone ~added () =
   Alcotest.(check bool) (name ^ ": victim's insert") true (Atomic.get result);
   let expect1 = sorted prefill in
   let expect2 = sorted (added :: List.filter (( <> ) gone) prefill) in
-  Alcotest.(check (list string)) (name ^ ": first view") expect1 (sorted (v1 ()));
-  Alcotest.(check (list string)) (name ^ ": second view") expect2 (sorted (v2 ()));
+  Alcotest.(check (list string))
+    (name ^ ": first view") expect1
+    (sorted (v1.walk ()));
+  Alcotest.(check (list string))
+    (name ^ ": second view") expect2
+    (sorted (v2.walk ()));
   Alcotest.(check (list string))
     (name ^ ": live set")
     (sorted (victim :: expect2))
@@ -277,33 +326,101 @@ let renew_stall ~name s ~prefill ~victim ~gone ~added () =
 let test_stall_renew () =
   (* Same keys as the stalled-domain scenarios (universe 16, width 5):
      all of them sit under the root's child labelled 0. *)
-  let t = P.create ~universe:16 () in
-  let str = List.map string_of_int and int = int_of_string in
-  renew_stall ~name:"PAT renew stalled"
-    {
-      insert = (fun k -> P.insert t (int k));
-      delete = (fun k -> P.delete t (int k));
-      snapshot =
-        (fun () ->
-          let v = P.snapshot t in
-          fun () -> str (P.View.to_list v));
-      live = (fun () -> str (P.to_list t));
-      audit = (fun () -> P.check_invariants t);
-    }
+  let str = List.map string_of_int in
+  renew_stall ~name:"PAT renew stalled" (pat_renew_subject ())
     ~prefill:(str [ 9; 11; 12 ]) ~victim:"10" ~gone:"12" ~added:"13" ();
-  let t = V.create () in
-  renew_stall ~name:"PAT-VLK renew stalled"
-    {
-      insert = V.insert t;
-      delete = V.delete t;
-      snapshot =
-        (fun () ->
-          let v = V.snapshot t in
-          fun () -> V.View.to_list v);
-      live = (fun () -> V.to_list t);
-      audit = (fun () -> V.check_invariants t);
-    }
+  renew_stall ~name:"PAT-VLK renew stalled" (vlk_renew_subject ())
     ~prefill:[ "k1"; "k2"; "k3" ] ~victim:"k0" ~gone:"k2" ~added:"k4" ()
+
+(* The victim's insert meets a stale run of three or more nodes after
+   snapshot v1, builds the copies of the whole run and freezes at
+   [Renew] before publishing its descriptor.  The main domain then
+   inserts a key below the middle of that run, which renews the run's
+   upper part itself, and takes snapshot v2.  Were the victim's
+   descriptor to commit, its copies — taken before that insert — would
+   replace the renewed path and lose the insert.  On release its first
+   flag CAS, on the run's live parent, must fail: the victim backs out
+   and retries against v2's generation. *)
+let chain_stall ~name s ~prefill ~victim ~added () =
+  let sorted l = List.sort compare l in
+  List.iter (fun k -> assert (s.insert k)) prefill;
+  let v1 = s.snapshot () in
+  let run = s.stale_on_path victim in
+  if run < 3 then Alcotest.failf "%s: stale run of only %d nodes" name run;
+  let st = Chaos.Stall.install Chaos.Renew in
+  let victim_dom = Atomic.make None and trail = ref [] in
+  let hook site =
+    Chaos.Stall.hook st site;
+    if Atomic.get victim_dom = Some (Domain.self ()) then trail := site :: !trail
+  in
+  Chaos.set_policy ~name (Some hook);
+  Fun.protect
+    ~finally:(fun () ->
+      Chaos.Stall.release st;
+      Chaos.set_policy None)
+  @@ fun () ->
+  let result = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set victim_dom (Some (Domain.self ()));
+        Atomic.set result (s.insert victim))
+  in
+  if not (Chaos.Stall.wait_stalled ~timeout_s:60.0 st) then begin
+    Domain.join d;
+    Alcotest.failf "%s: victim never reached the renew site" name
+  end;
+  assert (s.insert added);
+  let left = s.stale_on_path victim in
+  if left <= 0 || left >= run then
+    Alcotest.failf "%s: insert below the run's middle left %d of %d stale" name
+      left run;
+  let v2 = s.snapshot () in
+  if not (Chaos.Stall.stalled st) then
+    Alcotest.failf "%s: victim left the stall early" name;
+  Chaos.Stall.release st;
+  Domain.join d;
+  Alcotest.(check bool) (name ^ ": victim's insert") true (Atomic.get result);
+  (match List.rev !trail with
+  | Chaos.Renew :: Chaos.Flag_cas :: Chaos.Backtrack :: Chaos.Retry :: _ -> ()
+  | sites ->
+      Alcotest.failf "%s: victim after release crossed %s" name
+        (String.concat ", " (List.map Chaos.site_name sites)));
+  let v3 = s.snapshot () in
+  let expect1 = sorted prefill in
+  let expect2 = sorted (added :: prefill) in
+  let expect3 = sorted (victim :: expect2) in
+  Alcotest.(check (list string)) (name ^ ": live set") expect3 (sorted (s.live ()));
+  (match s.audit () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: invariants: %s" name e);
+  List.iter
+    (fun (what, v, expect) ->
+      Alcotest.(check (list string))
+        (name ^ ": " ^ what) expect
+        (sorted (v.walk ())))
+    [ ("first view", v1, expect1); ("second view", v2, expect2);
+      ("third view", v3, expect3) ];
+  (* The main domain's renewal and the victim's retry between them
+     renewed the whole run v1 froze, and a renewal marks every node it
+     copies, not only the one it detaches. *)
+  Alcotest.(check int)
+    (name ^ ": v1's stale run marked")
+    run (v1.marked victim)
+
+let test_stall_chain () =
+  (* Universe 16 (width 5): internal keys 8, 12, 14, 15 and the low
+     sentinel hang a chain 0 > 01 > 011 > 0111 off the root.  Inserting
+     12 (internal 01101) descends through 0, 01 and 011; inserting 8
+     (internal 01001) parts from it below 01, the middle of that run. *)
+  let str = List.map string_of_int in
+  chain_stall ~name:"PAT stale chain" (pat_renew_subject ())
+    ~prefill:(str [ 7; 11; 13; 14 ]) ~victim:"12" ~added:"8" ();
+  (* The same internal keys as the last byte of two-byte strings: under
+     the shared first byte the keys' encodings branch exactly as PAT's
+     keys do, so the same run forms below PAT-VLK's own top nodes. *)
+  let key k = "k" ^ String.make 1 (Char.chr (k + 1)) in
+  chain_stall ~name:"PAT-VLK stale chain" (vlk_renew_subject ())
+    ~prefill:(List.map key [ 7; 11; 13; 14 ]) ~victim:(key 12) ~added:(key 8) ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6 special cases of replace *)
@@ -498,6 +615,8 @@ let () =
         @ [
             Alcotest.test_case "renewal across a second snapshot" `Quick
               test_stall_renew;
+            Alcotest.test_case "stale chain copy never overwrites a later update"
+              `Quick test_stall_chain;
           ] );
       ( "figure 6 replace",
         List.concat_map

@@ -398,6 +398,7 @@ let test_stats_recording () =
           "descent_nodes_replace";
           "descent_searches";
           "renewals";
+          "renew_paths";
         ]
         (List.map fst alist);
       Alcotest.(check int)

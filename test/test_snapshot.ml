@@ -173,7 +173,11 @@ let test_renewal_continues () =
   (* Right after a snapshot every internal node but the root belongs to
      the frozen generation.  An update must renew each one on its path
      (or paths, for a replace) and still finish in one attempt: one
-     renewal per stale node, one search per key, no restart. *)
+     renewal per stale node, one search per key, no restart.  Each
+     search that meets a stale node renews its whole stale run with one
+     descriptor, so the update runs that many descriptors plus its own
+     (counted at every entry to help): 2 for the insert and the delete,
+     where a renewal per stale node would run [stale] + 1. *)
   let universe = 1000 and width = 10 in
   let t = P.create ~universe ~record_stats:true () in
   let st = Random.State.make [| 12 |] in
@@ -193,14 +197,32 @@ let test_renewal_continues () =
     let stale = nodes_on_paths ~width (pat_labels ~width !model) paths in
     if stale < 5 then
       Alcotest.failf "%s: only %d stale nodes on its path" name stale;
+    let renewing =
+      List.length
+        (List.filter
+           (fun k -> nodes_on_paths ~width (pat_labels ~width !model) [ k ] > 0)
+           paths)
+    in
+    let descriptors = ref 0 in
     let s0 = stats () in
-    Alcotest.(check bool) (name ^ " result") expect (op ());
+    P.For_testing.set_help_hook (Some (fun () -> incr descriptors));
+    let result =
+      Fun.protect ~finally:(fun () -> P.For_testing.set_help_hook None) op
+    in
+    Alcotest.(check bool) (name ^ " result") expect result;
     let s1 = stats () in
     model := apply !model;
     Alcotest.(check int) (name ^ ": one attempt") 1 (s1.attempts - s0.attempts);
     Alcotest.(check int)
       (name ^ ": one renewal per stale node")
       stale (s1.renewals - s0.renewals);
+    Alcotest.(check int)
+      (name ^ ": one renewal descriptor per search that met a stale node")
+      renewing
+      (s1.renew_paths - s0.renew_paths);
+    Alcotest.(check int)
+      (name ^ ": descriptors run")
+      (renewing + 1) !descriptors;
     Alcotest.(check int)
       (name ^ ": one search per key")
       (List.length paths)

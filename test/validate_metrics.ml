@@ -72,13 +72,13 @@ let check_counters ctx = function
         kvs;
       (* PAT's counter set is emitted whole: a snapshot that has
          "attempts" must also carry the backoff counter added with the
-         fault-injection layer and the snapshot renewal counter. *)
+         fault-injection layer and the snapshot renewal counters. *)
       if List.mem_assoc "attempts" kvs then
         List.iter
           (fun k ->
             if not (List.mem_assoc k kvs) then
               err "%s: counters with \"attempts\" lack %S" ctx k)
-          [ "backoff_waits"; "renewals" ]
+          [ "backoff_waits"; "renewals"; "renew_paths" ]
   | _ -> err "%s: \"counters\" is not an object" ctx
 
 let check_gc ctx = function
