@@ -35,16 +35,16 @@ let max_elt t =
   (* Mirror traversal: rightmost real leaf first. *)
   let c = t.ctx in
   let rec go = function
-    | Leaf l ->
+    | Any (Leaf l) ->
         if
           (not (K.is_sentinel c l.key))
           && not (logically_removed (Atomic.get l.linfo))
         then raise_notrace (Found_key (K.export c l.key))
-    | Internal i ->
+    | Any (Internal i) ->
         go (Atomic.get i.c1);
         go (Atomic.get i.c0)
   in
-  match go (Internal (Atomic.get t.holder).hroot) with
+  match go (Any (Atomic.get t.holder).hroot) with
   | () -> None
   | exception Found_key k -> Some k
 
@@ -62,20 +62,20 @@ let fold_range_from ~live (c : K.ctx) root ~lo ~hi ~init ~f =
     let ilo = lo + c.offset and ihi = hi + c.offset in
     let rec go acc node =
       match node with
-      | Leaf l ->
+      | Any (Leaf l) ->
           if
             l.key >= ilo && l.key <= ihi
             && not (live && logically_removed (Atomic.get l.linfo))
           then f acc (l.key - c.offset)
           else acc
-      | Internal i ->
+      | Any (Internal i) ->
           (* The node's span, [m - low .. m + low - 1] (pat_key.ml). *)
           let m = i.label in
           let low = m land -m in
           if m + low - 1 < ilo || m - low > ihi then acc
           else go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
     in
-    go init (Internal root)
+    go init (Any root)
   end
 
 let fold_range t = fold_range_from ~live:true t.ctx (Atomic.get t.holder).hroot
@@ -90,13 +90,13 @@ module View = struct
     let c = v.vctx in
     let rec walk node tail () =
       match node with
-      | Leaf l ->
+      | Any (Leaf l) ->
           if K.is_sentinel c l.key then tail ()
           else Seq.Cons (K.export c l.key, tail)
-      | Internal i ->
+      | Any (Internal i) ->
           walk (Atomic.get i.c0) (fun () -> walk (Atomic.get i.c1) tail ()) ()
     in
-    fun () -> walk (Internal v.vroot) (fun () -> Seq.Nil) ()
+    fun () -> walk (Any v.vroot) (fun () -> Seq.Nil) ()
 end
 
 let snapshot_capability t =

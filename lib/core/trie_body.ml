@@ -26,8 +26,14 @@
      the paper's pointer-identity CAS.
    - The paper avoids the ABA problem on [info] fields by installing a
      *newly allocated* Unflag object on every unflag/backtrack CAS; we
-     reproduce this with [Unflag (ref ())], whose block is fresh per
-     allocation, so two Unflags are never physically equal.
+     reproduce this with [Unflag { mutable u : unit }], a 2-word block
+     that is fresh per allocation (a mutable block is never shared), so
+     two Unflags are never physically equal.  A new node starts with the
+     immediate [Clean] instead and allocates no Unflag; since only the
+     CASes that release a flag install an Unflag, and always a fresh
+     one, an info field that reads [Clean] has never been flagged, and
+     a flag CAS expecting [Clean] is as ABA-free as one expecting an
+     Unflag.  Leaves are never unflagged, so they never hold one.
    - A Flag descriptor must be wrapped in the [info] variant exactly once
      so that all CASes and reads compare the same physical value; the
      shared wrapper is created in [new_flag] and threaded everywhere.
@@ -93,25 +99,47 @@ end
 
 module _ : KEY = K
 
-type info = Unflag of unit ref | Flag of flag | Snap of snap
+(* Node kinds, for the type index of [tnode]: a leaf and an internal node
+   are distinct types, so a descriptor's [internal array] can hold only
+   internal nodes, while a child field holds either kind as a [node]. *)
+type lk = |
+type ik = |
 
-and node = Leaf of leaf | Internal of internal
+(* The info field of a node (paper Figure 2).  [Clean] is the immediate
+   value every new node starts with; only the CASes that release a flag
+   (unflag, backtrack, and a snapshot's release of the old root) install
+   an [Unflag], and always a freshly allocated one (the mutable field
+   keeps the compiler from sharing the block), so a field that reads
+   [Clean] has never been flagged. *)
+type info = Clean | Unflag of { mutable u : unit } | Flag of flag | Snap of snap
 
-and leaf = { key : K.key; linfo : info Atomic.t }
+(* A node carries its fields inline: a child field points straight at
+   the child's block, with no wrapper box between. *)
+and _ tnode =
+  | Leaf : { key : K.key; linfo : info Atomic.t } -> lk tnode
+  | Internal : {
+      label : K.label;
+      c0 : node Atomic.t; (* left child (next bit 0) *)
+      c1 : node Atomic.t; (* right child (next bit 1) *)
+      iinfo : info Atomic.t;
+      gen : unit ref;
+          (* Generation stamp: physically equal to [hgen] of the holder
+             that was current when this node was created.  Immutable.
+             Updates renew (copy into the current generation) every
+             internal node they descend through whose stamp is stale, so
+             the nodes whose children they CAS always belong to the live
+             generation and the frozen generations behind past snapshots
+             are never mutated. *)
+    }
+      -> ik tnode
 
-and internal = {
-  label : K.label;
-  c0 : node Atomic.t; (* left child (next bit 0) *)
-  c1 : node Atomic.t; (* right child (next bit 1) *)
-  iinfo : info Atomic.t;
-  gen : unit ref;
-      (* Generation stamp: physically equal to [hgen] of the holder that
-         was current when this node was created.  Immutable.  Updates
-         renew (copy into the current generation) every internal node
-         they descend through whose stamp is stale, so the nodes whose
-         children they CAS always belong to the live generation and the
-         frozen generations behind past snapshots are never mutated. *)
-}
+(* A child of either kind.  Unboxed: [Any n] is [n] itself at run time,
+   so a node has one physical identity however it is reached, which is
+   what the child CASes compare. *)
+and node = Any : 'k tnode -> node [@@unboxed]
+
+and leaf = lk tnode
+and internal = ik tnode
 
 (* One generation of the trie.  [hroot] is that generation's root;
    [hgen] is the identity the root's descendants are stamped with.
@@ -243,32 +271,37 @@ let my_slot t =
       r := Some s;
       s
 
-let fresh_unflag () = Unflag (ref ())
+let fresh_unflag () = Unflag { u = () }
 
-let new_leaf key = { key; linfo = Atomic.make (fresh_unflag ()) }
+let new_leaf key : leaf = Leaf { key; linfo = Atomic.make Clean }
+
+(* Field access on a typed node: the pattern is exhaustive at its type,
+   so each compiles to a single load with no tag test. *)
+let[@inline] label (Internal i : internal) = i.label
+let[@inline] iinfo (Internal i : internal) = i.iinfo
+let[@inline] child (Internal i : internal) b = if b then i.c1 else i.c0
 
 let node_info = function
-  | Leaf l -> l.linfo
-  | Internal i -> i.iinfo
-
-let[@inline] child (i : internal) b = if b then i.c1 else i.c0
+  | Any (Leaf l) -> l.linfo
+  | Any (Internal i) -> i.iinfo
 
 let node_span = function
-  | Leaf l -> K.key_span l.key
-  | Internal i -> K.label_span i.label
+  | Any (Leaf l) -> K.key_span l.key
+  | Any (Internal i) -> K.label_span i.label
 
-let make_internal ~gen label c0 c1 =
-  {
-    label;
-    c0 = Atomic.make c0;
-    c1 = Atomic.make c1;
-    iinfo = Atomic.make (fresh_unflag ());
-    gen;
-  }
+let make_internal ~gen label c0 c1 : internal =
+  Internal
+    {
+      label;
+      c0 = Atomic.make c0;
+      c1 = Atomic.make c1;
+      iinfo = Atomic.make Clean;
+      gen;
+    }
 
 (* A copy of [i] in generation [gen], children read now: callers read
    [i]'s info field first (see [copy_node]). *)
-let copy_internal ~gen (i : internal) =
+let copy_internal ~gen (Internal i : internal) =
   make_internal ~gen i.label (Atomic.get i.c0) (Atomic.get i.c1)
 
 let make_stats () : stats =
@@ -366,7 +399,7 @@ let[@inline] attempt_retry kind ~key ~attempt ~t0 cause =
 
 let[@inline] flagged = function
   | Flag _ | Snap _ -> true
-  | Unflag _ -> false
+  | Clean | Unflag _ -> false
 
 (* Cause of a [None] return from [new_flag], recovered from the info
    values the attempt read: if any was a Flag we restarted after helping
@@ -386,8 +419,8 @@ let make ~record_stats ctx =
   let gen = ref () in
   let root =
     make_internal ~gen (K.root_label ctx)
-      (Leaf (new_leaf (K.sentinel_lo ctx)))
-      (Leaf (new_leaf (K.sentinel_hi ctx)))
+      (Any (new_leaf (K.sentinel_lo ctx)))
+      (Any (new_leaf (K.sentinel_hi ctx)))
   in
   {
     ctx;
@@ -404,21 +437,14 @@ let make ~record_stats ctx =
    replace is logically removed once the replace's first child CAS has
    happened, i.e. once oldChild[0] is no longer a child of pNode[0]. *)
 let logically_removed = function
-  | Unflag _ | Snap _ -> false
+  | Clean | Unflag _ | Snap _ -> false
   | Flag f ->
-      let p = f.pnodes.(0) and old = f.old_children.(0) in
-      not
-        (Atomic.get p.c0 == old || Atomic.get p.c1 == old)
+      let (Internal p) = f.pnodes.(0) and old = f.old_children.(0) in
+      not (Atomic.get p.c0 == old || Atomic.get p.c1 == old)
 
 type search_result = {
   gp : internal option;
-  p : internal;
-  p_node : node;
-      (* The *same physical* [node] value stored in gp's child field for
-         [p].  CAS compares physical identity, so an update whose old
-         child is [p] must use this value — re-wrapping [p] in the
-         [Internal] constructor would allocate a distinct block and the
-         child CAS would never succeed. *)
+  p : internal; (* [Any p] is the value in gp's child field *)
   node : node;
   gp_info : info option;
   p_info : info;
@@ -434,16 +460,15 @@ type search_result = {
    descent carries [gp] and [gp_info] unboxed, with the root and its info
    as placeholders while [p] is still the root (depth [d] = 0); the
    options are built here, once per search, not once per level. *)
-let[@inline] found gp gp_info (p : internal) p_boxed p_info d node =
+let[@inline] found gp gp_info p p_info d node =
   let rmvd =
     match node with
-    | Leaf l -> logically_removed (Atomic.get l.linfo)
-    | Internal _ -> false
+    | Any (Leaf l) -> logically_removed (Atomic.get l.linfo)
+    | Any (Internal _) -> false
   in
   {
     gp = (if d > 0 then Some gp else None);
     p;
-    p_node = p_boxed;
     node;
     gp_info = (if d > 0 then Some gp_info else None);
     p_info;
@@ -453,25 +478,24 @@ let[@inline] found gp gp_info (p : internal) p_boxed p_info d node =
 
 let search_from (root : internal) v =
   (* The root's label is a prefix of every key, so the loop body runs at
-     least once and [p] is always an internal node on return.  The root is
-     never an old child of any CAS, so its boxed stand-in is harmless. *)
-  let rec go gp gp_info (p : internal) p_boxed p_info d =
-    let node = Atomic.get (child p (K.bit p.label v)) in
+     least once and [p] is always an internal node on return. *)
+  let rec go gp gp_info p p_info d =
+    let node = Atomic.get (child p (K.bit (label p) v)) in
     match node with
-    | Internal i when K.is_prefix i.label v ->
-        go p p_info i node (Atomic.get i.iinfo) (d + 1)
-    | _ -> found gp gp_info p p_boxed p_info d node
+    | Any (Internal r as i) when K.is_prefix r.label v ->
+        go p p_info i (Atomic.get r.iinfo) (d + 1)
+    | _ -> found gp gp_info p p_info d node
   in
-  let ri = Atomic.get root.iinfo in
-  go root ri root (Internal root) ri 0
+  let ri = Atomic.get (iinfo root) in
+  go root ri root ri 0
 
 let search t v = search_from (Atomic.get t.holder).hroot v
 
 (* keyInTrie (lines 125-126) *)
 let key_in_trie node v rmvd =
   match node with
-  | Leaf l -> K.equal_key l.key v && not rmvd
-  | Internal _ -> false
+  | Any (Leaf l) -> K.equal_key l.key v && not rmvd
+  | Any (Internal _) -> false
 
 (* ------------------------------------------------------------------ *)
 (* help (lines 86-106) *)
@@ -488,10 +512,10 @@ let flag_phase fi f =
   let rec loop i =
     if i >= n then true
     else begin
-      let x = f.flag_nodes.(i) in
+      let x = iinfo f.flag_nodes.(i) in
       chaos_point Chaos.Flag_cas;
-      let ours = Atomic.compare_and_set x.iinfo f.old_infos.(i) fi in
-      if Atomic.get x.iinfo == fi then begin
+      let ours = Atomic.compare_and_set x f.old_infos.(i) fi in
+      if Atomic.get x == fi then begin
         if not ours then bump f.fstats (fun s -> s.helps_received);
         loop (i + 1)
       end
@@ -508,8 +532,8 @@ let child_cas_phase f =
          child's label, which p.label properly prefixes by Invariant 7. *)
       let b =
         match nc with
-        | Leaf l -> K.bit p.label l.key
-        | Internal c -> K.child_bit p.label c.label
+        | Any (Leaf l) -> K.bit (label p) l.key
+        | Any (Internal c) -> K.child_bit (label p) c.label
       in
       chaos_point Chaos.Child_cas;
       if not (Atomic.compare_and_set (child p b) f.old_children.(i) nc) then
@@ -528,11 +552,11 @@ let help_counter_hook : (unit -> unit) option ref = ref None
    old root's info field. *)
 let help_snap (si : info) (s : snap) =
   ignore (Atomic.compare_and_set s.s_cell s.s_old s.s_new);
-  ignore (Atomic.compare_and_set s.s_old.hroot.iinfo si (fresh_unflag ()))
+  ignore (Atomic.compare_and_set (iinfo s.s_old.hroot) si (fresh_unflag ()))
 
 let rec help (fi : info) : bool =
   match fi with
-  | Unflag _ -> assert false
+  | Clean | Unflag _ -> assert false
   | Snap s ->
       (* A snapshot never fails; completing it counts as success and the
          helper retries its own operation against the new generation. *)
@@ -560,13 +584,16 @@ and help_flag (fi : info) (f : flag) : bool =
   | Commit ->
       (* Line 95: flag the leaf removed by a general-case replace; leaves
          are flagged by a plain write, never by CAS, and never unflagged. *)
-      (match f.rmv_leaf with Some l -> Atomic.set l.linfo fi | None -> ());
+      (match f.rmv_leaf with
+      | Some (Leaf l) -> Atomic.set l.linfo fi
+      | None -> ());
       child_cas_phase f;
       (* Lines 99-102: unflag, in reverse order, the nodes still in the trie. *)
       chaos_point Chaos.Unflag;
       for i = Array.length f.unflag_nodes - 1 downto 0 do
         ignore
-          (Atomic.compare_and_set f.unflag_nodes.(i).iinfo fi (fresh_unflag ()))
+          (Atomic.compare_and_set (iinfo f.unflag_nodes.(i)) fi
+             (fresh_unflag ()))
       done;
       true
   | Abort ->
@@ -577,7 +604,7 @@ and help_flag (fi : info) (f : flag) : bool =
       Obs.Attribution.mark Obs.Attribution.Backtrack ~attempt:0;
       for i = Array.length f.flag_nodes - 1 downto 0 do
         ignore
-          (Atomic.compare_and_set f.flag_nodes.(i).iinfo fi (fresh_unflag ()))
+          (Atomic.compare_and_set (iinfo f.flag_nodes.(i)) fi (fresh_unflag ()))
       done;
       false
   | Pending -> assert false
@@ -647,7 +674,7 @@ let new_flag t h ~(nodes : internal array) ~infos ~unflag ~pnodes
       for i = 1 to m - 1 do
         let x = nodes.(i) and xi = infos.(i) in
         let j = ref (i - 1) in
-        while !j >= 0 && K.compare_label nodes.(!j).label x.label > 0 do
+        while !j >= 0 && K.compare_label (label nodes.(!j)) (label x) > 0 do
           nodes.(!j + 1) <- nodes.(!j);
           infos.(!j + 1) <- infos.(!j);
           decr j
@@ -708,8 +735,8 @@ let create_node t (h : holder) n1 n2 info =
    copy's children equal the original's at the child CAS. *)
 
 let copy_node ~gen = function
-  | Leaf l -> Leaf (new_leaf l.key)
-  | Internal i -> Internal (copy_internal ~gen i)
+  | Any (Leaf l) -> Any (new_leaf l.key)
+  | Any (Internal _ as i) -> Any (copy_internal ~gen i)
 
 (* ------------------------------------------------------------------ *)
 (* Update-side search: publication and copy-on-descent renewal.
@@ -752,8 +779,8 @@ let run_own t fi =
 
 (* The descriptor of a path renewal, built from the bottom of the stale
    run up.  [i] is the [j]-th stale node (from 0) of the run that
-   hangs from the live node [p] (read with [p_info]) through the child
-   value [p_child].  The run goes on through every internal node whose
+   hangs from the live node [p] (read with [p_info]) as its child
+   [p_child].  The run goes on through every internal node whose
    label prefixes [v]; all of them are stale, since only live nodes
    ever get new children.  Each node's info is read before its children
    (Lemma 31): the flag CAS on that info then certifies the children
@@ -762,18 +789,18 @@ let run_own t fi =
    enters its node and info and wraps the copy below it in a copy of its
    own node, whose other child is the original one.  [None] after
    helping a descriptor pending on the run. *)
-let rec renew_run t h v (p : internal) p_info p_child j (i : internal) =
-  match Atomic.get i.iinfo with
+let rec renew_run t h v p p_info p_child j (Internal ir as i : internal) =
+  match Atomic.get ir.iinfo with
   | (Flag _ | Snap _) as fi ->
       bump t.stats (fun s -> s.helps_given);
       ignore (help fi);
       None
-  | Unflag _ as ii -> (
-      let c0 = Atomic.get i.c0 and c1 = Atomic.get i.c1 in
-      let b = K.bit i.label v in
+  | (Clean | Unflag _) as ii -> (
+      let c0 = Atomic.get ir.c0 and c1 = Atomic.get ir.c1 in
+      let b = K.bit ir.label v in
       let r =
         match if b then c1 else c0 with
-        | Internal n when K.is_prefix n.label v ->
+        | Any (Internal nr as n) when K.is_prefix nr.label v ->
             renew_run t h v p p_info p_child (j + 1) n
         | below ->
             (* A root-to-leaf path has distinct nodes, already in
@@ -801,25 +828,25 @@ let rec renew_run t h v (p : internal) p_info p_child j (i : internal) =
           f.old_infos.(j + 1) <- ii;
           let below = f.new_children.(0) and gen = h.hgen in
           f.new_children.(0) <-
-            Internal
-              (if b then make_internal ~gen i.label c0 below
-               else make_internal ~gen i.label below c1);
+            Any
+              (if b then make_internal ~gen ir.label c0 below
+               else make_internal ~gen ir.label below c1);
           r)
 
 (* Renew the stale run below the live node [p] — the first stale node
-   [i] (boxed as [p_child]) and every node under it toward [v] — with
-   one descriptor: flag [p] and the whole run, swing [p]'s child to the
-   top copy, unflag only [p].  The run stays marked, as a removed node
-   does.  [true] iff the renewal committed; [false] after helping a
-   descriptor pending on [p] or the run, or when the attempt aborted. *)
-let renew_path t (h : holder) (p : internal) p_info p_child (i : internal) v =
+   [i] and every node under it toward [v] — with one descriptor: flag
+   [p] and the whole run, swing [p]'s child to the top copy, unflag only
+   [p].  The run stays marked, as a removed node does.  [true] iff the
+   renewal committed; [false] after helping a descriptor pending on [p]
+   or the run, or when the attempt aborted. *)
+let renew_path t (h : holder) p p_info (i : internal) v =
   if flagged p_info then begin
     bump t.stats (fun s -> s.helps_given);
     ignore (help p_info);
     false
   end
   else
-    match renew_run t h v p p_info p_child 0 i with
+    match renew_run t h v p p_info (Any i) 0 i with
     | None -> false
     | Some f ->
         chaos_point Chaos.Renew;
@@ -836,24 +863,24 @@ let renew_path t (h : holder) (p : internal) p_info p_child (i : internal) v =
    [p_info] would fail every later flag CAS on [p]), so re-read it —
    before the child, the order Lemma 31 needs — and the child slot now
    holds the top copy, under which the rest of the run's copies are
-   live.  [gp], [gp_info], [p_boxed] and the depth are
-   untouched by the renewal.  [None] means a renewal failed (it aborted,
-   or it helped a pending descriptor instead): the caller restarts from
-   a fresh holder read, so once a snapshot supersedes [h] the descent
-   stops at its first aborted renewal. *)
+   live.  [gp], [gp_info] and the depth are untouched by the renewal.
+   [None] means a renewal failed (it aborted, or it helped a pending
+   descriptor instead): the caller restarts from a fresh holder read, so
+   once a snapshot supersedes [h] the descent stops at its first aborted
+   renewal. *)
 let search_renew t (h : holder) v =
-  let rec go gp gp_info (p : internal) p_boxed p_info d =
-    let node = Atomic.get (child p (K.bit p.label v)) in
+  let rec go gp gp_info p p_info d =
+    let node = Atomic.get (child p (K.bit (label p) v)) in
     match node with
-    | Internal i when K.is_prefix i.label v ->
-        if i.gen == h.hgen then go p p_info i node (Atomic.get i.iinfo) (d + 1)
-        else if renew_path t h p p_info node i v then
-          go gp gp_info p p_boxed (Atomic.get p.iinfo) d
+    | Any (Internal r as i) when K.is_prefix r.label v ->
+        if r.gen == h.hgen then go p p_info i (Atomic.get r.iinfo) (d + 1)
+        else if renew_path t h p p_info i v then
+          go gp gp_info p (Atomic.get (iinfo p)) d
         else None
-    | _ -> Some (found gp gp_info p p_boxed p_info d node)
+    | _ -> Some (found gp gp_info p p_info d node)
   in
-  let ri = Atomic.get h.hroot.iinfo in
-  go h.hroot ri h.hroot (Internal h.hroot) ri 0
+  let ri = Atomic.get (iinfo h.hroot) in
+  go h.hroot ri h.hroot ri 0
 
 (* ------------------------------------------------------------------ *)
 (* find (lines 72-75) *)
@@ -871,17 +898,17 @@ let member t k =
    (lines 27-31), or [None] if the attempt must restart. *)
 let insert_flag t h r v node_info_v =
   let node_copy = copy_node ~gen:h.hgen r.node in
-  match create_node t h node_copy (Leaf (new_leaf v)) (Some node_info_v) with
+  match create_node t h node_copy (Any (new_leaf v)) (Some node_info_v) with
   | None -> None
   | Some new_node -> (
-      let new_child = Internal new_node in
+      let new_child = Any new_node in
       match r.node with
-      | Internal i ->
+      | Any (Internal _ as i) ->
           (* Line 30: replacing an internal node permanently flags it,
              since it leaves the trie. *)
           swing_flag t h ~nodes:[| r.p; i |] ~infos:[| r.p_info; node_info_v |]
             r.p r.node new_child
-      | Leaf _ ->
+      | Any (Leaf _) ->
           swing_flag t h ~nodes:[| r.p |] ~infos:[| r.p_info |] r.p r.node
             new_child)
 
@@ -931,9 +958,9 @@ let insert t k =
 let delete_flag t h r v =
   match (r.gp, r.gp_info) with
   | Some gp, Some gp_info ->
-      let node_sibling = Atomic.get (child r.p (not (K.bit r.p.label v))) in
+      let node_sibling = Atomic.get (child r.p (not (K.bit (label r.p) v))) in
       swing_flag t h ~nodes:[| gp; r.p |] ~infos:[| gp_info; r.p_info |] gp
-        r.p_node node_sibling
+        (Any r.p) node_sibling
   | _ -> None
 
 let delete t k =
@@ -979,26 +1006,21 @@ let delete t k =
    at [rd] and [ri] (lines 48-70), or [None] if the attempt must
    restart. *)
 let replace_flag t h rd ri vd vi node_info_i =
-  let node_sibling_d = Atomic.get (child rd.p (not (K.bit rd.p.label vd))) in
+  let node_sibling_d =
+    Atomic.get (child rd.p (not (K.bit (label rd.p) vd)))
+  in
   let node_d = rd.node and node_i = ri.node in
   let pd = rd.p and pi = ri.p in
-  let leaf_d = match node_d with Leaf l -> l | Internal _ -> assert false in
-  let same_node a b =
-    match (a, b) with
-    | Leaf x, Leaf y -> x == y
-    | Internal x, Internal y -> x == y
-    | _ -> false
-  in
-  let node_i_is ni (x : internal) =
-    match ni with Internal i -> i == x | Leaf _ -> false
+  let leaf_d =
+    match node_d with Any (Leaf _ as l) -> l | Any (Internal _) -> assert false
   in
   let node_i_is_gpd =
-    match rd.gp with Some gp -> node_i_is node_i gp | None -> false
+    match rd.gp with Some gp -> node_i == Any gp | None -> false
   in
   if
     rd.gp <> None
-    && (not (same_node node_i node_d))
-    && (not (node_i_is node_i pd))
+    && node_i != node_d
+    && node_i != Any pd
     && (not node_i_is_gpd)
     && not (pi == pd)
   then begin
@@ -1007,31 +1029,31 @@ let replace_flag t h rd ri vd vi node_info_i =
        noded is flagged as the logically-removed leaf in between. *)
     let gpd = Option.get rd.gp and gpd_info = Option.get rd.gp_info in
     let copy_i = copy_node ~gen:h.hgen node_i in
-    match create_node t h copy_i (Leaf (new_leaf vi)) (Some node_info_i) with
+    match create_node t h copy_i (Any (new_leaf vi)) (Some node_info_i) with
     | None -> None
     | Some new_node_i -> (
         let unflag = [| gpd; pi |] and pnodes = [| pi; gpd |] in
-        let old_children = [| node_i; rd.p_node |]
-        and new_children = [| Internal new_node_i; node_sibling_d |] in
+        let old_children = [| node_i; Any pd |]
+        and new_children = [| Any new_node_i; node_sibling_d |] in
         match node_i with
-        | Internal i ->
+        | Any (Internal _ as i) ->
             new_flag t h ~nodes:[| gpd; pd; pi; i |]
               ~infos:[| gpd_info; rd.p_info; ri.p_info; node_info_i |]
               ~unflag ~pnodes ~old_children ~new_children
               ~rmv_leaf:(Some leaf_d)
-        | Leaf _ ->
+        | Any (Leaf _) ->
             new_flag t h ~nodes:[| gpd; pd; pi |]
               ~infos:[| gpd_info; rd.p_info; ri.p_info |]
               ~unflag ~pnodes ~old_children ~new_children
               ~rmv_leaf:(Some leaf_d))
   end
-  else if same_node node_i node_d then
+  else if node_i == node_d then
     (* Special case 1 (lines 58-59): both searches ended at vd's leaf;
        replace it by a fresh leaf containing vi. *)
     swing_flag t h ~nodes:[| pd |] ~infos:[| rd.p_info |] pd node_i
-      (Leaf (new_leaf vi))
+      (Any (new_leaf vi))
   else if
-    (node_i_is node_i pd
+    (node_i == Any pd
     && match rd.gp with Some gp -> pi == gp | None -> false)
     || (rd.gp <> None && pi == pd)
   then begin
@@ -1042,30 +1064,30 @@ let replace_flag t h rd ri vd vi node_info_i =
     let gpd = Option.get rd.gp and gpd_info = Option.get rd.gp_info in
     let sib_info = Atomic.get (node_info node_sibling_d) in
     match
-      create_node t h node_sibling_d (Leaf (new_leaf vi)) (Some sib_info)
+      create_node t h node_sibling_d (Any (new_leaf vi)) (Some sib_info)
     with
     | None -> None
     | Some new_node_i ->
         swing_flag t h ~nodes:[| gpd; pd |] ~infos:[| gpd_info; rd.p_info |] gpd
-          rd.p_node (Internal new_node_i)
+          (Any pd) (Any new_node_i)
   end
   else if node_i_is_gpd then begin
     (* Special case 4 (lines 65-70): the insertion replaces gp_d, which
        the deletion also restructures; one CAS replaces gp_d by a new
        two-level node built from the two siblings and the new leaf. *)
     let gpd = Option.get rd.gp in
-    let p_sibling_d = Atomic.get (child gpd (not (K.bit gpd.label vd))) in
+    let p_sibling_d = Atomic.get (child gpd (not (K.bit (label gpd) vd))) in
     match create_node t h node_sibling_d p_sibling_d None with
     | None -> None
     | Some new_child_i -> (
         match
-          create_node t h (Internal new_child_i) (Leaf (new_leaf vi)) None
+          create_node t h (Any new_child_i) (Any (new_leaf vi)) None
         with
         | None -> None
         | Some new_node_i ->
             swing_flag t h ~nodes:[| pi; gpd; pd |]
               ~infos:[| ri.p_info; Option.get rd.gp_info; rd.p_info |]
-              pi node_i (Internal new_node_i))
+              pi node_i (Any new_node_i))
   end
   else None
 
@@ -1137,13 +1159,13 @@ let replace t ~remove ~add =
 let fold t ~init ~f =
   let c = t.ctx in
   let rec go acc = function
-    | Leaf l ->
+    | Any (Leaf l) ->
         if K.is_sentinel c l.key || logically_removed (Atomic.get l.linfo) then
           acc
         else f acc (K.export c l.key)
-    | Internal i -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
+    | Any (Internal i) -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
   in
-  go init (Internal (Atomic.get t.holder).hroot)
+  go init (Any (Atomic.get t.holder).hroot)
 
 let size t = fold t ~init:0 ~f:(fun acc _ -> acc + 1)
 
@@ -1192,21 +1214,21 @@ let snapshot t =
   let rec attempt () =
     let h = Atomic.get t.holder in
     let root = h.hroot in
-    match Atomic.get root.iinfo with
+    match Atomic.get (iinfo root) with
     | (Flag _ | Snap _) as fi ->
         ignore (help fi);
         attempt ()
-    | Unflag _ as ri ->
+    | (Clean | Unflag _) as ri ->
         let gen' = ref () in
         let root' = copy_internal ~gen:gen' root in
         let h' = { epoch = h.epoch + 1; hgen = gen'; hroot = root' } in
         let si = Snap { s_old = h; s_new = h'; s_cell = t.holder } in
-        if Atomic.compare_and_set root.iinfo ri si then begin
+        if Atomic.compare_and_set (iinfo root) ri si then begin
           (* If this holder CAS fails, a concurrent snapshot already
              superseded [h] — then [h] is frozen all the same and this
              call linearizes at that snapshot's swing. *)
           ignore (Atomic.compare_and_set t.holder h h');
-          ignore (Atomic.compare_and_set root.iinfo si (fresh_unflag ()));
+          ignore (Atomic.compare_and_set (iinfo root) si (fresh_unflag ()));
           List.iter
             (fun slot ->
               match Atomic.get slot with
@@ -1230,11 +1252,11 @@ module View = struct
   let fold v ~init ~f =
     let c = v.vctx in
     let rec go acc = function
-      | Leaf l ->
+      | Any (Leaf l) ->
           if K.is_sentinel c l.key then acc else f acc (K.export c l.key)
-      | Internal i -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
+      | Any (Internal i) -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
     in
-    go init (Internal v.vroot)
+    go init (Any v.vroot)
 
   let size v = fold v ~init:0 ~f:(fun acc _ -> acc + 1)
 end
@@ -1317,23 +1339,24 @@ let check_invariants t =
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
   let rec go path node =
     (match (Atomic.get (node_info node), node) with
-    | Unflag _, _ -> ()
+    | (Clean | Unflag _), _ -> ()
     | Snap _, _ -> err "residual snapshot descriptor on reachable node"
-    | Flag _, Leaf l -> err "residual flag on reachable leaf %a" K.pp_key l.key
-    | Flag _, Internal i ->
+    | Flag _, Any (Leaf l) ->
+        err "residual flag on reachable leaf %a" K.pp_key l.key
+    | Flag _, Any (Internal i) ->
         err "residual flag on internal %a" (K.pp_label c) i.label);
     match node with
-    | Leaf l ->
+    | Any (Leaf l) ->
         if not (K.within (K.key_span l.key) path) then
           err "leaf %a outside its parent's half" K.pp_key l.key
-    | Internal i ->
+    | Any (Internal i) ->
         if not (K.within (K.label_span i.label) path) then
           err "internal %a outside its parent's half" (K.pp_label c) i.label;
         go (K.half i.label false) (Atomic.get i.c0);
         go (K.half i.label true) (Atomic.get i.c1)
   in
   let root = (Atomic.get t.holder).hroot in
-  go (K.label_span root.label) (Internal root);
+  go (K.label_span (label root)) (Any root);
   (* The two sentinels must always be logically in the trie (Lemma 62). *)
   let present k = key_in_trie (search_from root k).node k false in
   if not (present (K.sentinel_lo c)) then err "missing low sentinel";
@@ -1344,43 +1367,49 @@ let check_invariants t =
 (* Shape census (Obs.Shape): weakly-consistent walk like [fold], exact
    in quiescence.  Per-node word estimates, 64-bit layout:
 
-     internal:  Internal wrapper 2 + record 6 (header, label, c0, c1,
-                iinfo, gen) + 2 child Atomics 4 + iinfo Atomic 2
-                + Unflag wrapper/ref 4                      = 18
-     leaf:      Leaf wrapper 2 + record 3 + linfo Atomic 2
-                + Unflag wrapper/ref 4                      = 11
+     internal:  block 6 (header, label, c0, c1, iinfo, gen)
+                + 2 child Atomics 4 + iinfo Atomic 2        = 12
+     leaf:      block 3 (header, key, linfo) + linfo Atomic 2  = 5
 
+   plus 2 for a node whose info field holds an Unflag (a one-field
+   mutable block; [Clean] is immediate, and a leaf is never unflagged),
    plus whatever a boxed label or key adds ([K.label_words],
    [K.key_words]; nothing for PAT's immediate ints).  An Atomic.t is a
-   one-field record; Unflag carries a fresh ref.  [measured_words]
-   cross-checks the estimate with [Obj.reachable_words] from the root,
-   which also charges shared or flag-retained blocks the estimate
-   ignores and counts shared label blocks once. *)
-let internal_words = 18
-let leaf_words = 11
+   one-field record; [Any] is unboxed, so a child field points at the
+   child's own block.  [measured_words] cross-checks the estimate with
+   [Obj.reachable_words] from the root: in a quiescent trie with one
+   generation the two differ by exactly the 2-word [hgen] ref the nodes
+   share, and after snapshots the walk also charges the older
+   generations' stamps and counts label blocks shared by a renewed node
+   and its original once. *)
+let internal_words = 12
+let leaf_words = 5
+let info_words = function Unflag _ -> 2 | Clean | Flag _ | Snap _ -> 0
 
 let census t =
   let c = t.ctx in
   let a = Obs.Shape.acc ~structure:name in
   let rec go depth node =
     match node with
-    | Leaf l ->
+    | Any (Leaf l) ->
+        let li = Atomic.get l.linfo in
         let sentinel = K.is_sentinel c l.key in
-        let keys =
-          if sentinel || logically_removed (Atomic.get l.linfo) then 0 else 1
-        in
+        let keys = if sentinel || logically_removed li then 0 else 1 in
         Obs.Shape.leaf a ~depth ~keys ~sentinel
-          ~words:(leaf_words + K.key_words l.key)
-    | Internal i ->
+          ~words:(leaf_words + info_words li + K.key_words l.key)
+    | Any (Internal i) ->
         Obs.Shape.internal a ~depth
           ~prefix_len:(K.label_length c i.label)
           ~children:2
-          ~words:(internal_words + K.label_words i.label);
+          ~words:
+            (internal_words
+            + info_words (Atomic.get i.iinfo)
+            + K.label_words i.label);
         go (depth + 1) (Atomic.get i.c0);
         go (depth + 1) (Atomic.get i.c1)
   in
   let root = (Atomic.get t.holder).hroot in
-  go 0 (Internal root);
+  go 0 (Any root);
   let measured_words = Obj.reachable_words (Obj.repr root) in
   Some (Obs.Shape.finish ~measured_words a)
 
@@ -1417,7 +1446,7 @@ module For_testing = struct
   let flag_only fi =
     match fi with
     | Flag f -> flag_phase fi f
-    | Unflag _ | Snap _ -> invalid_arg "flag_only: not a Flag descriptor"
+    | Clean | Unflag _ | Snap _ -> invalid_arg "flag_only: not a Flag descriptor"
 
   let set_help_hook h = help_counter_hook := h
   let counters t = Option.map stats_to_alist (stats_snapshot t)
@@ -1427,17 +1456,17 @@ module For_testing = struct
   let flags_from root v =
     let rec go acc (node : node) =
       match node with
-      | Leaf l -> (
+      | Any (Leaf l) -> (
           acc + match Atomic.get l.linfo with Flag _ -> 1 | _ -> 0)
-      | Internal i ->
+      | Any (Internal r as i) ->
           let acc =
-            acc + match Atomic.get i.iinfo with Flag _ -> 1 | _ -> 0
+            acc + match Atomic.get r.iinfo with Flag _ -> 1 | _ -> 0
           in
-          if K.is_prefix i.label v then
-            go acc (Atomic.get (child i (K.bit i.label v)))
+          if K.is_prefix r.label v then
+            go acc (Atomic.get (child i (K.bit r.label v)))
           else acc
     in
-    go 0 (Internal root)
+    go 0 (Any root)
 
   let flags_on_path t k = flags_from (Atomic.get t.holder).hroot (K.import t.ctx k)
 
@@ -1451,10 +1480,10 @@ module For_testing = struct
   let stale_on_path t k =
     let v = K.import t.ctx k in
     let h = Atomic.get t.holder in
-    let rec go acc (i : internal) =
-      let acc = if i.gen == h.hgen then acc else acc + 1 in
-      match Atomic.get (child i (K.bit i.label v)) with
-      | Internal c when K.is_prefix c.label v -> go acc c
+    let rec go acc (Internal r as i : internal) =
+      let acc = if r.gen == h.hgen then acc else acc + 1 in
+      match Atomic.get (child i (K.bit r.label v)) with
+      | Any (Internal cr as c) when K.is_prefix cr.label v -> go acc c
       | _ -> acc
     in
     go 0 h.hroot

@@ -817,13 +817,18 @@ let handle_read sh ops barrier conns scratch c =
       Obs.Counter.incr Metrics.conn_errors;
       force_close sh conns c
 
-(* Frames left in the reader by the hard-cap decode gate: once the
-   client has drained enough output, pick the window back up without
-   waiting for new bytes on the wire. *)
+(* Frames left in the reader by the hard-cap decode gate: once output
+   is back under that same cap, pick the window back up without waiting
+   for new bytes on the wire.  Resuming at the gate that parked them
+   leaves no dead band between the caps: a connection with parked frames
+   either decodes them or, if its peer has stopped reading, grows its
+   output past the hard cap and is evicted.  (Gating here at the soft
+   cap would strand output between the two caps, where reads stop, the
+   frames stay parked and nothing ever evicts.) *)
 let resume_buffered sh ops barrier conns c =
   if
     (not c.closing)
-    && pending c <= sh.limits.soft_buffer_bytes
+    && pending c <= sh.limits.hard_buffer_bytes
     && Protocol.Reader.buffered c.reader > 4
   then begin
     let arrival = Obs.Clock.now_ns () in
@@ -989,7 +994,7 @@ let worker_loop sh ops barrier drain_s watchdog ~stopping lsock =
               | None -> ())
             wr;
           (* Frames parked behind the hard-cap decode gate resume once
-             the flushes above drained the buffer back under the soft
+             the flushes above drained the buffer back under that
              cap. *)
           List.iter
             (fun c ->

@@ -304,6 +304,15 @@ let test_stale_descriptor_fails_cleanly () =
       Alcotest.(check int) "size" 1 (P.size t);
       match P.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e
 
+(* Stored keys 65 and 97 share the parent labelled 001 (universe 256:
+   9-bit keys, offset 1); 66 splits 65's leaf and 98 splits 97's. *)
+let test_no_aba ~unflagged_first () =
+  let t = P.create ~universe:256 () in
+  Tutil.stale_delete_after_unflag ~insert:(P.insert t) ~member:(P.member t)
+    ~check:(fun () -> P.check_invariants t)
+    ~prepare_delete:(P.For_testing.prepare_delete t)
+    ~help:P.For_testing.help ~unflagged_first (64, 96, 65, 97)
+
 let test_help_completes_stalled_delete () =
   let t = P.create ~universe:64 () in
   ignore (P.insert t 8);
@@ -477,6 +486,10 @@ let () =
             test_backtrack_on_flag_conflict;
           Alcotest.test_case "stale delete fails cleanly" `Quick
             test_stale_delete_descriptor;
+          Alcotest.test_case "no ABA: Clean is never written back" `Quick
+            (test_no_aba ~unflagged_first:false);
+          Alcotest.test_case "no ABA: fresh Unflags are distinct" `Quick
+            (test_no_aba ~unflagged_first:true);
         ] );
       ( "stats",
         [

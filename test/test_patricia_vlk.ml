@@ -161,6 +161,17 @@ let test_concurrent_token_conservation () =
   Alcotest.(check int) "one token per domain" n_domains (V.size t);
   inv t
 
+(* "aa" and "b" share a parent, whose own parent splits them from the
+   low sentinel; "ab" shares more of its prefix with "aa" than "b" does,
+   and "ba" more with "b", so each splits one of the two leaves. *)
+let test_no_aba ~unflagged_first () =
+  let t = V.create () in
+  Tutil.stale_delete_after_unflag ~insert:(V.insert t) ~member:(V.member t)
+    ~check:(fun () -> V.check_invariants t)
+    ~prepare_delete:(fun k ->
+      V.For_testing.prepare_delete t (Bitkey.Bitstr.encode_bytes k))
+    ~help:V.For_testing.help ~unflagged_first ("aa", "b", "ab", "ba")
+
 let () =
   Alcotest.run "patricia_vlk"
     [
@@ -180,5 +191,12 @@ let () =
           Alcotest.test_case "contended stress" `Slow test_concurrent_contended;
           Alcotest.test_case "token conservation" `Slow
             test_concurrent_token_conservation;
+        ] );
+      ( "helping",
+        [
+          Alcotest.test_case "no ABA: Clean is never written back" `Quick
+            (test_no_aba ~unflagged_first:false);
+          Alcotest.test_case "no ABA: fresh Unflags are distinct" `Quick
+            (test_no_aba ~unflagged_first:true);
         ] );
     ]

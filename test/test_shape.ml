@@ -56,6 +56,16 @@ let test_dist_exact () =
 (* ------------------------------------------------------------------ *)
 (* PAT census on tries of known shape *)
 
+(* In a quiescent trie that never took a snapshot, the per-node layout
+   estimate accounts for every word [Obj.reachable_words] finds from the
+   root except the one generation stamp all nodes share: a 2-word ref. *)
+let hgen_words = 2
+
+let check_exact_census (c : Dset_intf.census) =
+  Alcotest.(check int)
+    "estimate + hgen ref = measured" c.Dset_intf.measured_words
+    (c.Dset_intf.est_words + hgen_words)
+
 let test_pat_census_empty () =
   let t = P.create ~universe:1024 () in
   match P.census t with
@@ -66,7 +76,8 @@ let test_pat_census_empty () =
       Alcotest.(check int) "leaves" 2 c.Dset_intf.leaves;
       Alcotest.(check int) "internals" 1 c.Dset_intf.internals;
       Alcotest.(check int) "max depth" 1 c.Dset_intf.max_depth;
-      Alcotest.(check bool) "measured > 0" true (c.Dset_intf.measured_words > 0)
+      Alcotest.(check bool) "measured > 0" true (c.Dset_intf.measured_words > 0);
+      check_exact_census c
 
 let test_pat_census_populated () =
   let universe = 4096 in
@@ -97,14 +108,7 @@ let test_pat_census_populated () =
         (Printf.sprintf "max depth %d <= width %d" c.Dset_intf.max_depth l)
         true
         (c.Dset_intf.max_depth <= l);
-      (* Layout accounting vs Obj.reachable_words: the PAT estimate is
-         word-exact up to the root wrapper, so allow 1%. *)
-      let est = float_of_int c.Dset_intf.est_words
-      and meas = float_of_int c.Dset_intf.measured_words in
-      Alcotest.(check bool)
-        (Printf.sprintf "estimate %.0f within 1%% of measured %.0f" est meas)
-        true
-        (Float.abs (est -. meas) /. meas < 0.01);
+      check_exact_census c;
       Alcotest.(check bool) "bytes/key > 0" true (c.Dset_intf.bytes_per_key > 0.)
 
 let test_vlk_census () =
@@ -121,7 +125,8 @@ let test_vlk_census () =
       Alcotest.(check int) "sentinels" 2 c.Dset_intf.sentinels;
       Alcotest.(check int)
         "internals = leaves - 1" (c.Dset_intf.leaves - 1)
-        c.Dset_intf.internals
+        c.Dset_intf.internals;
+      check_exact_census c
 
 let test_kary_census () =
   let universe = 4096 in

@@ -144,6 +144,33 @@ let model_run ?(seed = 42) ~universe ~steps ops =
   done;
   !model
 
+(* No ABA on a trie's info fields, through its For_testing hooks.  Keys
+   [k] and [s] share a parent p below a grandparent; inserting [k2]
+   splits [k]'s leaf and inserting [s2] splits [s]'s, so each of those
+   inserts flags and then unflags p.  A delete of [k] is prepared (it
+   reads p's info) and stalls; the insert of [k2] then moves p's info
+   through Flag to a fresh Unflag; the stalled delete must fail its flag
+   CAS on p, back out and leave all keys in place.  With
+   [~unflagged_first:false] the delete reads p's initial [Clean], which
+   no unflag may ever write back; with [true] the insert of [s2] runs
+   first, so the delete reads an Unflag, which must not be physically
+   equal to the one the insert of [k2] installs. *)
+let stale_delete_after_unflag ~insert ~member ~check ~prepare_delete ~help
+    ~unflagged_first (k, s, k2, s2) =
+  let keys = [ k; s ] @ if unflagged_first then [ s2 ] else [] in
+  List.iter (fun x -> Alcotest.(check bool) "setup insert" true (insert x)) keys;
+  match prepare_delete k with
+  | None -> Alcotest.fail "prepare_delete unexpectedly conflicted"
+  | Some d ->
+      Alcotest.(check bool) "insert splitting k's leaf" true (insert k2);
+      Alcotest.(check bool) "stale delete does not apply" false (help d);
+      List.iteri
+        (fun i x ->
+          Alcotest.(check bool) (Printf.sprintf "key %d present" i) true
+            (member x))
+        (k2 :: keys);
+      match check () with Ok () -> () | Error e -> Alcotest.fail e
+
 let spawn_n n f = List.init n (fun d -> Domain.spawn (fun () -> f d))
 let join_all ds = List.map Domain.join ds
 
