@@ -691,49 +691,22 @@ let ablation_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve subcommand: the trie behind the patserve binary protocol *)
 
-(* [Patricia.create]'s optional [?record_stats] keeps it out of
-   [CONCURRENT_SET_WITH_REPLACE] verbatim; the ref lets the serve
-   path switch descent accounting on for the recovered trie too
-   (set before [Pstore.open_], read once at create). *)
-let pstore_record_stats = ref false
-
-module Pstore = Persist.Store.Make (struct
-  include Core.Patricia
-
-  let create ~universe () =
-    Core.Patricia.create ~universe ~record_stats:!pstore_record_stats ()
-
-  let snapshot = Core.Patricia.snapshot_capability
-end)
-
-let pp_recovery ppf (ri : Pstore.recovery_info) =
-  Format.fprintf ppf
-    "recovered: checkpoint %s (%d keys%s), wal %d segments / %d records / %d \
-     replayed%s, last seq %d"
-    (match ri.Pstore.checkpoint_seq with
-    | Some s -> Printf.sprintf "@%d" s
-    | None -> "none")
-    ri.Pstore.checkpoint_keys
-    (if ri.Pstore.checkpoints_skipped > 0 then
-       Printf.sprintf ", %d corrupt skipped" ri.Pstore.checkpoints_skipped
-     else "")
-    ri.Pstore.wal_segments ri.Pstore.wal_records ri.Pstore.wal_replayed
-    (if ri.Pstore.torn_tail then ", torn tail truncated" else "")
-    ri.Pstore.last_seq
+module Pstore = Node.Store
 
 let serve_cmd =
+  let d = Node.default_config in
   let port_arg =
     let doc = "TCP port to serve the set protocol on (0 = ephemeral)." in
-    Arg.(value & opt int 7113 & info [ "port" ] ~doc)
+    Arg.(value & opt int d.port & info [ "port" ] ~doc)
   in
   let range_arg =
     Arg.(
-      value & opt int 65_536
+      value & opt int d.range
       & info [ "range" ] ~doc:"Key range (universe) of the served trie.")
   in
   let domains_arg =
     let doc = "Worker domains sharing the listening socket." in
-    Arg.(value & opt int 4 & info [ "domains" ] ~doc)
+    Arg.(value & opt int d.domains & info [ "domains" ] ~doc)
   in
   let metrics_port_arg =
     let doc =
@@ -768,7 +741,14 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt (enum [ ("none", `None); ("async", `Async); ("sync", `Sync) ]) `Sync
+      & opt
+          (enum
+             [
+               ("none", Pstore.Ephemeral);
+               ("async", Pstore.Async);
+               ("sync", Pstore.Sync);
+             ])
+          d.durability
       & info [ "durability" ] ~doc)
   in
   let checkpoint_s_arg =
@@ -796,17 +776,6 @@ let serve_cmd =
        cannot start, the server logs a warning and keeps serving."
     in
     Arg.(value & flag & info [ "runtime-events" ] ~doc)
-  in
-  let memprof_arg =
-    let doc =
-      "Start the Gc.Memprof sampling allocation profiler: sampled \
-       allocations are attributed to the operation/stage region being \
-       executed and exported as patserve_alloc_* metric families plus the \
-       /debug/allocs top-sites dump.  If the runtime does not support \
-       memprof (OCaml 5.0-5.2 multicore), the server logs a warning, \
-       exports patserve_alloc_up 0 and keeps serving."
-    in
-    Arg.(value & flag & info [ "memprof" ] ~doc)
   in
   let max_conns_arg =
     let doc =
@@ -843,14 +812,14 @@ let serve_cmd =
        connection is no longer read from, so the client's pipelining stalls \
        instead of growing the buffer (backpressure)."
     in
-    Arg.(value & opt int 256 & info [ "soft-buffer-kb" ] ~doc ~docv:"KIB")
+    Arg.(value & opt int d.soft_buffer_kb & info [ "soft-buffer-kb" ] ~doc ~docv:"KIB")
   in
   let hard_buffer_arg =
     let doc =
       "Per-connection output-buffer hard cap in KiB: a connection still \
        above it after a flush attempt is evicted (counted and logged)."
     in
-    Arg.(value & opt int 4096 & info [ "hard-buffer-kb" ] ~doc ~docv:"KIB")
+    Arg.(value & opt int d.hard_buffer_kb & info [ "hard-buffer-kb" ] ~doc ~docv:"KIB")
   in
   let follow_arg =
     let doc =
@@ -894,7 +863,7 @@ let serve_cmd =
        primary's head, and declined BUSY past it (the watchdog reports \
        degraded: repl_lag at the same threshold)."
     in
-    Arg.(value & opt int 1024 & info [ "staleness" ] ~doc ~docv:"RECORDS")
+    Arg.(value & opt int d.staleness & info [ "staleness" ] ~doc ~docv:"RECORDS")
   in
   let repl_sync_arg =
     let doc =
@@ -905,516 +874,118 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "repl-sync" ] ~doc)
   in
-  let run port range domains metrics_port seconds data_dir durability
-      checkpoint_s trace_out runtime_events memprof max_conns idle_timeout_s
+  let config port range domains metrics_port seconds data_dir durability
+      checkpoint_s trace_out runtime_events max_conns idle_timeout_s
       queue_deadline_ms soft_buffer_kb hard_buffer_kb follow bootstrap
       staleness repl_sync =
-    (* Anti-entropy hash tree width: enough prefix bits to cover the
-       whole key universe, so a HASHCHECK descent bottoms out at a
-       single key after [width] levels — the O(log n) bound. *)
-    let hash_width =
-      let w = ref 0 in
-      while 1 lsl !w < range do
-        incr w
-      done;
-      !w
+    {
+      Node.port;
+      range;
+      domains;
+      metrics_port;
+      seconds;
+      data_dir;
+      durability;
+      checkpoint_s;
+      trace_out;
+      runtime_events;
+      max_conns;
+      idle_timeout_s;
+      queue_deadline_ms;
+      soft_buffer_kb;
+      hard_buffer_kb;
+      follow;
+      bootstrap;
+      staleness;
+      repl_sync;
+    }
+  in
+  (* The resync-class start errors exit 3: the follower is not broken,
+     it is stale past the primary's retained history.  An orchestrator
+     matches on 3 to trigger the resync remedy instead of a blind
+     restart loop. *)
+  let start_failed (cfg : Node.config) e =
+    let host, port = Option.value cfg.Node.follow ~default:("", 0) in
+    let stale fmt =
+      Format.kfprintf
+        (fun ppf ->
+          Format.pp_print_flush ppf ();
+          exit 3)
+        Format.err_formatter fmt
     in
-    (* Assemble the served operations, the ack barrier, the periodic-tick
-       work, the teardown, the live trie handle (for the shape census
-       and descent histogram) and the replication hooks from the
-       durability configuration. *)
-    let ops, get_trie, barrier, tick, teardown, durability_banner, repl, gate =
-      match data_dir with
-      | None ->
-          (* Descent accounting rides on the metrics endpoint: striped
-             per domain, so it does not serialize the served trie. *)
-          let trie =
-            Core.Patricia.create ~universe:range
-              ~record_stats:(metrics_port <> None) ()
-          in
-          if follow <> None then
-            failwith "patserve: --follow requires --data-dir (replication \
-                      streams the WAL)";
-          ( Server.
-              {
-                insert = Core.Patricia.insert trie;
-                delete = Core.Patricia.delete trie;
-                member = Core.Patricia.member trie;
-                replace =
-                  (fun ~remove ~add -> Core.Patricia.replace trie ~remove ~add);
-                size = (fun () -> Core.Patricia.size trie);
-                snapshot =
-                  (fun () -> Core.Patricia.snapshot_capability trie);
-                scan_cut = (fun () -> -1);
-              },
-            (fun () -> trie),
-            (fun () -> ()),
-            (fun () -> ()),
-            (fun () -> ()),
-            "in-memory",
-            None,
-            None )
-      | Some dir ->
-          let mode =
-            match durability with
-            | `None -> Pstore.Ephemeral
-            | `Async -> Pstore.Async
-            | `Sync -> Pstore.Sync
-          in
-          if follow <> None && mode = Pstore.Ephemeral then
-            failwith "patserve: --follow requires --durability async or sync \
-                      (the follower re-logs applied records)";
-          pstore_record_stats := metrics_port <> None;
-          (* Behind a ref: PROMOTE swaps in a freshly recovered store
-             (seal the WAL, re-run open-time recovery, start a new
-             writer) while the serving closures stay in place. *)
-          let store = ref (Pstore.open_ ~dir ~universe:range ~mode ()) in
-          Persist.Metrics.set_queue_depth_source
-            (Some (fun () -> Pstore.queue_depth !store));
-          Format.printf "patserve: %a@." pp_recovery
-            (Pstore.recovery_info !store);
-          (* Replication roles.  A durable server is always willing to
-             be a primary (it has a WAL to stream); with --follow it
-             starts as a follower instead and becomes a primary only
-             through PROMOTE. *)
-          let primary : Replica.Primary.t option ref = ref None in
-          let follower : Replica.Follower.t option ref = ref None in
-          let repl_mu = Mutex.create () in
-          let wire_primary () =
-            match Pstore.wal_writer !store with
-            | None -> ()
-            | Some w ->
-                let p =
-                  Replica.Primary.create ~dir ~writer:w ~sync_ack:repl_sync ()
-                in
-                Pstore.set_retention_hook !store
-                  (Replica.Primary.retention_floor p);
-                primary := Some p
-          in
-          let follower_ops =
-            (* Forced application through the normal store path: the
-               result-conditional logging means every effect that
-               changed the trie lands in the follower's own WAL, so
-               crash recovery is the ordinary open path, verbatim. *)
-            Replica.Follower.
-              {
-                apply_insert =
-                  (fun k -> ignore (Pstore.insert !store k : bool));
-                apply_delete =
-                  (fun k -> ignore (Pstore.delete !store k : bool));
-                wal_sync =
-                  (fun () ->
-                    match Pstore.wal_writer !store with
-                    | Some w ->
-                        let last = Pstore.last_logged_here !store in
-                        if last >= 0 then
-                          Persist.Wal.Writer.wait_durable w last
-                    | None -> ());
-              }
-          in
-          (match follow with
-          | None -> wire_primary ()
-          | Some (fhost, fport) -> (
-              let subscribe from_seq =
-                Replica.Follower.start ~addr:fhost ~port:fport ~from_seq
-                  ~watermark_dir:dir follower_ops
-              in
-              let contains_resync msg =
-                let n = String.length msg in
-                let rec go i =
-                  i + 6 <= n && (String.sub msg i 6 = "resync" || go (i + 1))
-                in
-                go 0
-              in
-              let from_seq =
-                match Replica.Watermark.read ~dir with
-                | Some w -> w + 1
-                | None -> 0
-              in
-              let started =
-                match subscribe from_seq with
-                | Result.Error msg when contains_resync msg && not bootstrap ->
-                    (* Distinct exit code: the follower is not broken, it
-                       is stale past the primary's retained history.  An
-                       orchestrator matches on 3 to trigger the resync
-                       remedy instead of a blind restart loop. *)
-                    Format.eprintf
-                      "patserve: cannot follow %s:%d: %s@.patserve: the \
-                       primary no longer retains WAL history back to seq %d \
-                       — snapshot-bootstrap this follower instead: wipe its \
-                       --data-dir and re-run with --bootstrap to stream the \
-                       primary's frozen SCAN pages and subscribe from their \
-                       WAL cut.@."
-                      fhost fport msg from_seq;
-                    Format.pp_print_flush Format.err_formatter ();
-                    exit 3
-                | Result.Error msg when contains_resync msg ->
-                    if Pstore.size !store > 0 then begin
-                      Format.eprintf
-                        "patserve: --bootstrap needs a fresh store, but %s \
-                         recovered %d keys; wipe the --data-dir first \
-                         (bootstrap pages only insert, so stale local keys \
-                         would survive).@."
-                        dir (Pstore.size !store);
-                      Format.pp_print_flush Format.err_formatter ();
-                      exit 3
-                    end;
-                    (match
-                       Replica.Follower.bootstrap ~addr:fhost ~port:fport
-                         follower_ops
-                     with
-                    | Result.Error bmsg ->
-                        failwith ("patserve: snapshot-bootstrap: " ^ bmsg)
-                    | Result.Ok (bs_from, keys) ->
-                        Format.printf
-                          "patserve: snapshot-bootstrap streamed %d keys \
-                           from %s:%d; subscribing from seq %d@."
-                          keys fhost fport bs_from;
-                        (* Stamp the watermark before subscribing so a
-                           crash in the gap re-subscribes from the cut,
-                           not from seq 0. *)
-                        Replica.Watermark.write ~dir (bs_from - 1);
-                        subscribe bs_from)
-                | r -> r
-              in
-              match started with
-              | Result.Error msg ->
-                  failwith ("patserve: cannot follow: " ^ msg)
-              | Result.Ok f ->
-                  Format.printf
-                    "patserve: following %s:%d (staleness bound %d \
-                     records%s)@."
-                    fhost fport staleness
-                    (if repl_sync then ", will sync-ack after promotion"
-                     else "");
-                  follower := Some f));
-          Replica.Metrics.set_lag_sources
-            ~records:
-              (Some
-                 (fun () ->
-                   match (!follower, !primary) with
-                   | Some f, _ -> Replica.Follower.lag_records f
-                   | None, Some p -> Replica.Primary.lag_records p
-                   | None, None -> 0))
-            ~bytes:
-              (Some
-                 (fun () ->
-                   match (!follower, !primary) with
-                   | Some f, _ -> Replica.Follower.lag_bytes f
-                   | None, Some p -> Replica.Primary.lag_bytes p
-                   | None, None -> 0));
-          let repl_hooks =
-            Server.
-              {
-                subscribe =
-                  (fun ~fd ~seq ~from_seq ->
-                    match !primary with
-                    | Some p -> Replica.Primary.subscribe p ~fd ~seq ~from_seq
-                    | None ->
-                        Replica.reject_subscribe
-                          ~reason:
-                            "not a primary: followers do not serve \
-                             subscriptions"
-                          ~fd ~seq ~from_seq);
-                hashcheck =
-                  (fun ~prefix ~len ->
-                    let trie = Pstore.underlying !store in
-                    let fold ~lo ~hi ~init ~f =
-                      Core.Patricia.fold_range trie ~lo ~hi ~init ~f
-                    in
-                    Replica.Hash.hashes fold ~width:hash_width ~prefix ~len);
-                promote =
-                  (fun () ->
-                    Mutex.lock repl_mu;
-                    Fun.protect
-                      ~finally:(fun () -> Mutex.unlock repl_mu)
-                    @@ fun () ->
-                    match !follower with
-                    | None ->
-                        (* Already a primary (or promoted concurrently):
-                           PROMOTE is idempotent by design — the crash
-                           fuzzer promotes twice on purpose. *)
-                        Result.Ok ()
-                    | Some f ->
-                        (* Detach (final watermark persisted), seal the
-                           follower's WAL, and flip to primary through
-                           the ordinary open-time recovery. *)
-                        Replica.Follower.stop f;
-                        follower := None;
-                        Pstore.close !store;
-                        store := Pstore.open_ ~dir ~universe:range ~mode ();
-                        wire_primary ();
-                        Obs.Counter.incr Replica.Metrics.promotions;
-                        Format.printf "patserve: promoted to primary: %a@."
-                          pp_recovery
-                          (Pstore.recovery_info !store);
-                        Format.print_flush ();
-                        Result.Ok ());
-              }
-          in
-          let gate op =
-            match !follower with
-            | None -> `Proceed
-            | Some f ->
-                Replica.Gate.follower ~staleness
-                  ~lag:(fun () -> Replica.Follower.lag_records f)
-                  ~retry_after_ms:25 op
-          in
-          let ops =
-            Server.
-              {
-                insert = (fun k -> Pstore.insert !store k);
-                delete = (fun k -> Pstore.delete !store k);
-                member = (fun k -> Pstore.member !store k);
-                replace =
-                  (fun ~remove ~add -> Pstore.replace !store ~remove ~add);
-                size = (fun () -> Pstore.size !store);
-                snapshot = (fun () -> Pstore.snapshot !store);
-                scan_cut = (fun () -> Pstore.scan_cut !store);
-              }
-          in
-          let run_checkpoint () =
-            let keys, deleted = Pstore.checkpoint !store in
-            Format.printf "patserve: checkpoint (%d keys, %d segments freed)@."
-              keys deleted;
-            Format.print_flush ()
-          in
-          let last_ckpt = ref (Unix.gettimeofday ()) in
-          let tick () =
-            match checkpoint_s with
-            | Some every
-              when mode <> Pstore.Ephemeral
-                   && Unix.gettimeofday () -. !last_ckpt >= every ->
-                run_checkpoint ();
-                last_ckpt := Unix.gettimeofday ()
-            | _ -> ()
-          in
-          let teardown () =
-            (* Detach replication first: the follower's stop persists a
-               final watermark, the primary's joins its streamers. *)
-            (match !follower with
-            | Some f ->
-                Replica.Follower.stop f;
-                follower := None
-            | None -> ());
-            (match !primary with
-            | Some p ->
-                Replica.Primary.stop p;
-                primary := None
-            | None -> ());
-            Replica.Metrics.set_lag_sources ~records:None ~bytes:None;
-            (* Final image makes the next open cheap; the writer must
-               still be running (checkpoint awaits durability). *)
-            if mode <> Pstore.Ephemeral then run_checkpoint ();
-            Pstore.close !store
-          in
-          ( ops,
-            (fun () -> Pstore.underlying !store),
-            (fun () ->
-              Pstore.barrier !store;
-              (* Sync-ack: the acknowledgement additionally waits until
-                 every attached follower has applied this domain's last
-                 logged record. *)
-              match !primary with
-              | Some p ->
-                  Replica.Primary.wait_acked p (Pstore.last_logged_here !store)
-              | None -> ()),
-            tick,
-            teardown,
-            Printf.sprintf "durability=%s dir=%s%s" (Pstore.mode_name mode) dir
-              (match follow with
-              | Some (h, p) -> Printf.sprintf " follower-of=%s:%d" h p
-              | None -> ""),
-            Some repl_hooks,
-            Some gate )
-    in
-    (* Flight recorder: the same trace ring collects trie attempt spans,
-       per-connection request/stage spans and (below) runtime-events
-       GC spans, so one Perfetto file shows all three layers aligned. *)
-    let recorder =
-      Option.map (fun _ -> Obs.Trace.create ~capacity:65536 ()) trace_out
-    in
-    Option.iter (fun t -> Obs.Trace.set_recorder (Some t)) recorder;
-    let runtime =
-      if not runtime_events then None
-      else
-        match Obs.Runtime.start () with
-        | Ok rt ->
-            Format.printf "patserve: runtime-events collector attached@.";
-            Some rt
-        | Error m ->
-            (* Never fatal: degraded observability beats a dead server. *)
+    match e with
+    | Node.Follow_needs_data_dir ->
+        `Error
+          (false, "--follow requires --data-dir (replication streams the WAL)")
+    | Node.Follow_needs_log ->
+        `Error
+          ( false,
+            "--follow requires --durability async or sync (the follower \
+             re-logs applied records)" )
+    | Node.Resync_required { from_seq; reason } ->
+        stale
+          "patserve: cannot follow %s:%d: %s@.patserve: the primary no longer \
+           retains WAL history back to seq %d — snapshot-bootstrap this \
+           follower instead: wipe its --data-dir and re-run with --bootstrap \
+           to stream the primary's frozen SCAN pages and subscribe from their \
+           WAL cut.@."
+          host port reason from_seq
+    | Node.Bootstrap_not_fresh { keys } ->
+        stale
+          "patserve: --bootstrap needs a fresh store, but %s recovered %d \
+           keys; wipe the --data-dir first (bootstrap pages only insert, so \
+           stale local keys would survive).@."
+          (Option.value cfg.Node.data_dir ~default:"") keys
+    | Node.Follow_failed m -> `Error (false, "cannot follow: " ^ m)
+    | Node.Bootstrap_failed m -> `Error (false, "snapshot-bootstrap: " ^ m)
+  in
+  let run (cfg : Node.config) =
+    match Node.start ~log:print_endline cfg with
+    | Error e -> start_failed cfg e
+    | Ok node ->
+        let stopping = Atomic.make false in
+        let request_stop _ = Atomic.set stopping true in
+        Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+        let deadline =
+          Option.map (fun s -> Unix.gettimeofday () +. s) cfg.Node.seconds
+        in
+        let expired () =
+          match deadline with
+          | Some d -> Unix.gettimeofday () >= d
+          | None -> false
+        in
+        while not (Atomic.get stopping || expired ()) do
+          (try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          Node.tick node
+        done;
+        print_endline "patserve: draining and stopping";
+        Node.stop node;
+        (match Obs.Slowlog.dump Server.slowlog with
+        | [] -> ()
+        | entries ->
+            let shown = List.filteri (fun i _ -> i < 10) entries in
             Format.printf
-              "patserve: warning: runtime-events unavailable (%s), \
-               continuing without GC telemetry@."
-              m;
-            None
-    in
-    let memprof_t =
-      if not memprof then None
-      else
-        match Obs.Memprof.start () with
-        | Ok mp ->
-            Format.printf "patserve: memprof allocation profiler attached@.";
-            Some mp
-        | Error m ->
-            (* Same contract as runtime-events: degraded observability
-               beats a dead server; patserve_alloc_up stays 0. *)
-            Format.printf
-              "patserve: warning: memprof unavailable (%s), continuing \
-               without allocation profiling@."
-              m;
-            None
-    in
-    let wd = Obs.Watchdog.create () in
-    Obs.Watchdog.gauge wd ~name:"wal-queue" ~degraded_above:10_000
-      ~stalled_above:100_000 Persist.Metrics.queue_depth;
-    (* Replication lag rides the same watchdog: past the staleness
-       bound /healthz reports "degraded: repl_lag".  Reads 0 on an
-       unreplicated server (no lag sources installed). *)
-    Obs.Watchdog.gauge wd ~name:"repl_lag" ~degraded_above:staleness
-      Replica.Metrics.lag_records;
-    Obs.Watchdog.start_monitor wd;
-    let limits =
-      {
-        Server.default_limits with
-        Server.max_conns;
-        idle_timeout_s = idle_timeout_s;
-        queue_deadline_ns =
-          Option.map (fun ms -> int_of_float (ms *. 1e6)) queue_deadline_ms;
-        soft_buffer_bytes = soft_buffer_kb * 1024;
-        hard_buffer_bytes = hard_buffer_kb * 1024;
-      }
-    in
-    let srv =
-      Server.start ~port ~domains ~barrier ~watchdog:wd ~limits ?repl ?gate ops
-    in
-    Format.printf "patserve: %d domains on 127.0.0.1:%d, range (0, %d), %s@."
-      domains (Server.port srv) range durability_banner;
-    (match max_conns with
-    | Some m -> Format.printf "patserve: admission limit %d connections@." m
-    | None -> ());
-    let metrics =
-      Option.map
-        (fun p ->
-          Harness.Live.set_enabled true;
-          Harness.Live.clear_extra_producers ();
-          Harness.Live.add_extra_producer Server.Metrics.emit;
-          Harness.Live.add_extra_producer Persist.Metrics.emit;
-          Harness.Live.add_extra_producer Replica.Metrics.emit;
-          Harness.Live.add_extra_producer (Obs.Watchdog.emit wd);
-          if runtime <> None then
-            Harness.Live.add_extra_producer Obs.Runtime.emit;
-          (* Structure forensics: the shape census (pat_shape_*; an O(n)
-             read-only walk per scrape), the descent-depth histogram
-             when the trie records stats, and the allocation-profiler
-             families (patserve_alloc_up 0 when memprof is off or
-             unsupported). *)
-          Harness.Live.add_extra_producer (fun b ->
-              match Core.Patricia.census (get_trie ()) with
-              | Some c -> Obs.Shape.emit b c
-              | None -> ());
-          Harness.Live.add_extra_producer (fun b ->
-              match Core.Patricia.descent_summary (get_trie ()) with
-              | Some s ->
-                  Obs.Prometheus.histogram_summary b ~name:"pat_descent_depth"
-                    ~help:"Nodes visited per search (descent depth)" s
-              | None -> ());
-          Harness.Live.add_extra_producer Obs.Memprof.emit;
-          let routes =
-            [
-              ( "/debug/slowlog",
-                fun () ->
-                  ( "application/json",
-                    Obs.Json.to_string (Obs.Slowlog.to_json Server.slowlog)
-                    ^ "\n" ) );
-              ( "/debug/shape",
-                fun () ->
-                  ( "application/json",
-                    (match Core.Patricia.census (get_trie ()) with
-                    | Some c -> Obs.Json.to_string (Obs.Shape.to_json c)
-                    | None -> "null")
-                    ^ "\n" ) );
-              ( "/debug/allocs",
-                fun () ->
-                  ( "application/json",
-                    Obs.Json.to_string (Obs.Memprof.sites_json ()) ^ "\n" ) );
-            ]
-          in
-          let s =
-            Obs.Serve.start ~port:p ~routes
-              ~health:(Obs.Watchdog.healthz wd)
-              Harness.Live.prometheus
-          in
-          Format.printf "serving metrics on http://127.0.0.1:%d/metrics@."
-            (Obs.Serve.port s);
-          s)
-        metrics_port
-    in
-    Format.print_flush ();
-    let stopping = Atomic.make false in
-    let request_stop _ = Atomic.set stopping true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-    let deadline =
-      Option.map (fun s -> Unix.gettimeofday () +. s) seconds
-    in
-    let expired () =
-      match deadline with
-      | Some d -> Unix.gettimeofday () >= d
-      | None -> false
-    in
-    while not (Atomic.get stopping || expired ()) do
-      (try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      tick ()
-    done;
-    Format.printf "patserve: draining and stopping@.";
-    Format.print_flush ();
-    Server.stop ~drain_s:1.0 srv;
-    teardown ();
-    Obs.Watchdog.stop_monitor wd;
-    Option.iter Obs.Runtime.stop runtime;
-    Option.iter Obs.Memprof.stop memprof_t;
-    (* Write the trace only after the runtime collector's final drain so
-       the last GC spans make it into the file. *)
-    Obs.Trace.set_recorder None;
-    (match (recorder, trace_out) with
-    | Some t, Some path ->
-        Obs.Perfetto.write ~path t;
-        Format.printf
-          "patserve: fused trace written to %s (%d events retained, %d \
-           dropped)@."
-          path
-          (List.length (Obs.Trace.dump t))
-          (Obs.Trace.dropped t)
-    | _ -> ());
-    (match Obs.Slowlog.dump Server.slowlog with
-    | [] -> ()
-    | entries ->
-        let shown = List.filteri (fun i _ -> i < 10) entries in
-        Format.printf
-          "patserve: slowest requests (top %d of %d admitted, %d slots)@."
-          (List.length shown)
-          (Obs.Slowlog.inserted Server.slowlog)
-          (Obs.Slowlog.capacity Server.slowlog);
-        List.iter
-          (fun e -> Format.printf "  %a@." Obs.Slowlog.pp_entry e)
-          shown);
-    Option.iter Obs.Serve.stop metrics;
-    Harness.Live.clear_extra_producers ();
-    Harness.Live.set_enabled false;
-    Persist.Metrics.set_queue_depth_source None;
-    Format.print_flush ()
+              "patserve: slowest requests (top %d of %d admitted, %d slots)@."
+              (List.length shown)
+              (Obs.Slowlog.inserted Server.slowlog)
+              (Obs.Slowlog.capacity Server.slowlog);
+            List.iter
+              (fun e -> Format.printf "  %a@." Obs.Slowlog.pp_entry e)
+              shown);
+        `Ok ()
   in
   let doc = "Serve the Patricia trie over the patserve binary protocol." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ port_arg $ range_arg $ domains_arg $ metrics_port_arg
-      $ seconds_opt_arg $ data_dir_arg $ durability_arg $ checkpoint_s_arg
-      $ serve_trace_arg $ runtime_events_arg $ memprof_arg $ max_conns_arg
-      $ idle_timeout_arg $ queue_deadline_arg $ soft_buffer_arg
-      $ hard_buffer_arg $ follow_arg $ bootstrap_arg $ staleness_arg
-      $ repl_sync_arg)
+      ret
+        (const run
+        $ (const config $ port_arg $ range_arg $ domains_arg $ metrics_port_arg
+         $ seconds_opt_arg $ data_dir_arg $ durability_arg $ checkpoint_s_arg
+         $ serve_trace_arg $ runtime_events_arg $ max_conns_arg
+         $ idle_timeout_arg $ queue_deadline_arg $ soft_buffer_arg
+         $ hard_buffer_arg $ follow_arg $ bootstrap_arg $ staleness_arg
+         $ repl_sync_arg)))
 
 (* ------------------------------------------------------------------ *)
 (* recover subcommand: offline recovery / inspection of a data dir *)
@@ -1444,7 +1015,7 @@ let recover_cmd =
     match Pstore.open_ ~dir ~universe:range ~mode:Pstore.Ephemeral () with
     | exception Failure m -> `Error (false, m)
     | store -> (
-        Format.printf "%a@." pp_recovery (Pstore.recovery_info store);
+        Format.printf "%a@." Node.pp_recovery (Pstore.recovery_info store);
         Format.printf "recovered set: %d keys@." (Pstore.size store);
         match Core.Patricia.check_invariants (Pstore.underlying store) with
         | Result.Error m ->
@@ -1755,7 +1326,7 @@ let analyze_cmd =
         match Pstore.open_ ~dir ~universe:range ~mode:Pstore.Ephemeral () with
         | exception Failure m -> `Error (false, m)
         | store ->
-            Format.printf "%a@." pp_recovery (Pstore.recovery_info store);
+            Format.printf "%a@." Node.pp_recovery (Pstore.recovery_info store);
             let trie = Pstore.underlying store in
             (match Core.Patricia.census trie with
             | Some c ->
@@ -1978,13 +1549,7 @@ let replicate_cmd =
     if followers < 0 || followers > 8 then
       `Error (false, "replicate: --followers must be in 0..8")
     else begin
-      let hash_width =
-        let w = ref 0 in
-        while 1 lsl !w < range do
-          incr w
-        done;
-        !w
-      in
+      let hash_width = Node.hash_width range in
       let base =
         Filename.concat
           (Filename.get_temp_dir_name ())
@@ -1994,28 +1559,12 @@ let replicate_cmd =
       let pdir = Filename.concat base "primary" in
       let fdir i = Filename.concat base (Printf.sprintf "follower%d" i) in
       let root_hash store =
-        let trie = Pstore.underlying store in
-        let fold ~lo ~hi ~init ~f =
-          Core.Patricia.fold_range trie ~lo ~hi ~init ~f
-        in
-        Replica.Hash.range fold ~lo:0 ~hi:((1 lsl hash_width) - 1)
+        Replica.Hash.range (Node.fold store) ~lo:0 ~hi:((1 lsl hash_width) - 1)
       in
       let pstore = Pstore.open_ ~dir:pdir ~universe:range ~mode:Pstore.Sync () in
       let writer = Option.get (Pstore.wal_writer pstore) in
       let prim = Replica.Primary.create ~dir:pdir ~writer ~sync_ack:sync () in
       Pstore.set_retention_hook pstore (Replica.Primary.retention_floor prim);
-      let ops =
-        Server.
-          {
-            insert = Pstore.insert pstore;
-            delete = Pstore.delete pstore;
-            member = Pstore.member pstore;
-            replace = (fun ~remove ~add -> Pstore.replace pstore ~remove ~add);
-            size = (fun () -> Pstore.size pstore);
-            snapshot = (fun () -> Pstore.snapshot pstore);
-            scan_cut = (fun () -> Pstore.scan_cut pstore);
-          }
-      in
       let barrier () =
         Pstore.barrier pstore;
         Replica.Primary.wait_acked prim (Pstore.last_logged_here pstore)
@@ -2025,16 +1574,14 @@ let replicate_cmd =
           {
             subscribe = Replica.Primary.subscribe prim;
             hashcheck =
-              (fun ~prefix ~len ->
-                let trie = Pstore.underlying pstore in
-                let fold ~lo ~hi ~init ~f =
-                  Core.Patricia.fold_range trie ~lo ~hi ~init ~f
-                in
-                Replica.Hash.hashes fold ~width:hash_width ~prefix ~len);
+              Replica.Hash.hashes (Node.fold pstore) ~width:hash_width;
             promote = (fun () -> Result.Ok ());
           }
       in
-      let srv = Server.start ~port:0 ~domains:2 ~barrier ~repl ops in
+      let srv =
+        Server.start ~port:0 ~domains:2 ~barrier ~repl
+          (Node.server_ops (ref pstore))
+      in
       let port = Server.port srv in
       let fstores =
         List.init followers (fun i ->
@@ -2043,23 +1590,10 @@ let replicate_cmd =
       let fls =
         List.mapi
           (fun i st ->
-            let fops =
-              Replica.Follower.
-                {
-                  apply_insert = (fun k -> ignore (Pstore.insert st k : bool));
-                  apply_delete = (fun k -> ignore (Pstore.delete st k : bool));
-                  wal_sync =
-                    (fun () ->
-                      match Pstore.wal_writer st with
-                      | Some w ->
-                          let last = Pstore.last_logged_here st in
-                          if last >= 0 then Persist.Wal.Writer.wait_durable w last
-                      | None -> ());
-                }
-            in
             match
               Replica.Follower.start ~port ~from_seq:0
-                ~watermark_dir:(fdir i) fops
+                ~watermark_dir:(fdir i)
+                (Node.follower_ops (ref st))
             with
             | Result.Ok f -> f
             | Result.Error msg ->

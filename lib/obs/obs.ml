@@ -36,10 +36,6 @@
     - {!Shape}: trie shape census — exact depth/branching/footprint
       distributions accumulated by per-structure walkers, rendered as
       [pat_shape_*] families and the [/debug/shape] JSON document;
-    - {!Memprof}: [Gc.Memprof] sampling allocation profiler attributing
-      samples to DLS-labeled regions, rendered as [patserve_alloc_*]
-      families and the [/debug/allocs] top-sites dump (start degrades
-      to a warning on runtimes without memprof support);
     - {!Json}: a dependency-free JSON emitter/parser for the
       machine-readable metrics files written by the benchmark drivers;
     - {!Clock}: the monotonic nanosecond clock behind all timestamps. *)
@@ -59,4 +55,3 @@ module Slowlog = Slowlog
 module Watchdog = Watchdog
 module Runtime = Runtime
 module Shape = Shape
-module Memprof = Memprof

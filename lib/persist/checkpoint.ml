@@ -26,12 +26,11 @@
     so every record with [seq <= S] had finished applying before [S]
     was read and is inside the snapshot; the only records the snapshot
     may additionally contain have [seq > S] and are replayed on
-    recovery.  Replay runs each record with its {e exact} semantics
-    (see {!Store.Make}): insert and delete are naturally idempotent,
-    and a conditional Replace whose effect the image already holds
-    fails its precondition and no-ops rather than double-applying.
-    The recovered state therefore equals the linearization at the end
-    of the replayed WAL, which is the same durable history a recovery
+    recovery.  Replay forces each record's effect (see {!Store.Make}):
+    the last record on a key decides it whatever the image held, so
+    records the image already contains replay harmlessly.  The
+    recovered state therefore equals the linearization at the end of
+    the replayed WAL, which is the same durable history a recovery
     without the checkpoint would have produced — the image only
     shortens the replay.  (Structures without a snapshot capability
     fall back to a weakly-consistent traversal, sound for

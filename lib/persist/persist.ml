@@ -16,7 +16,7 @@
       a WAL-cut stamp with an atomic frozen snapshot of the structure
       (the trie's own snapshot capability — the problem Prokopec et
       al. solve for Ctries, solved here inside the trie and stitched
-      to the log by exact, idempotent tail replay);
+      to the log by forced, idempotent tail replay);
     - {!Store}: a functor packaging any [CONCURRENT_SET_WITH_REPLACE]
       with open-time recovery (newest valid checkpoint + WAL tail
       replay, torn tails truncated at the first bad CRC, idempotent

@@ -3,19 +3,18 @@
     ({!Checkpoint}).
 
     Opening a store recovers: load the newest valid checkpoint, replay
-    the WAL tail ([seq > replay_from]) with the operations' {e exact}
-    semantics, truncating a torn tail at the first bad CRC, then start
-    a fresh segment for new appends.  Exact replay is idempotent over a
-    snapshot image: insert and delete converge regardless of whether
-    the image already holds their effect, and a conditional
-    [S.replace] of a record the image already contains finds its
-    [remove] key gone (or its [add] key present) and no-ops — so
-    replaying the same log twice, or over a state that already
-    contains a suffix of its effects, converges to the same set.  (The
-    older design forced Replace records as delete+insert to overwrite
-    keys a weakly-consistent traversal might have half-seen; with
-    checkpoint images drawn from an atomic frozen {!snapshot} there is
-    nothing half-seen left to overwrite, and the forced path is gone.)
+    the WAL tail ([seq > replay_from]) with {e forced} semantics,
+    truncating a torn tail at the first bad CRC, then start a fresh
+    segment for new appends.  Forced replay is idempotent over any
+    image: every logged record is a mutation that succeeded, so each
+    one asserts its effect (an inserted or [add]ed key present, a
+    deleted or [remove]d key absent) and the last record on a key
+    decides it, whatever the state it lands on.  Replaying the same log
+    twice, or over an image that already holds a suffix of its effects
+    (a checkpoint's snapshot is taken after its cut is read), therefore
+    converges to the same set.  Exact replay of a conditional Replace
+    does not: re-run over an image that ran ahead of it, it can fire
+    where the live one had not, or no-op where it had fired.
 
     {2 Durability contract}
 
@@ -79,14 +78,15 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
       with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
     end
 
-  (* Exact replay: each record re-runs as the operation it logged.
-     Over a snapshot-consistent image this is idempotent — a Replace
-     whose effect is already in the image fails its conditional check
-     and no-ops instead of being forced through as delete+insert. *)
+  (* Forced replay, as a replication follower applies: a logged
+     Replace succeeded, so it asserts [remove] absent and [add]
+     present. *)
   let apply set = function
     | Wal.Insert k -> ignore (S.insert set k : bool)
     | Wal.Delete k -> ignore (S.delete set k : bool)
-    | Wal.Replace { remove; add } -> ignore (S.replace set ~remove ~add : bool)
+    | Wal.Replace { remove; add } ->
+        ignore (S.delete set remove : bool);
+        ignore (S.insert set add : bool)
 
   (** [open_ ~dir ~universe ~mode ()] recovers the state persisted in
       [dir] (creating it if absent) into a fresh [S.t] and, in the
@@ -241,7 +241,10 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
       {e after} the WAL cut [s0] is read — mutations apply to the
       structure before they log, so every record [<= s0] is inside the
       view and every record the view might additionally contain has
-      [seq > s0] and is replayed (idempotently) on recovery.  A
+      [seq > s0] and is replayed (forced, so idempotently) on recovery.
+      Records the view holds are made durable before the image is
+      written; only a mutation applied but not yet logged when the
+      view was taken can be in the image without being in the log.  A
       structure without the snapshot capability falls back to the
       weakly-consistent [S.to_list] walk, which is exact when the
       store is quiescent and sound under live insert/delete traffic
@@ -250,20 +253,20 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
   let checkpoint t =
     Mutex.lock t.ckpt_mu;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.ckpt_mu) @@ fun () ->
-    let s0 =
-      match t.writer with
-      | Some w -> Wal.Writer.last_assigned w
-      | None -> t.info.last_seq
-    in
-    (* The image supersedes everything <= s0; make sure that prefix is
-       on disk before segments carrying it can be deleted. *)
-    (match t.writer with Some w -> Wal.Writer.wait_durable w s0 | None -> ());
+    let s0 = scan_cut t in
     let keys =
       match S.snapshot t.set with
       | Some v ->
           List.rev (v.Dset_intf.v_fold ~init:[] ~f:(fun acc k -> k :: acc))
       | None -> S.to_list t.set
     in
+    (* The image supersedes everything <= s0 and may hold records past
+       it: make every record logged so far durable before the image is
+       on disk, so neither a deleted segment nor a crash leaves the
+       image ahead of the log. *)
+    Option.iter
+      (fun w -> Wal.Writer.wait_durable w (Wal.Writer.last_assigned w))
+      t.writer;
     ignore
       (Checkpoint.write ~dir:t.dir ~universe:t.universe ~replay_from:s0 ~keys
         : string);

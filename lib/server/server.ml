@@ -484,20 +484,8 @@ type conn = {
 
 let next_conn_id = Atomic.make 0
 
-(* Allocation-profiler regions ({!Obs.Memprof}): sampled allocations
-   are attributed to the operation being executed or to the serving
-   stage around it.  [set_region] costs one atomic load while the
-   profiler is off. *)
-let alloc_op_regions =
-  Array.map (fun n -> Obs.Memprof.region ("op:" ^ n)) Metrics.op_names
-
-let alloc_decode = Obs.Memprof.region "stage:decode"
-let alloc_write = Obs.Memprof.region "stage:write"
-let alloc_barrier = Obs.Memprof.region "stage:barrier"
-
 let handle_request sh ops c ~arrival ~d0 ~d1 { Protocol.seq; op } =
   let idx = Protocol.op_index op in
-  Obs.Memprof.set_region alloc_op_regions.(idx);
   let op_error msg =
     Obs.Counter.incr Metrics.op_errors;
     Protocol.Error msg
@@ -549,7 +537,6 @@ let handle_request sh ops c ~arrival ~d0 ~d1 { Protocol.seq; op } =
       ignore (result : Protocol.result_)
   | None ->
   let dt = Obs.Clock.now_ns () - d1 in
-  Obs.Memprof.set_region alloc_decode;
   Metrics.record idx dt;
   Harness.Live.op dt;
   (match Obs.Trace.recorder () with
@@ -591,7 +578,6 @@ let flush_out sh conns c =
   let n = pending c in
   if n = 0 then true
   else begin
-    Obs.Memprof.set_region alloc_write;
     Chaos.point Chaos.Net_write;
     let b = Buffer.to_bytes c.out in
     match Unix.write c.fd b c.out_off n with
@@ -647,7 +633,6 @@ let protocol_failure c msg =
    executed: the stage stamps the forensics layer collects anyway make
    the admission decision a single subtraction. *)
 let process_frames sh ops c ~arrival =
-  Obs.Memprof.set_region alloc_decode;
   let rec go () =
     if
       (not c.closing)
@@ -785,7 +770,6 @@ let maybe_handoff sh conns c =
    buffered from earlier windows re-flushed by the select loop passed
    their barrier when they were produced. *)
 let finish_window sh barrier conns c =
-  Obs.Memprof.set_region alloc_barrier;
   let b0 = Obs.Clock.now_ns () in
   barrier ();
   let b1 = Obs.Clock.now_ns () in

@@ -1,7 +1,8 @@
 (* Crash-recovery fuzzer for the durable patserve server.
 
-   Each trial forks this binary as a patserve child (--server mode)
-   with sync durability on a fresh data directory, drives it with the
+   Each trial forks this binary as a patserve child (--server mode: the
+   production {!Node} composition, as [patbench serve] runs it) with
+   sync durability on a fresh data directory, drives it with the
    journaled closed-loop load generator, kills it with SIGKILL at a
    random moment (optionally with chaos delays at the WAL's
    append/fsync/rotate sites to widen the crash windows, and optionally
@@ -27,12 +28,7 @@
 module IS = Set.Make (Int)
 module P = Server.Protocol
 
-module Pstore = Persist.Store.Make (struct
-  include Core.Patricia
-
-  let create ~universe () = Core.Patricia.create ~universe ()
-  let snapshot = Core.Patricia.snapshot_capability
-end)
+module Pstore = Node.Store
 
 (* ------------------------------------------------------------------ *)
 (* Minimal argv plumbing (shared by parent and --server child). *)
@@ -52,9 +48,6 @@ let arg_int name default =
 let arg_float name default =
   match arg_value name with Some v -> float_of_string v | None -> default
 
-let arg_string name default =
-  match arg_value name with Some v -> v | None -> default
-
 let has_flag name = Array.exists (( = ) ("--" ^ name)) Sys.argv
 
 let rm_rf dir =
@@ -64,19 +57,40 @@ let rm_rf dir =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Child: a durable patserve that runs until killed. *)
+(* Children: production nodes ({!Node}) that run until killed. *)
 
+(* Start [cfg], print the port for the parent (the only stdout line;
+   the node's progress lines are dropped) and tick every 5 ms, so a
+   checkpoint period is kept to within that. *)
+let run_node ?segment_bytes cfg =
+  match Node.start ?segment_bytes cfg with
+  | Error _ -> failwith "child node failed to start"
+  | Ok node ->
+      Printf.printf "PORT=%d\n%!" (Node.port node);
+      while true do
+        Unix.sleepf 0.005;
+        Node.tick node
+      done
+
+let child_config () =
+  {
+    Node.default_config with
+    port = 0;
+    range = arg_int "universe" 4096;
+    domains = arg_int "server-domains" 2;
+    data_dir =
+      Some
+        (match arg_value "dir" with
+        | Some d -> d
+        | None -> failwith "child modes require --dir");
+    durability = Pstore.Sync;
+  }
+
+(* A durable sync primary.  With --repl acknowledgements also wait
+   until each attached follower has applied the mutation — the property
+   the failover trials verify across a SIGKILL. *)
 let server_mode () =
-  let dir = arg_string "dir" "" in
-  let universe = arg_int "universe" 4096 in
-  let domains = arg_int "server-domains" 2 in
   let chaos_us = arg_int "chaos-us" 0 in
-  let checkpoint_s = arg_float "checkpoint-s" 0. in
-  let repl = has_flag "repl" in
-  let segment_bytes =
-    match arg_int "segment-bytes" 0 with 0 -> None | n -> Some n
-  in
-  if dir = "" then failwith "--server requires --dir";
   if chaos_us > 0 then
     Chaos.set_policy ~name:"wal-delay"
       (Some
@@ -84,156 +98,26 @@ let server_mode () =
          | Chaos.Wal_append | Chaos.Wal_fsync | Chaos.Wal_rotate ->
              Unix.sleepf (float_of_int chaos_us *. 1e-6)
          | _ -> ()));
-  let store = Pstore.open_ ~dir ~universe ~mode:Pstore.Sync ?segment_bytes () in
-  let ops =
-    Server.
-      {
-        insert = Pstore.insert store;
-        delete = Pstore.delete store;
-        member = Pstore.member store;
-        replace = (fun ~remove ~add -> Pstore.replace store ~remove ~add);
-        size = (fun () -> Pstore.size store);
-        snapshot = (fun () -> Pstore.snapshot store);
-        scan_cut = (fun () -> Pstore.scan_cut store);
-      }
+  let segment_bytes =
+    match arg_int "segment-bytes" 0 with 0 -> None | n -> Some n
   in
-  (* With --repl the child is a sync-ack replication primary: followers
-     may SUBSCRIBE, and every acknowledgement waits until each attached
-     follower has applied the mutation — the property the failover
-     trials verify across a SIGKILL. *)
-  let primary, barrier, repl_hooks =
-    if not repl then (None, (fun () -> Pstore.barrier store), None)
-    else begin
-      let writer = Option.get (Pstore.wal_writer store) in
-      let p = Replica.Primary.create ~dir ~writer ~sync_ack:true () in
-      Pstore.set_retention_hook store (Replica.Primary.retention_floor p);
-      ( Some p,
-        (fun () ->
-          Pstore.barrier store;
-          Replica.Primary.wait_acked p (Pstore.last_logged_here store)),
-        Some
-          Server.
-            {
-              subscribe = Replica.Primary.subscribe p;
-              hashcheck =
-                (fun ~prefix:_ ~len:_ -> Result.Error "no hashes here");
-              promote = (fun () -> Result.Ok ());
-            } )
-    end
-  in
-  ignore (primary : Replica.Primary.t option);
-  let srv = Server.start ~port:0 ~domains ~barrier ?repl:repl_hooks ops in
-  (* The parent parses this line; everything else goes to stderr. *)
-  Printf.printf "PORT=%d\n%!" (Server.port srv);
-  let last = ref (Unix.gettimeofday ()) in
-  while true do
-    Unix.sleepf 0.005;
-    if checkpoint_s > 0. && Unix.gettimeofday () -. !last >= checkpoint_s then begin
-      ignore (Pstore.checkpoint store : int * int);
-      last := Unix.gettimeofday ()
-    end
-  done
+  run_node ?segment_bytes
+    {
+      (child_config ()) with
+      checkpoint_s =
+        (match arg_float "checkpoint-s" 0. with 0. -> None | s -> Some s);
+      repl_sync = has_flag "repl";
+    }
 
-(* ------------------------------------------------------------------ *)
-(* Child: a replication follower that can be promoted. *)
-
+(* A follower of the primary at --follow-port, promotable over the
+   wire.  It prints its port only once its subscription is confirmed. *)
 let follower_mode () =
-  let dir = arg_string "dir" "" in
-  let universe = arg_int "universe" 4096 in
-  let follow_port = arg_int "follow-port" 0 in
-  if dir = "" || follow_port = 0 then
-    failwith "--follower requires --dir and --follow-port";
-  let store = ref (Pstore.open_ ~dir ~universe ~mode:Pstore.Sync ()) in
-  let follower = ref None in
-  let primary = ref None in
-  let repl_mu = Mutex.create () in
-  let fops =
-    Replica.Follower.
-      {
-        apply_insert = (fun k -> ignore (Pstore.insert !store k : bool));
-        apply_delete = (fun k -> ignore (Pstore.delete !store k : bool));
-        wal_sync =
-          (fun () ->
-            match Pstore.wal_writer !store with
-            | Some w ->
-                let last = Pstore.last_logged_here !store in
-                if last >= 0 then Persist.Wal.Writer.wait_durable w last
-            | None -> ());
-      }
-  in
-  let from_seq =
-    match Replica.Watermark.read ~dir with Some w -> w + 1 | None -> 0
-  in
-  (match
-     Replica.Follower.start ~port:follow_port ~from_seq ~watermark_dir:dir fops
-   with
-  | Result.Ok f -> follower := Some f
-  | Result.Error msg -> failwith ("follower subscribe: " ^ msg));
-  let ops =
-    Server.
-      {
-        insert = (fun k -> Pstore.insert !store k);
-        delete = (fun k -> Pstore.delete !store k);
-        member = (fun k -> Pstore.member !store k);
-        replace = (fun ~remove ~add -> Pstore.replace !store ~remove ~add);
-        size = (fun () -> Pstore.size !store);
-        snapshot = (fun () -> Pstore.snapshot !store);
-        scan_cut = (fun () -> Pstore.scan_cut !store);
-      }
-  in
-  let repl_hooks =
-    Server.
-      {
-        subscribe =
-          (fun ~fd ~seq ~from_seq ->
-            match !primary with
-            | Some p -> Replica.Primary.subscribe p ~fd ~seq ~from_seq
-            | None ->
-                Replica.reject_subscribe ~reason:"not a primary" ~fd ~seq
-                  ~from_seq);
-        hashcheck = (fun ~prefix:_ ~len:_ -> Result.Error "no hashes here");
-        promote =
-          (fun () ->
-            Mutex.lock repl_mu;
-            Fun.protect ~finally:(fun () -> Mutex.unlock repl_mu) @@ fun () ->
-            match !follower with
-            | None -> Result.Ok () (* double promotion: idempotent *)
-            | Some f ->
-                Replica.Follower.stop f;
-                follower := None;
-                Pstore.close !store;
-                store := Pstore.open_ ~dir ~universe ~mode:Pstore.Sync ();
-                (match Pstore.wal_writer !store with
-                | Some w ->
-                    let p = Replica.Primary.create ~dir ~writer:w () in
-                    Pstore.set_retention_hook !store
-                      (Replica.Primary.retention_floor p);
-                    primary := Some p
-                | None -> ());
-                Result.Ok ());
-      }
-  in
-  let gate op =
-    match !follower with
-    | None -> `Proceed
-    | Some f ->
-        Replica.Gate.follower ~staleness:1_000_000
-          ~lag:(fun () -> Replica.Follower.lag_records f)
-          ~retry_after_ms:25 op
-  in
-  let barrier () =
-    Pstore.barrier !store;
-    match !primary with
-    | Some p -> Replica.Primary.wait_acked p (Pstore.last_logged_here !store)
-    | None -> ()
-  in
-  let srv =
-    Server.start ~port:0 ~domains:2 ~barrier ~repl:repl_hooks ~gate ops
-  in
-  Printf.printf "PORT=%d\n%!" (Server.port srv);
-  while true do
-    Unix.sleepf 0.05
-  done
+  run_node
+    {
+      (child_config ()) with
+      follow = Some ("127.0.0.1", arg_int "follow-port" 0);
+      staleness = 1_000_000;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Model: replay a connection's journal over its slice of the keyspace. *)

@@ -2,20 +2,16 @@
    its WAL to a follower that applies through the normal store path,
    sync-ack convergence, the staleness-bounded follower read gate (BUSY
    + /healthz degraded: repl_lag, driven by a chaos stall on the apply
-   loop), watermark persistence and resubscription, and HASHCHECK
-   anti-entropy locating a seeded divergence in O(log n) round trips
-   over a real connection. *)
+   loop), watermark persistence and resubscription, snapshot-bootstrap
+   through the {!Node} composition, and HASHCHECK anti-entropy locating
+   a seeded divergence in O(log n) round trips over a real
+   connection. *)
 
 module IS = Set.Make (Int)
 module P = Server.Protocol
 module Wal = Persist.Wal
 
-module Pstore = Persist.Store.Make (struct
-  include Core.Patricia
-
-  let create ~universe () = Core.Patricia.create ~universe ()
-  let snapshot = Core.Patricia.snapshot_capability
-end)
+module Pstore = Node.Store
 
 let tmpdir =
   let n = ref 0 in
@@ -51,54 +47,22 @@ let contains s sub =
 
 let universe = 1 lsl 10
 
-let hash_width =
-  let w = ref 0 in
-  while 1 lsl !w < universe do incr w done;
-  !w
-
-let store_ops store =
-  Server.
-    {
-      insert = (fun k -> Pstore.insert store k);
-      delete = (fun k -> Pstore.delete store k);
-      member = (fun k -> Pstore.member store k);
-      replace = (fun ~remove ~add -> Pstore.replace store ~remove ~add);
-      size = (fun () -> Pstore.size store);
-      snapshot = (fun () -> Pstore.snapshot store);
-      scan_cut = (fun () -> Pstore.scan_cut store);
-    }
-
-let follower_ops store =
-  Replica.Follower.
-    {
-      apply_insert = (fun k -> ignore (Pstore.insert store k : bool));
-      apply_delete = (fun k -> ignore (Pstore.delete store k : bool));
-      wal_sync =
-        (fun () ->
-          match Pstore.wal_writer store with
-          | Some w ->
-              let last = Pstore.last_logged_here store in
-              if last >= 0 then Wal.Writer.wait_durable w last
-          | None -> ());
-    }
-
-let pstore_fold store ~lo ~hi ~init ~f =
-  Core.Patricia.fold_range (Pstore.underlying store) ~lo ~hi ~init ~f
+let hash_width = Node.hash_width universe
+let store_ops store = Node.server_ops (ref store)
 
 let repl_hooks_for primary store =
   Server.
     {
       subscribe = (fun ~fd ~seq ~from_seq ->
           Replica.Primary.subscribe primary ~fd ~seq ~from_seq);
-      hashcheck = (fun ~prefix ~len ->
-          Replica.Hash.hashes (pstore_fold store) ~width:hash_width ~prefix ~len);
+      hashcheck = Replica.Hash.hashes (Node.fold store) ~width:hash_width;
       promote = (fun () -> Result.Ok ());
     }
 
 let start_follower ~port ~from_seq ?watermark_dir store =
   match
     Replica.Follower.start ~port ~from_seq ?watermark_dir ~watermark_every:16
-      (follower_ops store)
+      (Node.follower_ops (ref store))
   with
   | Result.Ok f -> f
   | Result.Error msg -> Alcotest.fail ("Follower.start: " ^ msg)
@@ -345,85 +309,117 @@ let test_hashcheck_locates_divergence () =
     (Server.Client.member c d)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot-bootstrap: a primary that checkpointed its history away
-   rejects SUBSCRIBE from seq 0 with "resync required"; a fresh
-   follower bootstraps from frozen SCAN pages instead and then streams
-   the live suffix from the pages' WAL cut. *)
+(* Snapshot-bootstrap, driven through {!Node} as [patbench serve
+   --follow --bootstrap] runs it.  A primary that checkpointed its
+   history away makes a follower's start fail with Resync_required;
+   bootstrap is refused into a store that recovered keys; into a fresh
+   store it streams the primary's frozen SCAN pages, stamps the
+   watermark at their cut before subscribing, and converges on live
+   traffic. *)
+
+let node_config dir =
+  {
+    Node.default_config with
+    port = 0;
+    range = universe;
+    domains = 2;
+    data_dir = Some dir;
+  }
+
+let served_keys port =
+  let c = Server.Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
+  Server.Client.batch c (List.init universe (fun k -> P.Member k))
+  |> List.mapi (fun k b -> if b then [ k ] else [])
+  |> List.concat
 
 let test_snapshot_bootstrap () =
-  let pdir = tmpdir () and fdir = tmpdir () in
+  let pdir = tmpdir () and fdir = tmpdir () and stale_dir = tmpdir () in
   (* Tiny segments so the checkpoint actually deletes sealed history. *)
-  let pstore =
-    Pstore.open_ ~dir:pdir ~universe ~mode:Pstore.Sync ~segment_bytes:16384 ()
+  let primary =
+    match
+      Node.start ~segment_bytes:16384
+        { (node_config pdir) with repl_sync = true; checkpoint_s = Some 0.0 }
+    with
+    | Ok n -> n
+    | Error _ -> Alcotest.fail "primary did not start"
   in
-  let writer = Option.get (Pstore.wal_writer pstore) in
-  let prim = Replica.Primary.create ~dir:pdir ~writer ~sync_ack:true () in
-  Pstore.set_retention_hook pstore (Replica.Primary.retention_floor prim);
-  let barrier () =
-    Pstore.barrier pstore;
-    Replica.Primary.wait_acked prim (Pstore.last_logged_here pstore)
-  in
-  let srv =
-    Server.start ~port:0 ~domains:2 ~barrier
-      ~repl:(repl_hooks_for prim pstore)
-      (store_ops pstore)
-  in
-  let port = Server.port srv in
-  Fun.protect
-    ~finally:(fun () ->
-      Replica.Primary.stop prim;
-      Server.stop ~drain_s:0.5 srv;
-      Pstore.close pstore)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Node.stop primary) @@ fun () ->
+  let port = Node.port primary in
+  let c = Server.Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
   let rng = Rng.of_int_seed 2718 in
-  for _ = 1 to 4000 do
+  let mutation _ =
     let k = Rng.int rng universe in
     match Rng.int rng 3 with
-    | 0 -> ignore (Pstore.insert pstore k : bool)
-    | 1 -> ignore (Pstore.delete pstore k : bool)
-    | _ ->
-        ignore (Pstore.replace pstore ~remove:k ~add:(Rng.int rng universe) : bool)
+    | 0 -> P.Insert k
+    | 1 -> P.Delete k
+    | _ -> P.Replace { remove = k; add = Rng.int rng universe }
+  in
+  for _ = 1 to 40 do
+    ignore (Server.Client.batch c (List.init 100 mutation) : bool list)
   done;
-  Pstore.barrier pstore;
-  let _, deleted = Pstore.checkpoint pstore in
-  if deleted = 0 then Alcotest.fail "checkpoint deleted no segments";
-  (* The checkpointed-away prefix is gone: subscribing from 0 must fail
-     loudly with the resync marker the patserve exit path matches on. *)
-  let fstore = Pstore.open_ ~dir:fdir ~universe ~mode:Pstore.Sync () in
-  (match
-     Replica.Follower.start ~port ~from_seq:0 ~watermark_dir:fdir
-       (follower_ops fstore)
-   with
-  | Result.Ok f ->
-      Replica.Follower.stop f;
+  Node.tick primary (* a checkpoint: sealed segments are freed *);
+  let follower ?log ~bootstrap dir =
+    Node.start ?log
+      { (node_config dir) with follow = Some ("127.0.0.1", port); bootstrap }
+  in
+  (* The checkpointed-away prefix is gone: following from seq 0 fails
+     with the resync verdict the CLI turns into exit 3. *)
+  (match follower ~bootstrap:false fdir with
+  | Error (Node.Resync_required { from_seq; reason }) ->
+      Alcotest.(check int) "from the start" 0 from_seq;
+      Alcotest.(check bool) "reason says resync" true (contains reason "resync")
+  | Ok n ->
+      Node.stop n;
       Alcotest.fail "subscribe from deleted history was accepted"
-  | Result.Error msg ->
-      Alcotest.(check bool) "error says resync" true (contains msg "resync"));
-  (* Bootstrap instead: frozen SCAN pages into the fresh store, then
-     subscribe from the returned cut and converge on live traffic. *)
-  let bs_from, loaded =
-    match Replica.Follower.bootstrap ~port (follower_ops fstore) with
-    | Result.Ok r -> r
-    | Result.Error msg -> Alcotest.fail ("bootstrap: " ^ msg)
+  | Error _ -> Alcotest.fail "expected Resync_required");
+  (* Bootstrap pages only insert: a store with keys is refused. *)
+  let s = Pstore.open_ ~dir:stale_dir ~universe ~mode:Pstore.Sync () in
+  ignore (Pstore.insert s 1 : bool);
+  Pstore.barrier s;
+  Pstore.close s;
+  (match follower ~bootstrap:true stale_dir with
+  | Error (Node.Bootstrap_not_fresh { keys }) ->
+      Alcotest.(check int) "recovered keys reported" 1 keys
+  | Ok n ->
+      Node.stop n;
+      Alcotest.fail "bootstrap into a non-empty store was accepted"
+  | Error _ -> Alcotest.fail "expected Bootstrap_not_fresh");
+  let lines = ref [] in
+  let f =
+    let log l = lines := l :: !lines in
+    match follower ~log ~bootstrap:true fdir with
+    | Ok n -> n
+    | Error _ -> Alcotest.fail "bootstrap into a fresh store failed"
+  in
+  Fun.protect ~finally:(fun () -> Node.stop f) @@ fun () ->
+  let keys, cut =
+    match
+      List.find_map
+        (fun l ->
+          Scanf.sscanf_opt l
+            "patserve: snapshot-bootstrap streamed %d keys from %_s@; \
+             subscribing from seq %d"
+            (fun keys cut -> (keys, cut)))
+        !lines
+    with
+    | Some r -> r
+    | None -> Alcotest.fail "no bootstrap line logged"
   in
   Alcotest.(check int) "bootstrap streamed the primary's keys"
-    (Pstore.size pstore) loaded;
-  Alcotest.(check (list int)) "bootstrapped state = primary state"
-    (sorted_keys pstore) (sorted_keys fstore);
-  if bs_from <= 0 then Alcotest.failf "bootstrap cut %d not past 0" bs_from;
-  let f = start_follower ~port ~from_seq:bs_from ~watermark_dir:fdir fstore in
-  let c = Server.Client.connect ~port () in
-  for _ = 1 to 100 do
-    let k = Rng.int rng universe in
-    if Rng.int rng 2 = 0 then ignore (Server.Client.insert c k : bool)
-    else ignore (Server.Client.delete c k : bool)
+    (Server.Client.size c) keys;
+  if cut <= 0 then Alcotest.failf "bootstrap cut %d not past 0" cut;
+  (* Nothing was written since the pages, so the stream has applied
+     nothing: the watermark on disk is the one start stamped. *)
+  Alcotest.(check (option int)) "watermark stamped at the cut" (Some (cut - 1))
+    (Replica.Watermark.read ~dir:fdir);
+  (* Live traffic: sync-ack waits for the follower's apply. *)
+  for _ = 1 to 5 do
+    ignore (Server.Client.batch c (List.init 20 mutation) : bool list)
   done;
-  Server.Client.close c;
-  check_not_failed f;
   Alcotest.(check (list int)) "converged after bootstrap + subscribe"
-    (sorted_keys pstore) (sorted_keys fstore);
-  Replica.Follower.stop f;
-  Pstore.close fstore
+    (served_keys port) (served_keys (Node.port f))
 
 (* ------------------------------------------------------------------ *)
 (* Watermark file: atomic, absent reads as None, survives rewrites. *)

@@ -1,8 +1,6 @@
 (* Structure-forensics tests: the Obs.Shape census against tries of
    known shape, descent-depth accounting bounds, the registry's uniform
-   census/descent capability (with its explicit "unsupported" marker),
-   and the Obs.Memprof degrade contract on both supported and
-   unsupported runtimes. *)
+   census/descent capability (with its explicit "unsupported" marker). *)
 
 module P = Core.Patricia
 module V = Core.Patricia_vlk
@@ -297,78 +295,6 @@ let test_shape_emit () =
     (find "pat_shape_leaf_depth" [ ("structure", "PAT"); ("stat", "p99") ]
     <> None)
 
-(* ------------------------------------------------------------------ *)
-(* Obs.Memprof: the degrade contract must hold on BOTH kinds of
-   runtime — started (families live, up 1) and unsupported (warning
-   path: up 0, families still render). *)
-
-let test_memprof_contract () =
-  Obs.Memprof.reset ();
-  let r1 = Obs.Memprof.region "op:test" in
-  let r2 = Obs.Memprof.region "op:test" in
-  Alcotest.(check int) "region interning is stable" r1 r2;
-  (match Obs.Memprof.start ~sampling_rate:0.1 () with
-  | Ok mp ->
-      (* Supported runtime: allocate under a labeled region from
-         several domains, then expect attributed samples. *)
-      let burn () =
-        Obs.Memprof.set_region r1;
-        let acc = ref [] in
-        for i = 0 to 20_000 do
-          acc := (i, string_of_int i) :: !acc;
-          if i land 1023 = 0 then acc := []
-        done;
-        ignore (Sys.opaque_identity !acc)
-      in
-      let doms = List.init 2 (fun _ -> Domain.spawn burn) in
-      burn ();
-      List.iter Domain.join doms;
-      let get k =
-        Option.value ~default:0 (List.assoc_opt k (Obs.Memprof.snapshot ()))
-      in
-      Alcotest.(check int) "up while running" 1 (get "up");
-      Alcotest.(check bool) "samples attributed" true (get "samples" > 0);
-      Obs.Memprof.stop mp;
-      Alcotest.(check int) "up after stop" 0
-        (Option.value ~default:1
-           (List.assoc_opt "up" (Obs.Memprof.snapshot ())))
-  | Error msg ->
-      (* Unsupported runtime (OCaml 5.0-5.2 multicore): the failure is
-         a value, not an exception, and the metrics stay coherent. *)
-      Alcotest.(check bool) "error message non-empty" true
-        (String.length msg > 0);
-      (* Concurrent region labeling must stay harmless when off. *)
-      let doms =
-        List.init 2 (fun _ ->
-            Domain.spawn (fun () ->
-                for _ = 1 to 1000 do
-                  Obs.Memprof.set_region r1
-                done))
-      in
-      List.iter Domain.join doms;
-      let up =
-        Option.value ~default:1
-          (List.assoc_opt "up" (Obs.Memprof.snapshot ()))
-      in
-      Alcotest.(check int) "up stays 0" 0 up);
-  (* Either way every family renders, with up disambiguating. *)
-  let b = Obs.Prometheus.create () in
-  Obs.Memprof.emit b;
-  let body = Obs.Prometheus.to_string b in
-  let samples, errs = Obs.Prometheus.parse_samples body in
-  Alcotest.(check int) "no parse errors" 0 (List.length errs);
-  Alcotest.(check bool)
-    "patserve_alloc_up renders" true
-    (Obs.Prometheus.find_sample samples ~name:"patserve_alloc_up" ~labels:[]
-    <> None);
-  Alcotest.(check bool)
-    "patserve_alloc_samples_total renders" true
-    (Obs.Prometheus.find_sample samples ~name:"patserve_alloc_samples_total"
-       ~labels:[]
-    <> None);
-  (* The top-sites dump is always well-formed JSON. *)
-  ignore (Obs.Json.to_string (Obs.Memprof.sites_json ()))
-
 let () =
   Alcotest.run "shape"
     [
@@ -394,9 +320,5 @@ let () =
         [
           Alcotest.test_case "census capability uniform" `Quick
             test_registry_capability;
-        ] );
-      ( "memprof",
-        [
-          Alcotest.test_case "degrade contract" `Quick test_memprof_contract;
         ] );
     ]
