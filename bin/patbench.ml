@@ -938,6 +938,8 @@ let serve_cmd =
           (Option.value cfg.Node.data_dir ~default:"") keys
     | Node.Follow_failed m -> `Error (false, "cannot follow: " ^ m)
     | Node.Bootstrap_failed m -> `Error (false, "snapshot-bootstrap: " ^ m)
+    | Node.Bind_failed { port; reason } ->
+        `Error (false, Printf.sprintf "cannot listen on port %d: %s" port reason)
   in
   let run (cfg : Node.config) =
     match Node.start ~log:print_endline cfg with

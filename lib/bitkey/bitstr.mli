@@ -6,7 +6,11 @@
     equal bit sequences are {!equal} regardless of how they were
     built). *)
 
-type t
+type t = private { data : string; len : int }
+(** Bits packed MSB-first into [data], [len] of them; the pad bits of
+    the last byte are zero.  Read-only, so that the trie's key module can
+    inline its per-level bit tests instead of calling into this
+    library. *)
 
 val empty : t
 val length : t -> int

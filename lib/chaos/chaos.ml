@@ -8,6 +8,7 @@
    active, so it is allowed to be striped-but-ordinary code. *)
 
 type site =
+  | Cache
   | Renew
   | Flag_cas
   | Child_cas
@@ -26,6 +27,7 @@ type site =
 
 let all_sites =
   [
+    Cache;
     Renew;
     Flag_cas;
     Child_cas;
@@ -44,6 +46,7 @@ let all_sites =
   ]
 
 let site_name = function
+  | Cache -> "cache"
   | Renew -> "renew"
   | Flag_cas -> "flag_cas"
   | Child_cas -> "child_cas"
@@ -61,21 +64,22 @@ let site_name = function
   | Repl_apply -> "repl_apply"
 
 let site_index = function
-  | Renew -> 0
-  | Flag_cas -> 1
-  | Child_cas -> 2
-  | After_child_cas -> 3
-  | Unflag -> 4
-  | Backtrack -> 5
-  | Retry -> 6
-  | Net_accept -> 7
-  | Net_read -> 8
-  | Net_write -> 9
-  | Net_decode -> 10
-  | Wal_append -> 11
-  | Wal_fsync -> 12
-  | Wal_rotate -> 13
-  | Repl_apply -> 14
+  | Cache -> 0
+  | Renew -> 1
+  | Flag_cas -> 2
+  | Child_cas -> 3
+  | After_child_cas -> 4
+  | Unflag -> 5
+  | Backtrack -> 6
+  | Retry -> 7
+  | Net_accept -> 8
+  | Net_read -> 9
+  | Net_write -> 10
+  | Net_decode -> 11
+  | Wal_append -> 12
+  | Wal_fsync -> 13
+  | Wal_rotate -> 14
+  | Repl_apply -> 15
 
 let n_sites = List.length all_sites
 

@@ -26,6 +26,10 @@
     Shafiei's pseudocode), followed by the network-path sites of the
     patserve set server ([lib/server]). *)
 type site =
+  | Cache
+      (** level cache (not in the paper): a search has read the hint in
+          its key's slot and is about to read the hint's info field to
+          decide whether to start there *)
   | Renew
       (** snapshot copy-on-descent (not in the paper): an update's search
           met a stale-generation internal node, built its live copy and

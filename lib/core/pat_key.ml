@@ -74,6 +74,14 @@ module K = struct
 
   let span_bit m s = s.lo land low m <> 0
   let label_length c m = c.width - Bitkey.bit_length (low m)
+
+  (* The level cache indexes a key by its top [bits] bits; a label fits
+     when it is at most [bits] long, i.e. its marker sits at or above bit
+     [width - bits - 1].  Label 0 has no marker and prefixes no key. *)
+  let[@inline] slot c bits v = v lsr (c.width - bits)
+  let[@inline] fits c bits m = low m lsr (c.width - bits - 1) <> 0
+  let max_bits c = c.width - 1
+  let never _ = 0
   let key_words _ = 0
   let label_words _ = 0
   let pp_key = Format.pp_print_int

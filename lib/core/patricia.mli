@@ -5,10 +5,20 @@
 
     The trie stores a linearizable set of integer keys.  {!insert},
     {!delete} and {!replace} are lock-free; {!find}/{!member} is wait-free
-    and never writes to shared memory.  {!replace} removes one key and
+    and never writes to the trie.  {!replace} removes one key and
     inserts another {e atomically}: both changes become visible at a single
     linearization point, the first successful child CAS.  Updates operating
     on disjoint parts of the trie run completely concurrently.
+
+    Every search may start below the root.  Each generation of the trie
+    (see {!snapshot}) can hold a level cache: an array of hints, indexed
+    by a key's leading bits, to the deepest internal node a search for a
+    key with those bits has passed.  A search starts at its slot's hint
+    only after reading the hint unflagged with a label that prefixes the
+    key, and at the root otherwise; the trie, not the cache, is the
+    source of truth, and the cache changes no result.  It is sized from
+    the generation's own descents (one slot per 4 to 8 keys, at most
+    [2^16] slots) and not allocated for a generation that does few.
 
     All operations may be called from any number of domains. *)
 
@@ -54,7 +64,8 @@ val replace : t -> remove:int -> add:int -> bool
 
 val member : t -> int -> bool
 (** [member t v] is [true] iff [v] is in the set.  Wait-free: it reads at
-    most [l] child pointers and never writes. *)
+    most [l] child pointers and writes nothing but its slot of the
+    level cache. *)
 
 val to_list : t -> int list
 (** Ascending list of the keys currently stored.  Accurate in quiescent
@@ -258,4 +269,11 @@ module For_testing : sig
   (** Number of internal nodes on the search path of a key that belong
       to a generation a {!snapshot} has frozen: the stale run an update
       of that key would renew with one descriptor. *)
+
+  val set_cache_bits : t -> int option -> unit
+  (** [set_cache_bits t (Some b)] fixes the level cache at [2^b] slots
+      (clamped to what the key width allows; [Some 0] is no cache):
+      the live generation gets a fresh, empty one now, and every later
+      generation gets one at its first sampled descent.  [None] returns
+      the trie to sizing its cache from its own descents. *)
 end

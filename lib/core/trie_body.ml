@@ -91,6 +91,17 @@ module type KEY = sig
   val lcp : span -> span -> label
   val span_bit : label -> span -> bool
   val label_length : ctx -> label -> int
+
+  val slot : ctx -> int -> key -> int
+  (** [slot c bits v]: the key's index in a level cache of [2^bits]
+      slots, taken from its leading bits. *)
+
+  val fits : ctx -> int -> label -> bool
+  (** [fits c bits l]: the label is no longer than the part of a key
+      that [slot c bits] reads, so it prefixes every key of its slot. *)
+
+  val max_bits : ctx -> int
+  val never : ctx -> label (* a label that prefixes no key *)
   val key_words : key -> int
   val label_words : label -> int
   val pp_key : Format.formatter -> key -> unit
@@ -146,7 +157,30 @@ and internal = ik tnode
    The live generation is the one in [t.holder]; a snapshot replaces it
    wholesale (fresh [hroot] sharing the old children), so a holder value
    doubles as a frozen, immutable version once superseded. *)
-and holder = { epoch : int; hgen : unit ref; hroot : internal }
+and holder = {
+  epoch : int;
+  hgen : unit ref;
+  hroot : internal;
+  mutable hcache : cache;
+      (* This generation's level cache (see [search]): the trie's shared
+         empty one until enough descents have run to size it. *)
+  mutable hsamples : int;
+  mutable hdepth : int;
+      (* The sampled descents that size [hcache], and the sum of their
+         depths below the node each started at. *)
+  mutable hbase : int;
+      (* The mean root-descent depth the cache was last sized for, or -1
+         once this generation has given its cache up.  All three are
+         plain fields: a lost update only delays a decision. *)
+}
+
+(* A level cache: [2^bits] hints, slot [K.slot _ bits v] holding the
+   deepest internal node with a label that [K.fits] that a descent for a
+   key of that slot has passed, or a dummy node whose label prefixes no
+   key.  Hints only: a search starts at one only after reading its info
+   unflagged and checking its label, and the trie stays the source of
+   truth. *)
+and cache = { bits : int; slots : internal array }
 
 (* The fate of an update descriptor.  [Pending] until some process that
    completed the flagging phase validates the generation; the single
@@ -251,6 +285,8 @@ type t = {
          is O(#domains), independent of the key count. *)
   slot_key : info option Atomic.t option ref Domain.DLS.key;
   stats : stats option;
+  no_cache : cache; (* one slot holding the dummy node *)
+  mutable fixed_bits : int; (* a level-cache size set by a test, or -1 *)
 }
 
 let name = K.name
@@ -415,19 +451,35 @@ let[@inline] retry_cause2 a b =
 (* Line 18-19: the root is permanent (within its generation), its
    children start as the two sentinel leaves, which are never elements
    of D. *)
+let new_holder ~epoch ~gen root no_cache =
+  {
+    epoch;
+    hgen = gen;
+    hroot = root;
+    hcache = no_cache;
+    hsamples = 0;
+    hdepth = 0;
+    hbase = 0;
+  }
+
 let make ~record_stats ctx =
   let gen = ref () in
+  let sentinel_lo = Any (new_leaf (K.sentinel_lo ctx)) in
   let root =
-    make_internal ~gen (K.root_label ctx)
-      (Any (new_leaf (K.sentinel_lo ctx)))
+    make_internal ~gen (K.root_label ctx) sentinel_lo
       (Any (new_leaf (K.sentinel_hi ctx)))
   in
+  (* The dummy of every empty cache slot, in no generation. *)
+  let dummy = make_internal ~gen:(ref ()) (K.never ctx) sentinel_lo sentinel_lo in
+  let no_cache = { bits = 0; slots = [| dummy |] } in
   {
     ctx;
-    holder = Atomic.make { epoch = 0; hgen = gen; hroot = root };
+    holder = Atomic.make (new_holder ~epoch:0 ~gen root no_cache);
     slots = Atomic.make [];
     slot_key = Domain.DLS.new_key (fun () -> ref None);
     stats = (if record_stats then Some (make_stats ()) else None);
+    no_cache;
+    fixed_bits = -1;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -452,15 +504,19 @@ type search_result = {
   depth : int;
       (* Child pointers followed to reach [node] — the pointer-chase
          cost of this search, counting the terminal node but not the
-         root (root's child = 1).  Computed from values the loop already
-         holds, so uninstrumented searches pay one add per level. *)
+         node it started at (that node's child = 1).  Computed from
+         values the loop already holds, so uninstrumented searches pay
+         one add per level. *)
+  hint : internal;
+      (* The deepest node passed whose label fits the level cache's
+         levels, or the start node: what the search writes back. *)
 }
 
 (* The result of a descent that stopped at [node], child of [p].  The
    descent carries [gp] and [gp_info] unboxed, with the root and its info
    as placeholders while [p] is still the root (depth [d] = 0); the
    options are built here, once per search, not once per level. *)
-let[@inline] found gp gp_info p p_info d node =
+let[@inline] found hint gp gp_info p p_info d node =
   let rmvd =
     match node with
     | Any (Leaf l) -> logically_removed (Atomic.get l.linfo)
@@ -474,6 +530,7 @@ let[@inline] found gp gp_info p p_info d node =
     p_info;
     rmvd;
     depth = d + 1;
+    hint;
   }
 
 let search_from (root : internal) v =
@@ -484,12 +541,141 @@ let search_from (root : internal) v =
     match node with
     | Any (Internal r as i) when K.is_prefix r.label v ->
         go p p_info i (Atomic.get r.iinfo) (d + 1)
-    | _ -> found gp gp_info p p_info d node
+    | _ -> found root gp gp_info p p_info d node
   in
   let ri = Atomic.get (iinfo root) in
   go root ri root ri 0
 
-let search t v = search_from (Atomic.get t.holder).hroot v
+let search_root t v = search_from (Atomic.get t.holder).hroot v
+
+(* ------------------------------------------------------------------ *)
+(* The level cache, after the cache tries of Prokopec, Bagwell and
+   Odersky: each generation may hold an array of [2^bits] hints into
+   its trie, indexed by a key's leading bits ([K.slot]).  A descent
+   starts at the hint in its key's slot when the hint's info reads
+   unflagged and its label prefixes the key, and at the root otherwise;
+   on leaving the levels the slot covers ([K.fits]) it writes back the
+   deepest node it passed there if that differs from the hint.
+
+   Why a hint read unflagged is a sound start (DESIGN.md, "Level
+   cache"): the trie never unlinks an internal node without flagging it
+   for good, and never links it again, so a node that was once on a
+   search path and now reads unflagged is in the trie at that read, and
+   its label puts it on the search path of every key it prefixes.  The
+   descent then goes on as one from the root would from there.  The
+   single node that leaves the trie unflagged is a superseded root,
+   which [help_snap] unflags; roots are never written back, and each
+   generation has its own array, so no search starts in an older
+   generation's root through the cache.  Each generation's array holds
+   only nodes stamped with it: [search_renew] flags and CASes the
+   children of its start node, which must not belong to a frozen
+   generation, so [search] writes back only live-stamped nodes.
+
+   Sizing follows the trie ([size_cache]): every descent that starts at
+   a hint in a slot whose index is a multiple of 64 (any slot of an
+   array of fewer than 64; every descent, from the root, while there is
+   no array) adds its depth to its generation's sample.  A mean
+   root-descent depth [m] asks for [2^(m-2.5)] slots, one per 4 to 8
+   keys ([cache_cap] bits at most); a generation with no array
+   allocates them once it has made that many root descents.  With an
+   array of [2^bits] slots, whose hints sit about [bits] levels down,
+   the sample is judged after as many descents as the array has slots.
+   If the hints save less than one level of the root-descent depth the
+   array was sized for, the keys' leading bits do not tell the trie's
+   subtrees apart (keys that share a long prefix) and the generation
+   gives its cache up; if [bits] plus the mean depth below the hints
+   asks for more slots, the trie has outgrown the array and a larger
+   one replaces it.  A generation that makes few descents, as between
+   the snapshots of a paged scan, never allocates one, and [snapshot]
+   itself allocates nothing for the cache. *)
+
+let cache_cap = 16
+
+(* A new array starts with [no_cache]'s one node, the dummy, in every
+   slot.  No search ever writes to [no_cache]: with no bits, only the
+   root's label fits. *)
+let install_cache t h bits =
+  h.hcache <-
+    (if bits = 0 then t.no_cache
+     else { bits; slots = Array.make (1 lsl bits) t.no_cache.slots.(0) })
+
+(* Whether a descent in [slot] of a [2^bits]-slot array joins the sample:
+   one slot in 64, every slot of a smaller array. *)
+let[@inline] sampled bits slot = slot land (if bits < 6 then 0 else 63) = 0
+
+(* A sampled descent of generation [h] went [depth] nodes below the node
+   it started at. *)
+let size_cache t h depth =
+  let lc = h.hcache in
+  if t.fixed_bits >= 0 then begin
+    if lc.bits <> t.fixed_bits then install_cache t h t.fixed_bits
+  end
+  else if h.hbase >= 0 then begin
+    let n = h.hsamples + 1 and sum = h.hdepth + depth in
+    h.hsamples <- n;
+    h.hdepth <- sum;
+    (* Judged every 64 samples; a sample stands for 64 descents once
+       the array has 64 slots. *)
+    if n land 63 = 0 then begin
+      (* [bits] plus the mean depth below the hints, less 2.5, rounded
+         down: a hint sits about [bits] levels down. *)
+      let bits = lc.bits in
+      let want = ((2 * ((bits * n) + sum)) - (5 * n)) / (2 * n) in
+      let want = min (min cache_cap (K.max_bits t.ctx)) want in
+      if n lsl (if bits < 6 then 0 else 6) >= 1 lsl max want bits then begin
+        h.hsamples <- 0;
+        h.hdepth <- 0;
+        if bits > 0 && sum >= (h.hbase - 1) * n then begin
+          install_cache t h 0;
+          h.hbase <- -1
+        end
+        else if want >= 4 && want > bits then begin
+          install_cache t h want;
+          h.hbase <- bits + (sum / n)
+        end
+      end
+    end
+  end
+
+(* Search (lines 76-85) for [find], starting at [v]'s hint when it
+   qualifies.  The loop tracks the last node it passes whose label fits
+   the cache's levels, and the search writes that node back if it is
+   not the hint it read, nor the root, and belongs to the live
+   generation. *)
+let search t v =
+  let ctx = t.ctx and h = Atomic.get t.holder in
+  let lc = h.hcache in
+  let bits = lc.bits in
+  let rec go hint gp gp_info p p_info d =
+    let node = Atomic.get (child p (K.bit (label p) v)) in
+    match node with
+    | Any (Internal r as i) when K.is_prefix r.label v ->
+        go
+          (if K.fits ctx bits r.label then i else hint)
+          p p_info i (Atomic.get r.iinfo) (d + 1)
+    | _ -> found hint gp gp_info p p_info d node
+  in
+  let slot = K.slot ctx bits v in
+  let c = Array.unsafe_get lc.slots slot in
+  chaos_point Chaos.Cache;
+  let ci = Atomic.get (iinfo c) in
+  let root = h.hroot in
+  let r =
+    if (not (flagged ci)) && K.is_prefix (label c) v then begin
+      let r = go c c ci c ci 0 in
+      if sampled bits slot then size_cache t h r.depth;
+      r
+    end
+    else
+      let ri = Atomic.get (iinfo root) in
+      let r = go root root ri root ri 0 in
+      if bits = 0 then size_cache t h r.depth;
+      r
+  in
+  let (Internal hr as hint) = r.hint in
+  if hint != c && hint != root && hr.gen == h.hgen then
+    Array.unsafe_set lc.slots slot hint;
+  r
 
 (* keyInTrie (lines 125-126) *)
 let key_in_trie node v rmvd =
@@ -868,19 +1054,51 @@ let renew_path t (h : holder) p p_info (i : internal) v =
    descriptor instead): the caller restarts from a fresh holder read, so
    once a snapshot supersedes [h] the descent stops at its first aborted
    renewal. *)
-let search_renew t (h : holder) v =
-  let rec go gp gp_info p p_info d =
+let search_renew ~need_gp t (h : holder) v =
+  let ctx = t.ctx and lc = h.hcache in
+  let bits = lc.bits in
+  let rec go hint gp gp_info p p_info d =
     let node = Atomic.get (child p (K.bit (label p) v)) in
     match node with
     | Any (Internal r as i) when K.is_prefix r.label v ->
-        if r.gen == h.hgen then go p p_info i (Atomic.get r.iinfo) (d + 1)
+        if r.gen == h.hgen then
+          go
+            (if K.fits ctx bits r.label then i else hint)
+            p p_info i (Atomic.get r.iinfo) (d + 1)
         else if renew_path t h p p_info i v then
-          go gp gp_info p (Atomic.get (iinfo p)) d
+          go hint gp gp_info p (Atomic.get (iinfo p)) d
         else None
-    | _ -> Some (found gp gp_info p p_info d node)
+    | _ -> Some (found hint gp gp_info p p_info d node)
   in
-  let ri = Atomic.get (iinfo h.hroot) in
-  go h.hroot ri h.hroot ri 0
+  let slot = K.slot ctx bits v in
+  let c = Array.unsafe_get lc.slots slot in
+  chaos_point Chaos.Cache;
+  let ci = Atomic.get (iinfo c) in
+  let root = h.hroot in
+  let r =
+    if (not (flagged ci)) && K.is_prefix (label c) v then
+      match go c c ci c ci 0 with
+      | Some { gp = None; _ } when need_gp ->
+          (* Stopped right under the hint: a delete or a replace needs
+             the grandparent, so search again from the root. *)
+          if sampled bits slot then size_cache t h 1;
+          let ri = Atomic.get (iinfo root) in
+          go root root ri root ri 0
+      | Some x as r ->
+          if sampled bits slot then size_cache t h x.depth;
+          r
+      | None -> None
+    else
+      let ri = Atomic.get (iinfo root) in
+      let r = go root root ri root ri 0 in
+      (match r with Some x when bits = 0 -> size_cache t h x.depth | _ -> ());
+      r
+  in
+  (match r with
+  | Some r when r.hint != c && r.hint != root ->
+      Array.unsafe_set lc.slots slot r.hint
+  | _ -> ());
+  r
 
 (* ------------------------------------------------------------------ *)
 (* find (lines 72-75) *)
@@ -919,7 +1137,7 @@ let insert t k =
     bump stats (fun s -> s.attempts);
     let t0 = span_start () in
     let h = Atomic.get t.holder in
-    match search_renew t h v with
+    match search_renew ~need_gp:false t h v with
     | None ->
         attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
           Obs.Attribution.Conflict;
@@ -950,12 +1168,18 @@ let insert t k =
 (* ------------------------------------------------------------------ *)
 (* delete (lines 33-41) *)
 
+(* A search for a delete or a replace that stopped without a
+   grandparent started at the root: [search_renew ~need_gp:true] redoes
+   one from a hint that would. *)
+let[@inline] rooted h r = r.gp <> None || r.p == h.hroot
+
 (* Line 40: flag gp, mark p (p leaves the trie), and swing gp's child
    from p to node's sibling.  [None] when gp is absent: that can only be
    observed transiently, since a real key's leaf always has an internal
    proper ancestor besides the root (the sentinel on its side shares
    that subtree), or when [new_flag] fails. *)
 let delete_flag t h r v =
+  assert (rooted h r);
   match (r.gp, r.gp_info) with
   | Some gp, Some gp_info ->
       let node_sibling = Atomic.get (child r.p (not (K.bit (label r.p) v))) in
@@ -970,7 +1194,7 @@ let delete t k =
     bump stats (fun s -> s.attempts);
     let t0 = span_start () in
     let h = Atomic.get t.holder in
-    match search_renew t h v with
+    match search_renew ~need_gp:true t h v with
     | None ->
         attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
           Obs.Attribution.Conflict;
@@ -1006,6 +1230,7 @@ let delete t k =
    at [rd] and [ri] (lines 48-70), or [None] if the attempt must
    restart. *)
 let replace_flag t h rd ri vd vi node_info_i =
+  assert (rooted h rd);
   let node_sibling_d =
     Atomic.get (child rd.p (not (K.bit (label rd.p) vd)))
   in
@@ -1097,7 +1322,7 @@ let replace_keys t vd vi =
     bump stats (fun s -> s.attempts);
     let t0 = span_start () in
     let h = Atomic.get t.holder in
-    match search_renew t h vd with
+    match search_renew ~need_gp:true t h vd with
     | None -> retry bo n t0 Obs.Attribution.Conflict
     | Some rd -> (
         descent stats (fun s -> s.descent_replace) rd.depth;
@@ -1105,7 +1330,7 @@ let replace_keys t vd vi =
           attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0 ~site:"absent"
             false
         else
-          match search_renew t h vi with
+          match search_renew ~need_gp:false t h vi with
           | None -> retry bo n t0 Obs.Attribution.Conflict
           | Some ri -> (
               descent stats (fun s -> s.descent_replace) ri.depth;
@@ -1221,7 +1446,7 @@ let snapshot t =
     | (Clean | Unflag _) as ri ->
         let gen' = ref () in
         let root' = copy_internal ~gen:gen' root in
-        let h' = { epoch = h.epoch + 1; hgen = gen'; hroot = root' } in
+        let h' = new_holder ~epoch:(h.epoch + 1) ~gen:gen' root' t.no_cache in
         let si = Snap { s_old = h; s_new = h'; s_cell = t.holder } in
         if Atomic.compare_and_set (iinfo root) ri si then begin
           (* If this holder CAS fails, a concurrent snapshot already
@@ -1381,7 +1606,14 @@ let check_invariants t =
    generation the two differ by exactly the 2-word [hgen] ref the nodes
    share, and after snapshots the walk also charges the older
    generations' stamps and counts label blocks shared by a renewed node
-   and its original once. *)
+   and its original once.
+
+   The live generation's level cache is counted on both sides: its
+   record (3 words) and its array (a header and one word per slot),
+   estimated from the slot count and measured from the blocks' own
+   headers.  The nodes it points at are the trie's, except the dummy
+   (one node per trie, not counted) and, briefly, a node removed since
+   a descent wrote it back. *)
 let internal_words = 12
 let leaf_words = 5
 let info_words = function Unflag _ -> 2 | Clean | Flag _ | Snap _ -> 0
@@ -1408,9 +1640,16 @@ let census t =
         go (depth + 1) (Atomic.get i.c0);
         go (depth + 1) (Atomic.get i.c1)
   in
-  let root = (Atomic.get t.holder).hroot in
-  go 0 (Any root);
-  let measured_words = Obj.reachable_words (Obj.repr root) in
+  let h = Atomic.get t.holder in
+  go 0 (Any h.hroot);
+  let lc = h.hcache in
+  let cache_words = 3 + 1 + Array.length lc.slots in
+  Obs.Shape.extra_words a cache_words;
+  let block_words x = Obj.size (Obj.repr x) + 1 in
+  let measured_words =
+    Obj.reachable_words (Obj.repr h.hroot)
+    + block_words lc + block_words lc.slots
+  in
   Some (Obs.Shape.finish ~measured_words a)
 
 (* ------------------------------------------------------------------ *)
@@ -1428,7 +1667,7 @@ module For_testing = struct
   let prepare_insert t k =
     let v = K.import t.ctx k in
     let h = Atomic.get t.holder in
-    let r = search t v in
+    let r = search_root t v in
     if key_in_trie r.node v r.rmvd then None
     else insert_flag t h r v (Atomic.get (node_info r.node))
 
@@ -1438,7 +1677,7 @@ module For_testing = struct
   let prepare_delete t k =
     let v = K.import t.ctx k in
     let h = Atomic.get t.holder in
-    let r = search t v in
+    let r = search_root t v in
     if not (key_in_trie r.node v r.rmvd) then None else delete_flag t h r v
 
   (* Perform only the flagging phase of a descriptor, simulating a
@@ -1449,6 +1688,18 @@ module For_testing = struct
     | Clean | Unflag _ | Snap _ -> invalid_arg "flag_only: not a Flag descriptor"
 
   let set_help_hook h = help_counter_hook := h
+
+  (* Fix the level cache at [2^bits] slots ([Some 0]: none) from the
+     next sampled descent of every generation, or return it to sizing
+     itself ([None]).  The live generation's cache is replaced now. *)
+  let set_cache_bits t bits =
+    match bits with
+    | None -> t.fixed_bits <- -1
+    | Some b ->
+        let b = max 0 (min b (min cache_cap (K.max_bits t.ctx))) in
+        t.fixed_bits <- b;
+        install_cache t (Atomic.get t.holder) b
+
   let counters t = Option.map stats_to_alist (stats_snapshot t)
 
   (* Count of nodes currently flagged along the search path of [v] from

@@ -37,8 +37,34 @@ module K = struct
   (* Bit-string keys are folded to an int for the trace's [key] field: a
      stable per-key tag, not a reversible encoding. *)
   let trace_key k = Hashtbl.hash k
-  let[@inline] bit l v = B.next_bit l v = 1
-  let is_prefix = B.is_proper_prefix
+
+  (* The two label tests of every descent level, written against the
+     bit string's representation so they compile to code here rather
+     than to calls of closures in another library. *)
+  let[@inline] bit (l : B.t) (v : B.t) =
+    if l.len >= v.len then invalid_arg "Bitstr.next_bit: not a proper prefix";
+    Char.code (String.unsafe_get v.data (l.len lsr 3))
+    land (0x80 lsr (l.len land 7))
+    <> 0
+
+  (* The first [n] bytes of [a] and [b] agree. *)
+  let rec bytes_agree (a : string) (b : string) i n =
+    i >= n || (String.unsafe_get a i = String.unsafe_get b i && bytes_agree a b (i + 1) n)
+
+  (* [l] is a proper prefix of [v]: its whole bytes agree with [v]'s and
+     so do the bits of its last, partial byte (pad bits are zero). *)
+  let[@inline] is_prefix (l : B.t) (v : B.t) =
+    l.len < v.len
+    &&
+    let n = l.len lsr 3 and r = l.len land 7 in
+    bytes_agree l.data v.data 0 n
+    && (r = 0
+       || (Char.code (String.unsafe_get l.data n)
+          lxor Char.code (String.unsafe_get v.data n))
+          land (0xff00 lsr r)
+          land 0xff
+          = 0)
+
   let child_bit = bit
   let compare_label = B.compare
 
@@ -51,6 +77,32 @@ module K = struct
   let lcp = B.lcp
   let span_bit = bit
   let label_length () = B.length
+
+  (* The level cache indexes a key by its first [bits] symbols: one bit
+     per encoded pair (the pair's first bit, which is the digit itself,
+     or 1 for the terminator), so [bits] is at most 16 and the index
+     comes from the key's first 4 bytes.  A label fits when it spans at
+     most [bits] pairs.  The low sentinel 00 is a proper prefix of no
+     key. *)
+  let[@inline] byte (v : B.t) i =
+    if i < String.length v.data then Char.code (String.unsafe_get v.data i)
+    else 0
+
+  let[@inline] slot () bits (v : B.t) =
+    let x =
+      ((byte v 0 lsl 24) lor (byte v 1 lsl 16) lor (byte v 2 lsl 8) lor byte v 3)
+      lsr (32 - (2 * bits))
+    in
+    (* Keep each pair's first bit and pack them together. *)
+    let y = (x lsr 1) land 0x55555555 in
+    let y = (y lor (y lsr 1)) land 0x33333333 in
+    let y = (y lor (y lsr 2)) land 0x0f0f0f0f in
+    let y = (y lor (y lsr 4)) land 0x00ff00ff in
+    (y lor (y lsr 8)) land 0xffff
+
+  let[@inline] fits () bits (l : B.t) = l.len <= 2 * bits
+  let max_bits () = 16
+  let never () = B.sentinel_lo
 
   (* A {!Bitkey.Bitstr.t} record (3 words) plus its backing string
      block (header + padded data words).  Shared strings (the sentinels,

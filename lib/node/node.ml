@@ -156,6 +156,9 @@ type start_error =
       (** bootstrap pages only insert, so stale local keys would survive *)
   | Follow_failed of string
   | Bootstrap_failed of string
+  | Bind_failed of { port : int; reason : string }
+      (** the server's or the metrics port could not be bound; the
+          opened store and the watchdog have been torn down again *)
 
 (* What a storage backend hands the server: the served operations, the
    live trie (shape census, descent histogram), the ack barrier, the
@@ -502,20 +505,37 @@ let serve ~log cfg b =
       hard_buffer_bytes = cfg.hard_buffer_kb * 1024;
     }
   in
-  let srv =
+  (* A port that cannot be bound undoes everything started so far: the
+     store (closed after a final checkpoint), the watchdog, the runtime
+     collector and the recorder. *)
+  let bind_failed port e =
+    b.teardown ();
+    Obs.Watchdog.stop_monitor wd;
+    Option.iter Obs.Runtime.stop runtime;
+    if recorder <> None then Obs.Trace.set_recorder None;
+    Error (Bind_failed { port; reason = Unix.error_message e })
+  in
+  match
     Server.start ~port:cfg.port ~domains:cfg.domains ~barrier:b.barrier
       ~watchdog:wd ~limits ?repl:b.repl ?gate:b.gate b.ops
-  in
-  log
-    (Printf.sprintf "patserve: %d domains on 127.0.0.1:%d, range (0, %d), %s"
-       cfg.domains (Server.port srv) cfg.range b.banner);
-  Option.iter
-    (fun m -> log (Printf.sprintf "patserve: admission limit %d connections" m))
-    cfg.max_conns;
-  let metrics =
-    Option.map (serve_metrics ~log ~wd ~runtime b) cfg.metrics_port
-  in
-  { srv; backend = b; wd; metrics; runtime; recorder; log }
+  with
+  | exception Unix.Unix_error (e, _, _) -> bind_failed cfg.port e
+  | srv -> (
+      log
+        (Printf.sprintf
+           "patserve: %d domains on 127.0.0.1:%d, range (0, %d), %s"
+           cfg.domains (Server.port srv) cfg.range b.banner);
+      Option.iter
+        (fun m ->
+          log (Printf.sprintf "patserve: admission limit %d connections" m))
+        cfg.max_conns;
+      match Option.map (serve_metrics ~log ~wd ~runtime b) cfg.metrics_port with
+      | exception Unix.Unix_error (e, _, _) ->
+          Server.stop ~drain_s:0.0 srv;
+          Harness.Live.clear_extra_producers ();
+          Harness.Live.set_enabled false;
+          bind_failed (Option.value cfg.metrics_port ~default:0) e
+      | metrics -> Ok { srv; backend = b; wd; metrics; runtime; recorder; log })
 
 (** Start a node.  [segment_bytes] sizes the WAL segments of a durable
     node (small segments put rotations inside a crash fuzzer's kill
@@ -526,9 +546,9 @@ let start ?(log = ignore) ?segment_bytes cfg =
   | None, Some _ -> Error Follow_needs_data_dir
   | Some _, Some _ when cfg.durability = Store.Ephemeral ->
       Error Follow_needs_log
-  | None, None -> Ok (serve ~log cfg (in_memory cfg))
+  | None, None -> serve ~log cfg (in_memory cfg)
   | Some dir, _ ->
-      durable ~log ?segment_bytes cfg dir |> Result.map (serve ~log cfg)
+      Result.bind (durable ~log ?segment_bytes cfg dir) (serve ~log cfg)
 
 let port t = Server.port t.srv
 

@@ -148,6 +148,10 @@ let leaf a ~depth ~keys ~sentinel ~words =
   end;
   a.est_words <- a.est_words + words
 
+(** Words held by the structure outside its nodes, such as an index
+    into them; estimated like a node's. *)
+let extra_words a words = a.est_words <- a.est_words + words
+
 let word_bytes = Sys.word_size / 8
 
 let finish ?(measured_words = 0) a : Dset_intf.census =

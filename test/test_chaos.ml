@@ -381,7 +381,9 @@ let chain_stall ~name s ~prefill ~victim ~added () =
   Domain.join d;
   Alcotest.(check bool) (name ^ ": victim's insert") true (Atomic.get result);
   (match List.rev !trail with
-  | Chaos.Renew :: Chaos.Flag_cas :: Chaos.Backtrack :: Chaos.Retry :: _ -> ()
+  | Chaos.Cache :: Chaos.Renew :: Chaos.Flag_cas :: Chaos.Backtrack
+    :: Chaos.Retry :: _ ->
+      ()
   | sites ->
       Alcotest.failf "%s: victim after release crossed %s" name
         (String.concat ", " (List.map Chaos.site_name sites)));
@@ -493,6 +495,28 @@ let test_replace_linearizable_chaos () =
       done)
     [ 4; 8 ]
 
+(* The same battery, histories with scans included, with a level cache
+   of 4 slots fixed on every generation of PAT and PAT-VLK: searches
+   start at hints, updates under a hint fall back to the root, and the
+   delays also land between a search's slot read and its info read. *)
+let test_linearizable_chaos_cached () =
+  List.iter
+    (fun (mk, universe) ->
+      for i = 0 to 2 do
+        let seed = chaos_seed + (universe * 100) + i in
+        Chaos.with_policy ~name:"delays"
+          (Chaos.Policy.delays ~prob_per_mille:400 ~max_spins:200 ~seed ())
+          (fun () ->
+            Tutil.linearizable_run ~threads:3 ~ops_per_thread:10 ~universe
+              ~seed ~with_replace:true (mk ~cache_bits:(Some 2)))
+      done)
+    [
+      (Tutil.pat_ops_with, 4);
+      (Tutil.pat_ops_with, 8);
+      (Tutil.vlk_ops, 4);
+      (Tutil.vlk_ops, 8);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Contention backoff *)
 
@@ -567,11 +591,12 @@ let test_crossing_counters () =
       | None -> Alcotest.failf "site %s missing from crossings" site)
     [ "flag_cas"; "child_cas"; "after_child_cas"; "unflag" ]
 
-let test_vlk_under_delays () =
+let test_vlk_under_delays ~cache_bits () =
   Chaos.with_policy ~name:"delays"
     (Chaos.Policy.delays ~prob_per_mille:300 ~max_spins:100 ~seed:chaos_seed ())
   @@ fun () ->
   let t = V.create () in
+  V.For_testing.set_cache_bits t cache_bits;
   let key d i = Printf.sprintf "k%d-%02d" d i in
   Tutil.join_all
     (Tutil.spawn_n 3 (fun d ->
@@ -594,6 +619,7 @@ let test_vlk_under_delays () =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  Tutil.time_limit 300;
   Alcotest.run "chaos"
     [
       ( "stalled domain",
@@ -631,6 +657,8 @@ let () =
         @ [
             Alcotest.test_case "linearizable under chaos" `Quick
               test_replace_linearizable_chaos;
+            Alcotest.test_case "linearizable under chaos, level cache on"
+              `Quick test_linearizable_chaos_cached;
           ] );
       ( "backoff",
         [
@@ -640,6 +668,9 @@ let () =
       ( "instrumentation",
         [
           Alcotest.test_case "crossing counters" `Quick test_crossing_counters;
-          Alcotest.test_case "vlk under delays" `Quick test_vlk_under_delays;
+          Alcotest.test_case "vlk under delays" `Quick
+            (test_vlk_under_delays ~cache_bits:None);
+          Alcotest.test_case "vlk under delays, level cache on" `Quick
+            (test_vlk_under_delays ~cache_bits:(Some 12));
         ] );
     ]

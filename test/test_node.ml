@@ -116,6 +116,31 @@ let test_follow_start_errors () =
     (function Node.Follow_failed _ -> true | _ -> false)
     { (config (tmpdir ())) with follow }
 
+(* A second node on a port the first holds: [start] returns an error
+   value after the store was opened and recovered, and tears that store
+   down again, so the directory reopens with its keys. *)
+let test_port_in_use () =
+  let dir = tmpdir () in
+  (with_node (config dir) @@ fun n ->
+   let c = Server.Client.connect ~port:(Node.port n) () in
+   for k = 0 to 9 do
+     ignore (Server.Client.insert c k : bool)
+   done;
+   Server.Client.close c);
+  with_node (config (tmpdir ())) @@ fun holder ->
+  let port = Node.port holder in
+  (match Node.start { (config dir) with port } with
+  | Error (Node.Bind_failed { port = p; _ }) ->
+      Alcotest.(check int) "the port named" port p
+  | Error _ -> Alcotest.fail "another start error"
+  | Ok n ->
+      Node.stop n;
+      Alcotest.fail "a second node bound a port in use");
+  with_node (config dir) @@ fun reopened ->
+  Alcotest.(check (list int)) "the directory reopens with its keys"
+    (List.init 10 Fun.id)
+    (served_keys (Node.port reopened))
+
 let () =
   Alcotest.run "node"
     [
@@ -125,5 +150,7 @@ let () =
             test_primary_follower_promote_restart;
           Alcotest.test_case "follow start errors are values" `Quick
             test_follow_start_errors;
+          Alcotest.test_case "a port in use is a start error" `Quick
+            test_port_in_use;
         ] );
     ]

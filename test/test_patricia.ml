@@ -448,7 +448,33 @@ let test_member_allocation_flat () =
     true
     (big <= small +. 2.)
 
+(* The level-cache cases of Tutil over raw 7-bit keys. *)
+let cached () =
+  let t = P.create_width ~width:7 ~record_stats:true () in
+  {
+    Tutil.c_label = "PAT";
+    c_insert = P.insert t;
+    c_delete = P.delete t;
+    c_member = P.member t;
+    c_replace = P.replace t;
+    c_keys = (fun () -> P.to_list t);
+    c_snapshot =
+      (fun () ->
+        let v = P.snapshot t in
+        fun () -> P.View.to_list v);
+    c_cache_bits = P.For_testing.set_cache_bits t;
+    c_descent =
+      (fun () ->
+        match P.stats_snapshot t with
+        | Some s ->
+            s.P.descent_nodes_find + s.P.descent_nodes_insert
+            + s.P.descent_nodes_delete + s.P.descent_nodes_replace
+        | None -> 0);
+    c_check = (fun () -> P.check_invariants t);
+  }
+
 let () =
+  Tutil.time_limit 300;
   Alcotest.run "patricia"
     [
       ( "sequential",
@@ -498,4 +524,5 @@ let () =
           Alcotest.test_case "member allocation independent of depth" `Quick
             test_member_allocation_flat;
         ] );
+      ("level cache", Tutil.cache_cases cached);
     ]

@@ -172,7 +172,43 @@ let test_no_aba ~unflagged_first () =
       V.For_testing.prepare_delete t (Bitkey.Bitstr.encode_bytes k))
     ~help:V.For_testing.help ~unflagged_first ("aa", "b", "ab", "ba")
 
+(* The level-cache cases of Tutil: key [k] is the byte [2k], so its
+   leading digits are PAT's 7-bit key. *)
+let cached () =
+  let t = V.create ~record_stats:true () in
+  let key k = String.make 1 (Char.chr (2 * k)) in
+  let unkey s = Char.code s.[0] / 2 in
+  {
+    Tutil.c_label = "PAT-VLK";
+    c_insert = (fun k -> V.insert t (key k));
+    c_delete = (fun k -> V.delete t (key k));
+    c_member = (fun k -> V.member t (key k));
+    c_replace = (fun ~remove ~add -> V.replace t ~remove:(key remove) ~add:(key add));
+    c_keys = (fun () -> List.map unkey (V.to_list t));
+    c_snapshot =
+      (fun () ->
+        let v = V.snapshot t in
+        fun () -> List.map unkey (V.View.to_list v));
+    c_cache_bits = V.For_testing.set_cache_bits t;
+    c_descent =
+      (fun () ->
+        match V.For_testing.counters t with
+        | Some c ->
+            List.fold_left
+              (fun acc f -> acc + List.assoc f c)
+              0
+              [
+                "descent_nodes_find";
+                "descent_nodes_insert";
+                "descent_nodes_delete";
+                "descent_nodes_replace";
+              ]
+        | None -> 0);
+    c_check = (fun () -> V.check_invariants t);
+  }
+
 let () =
+  Tutil.time_limit 300;
   Alcotest.run "patricia_vlk"
     [
       ( "sequential",
@@ -199,4 +235,5 @@ let () =
           Alcotest.test_case "no ABA: fresh Unflags are distinct" `Quick
             (test_no_aba ~unflagged_first:true);
         ] );
+      ("level cache", Tutil.cache_cases cached);
     ]

@@ -533,6 +533,7 @@ let test_vlk_storm () =
   | Error e -> Alcotest.failf "invariants after storm: %s" e
 
 let () =
+  Tutil.time_limit 300;
   Alcotest.run "snapshot"
     [
       ( "views",

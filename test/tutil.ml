@@ -19,8 +19,11 @@ type ops = {
          [None] for structures without the snapshot capability *)
 }
 
-let pat_ops ~universe () =
+(* [cache_bits] fixes PAT's level cache (see For_testing.set_cache_bits);
+   [None] leaves it to size itself. *)
+let pat_ops_with ~cache_bits ~universe () =
   let t = Core.Patricia.create ~universe () in
+  Core.Patricia.For_testing.set_cache_bits t cache_bits;
   {
     label = "PAT";
     insert = Core.Patricia.insert t;
@@ -37,6 +40,8 @@ let pat_ops ~universe () =
           Core.Patricia.View.fold v ~init:0 ~f:(fun acc k ->
               acc lor (1 lsl k)));
   }
+
+let pat_ops ~universe () = pat_ops_with ~cache_bits:None ~universe ()
 
 let bst_ops ~universe () =
   let t = Nbbst.create ~universe () in
@@ -112,6 +117,31 @@ let all_makers =
   [ pat_ops; bst_ops; kary_ops; sl_ops; avl_ops; ctrie_ops ]
 
 let baseline_makers = [ bst_ops; kary_ops; sl_ops; avl_ops; ctrie_ops ]
+
+(* PAT-VLK over one-byte keys: key [k] is the byte [k * 256 / universe],
+   so distinct keys differ in their leading bits, the bits a level cache
+   indexes by.  [universe] must divide 256. *)
+let vlk_ops ~cache_bits ~universe () =
+  let module V = Core.Patricia_vlk in
+  let t = V.create () in
+  V.For_testing.set_cache_bits t cache_bits;
+  let key k = String.make 1 (Char.chr (k * (256 / universe))) in
+  let unkey s = Char.code s.[0] / (256 / universe) in
+  {
+    label = "PAT-VLK";
+    insert = (fun k -> V.insert t (key k));
+    delete = (fun k -> V.delete t (key k));
+    member = (fun k -> V.member t (key k));
+    to_list = (fun () -> List.map unkey (V.to_list t));
+    size = (fun () -> V.size t);
+    check = (fun () -> V.check_invariants t);
+    replace = Some (fun ~remove ~add -> V.replace t ~remove:(key remove) ~add:(key add));
+    scan_bits =
+      Some
+        (fun () ->
+          V.View.fold (V.snapshot t) ~init:0 ~f:(fun acc s ->
+              acc lor (1 lsl unkey s)));
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -227,5 +257,130 @@ let linearizable_run ?(threads = 3) ?(ops_per_thread = 12) ?(universe = 8)
      once the recorded run is over (no residual flags, ordered leaves). *)
   check_ok ops.label ops
 
+(* End the test executable with a failure once it has run [seconds],
+   instead of hanging the suite: an update whose retries can never
+   succeed (a livelock) spins forever. *)
+let time_limit seconds =
+  Sys.set_signal Sys.sigalrm
+    (Sys.Signal_handle
+       (fun _ ->
+         Printf.eprintf "time limit: still running after %d s\n%!" seconds;
+         Unix._exit 3));
+  ignore (Unix.alarm seconds)
+
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* ------------------------------------------------------------------ *)
+(* Level-cache cases, shared by PAT and PAT-VLK *)
+
+(* A trie over the 7-bit keys 1..126 as the cache cases drive it: PAT
+   stores them as they are, PAT-VLK as the byte [2k], so both index a
+   key's level-cache slot by the same leading bits and build the same
+   branching below their top nodes. *)
+type cached = {
+  c_label : string;
+  c_insert : int -> bool;
+  c_delete : int -> bool;
+  c_member : int -> bool;
+  c_replace : remove:int -> add:int -> bool;
+  c_keys : unit -> int list;
+  c_snapshot : unit -> unit -> int list;  (** a view's fold, frozen now *)
+  c_cache_bits : int option -> unit;
+  c_descent : unit -> int;  (** nodes visited by every search so far *)
+  c_check : unit -> (unit, string) result;
+}
+
+(* [f ()] and the number of nodes its searches visited. *)
+let nodes s f =
+  let before = s.c_descent () in
+  let r = f () in
+  (r, s.c_descent () - before)
+
+let cached_ok s what =
+  match s.c_check () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s %s: invariants: %s" s.c_label what e
+
+(* Keys 16 and 24 are alone in slot 1 of an 8-slot cache (top 3 bits
+   001); their parent X, label 001, is the deepest node there that the
+   slot covers, and its parent, label 00, also holds 3. *)
+let sparse = [ 3; 16; 24; 40; 50; 70; 100 ]
+
+let bool s what expect got =
+  Alcotest.(check bool) (s.c_label ^ ": " ^ what) expect got
+
+(* A hint removed by a delete.  Deleting 24 unlinks X, whose children
+   still point at both leaves; a search that started at X without
+   reading its info would find 24 there. *)
+let cache_removed_hint mk () =
+  let s = mk () in
+  List.iter (fun k -> bool s "setup insert" true (s.c_insert k)) sparse;
+  s.c_cache_bits (Some 3);
+  let _, cold = nodes s (fun () -> s.c_member 16) in
+  let hit, warm = nodes s (fun () -> s.c_member 16) in
+  bool s "member 16" true hit;
+  Alcotest.(check int) (s.c_label ^ ": member 16 starts at X") 1 warm;
+  bool s (Printf.sprintf "the hint saved nodes (%d < %d)" warm cold) true (warm < cold);
+  bool s "delete 24" true (s.c_delete 24);
+  bool s "member 24 after its parent left" false (s.c_member 24);
+  bool s "member 16" true (s.c_member 16);
+  cached_ok s "after the removal"
+
+(* Updates whose leaf hangs right under the hint: the search from the
+   hint stops at depth 0, without the grandparent a delete and a replace
+   swing, so they search again from the root. *)
+let cache_depth0_fallback mk () =
+  let s = mk () in
+  List.iter (fun k -> bool s "setup insert" true (s.c_insert k)) sparse;
+  s.c_cache_bits (Some 3);
+  ignore (s.c_member 16);
+  let _, warm = nodes s (fun () -> s.c_member 24) in
+  Alcotest.(check int) (s.c_label ^ ": member 24 starts at X") 1 warm;
+  bool s "delete 24" true (s.c_delete 24);
+  bool s "24 gone" false (s.c_member 24);
+  (* 40 and 50 hang under their parent, label 01, the hint of slots 2
+     and 3; 52 joins 50 in slot 3. *)
+  ignore (s.c_member 50);
+  let _, warm = nodes s (fun () -> s.c_member 50) in
+  Alcotest.(check int) (s.c_label ^ ": member 50 starts at 01") 1 warm;
+  bool s "replace 50 by 52" true (s.c_replace ~remove:50 ~add:52);
+  Alcotest.(check (list int))
+    (s.c_label ^ ": keys") [ 3; 16; 40; 52; 70; 100 ] (s.c_keys ());
+  cached_ok s "after the updates"
+
+(* Snapshot, then update, then fold the view.  After the snapshot every
+   node is frozen: a find that passed one must not write it back, or the
+   next update would start at it and renew (and change) the frozen
+   generation's nodes. *)
+let cache_snapshot_update_fold mk () =
+  let s = mk () in
+  let all = List.init 126 (fun i -> i + 1) in
+  List.iter (fun k -> bool s "setup insert" true (s.c_insert k)) all;
+  s.c_cache_bits (Some 0);
+  let _, from_root = nodes s (fun () -> s.c_member 21) in
+  let view = s.c_snapshot () in
+  s.c_cache_bits (Some 3);
+  bool s "member 20" true (s.c_member 20);
+  bool s "delete 20" true (s.c_delete 20);
+  let ok, n = nodes s (fun () -> s.c_delete 21) in
+  bool s "delete 21" true ok;
+  bool s
+    (Printf.sprintf "delete 21 started below the root (%d < %d nodes)" n from_root)
+    true (n < from_root);
+  Alcotest.(check (list int)) (s.c_label ^ ": the view") all (view ());
+  Alcotest.(check (list int))
+    (s.c_label ^ ": live keys")
+    (List.filter (fun k -> k <> 20 && k <> 21) all)
+    (s.c_keys ());
+  cached_ok s "after the updates"
+
+let cache_cases mk =
+  [
+    Alcotest.test_case "cache: hint removed by a delete" `Quick
+      (cache_removed_hint mk);
+    Alcotest.test_case "cache: update under the hint searches from the root"
+      `Quick (cache_depth0_fallback mk);
+    Alcotest.test_case "cache: snapshot, update, fold the view" `Quick
+      (cache_snapshot_update_fold mk);
+  ]
