@@ -524,5 +524,5 @@ let () =
           Alcotest.test_case "member allocation independent of depth" `Quick
             test_member_allocation_flat;
         ] );
-      ("level cache", Tutil.cache_cases cached);
+      ("cache", Tutil.cache_cases cached);
     ]

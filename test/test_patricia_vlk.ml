@@ -235,5 +235,5 @@ let () =
           Alcotest.test_case "no ABA: fresh Unflags are distinct" `Quick
             (test_no_aba ~unflagged_first:true);
         ] );
-      ("level cache", Tutil.cache_cases cached);
+      ("cache", Tutil.cache_cases cached);
     ]
