@@ -276,4 +276,8 @@ module For_testing : sig
       the live generation gets a fresh, empty one now, and every later
       generation gets one at its first sampled descent.  [None] returns
       the trie to sizing its cache from its own descents. *)
+
+  val cache_bits : t -> int
+  (** [b] when the live generation's level cache has [2^b] slots; 0
+      when it has none. *)
 end

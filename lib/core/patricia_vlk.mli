@@ -113,6 +113,7 @@ module For_testing : sig
   val view_flags_on_path : view -> Bitkey.Bitstr.t -> int
   val stale_on_path : t -> Bitkey.Bitstr.t -> int
   val set_cache_bits : t -> int option -> unit
+  val cache_bits : t -> int
 
   val counters : t -> (string * int) list option
   (** Every counter of a trie created with [~record_stats:true], named

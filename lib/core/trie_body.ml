@@ -283,10 +283,17 @@ type t = {
          snapshot can resolve (commit or abort) every descriptor that
          might still commit against the generation it froze — the scan
          is O(#domains), independent of the key count. *)
-  slot_key : info option Atomic.t option ref Domain.DLS.key;
+  mine : mine Domain.DLS.key; (* the calling domain's own state for [t] *)
   stats : stats option;
   no_cache : cache; (* one slot holding the dummy node *)
   mutable fixed_bits : int; (* a level-cache size set by a test, or -1 *)
+}
+
+(* What one domain keeps for one trie, written by that domain only. *)
+and mine = {
+  mutable slot : info option Atomic.t option;
+      (* its published-descriptor slot, registered on first update *)
+  mutable descents : int; (* its cached descents, for sampling *)
 }
 
 let name = K.name
@@ -294,8 +301,8 @@ let name = K.name
 (* The calling domain's published-descriptor slot for [t], created and
    registered on first use. *)
 let my_slot t =
-  let r = Domain.DLS.get t.slot_key in
-  match !r with
+  let m = Domain.DLS.get t.mine in
+  match m.slot with
   | Some s -> s
   | None ->
       let s = Atomic.make None in
@@ -304,7 +311,7 @@ let my_slot t =
         if not (Atomic.compare_and_set t.slots l (s :: l)) then push ()
       in
       push ();
-      r := Some s;
+      m.slot <- Some s;
       s
 
 let fresh_unflag () = Unflag { u = () }
@@ -476,7 +483,7 @@ let make ~record_stats ctx =
     ctx;
     holder = Atomic.make (new_holder ~epoch:0 ~gen root no_cache);
     slots = Atomic.make [];
-    slot_key = Domain.DLS.new_key (fun () -> ref None);
+    mine = Domain.DLS.new_key (fun () -> { slot = None; descents = 0 });
     stats = (if record_stats then Some (make_stats ()) else None);
     no_cache;
     fixed_bits = -1;
@@ -571,10 +578,13 @@ let search_root t v = search_from (Atomic.get t.holder).hroot v
    children of its start node, which must not belong to a frozen
    generation, so [search] writes back only live-stamped nodes.
 
-   Sizing follows the trie ([size_cache]): every descent that starts at
-   a hint in a slot whose index is a multiple of 64 (any slot of an
-   array of fewer than 64; every descent, from the root, while there is
-   no array) adds its depth to its generation's sample.  A mean
+   Sizing follows the trie ([size_cache]): one in 64 of each domain's
+   descents that start at a hint (every one while the array has fewer
+   than 64 slots; every descent, from the root, while there is no
+   array) adds its depth to its generation's sample.  The count is the
+   domain's own, so sampling writes no line another domain reads, and
+   it is by descent, not by slot: an ascending build, which visits
+   each slot once and in turn, is sampled as often as random keys.  A mean
    root-descent depth [m] asks for [2^(m-2.5)] slots, one per 4 to 8
    keys ([cache_cap] bits at most); a generation with no array
    allocates them once it has made that many root descents.  With an
@@ -599,9 +609,16 @@ let install_cache t h bits =
     (if bits = 0 then t.no_cache
      else { bits; slots = Array.make (1 lsl bits) t.no_cache.slots.(0) })
 
-(* Whether a descent in [slot] of a [2^bits]-slot array joins the sample:
-   one slot in 64, every slot of a smaller array. *)
-let[@inline] sampled bits slot = slot land (if bits < 6 then 0 else 63) = 0
+(* Whether a descent that started at a hint of a [2^bits]-slot array
+   joins the sample: one in 64 of the calling domain's, every one with
+   a smaller array. *)
+let sampled t bits =
+  bits < 6
+  ||
+  let m = Domain.DLS.get t.mine in
+  let n = m.descents + 1 in
+  m.descents <- n;
+  n land 63 = 0
 
 (* A sampled descent of generation [h] went [depth] nodes below the node
    it started at. *)
@@ -663,7 +680,7 @@ let search t v =
   let r =
     if (not (flagged ci)) && K.is_prefix (label c) v then begin
       let r = go c c ci c ci 0 in
-      if sampled bits slot then size_cache t h r.depth;
+      if sampled t bits then size_cache t h r.depth;
       r
     end
     else
@@ -1081,11 +1098,11 @@ let search_renew ~need_gp t (h : holder) v =
       | Some { gp = None; _ } when need_gp ->
           (* Stopped right under the hint: a delete or a replace needs
              the grandparent, so search again from the root. *)
-          if sampled bits slot then size_cache t h 1;
+          if sampled t bits then size_cache t h 1;
           let ri = Atomic.get (iinfo root) in
           go root root ri root ri 0
       | Some x as r ->
-          if sampled bits slot then size_cache t h x.depth;
+          if sampled t bits then size_cache t h x.depth;
           r
       | None -> None
     else
@@ -1699,6 +1716,8 @@ module For_testing = struct
         let b = max 0 (min b (min cache_cap (K.max_bits t.ctx))) in
         t.fixed_bits <- b;
         install_cache t (Atomic.get t.holder) b
+
+  let cache_bits t = (Atomic.get t.holder).hcache.bits
 
   let counters t = Option.map stats_to_alist (stats_snapshot t)
 

@@ -30,7 +30,7 @@ end)
 let pp_recovery ppf (ri : Store.recovery_info) =
   Format.fprintf ppf
     "recovered: checkpoint %s (%d keys%s), wal %d segments / %d records / %d \
-     replayed%s, last seq %d"
+     replayed%s, last seq %d, %d keys loaded in %.1f ms"
     (match ri.Store.checkpoint_seq with
     | Some s -> Printf.sprintf "@%d" s
     | None -> "none")
@@ -40,7 +40,7 @@ let pp_recovery ppf (ri : Store.recovery_info) =
      else "")
     ri.Store.wal_segments ri.Store.wal_records ri.Store.wal_replayed
     (if ri.Store.torn_tail then ", torn tail truncated" else "")
-    ri.Store.last_seq
+    ri.Store.last_seq ri.Store.keys_loaded (ri.Store.elapsed_s *. 1e3)
 
 (* ------------------------------------------------------------------ *)
 (* The store as served operations, as a follower's apply target, and

@@ -28,7 +28,11 @@
     may additionally contain have [seq > S] and are replayed on
     recovery.  Replay forces each record's effect (see {!Store.Make}):
     the last record on a key decides it whatever the image held, so
-    records the image already contains replay harmlessly.  The
+    records the image already contains replay harmlessly.  Recovery
+    computes that replay as a last-effect set (the image's keys, then
+    the tail, folded per key) and loads the keys that end present once,
+    in ascending order; the semantics are those of per-record forced
+    replay.  The
     recovered state therefore equals the linearization at the end of
     the replayed WAL, which is the same durable history a recovery
     without the checkpoint would have produced — the image only

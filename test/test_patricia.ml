@@ -473,6 +473,20 @@ let cached () =
     c_check = (fun () -> P.check_invariants t);
   }
 
+(* An ascending build, as a recovery makes, visits each slot of the
+   level cache once and in turn.  Sampling by descent count still
+   judges its array, so the array grows past the 64 slots it starts
+   at. *)
+let test_cache_grows_ascending () =
+  let t = P.create ~universe:65536 () in
+  for i = 0 to 32767 do
+    ignore (P.insert t (2 * i) : bool)
+  done;
+  let bits = P.For_testing.cache_bits t in
+  Alcotest.(check bool)
+    (Printf.sprintf "2^%d slots after 32768 ascending inserts > 2^6" bits)
+    true (bits > 6)
+
 let () =
   Tutil.time_limit 300;
   Alcotest.run "patricia"
@@ -524,5 +538,10 @@ let () =
           Alcotest.test_case "member allocation independent of depth" `Quick
             test_member_allocation_flat;
         ] );
-      ("cache", Tutil.cache_cases cached);
+      ( "cache",
+        Tutil.cache_cases cached
+        @ [
+            Alcotest.test_case "cache: grows on an ascending build" `Quick
+              test_cache_grows_ascending;
+          ] );
     ]

@@ -351,11 +351,23 @@ let test_universe_mismatch () =
   ignore (Pstore.insert s 1 : bool);
   let _ = Pstore.checkpoint s in
   Pstore.close s;
-  match Pstore.open_ ~dir ~universe:2048 ~mode:Pstore.Ephemeral () with
+  (match Pstore.open_ ~dir ~universe:2048 ~mode:Pstore.Ephemeral () with
   | exception Failure _ -> ()
   | s' ->
       Pstore.close s';
-      Alcotest.fail "checkpoint for another universe accepted"
+      Alcotest.fail "checkpoint for another universe accepted");
+  (* A log alone carries no universe: a key outside the one it is
+     opened with is an error, whatever record comes after it. *)
+  let dir = tmpdir () in
+  let s = mk_store ~universe:4096 dir in
+  ignore (Pstore.insert s 3000 : bool);
+  ignore (Pstore.delete s 3000 : bool);
+  Pstore.close s;
+  match Pstore.open_ ~dir ~universe:1024 ~mode:Pstore.Ephemeral () with
+  | exception Failure _ -> ()
+  | s' ->
+      Pstore.close s';
+      Alcotest.fail "a logged key outside the universe accepted"
 
 let test_checkpoint_under_traffic () =
   let dir = tmpdir () in
@@ -469,6 +481,164 @@ let test_dirty_copy_recovers () =
   Pstore.close r2
 
 (* ------------------------------------------------------------------ *)
+(* Recovery equivalence: the last-effect fold against per-record forced
+   replay *)
+
+(* Per-record forced replay, the oracle: load the newest image, then
+   apply every record past its cut in log order, a Replace as a delete
+   of [remove] and an insert of [add]. *)
+let apply set = function
+  | Wal.Insert k -> ignore (Core.Patricia.insert set k : bool)
+  | Wal.Delete k -> ignore (Core.Patricia.delete set k : bool)
+  | Wal.Replace { remove; add } ->
+      ignore (Core.Patricia.delete set remove : bool);
+      ignore (Core.Patricia.insert set add : bool)
+
+let forced_replay ~dir ~universe =
+  let set = Core.Patricia.create ~universe () in
+  let replay_from =
+    match Checkpoint.load_newest ~dir ~universe with
+    | Result.Ok (Some c) ->
+        List.iter (fun k -> ignore (Core.Patricia.insert set k : bool)) c.Checkpoint.keys;
+        c.Checkpoint.replay_from
+    | Result.Ok None -> -1
+    | Result.Error m -> Alcotest.fail ("oracle: " ^ m)
+  in
+  (match Wal.scan ~dir ~replay_from ~f:(fun ~seq:_ r -> apply set r) with
+  | Result.Ok _ -> ()
+  | Result.Error m -> Alcotest.fail ("oracle: " ^ m));
+  List.sort compare (Core.Patricia.to_list set)
+
+(* One random history through a live store: inserts, deletes and
+   replaces over a small universe, checkpoints at random cuts, perhaps
+   an image written ahead of its cut, perhaps a torn tail.  Recovered
+   twice, it must equal the oracle and the live set both times. *)
+let equivalence_trial seed =
+  let universe = 256 in
+  let rng = Rng.of_int_seed seed in
+  let dir = tmpdir () in
+  let s = mk_store ~mode:Pstore.Async ~universe dir in
+  let ops = 50 + Rng.int rng 400 in
+  let ahead = Rng.int rng 4 = 0 and torn = Rng.int rng 4 = 0 in
+  let ahead_at = Rng.int rng ops and last_cut = ref (-1) in
+  for i = 1 to ops do
+    let k = Rng.int rng universe in
+    (match Rng.int rng 3 with
+    | 0 -> ignore (Pstore.insert s k : bool)
+    | 1 -> ignore (Pstore.delete s k : bool)
+    | _ -> ignore (Pstore.replace s ~remove:k ~add:(Rng.int rng universe) : bool));
+    if Rng.int rng 100 = 0 then begin
+      last_cut := Pstore.scan_cut s;
+      ignore (Pstore.checkpoint s : int * int)
+    end;
+    if ahead && i = ahead_at then begin
+      (* An image of the state now, cut halfway back to the last one:
+         its records past the cut replay over effects it holds. *)
+      let cut = Pstore.scan_cut s in
+      ignore
+        (Checkpoint.write ~dir ~universe
+           ~replay_from:(!last_cut + ((cut - !last_cut) / 2))
+           ~keys:(sorted_keys s)
+          : string)
+    end
+  done;
+  let live = sorted_keys s in
+  Pstore.close s;
+  if torn then begin
+    match last_segment dir with
+    | seg -> append_file seg "\000\000\000\017torn-bytes-here!!"
+    | exception _ -> ()
+  end;
+  let r1 = mk_store ~mode:Pstore.Ephemeral ~universe dir in
+  let got1 = sorted_keys r1 in
+  let oracle = forced_replay ~dir ~universe in
+  let r2 = mk_store ~mode:Pstore.Ephemeral ~universe dir in
+  let what = Printf.sprintf "seed %d" seed in
+  Alcotest.(check (list int)) (what ^ ": recovered = forced replay") oracle got1;
+  Alcotest.(check (list int)) (what ^ ": second open") got1 (sorted_keys r2);
+  Alcotest.(check (list int)) (what ^ ": recovered = live") live got1;
+  Alcotest.(check int)
+    (what ^ ": one insert per recovered key")
+    (List.length got1) (Pstore.recovery_info r1).Pstore.keys_loaded;
+  (match Core.Patricia.check_invariants (Pstore.underlying r1) with
+  | Result.Ok () -> ()
+  | Result.Error m -> Alcotest.fail (what ^ ": invariants: " ^ m));
+  Pstore.close r1;
+  Pstore.close r2
+
+let test_recovery_equivalence () =
+  for seed = 1 to 60 do
+    equivalence_trial seed
+  done
+
+(* Logs no live store would write: records on absent keys, replaces of
+   a key by itself, and an image that disagrees with the log at an
+   arbitrary cut.  Forced replay still defines the result. *)
+let test_raw_log_equivalence () =
+  let universe = 64 in
+  for seed = 1 to 40 do
+    let rng = Rng.of_int_seed (1000 + seed) in
+    let dir = tmpdir () in
+    let w = Wal.Writer.create ~dir ~start_seq:1 ~fsync:false () in
+    let n = 1 + Rng.int rng 300 in
+    let key () = Rng.int rng universe in
+    for _ = 1 to n do
+      let r =
+        match Rng.int rng 4 with
+        | 0 -> Wal.Insert (key ())
+        | 1 -> Wal.Delete (key ())
+        | 2 ->
+            let k = key () in
+            Wal.Replace { remove = k; add = k }
+        | _ -> Wal.Replace { remove = key (); add = key () }
+      in
+      ignore (Wal.Writer.append w r : int)
+    done;
+    Wal.Writer.wait_durable w n;
+    Wal.Writer.stop w;
+    if Rng.bool rng then
+      ignore
+        (Checkpoint.write ~dir ~universe ~replay_from:(Rng.int rng (n + 1))
+           ~keys:(List.init (Rng.int rng 20) (fun _ -> key ()))
+          : string);
+    let r = mk_store ~mode:Pstore.Ephemeral ~universe dir in
+    Alcotest.(check (list int))
+      (Printf.sprintf "seed %d: recovered = forced replay" seed)
+      (forced_replay ~dir ~universe) (sorted_keys r);
+    Pstore.close r
+  done
+
+(* A few hundred keys in a universe of 2^40: what recovery allocates
+   must follow the keys, not the universe. *)
+let test_recovery_sparse_universe () =
+  let universe = 1 lsl 40 in
+  let dir = tmpdir () in
+  let s = mk_store ~mode:Pstore.Async ~universe dir in
+  let rng = Rng.of_int_seed 40 in
+  let keys = Array.init 400 (fun _ -> Rng.int rng universe) in
+  Array.iter (fun k -> ignore (Pstore.insert s k : bool)) keys;
+  ignore (Pstore.checkpoint s : int * int);
+  Array.iteri
+    (fun i k ->
+      if i mod 3 = 0 then ignore (Pstore.delete s k : bool)
+      else if i mod 3 = 1 then
+        ignore (Pstore.replace s ~remove:k ~add:(Rng.int rng universe) : bool))
+    keys;
+  let live = sorted_keys s in
+  Pstore.close s;
+  let before = Gc.allocated_bytes () in
+  let r = mk_store ~mode:Pstore.Ephemeral ~universe dir in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check (list int)) "recovered = live" live (sorted_keys r);
+  Alcotest.(check (list int)) "recovered = forced replay"
+    (forced_replay ~dir ~universe) (sorted_keys r);
+  (* About 135 KB; a bitmap over the universe would be 2^37 bytes. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "recovery allocated %.0f bytes < 1 MB" allocated)
+    true (allocated < 1e6);
+  Pstore.close r
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "persist"
@@ -510,5 +680,11 @@ let () =
             test_async_mode_drains_on_close;
           Alcotest.test_case "dirty copy recovers" `Quick
             test_dirty_copy_recovers;
+          Alcotest.test_case "equals forced replay" `Quick
+            test_recovery_equivalence;
+          Alcotest.test_case "raw logs equal forced replay" `Quick
+            test_raw_log_equivalence;
+          Alcotest.test_case "sparse 2^40 universe" `Quick
+            test_recovery_sparse_universe;
         ] );
     ]
