@@ -734,10 +734,11 @@ let serve_cmd =
   in
   let durability_arg =
     let doc =
-      "With --data-dir: $(b,none) recovers but logs nothing, $(b,async) logs \
-       every mutation without fsync (crash loses the unwritten tail), \
-       $(b,sync) group-commits — acknowledgements wait for the batch fsync, \
-       so every acked mutation survives kill -9 and power loss."
+      "With --data-dir: $(b,none) recovers but logs nothing; $(b,async) \
+       logs every mutation and acknowledgements wait for the window's \
+       group-commit write, so every acked mutation survives kill -9 but not \
+       power loss; $(b,sync) also fsyncs that write, so every acked \
+       mutation survives kill -9 and power loss."
     in
     Arg.(
       value
@@ -1009,7 +1010,8 @@ let recover_cmd =
   let compact_arg =
     let doc =
       "After recovering, write a fresh checkpoint of the recovered state and \
-       delete the WAL segments it supersedes."
+       delete the WAL segments it supersedes, the last one included.  Fails \
+       if a server is writing the directory."
     in
     Arg.(value & flag & info [ "compact" ] ~doc)
   in
@@ -1023,14 +1025,18 @@ let recover_cmd =
         | Result.Error m ->
             `Error (false, "recovered trie violates invariants: " ^ m)
         | Result.Ok () ->
-            if compact then begin
-              let keys, deleted = Pstore.checkpoint store in
-              Format.printf "compacted: checkpoint with %d keys, %d segments \
-                             deleted@."
-                keys deleted
-            end;
-            Format.print_flush ();
-            `Ok ())
+            match if compact then Some (Pstore.checkpoint store) else None with
+            | exception Failure m -> `Error (false, m)
+            | compacted ->
+                Option.iter
+                  (fun (keys, deleted) ->
+                    Format.printf
+                      "compacted: checkpoint with %d keys, %d segments \
+                       deleted@."
+                      keys deleted)
+                  compacted;
+                Format.print_flush ();
+                `Ok ())
   in
   let doc =
     "Recover a --data-dir offline: load the newest valid checkpoint, replay \

@@ -54,8 +54,8 @@ type site =
   | Net_write  (** patserve: about to write buffered responses *)
   | Net_decode  (** patserve: about to decode a complete request frame *)
   | Wal_append
-      (** persist: the log domain is about to write a group-commit batch
-          to the active WAL segment.  A policy stalling here widens the
+      (** persist: a group-commit leader is about to write its batch to
+          the active WAL segment.  A policy stalling here widens the
           window in which a crash leaves a torn or missing tail. *)
   | Wal_fsync  (** persist: about to fsync the active WAL segment *)
   | Wal_rotate

@@ -83,13 +83,7 @@ let follower_ops r =
     {
       apply_insert = (fun k -> ignore (Store.insert !r k : bool));
       apply_delete = (fun k -> ignore (Store.delete !r k : bool));
-      wal_sync =
-        (fun () ->
-          match Store.wal_writer !r with
-          | Some w ->
-              let last = Store.last_logged_here !r in
-              if last >= 0 then Persist.Wal.Writer.wait_durable w last
-          | None -> ());
+      wal_sync = (fun () -> Store.barrier !r);
     }
 
 (* ------------------------------------------------------------------ *)

@@ -3,8 +3,8 @@
     Global rather than per-store, like [Server.Metrics]: a process hosts
     one logical store; tests reset between runs.  Counters are striped
     ([Obs.Counter]) because the append path is crossed by every server
-    worker domain; the fsync/batch histograms are only written by the
-    single log domain but share the same sharded type for uniformity. *)
+    worker domain, and so are the fsync/batch histograms, which each
+    group commit's leader records on whichever domain it runs. *)
 
 let records = Obs.Counter.create ()
 let bytes = Obs.Counter.create ()
@@ -84,7 +84,7 @@ let emit b =
   c "patserve_wal_records_replayed_total"
     "WAL records replayed during recovery" records_replayed;
   c "patserve_wal_sync_waits_total"
-    "Operations that blocked awaiting group-commit durability" sync_waits;
+    "Commit waits that found their record not yet durable" sync_waits;
   histogram_summary b ~name:"patserve_wal_fsync_ns"
     ~help:"WAL fsync latency per group commit, nanoseconds"
     (Obs.Histogram.snapshot fsync_ns);

@@ -7,9 +7,11 @@
     serving live traffic:
 
     - {!Wal}: a segmented append-only log with CRC32C-framed records and
-      {e group commit} — worker domains publish acknowledged mutations
-      to a shared queue and a dedicated log domain batches them per
-      fsync, so synchronous durability costs one fsync per batch of
+      leader-based {e group commit} with no log thread — worker domains
+      publish acknowledged mutations to a shared queue, and the first
+      one to need its records on disk writes everything queued in one
+      [write] (and one fsync in sync mode) while the others wait for
+      it, so synchronous durability costs one fsync per batch of
       concurrent operations rather than one per operation;
     - {!Checkpoint}: consistent images of a live trie, written
       side-by-side with concurrent inserts/deletes/replaces by pairing
@@ -20,7 +22,8 @@
     - {!Store}: a functor packaging any [CONCURRENT_SET_WITH_REPLACE]
       with open-time recovery (newest valid checkpoint + WAL tail
       replay, torn tails truncated at the first bad CRC, idempotent
-      under double replay), the sync-ack {!Store.Make.barrier}, and
+      under double replay), the per-window commit {!Store.Make.barrier},
+      and
       live checkpointing with segment truncation;
     - {!Crc}: the shared, check-vector-tested CRC-32/CRC-32C
       implementation both file formats validate with;
@@ -28,7 +31,7 @@
       byte/record/segment counters, exported through the same live
       scrape endpoint as everything else.
 
-    Fault injection rides along: the log domain crosses
+    Fault injection rides along: a commit's leader crosses
     [Chaos.Wal_append], [Chaos.Wal_fsync] and [Chaos.Wal_rotate], so
     chaos policies can widen crash windows exactly like they perturb
     the trie's CAS sites — the crash-recovery fuzzer

@@ -30,13 +30,18 @@
     {2 Durability contract}
 
     Mutations are applied to the in-memory structure first and published
-    to the log after; acknowledgements gated on {!barrier} (mode
-    {!Sync}) are only released once the group commit holding the
-    operation is on disk.  Recovery therefore restores {e every
-    synchronously-acknowledged operation}, and restores operations in
+    to the log after.  {!barrier} commits this domain's records: the
+    patserve server calls it once per window of pipelined requests,
+    before the window's acknowledgements are written, so the window
+    costs one group-commit [write].  In {!Sync} mode the commit is also
+    fsynced, so an acknowledged operation survives power loss; in
+    {!Async} mode it is not, so an acknowledged operation has reached
+    the operating system and survives a process crash ([kill -9]) but
+    not power loss.  Recovery therefore restores {e every acknowledged
+    operation} of the crash its mode covers, and restores operations in
     their per-session (per-connection) order — an acknowledged operation
     also orders before anything issued after its ack was observed,
-    because the ack itself waited for the fsync.  Two {e concurrent,
+    because the ack itself waited for the commit.  Two {e concurrent,
     unacknowledged} mutations of the same key from different sessions
     may be recovered in either order (the WAL records them in publish
     order, which can differ from the structure's internal linearization
@@ -138,8 +143,8 @@ end
 module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
   type mode =
     | Ephemeral  (** recover at open, log nothing (read-only durability) *)
-    | Async  (** log every mutation, never fsync, never wait *)
-    | Sync  (** log + group-commit fsync; {!barrier} gates acks *)
+    | Async  (** log every mutation; {!barrier} writes, never fsyncs *)
+    | Sync  (** log + group-commit fsync; {!barrier} writes and fsyncs *)
 
   let mode_name = function
     | Ephemeral -> "none"
@@ -171,6 +176,7 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
     retention : (unit -> int option) Atomic.t;
         (* checkpoint GC floor: lowest WAL seq some attached consumer
            (a replication tailer) still needs; [None] = unconstrained *)
+    lock : Unix.file_descr option Atomic.t;  (** held by a writer until {!close} *)
   }
 
   let rec mkdirs dir =
@@ -180,15 +186,26 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
       with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
     end
 
-  (** [open_ ~dir ~universe ~mode ()] recovers the state persisted in
-      [dir] (creating it if absent) into a fresh [S.t] and, in the
-      logging modes, starts the group-commit writer on a new segment.
-      @raise Failure on corruption that is not a recoverable torn tail
-      (a bad record with more log after it, a checkpoint for a
-      different universe, or a key outside [0, universe)). *)
-  let open_ ~dir ~universe ~mode ?segment_bytes () =
-    let t0 = Obs.Clock.now_ns () in
-    mkdirs dir;
+  (* One process writes a directory at a time.  A live writer appends
+     to the last segment, which an offline compaction deletes, so both
+     take an exclusive [lockf] on [dir/LOCK].  The lock is per process:
+     it keeps a second process out, not a second store in this one. *)
+  let lock_dir dir =
+    let fd =
+      Unix.openfile (Filename.concat dir "LOCK")
+        [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ]
+        0o644
+    in
+    match Unix.lockf fd Unix.F_TLOCK 0 with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
+        Unix.close fd;
+        failwith
+          (Printf.sprintf "Persist.Store: %s is in use by another process" dir)
+
+  (* Everything [open_] does after locking: recover the directory into a
+     fresh structure and, in the logging modes, start its writer. *)
+  let recover ~dir ~universe ~mode ?segment_bytes t0 =
     let ckpt =
       match Checkpoint.load_newest ~dir ~universe with
       | Result.Ok c -> c
@@ -261,17 +278,37 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
             (Wal.Writer.create ~dir ~start_seq:(last_seq + 1) ?segment_bytes
                ~fsync:(mode = Sync) ())
     in
-    {
-      dir;
-      universe;
-      mode;
-      set;
-      writer;
-      info;
-      last_logged = Domain.DLS.new_key (fun () -> ref (-1));
-      ckpt_mu = Mutex.create ();
-      retention = Atomic.make (fun () -> None);
-    }
+    (set, info, writer)
+
+  (** [open_ ~dir ~universe ~mode ()] recovers the state persisted in
+      [dir] (creating it if absent) into a fresh [S.t] and, in the
+      logging modes, locks [dir] and starts the group-commit writer on a
+      new segment.
+      @raise Failure if another process holds [dir] in a logging mode,
+      or on corruption that is not a recoverable torn tail
+      (a bad record with more log after it, a checkpoint for a
+      different universe, or a key outside [0, universe)). *)
+  let open_ ~dir ~universe ~mode ?segment_bytes () =
+    let t0 = Obs.Clock.now_ns () in
+    mkdirs dir;
+    let lock = if mode = Ephemeral then None else Some (lock_dir dir) in
+    match recover ~dir ~universe ~mode ?segment_bytes t0 with
+    | exception e ->
+        Option.iter Unix.close lock;
+        raise e
+    | set, info, writer ->
+        {
+          dir;
+          universe;
+          mode;
+          set;
+          writer;
+          info;
+          last_logged = Domain.DLS.new_key (fun () -> ref (-1));
+          ckpt_mu = Mutex.create ();
+          retention = Atomic.make (fun () -> None);
+          lock = Atomic.make lock;
+        }
 
   let recovery_info t = t.info
   let mode t = t.mode
@@ -336,22 +373,24 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
     | Some w -> Wal.Writer.last_assigned w
     | None -> t.info.last_seq
 
-  (** Block until this domain's most recent logged mutation is durable.
-      In {!Sync} mode an acknowledgement must not be released before
-      this returns; the patserve server calls it once per processed
-      frame window, which is what makes group commit pay (one fsync per
-      window of pipelined requests, not per request).  No-op in the
-      other modes. *)
+  (** Commit this domain's most recent logged mutation: return once it
+      is written ({!Async}) or written and fsynced ({!Sync}), leading
+      the group commit if none is in progress.  An acknowledgement must
+      not be released before this returns; the patserve server calls
+      it once per processed frame window, which is what makes group
+      commit pay (one [write], and one fsync in {!Sync}, per window of
+      pipelined requests, not per request).  No-op in {!Ephemeral}. *)
   let barrier t =
     match t.writer with
-    | Some w when t.mode = Sync ->
+    | Some w ->
         let last = !(Domain.DLS.get t.last_logged) in
         if last >= 0 then Wal.Writer.wait_durable w last
-    | _ -> ()
+    | None -> ()
 
-  (** Group-commit backlog: records enqueued for the log domain but not
-      yet durable.  0 when the store does not log.  Cheap enough to be
-      sampled by the progress watchdog on every health evaluation. *)
+  (** Group-commit backlog: records appended but not yet taken by a
+      commit, about {!Wal.Writer.batch_limit} at most while commits keep
+      up.  0 when the store does not log.  Cheap enough to be sampled by
+      the progress watchdog on every health evaluation. *)
   let queue_depth t =
     match t.writer with Some w -> Wal.Writer.queue_depth w | None -> 0
 
@@ -373,10 +412,18 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
       weakly-consistent [S.to_list] walk, which is exact when the
       store is quiescent and sound under live insert/delete traffic
       (replay overwrites anything the walk half-saw); only live
-      Replace traffic needs the frozen view. *)
+      Replace traffic needs the frozen view.
+
+      Without a writer ({!Ephemeral}: an offline compaction) the last
+      segment goes too, so the directory is locked as {!open_} locks it.
+      @raise Failure if another process is writing the directory. *)
   let checkpoint t =
     Mutex.lock t.ckpt_mu;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.ckpt_mu) @@ fun () ->
+    (* With no writer here, the directory must not have one elsewhere
+       either: this checkpoint deletes the last segment. *)
+    let lock = if t.writer = None then Some (lock_dir t.dir) else None in
+    Fun.protect ~finally:(fun () -> Option.iter Unix.close lock) @@ fun () ->
     let s0 = scan_cut t in
     let keys =
       match S.snapshot t.set with
@@ -395,12 +442,18 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
       (Checkpoint.write ~dir:t.dir ~universe:t.universe ~replay_from:s0 ~keys
         : string);
     let keep_from = (Atomic.get t.retention) () in
+    (* With no writer nothing is appended past the recovered log, so
+       its last segment can go too. *)
+    let log_end = if t.writer = None then Some t.info.last_seq else None in
     let deleted =
-      Wal.delete_obsolete_segments ~dir:t.dir ~upto:s0 ?keep_from ()
+      Wal.delete_obsolete_segments ~dir:t.dir ~upto:s0 ?keep_from ?log_end ()
     in
     (List.length keys, deleted)
 
-  (** Stop the log domain after draining every accepted record (final
-      fsync included).  The store must not be mutated afterwards. *)
-  let close t = Option.iter Wal.Writer.stop t.writer
+  (** Commit every logged record, seal the log with a final fsync and
+      release the directory lock.  The store must not be mutated
+      afterwards. *)
+  let close t =
+    Option.iter Wal.Writer.stop t.writer;
+    Option.iter Unix.close (Atomic.exchange t.lock None)
 end

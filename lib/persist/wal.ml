@@ -25,20 +25,28 @@
 
     {2 Group commit}
 
-    {!Writer.append} may be called from any domain: it assigns the next
-    sequence number, enqueues the record, and returns without touching
-    the file.  A dedicated log domain drains the queue, writes the whole
-    batch with one [write], and (in [~fsync:true] mode) issues one
-    [fsync] for the batch — so synchronous durability costs one fsync
-    per {e batch} of concurrent mutations, not one per operation.
-    Callers needing sync semantics then block in {!Writer.wait_durable}
-    until the batch containing their record is on disk.
+    There is no log thread: the domain that needs its records on disk
+    writes them.  {!Writer.append} may be called from any domain; it
+    assigns the next sequence number, enqueues the record and returns
+    without touching the file.  {!Writer.wait_durable} then makes the
+    caller the {e leader} if no commit is in progress: it takes the
+    whole queue, writes it with one [write] (and, in [~fsync:true]
+    mode, one [fsync]), publishes the new durable sequence number and
+    wakes the waiters.  A caller that finds a leader at work waits for
+    it instead.  Leadership is handed back after one batch, so a waiter
+    whose record arrived after the leader took the queue leads the next
+    batch with everything queued meanwhile.  Synchronous durability
+    therefore costs one fsync per {e batch} of concurrent mutations, not
+    one per operation, and the patserve server pays one [write] per
+    window of pipelined requests ({!Store.Make.barrier}).  A caller that
+    never waits is bounded too: an append that finds {!Writer.batch_limit}
+    records queued and no leader commits them itself.
 
-    [Chaos] crossings: {!Chaos.Wal_append} before each batch write,
-    {!Chaos.Wal_fsync} before each fsync, {!Chaos.Wal_rotate} before a
-    segment rotation — stalling policies widen the windows in which a
-    kill leaves torn or missing tails, which is exactly what the crash
-    fuzzer drives. *)
+    [Chaos] crossings, all on the leading caller: {!Chaos.Wal_append}
+    before each batch write, {!Chaos.Wal_fsync} before each fsync,
+    {!Chaos.Wal_rotate} before a segment rotation — stalling policies
+    widen the windows in which a kill leaves torn or missing tails,
+    which is exactly what the crash fuzzer drives. *)
 
 type record =
   | Insert of int
@@ -107,26 +115,36 @@ let payload_len = function
   | Insert _ | Delete _ -> 8 + 1 + 8
   | Replace _ -> 8 + 1 + 16
 
-(** Append the full frame (length, CRC, payload) for [record] to [buf]. *)
-let encode_record buf ~seq record =
-  let plen = payload_len record in
-  put_u32 buf plen;
-  let payload = Buffer.create plen in
-  put_u64 payload seq;
+let max_frame = frame_overhead + 8 + 1 + 16
+
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+
+let set_u64 b off v =
+  set_u32 b off ((v lsr 32) land 0xFFFFFFFF);
+  set_u32 b (off + 4) (v land 0xFFFFFFFF)
+
+(** Write the full frame (length, CRC, payload) for [record] into [b]
+    at [off], which must have {!max_frame} bytes of room, and return
+    the offset past it.  The CRC is computed over the payload in
+    place. *)
+let encode_record b off ~seq record =
+  let p = off + frame_overhead in
+  set_u64 b p seq;
   (match record with
   | Insert k ->
-      Buffer.add_char payload '\001';
-      put_u64 payload k
+      Bytes.set b (p + 8) '\001';
+      set_u64 b (p + 9) k
   | Delete k ->
-      Buffer.add_char payload '\002';
-      put_u64 payload k
+      Bytes.set b (p + 8) '\002';
+      set_u64 b (p + 9) k
   | Replace { remove; add } ->
-      Buffer.add_char payload '\003';
-      put_u64 payload remove;
-      put_u64 payload add);
-  let pb = Buffer.to_bytes payload in
-  put_u32 buf (Crc.crc32c pb ~off:0 ~len:plen);
-  Buffer.add_bytes buf pb
+      Bytes.set b (p + 8) '\003';
+      set_u64 b (p + 9) remove;
+      set_u64 b (p + 17) add);
+  let plen = payload_len record in
+  set_u32 b off plen;
+  set_u32 b (off + 4) (Crc.crc32c b ~off:p ~len:plen);
+  p + plen
 
 (** Decode the payload at [b.(off), b.(off+len)); CRC already checked. *)
 let decode_payload b ~off ~len =
@@ -292,23 +310,30 @@ let scan ~dir ~replay_from ~f =
 (** Delete segments made obsolete by a checkpoint that replays from
     [upto]: a segment may go iff {e every} record it can contain is
     [<= upto], i.e. the next segment's base is [<= upto + 1].  The last
-    (active) segment never goes.  [keep_from], if given, is a retention
-    low-water mark: segments that may still contain records [>=
-    keep_from] survive even below [upto] — an attached follower cursor
-    ({!Tail}) positioned at [keep_from] must be able to keep streaming
-    after the checkpoint.  Returns how many files were deleted. *)
-let delete_obsolete_segments ~dir ~upto ?keep_from () =
+    segment goes only when [log_end] is given and [<= upto]: [log_end]
+    is the highest sequence number the log will ever hold, known only
+    when no writer appends to it (an offline compaction, which
+    [Store.checkpoint] runs under the directory lock); a live writer's
+    segment always stays.  [keep_from], if given, is a
+    retention low-water mark: segments that may still contain records
+    [>= keep_from] survive even below [upto] — an attached follower
+    cursor ({!Tail}) positioned at [keep_from] must be able to keep
+    streaming after the checkpoint.  Returns how many files were
+    deleted. *)
+let delete_obsolete_segments ~dir ~upto ?keep_from ?log_end () =
   let upto =
     match keep_from with None -> upto | Some k -> min upto (k - 1)
   in
-  let segs = list_segments dir in
   let rec go deleted = function
-    | (_, path) :: ((next_base, _) :: _ as rest) when next_base <= upto + 1 ->
+    | (_, path) :: rest
+      when (match rest with
+           | (next_base, _) :: _ -> next_base <= upto + 1
+           | [] -> ( match log_end with Some e -> e <= upto | None -> false)) ->
         Sys.remove path;
         go (deleted + 1) rest
     | _ -> deleted
   in
-  let deleted = go 0 segs in
+  let deleted = go 0 (list_segments dir) in
   if deleted > 0 then begin
     Obs.Counter.add Metrics.segments_truncated deleted;
     fsync_dir dir
@@ -324,16 +349,23 @@ module Writer = struct
     segment_bytes : int;
     fsync : bool;
     mu : Mutex.t;
-    nonempty : Condition.t;
-    durable : Condition.t;
-    q : (int * record) Queue.t;
+    durable : Condition.t;  (** broadcast when a commit ends *)
+    q : record Queue.t;  (** appended, not yet taken by a leader *)
+    batch : record Queue.t;  (** the leader's batch, in flight *)
+    mutable scratch : Bytes.t;  (** the leader's encode buffer, reused *)
     mutable next_seq : int;
     mutable durable_upto : int;
+    mutable leading : bool;
+    mutable failed : exn option;
     mutable stopping : bool;
     mutable cur_fd : Unix.file_descr;
     mutable cur_bytes : int;
-    mutable dom : unit Domain.t option;
   }
+
+  (** Queued records at which an {!append} that finds no leader commits
+      them itself, so callers that never wait hold the queue to about
+      this many records. *)
+  let batch_limit = 4096
 
   let open_segment dir base =
     let path = Filename.concat dir (segment_name base) in
@@ -360,29 +392,34 @@ module Writer = struct
     w.cur_bytes <- header_len;
     Obs.Counter.incr Metrics.rotations
 
-  (* One group commit: encode the whole batch, rotate if it would
-     overflow the segment, single write, optional single fsync. *)
-  let write_batch w batch =
+  (* One group commit, run by the leader without the lock: encode the
+     batch (records [first], [first + 1], ...) into the reused scratch
+     bytes, rotate if it would overflow the segment, single write,
+     optional single fsync. *)
+  let write_batch w ~first batch =
     let t0 = Obs.Clock.now_ns () in
-    let buf = Buffer.create 4096 in
-    let n = ref 0 in
-    let first = ref (-1) in
-    List.iter
-      (fun (seq, r) ->
-        if !first < 0 then first := seq;
-        encode_record buf ~seq r;
-        incr n)
-      batch;
-    let bb = Buffer.to_bytes buf in
-    let len = Bytes.length bb in
+    let n = Queue.length batch in
+    if Bytes.length w.scratch < n * max_frame then
+      w.scratch <-
+        Bytes.create (max (n * max_frame) (2 * Bytes.length w.scratch));
+    let b = w.scratch in
+    let seq = ref first in
+    let len =
+      Queue.fold
+        (fun off r ->
+          let off = encode_record b off ~seq:!seq r in
+          incr seq;
+          off)
+        0 batch
+    in
     if w.cur_bytes > header_len && w.cur_bytes + len > w.segment_bytes then
-      rotate w ~first_seq:!first;
+      rotate w ~first_seq:first;
     Chaos.point Chaos.Wal_append;
-    write_all w.cur_fd bb 0 len;
+    write_all w.cur_fd b 0 len;
     w.cur_bytes <- w.cur_bytes + len;
-    Obs.Counter.add Metrics.records !n;
+    Obs.Counter.add Metrics.records n;
     Obs.Counter.add Metrics.bytes len;
-    Obs.Histogram.record Metrics.batch_size !n;
+    Obs.Histogram.record Metrics.batch_size n;
     if w.fsync then begin
       Chaos.point Chaos.Wal_fsync;
       let f0 = Obs.Clock.now_ns () in
@@ -390,97 +427,101 @@ module Writer = struct
       Obs.Histogram.record Metrics.fsync_ns (Obs.Clock.now_ns () - f0);
       Obs.Counter.incr Metrics.fsyncs
     end;
-    (match Obs.Trace.recorder () with
+    match Obs.Trace.recorder () with
     | Some tr ->
-        Obs.Trace.emit_span tr (Obs.Trace.Custom "group_commit") ~key:!n
-          ~ok:true ~retries:0 ~attempt:1 ~site:"wal" ~t0_ns:t0
-    | None -> ())
+        Obs.Trace.emit_span tr (Obs.Trace.Custom "group_commit") ~key:n ~ok:true
+          ~retries:0 ~attempt:1 ~site:"wal" ~t0_ns:t0
+    | None -> ()
 
-  (* The dedicated log domain: drain everything queued, commit it as one
-     batch, publish durability, repeat.  Exits only on [stop] with an
-     empty queue, so no accepted record is ever dropped by a clean
-     shutdown. *)
-  let log_loop w =
-    let rec loop () =
-      Mutex.lock w.mu;
-      while Queue.is_empty w.q && not w.stopping do
-        Condition.wait w.nonempty w.mu
-      done;
-      if Queue.is_empty w.q then begin
-        Mutex.unlock w.mu;
-        Unix.fsync w.cur_fd;
-        Unix.close w.cur_fd
-      end
-      else begin
-        let batch = List.of_seq (Queue.to_seq w.q) in
-        Queue.clear w.q;
-        Mutex.unlock w.mu;
-        write_batch w batch;
-        let last = fst (List.nth batch (List.length batch - 1)) in
-        Mutex.lock w.mu;
-        w.durable_upto <- last;
-        Condition.broadcast w.durable;
-        Mutex.unlock w.mu;
-        loop ()
-      end
+  let check_failed w =
+    match w.failed with
+    | Some e ->
+        failwith
+          ("Wal.Writer: an earlier group commit failed: "
+          ^ Printexc.to_string e)
+    | None -> ()
+
+  (* Lead one group commit of everything queued.  Called with [mu] held,
+     no leader active and a nonempty queue; drops [mu] around the I/O
+     and returns with it held.  A failed write leaves the writer
+     [failed]: the records it dropped can never become durable, so no
+     later wait may return over them. *)
+  let lead w =
+    w.leading <- true;
+    let first = w.durable_upto + 1 in
+    Queue.transfer w.q w.batch;
+    let n = Queue.length w.batch in
+    Mutex.unlock w.mu;
+    let outcome =
+      match write_batch w ~first w.batch with
+      | () -> None
+      | exception e -> Some e
     in
-    loop ()
+    Queue.clear w.batch;
+    Mutex.lock w.mu;
+    w.leading <- false;
+    (match outcome with
+    | None -> w.durable_upto <- first + n - 1
+    | Some e -> w.failed <- Some e);
+    Condition.broadcast w.durable;
+    Option.iter raise outcome
 
   (** [create ~dir ~start_seq ~fsync ()] opens a fresh segment with base
-      [start_seq] and spawns the log domain.  [fsync] selects whether
-      each group commit is fsynced (sync/async durability); rotation
-      always seals the outgoing segment with an fsync. *)
+      [start_seq].  [fsync] selects whether each group commit is fsynced
+      (sync/async durability); rotation always seals the outgoing
+      segment with an fsync.  No domain is spawned: commits run on the
+      callers of {!wait_durable}. *)
   let create ~dir ~start_seq ?(segment_bytes = default_segment_bytes) ~fsync ()
       =
     if segment_bytes < header_len + frame_overhead + max_record_payload then
       invalid_arg "Wal.Writer.create: segment_bytes too small";
-    let fd = open_segment dir start_seq in
-    let w =
-      {
-        dir;
-        segment_bytes;
-        fsync;
-        mu = Mutex.create ();
-        nonempty = Condition.create ();
-        durable = Condition.create ();
-        q = Queue.create ();
-        next_seq = start_seq;
-        durable_upto = start_seq - 1;
-        stopping = false;
-        cur_fd = fd;
-        cur_bytes = header_len;
-        dom = None;
-      }
-    in
-    w.dom <- Some (Domain.spawn (fun () -> log_loop w));
-    w
+    {
+      dir;
+      segment_bytes;
+      fsync;
+      mu = Mutex.create ();
+      durable = Condition.create ();
+      q = Queue.create ();
+      batch = Queue.create ();
+      scratch = Bytes.create 4096;
+      next_seq = start_seq;
+      durable_upto = start_seq - 1;
+      leading = false;
+      failed = None;
+      stopping = false;
+      cur_fd = open_segment dir start_seq;
+      cur_bytes = header_len;
+    }
 
-  (** Publish one mutation; returns its sequence number.  Never blocks
-      on I/O — the log domain does the writing. *)
+  (** Publish one mutation; returns its sequence number.  Does no I/O
+      unless it finds {!batch_limit} records queued and no leader, in
+      which case it commits them before returning. *)
   let append w r =
-    Mutex.lock w.mu;
-    if w.stopping then begin
-      Mutex.unlock w.mu;
-      invalid_arg "Wal.Writer.append: writer is stopped"
-    end;
+    Mutex.protect w.mu @@ fun () ->
+    if w.stopping then invalid_arg "Wal.Writer.append: writer is stopped";
+    check_failed w;
     let seq = w.next_seq in
     w.next_seq <- seq + 1;
-    Queue.add (seq, r) w.q;
-    Condition.signal w.nonempty;
-    Mutex.unlock w.mu;
+    Queue.add r w.q;
+    if Queue.length w.q >= batch_limit && not w.leading then lead w;
     seq
 
-  (** Block until the batch containing [seq] has committed (written, and
-      fsynced when the writer is in fsync mode). *)
+  (** Return once the record [seq] is committed (written, and fsynced
+      when the writer is in fsync mode).  If no commit is in progress
+      the caller leads one — of everything queued, its own record
+      included — otherwise it waits for the leader and re-checks.
+      @raise Failure if a commit failed before [seq] became durable
+      (the leader of that commit gets its write's own exception). *)
   let wait_durable w seq =
-    Mutex.lock w.mu;
+    Mutex.protect w.mu @@ fun () ->
+    let seq = min seq (w.next_seq - 1) in
     if w.durable_upto < seq then begin
       Obs.Counter.incr Metrics.sync_waits;
-      while w.durable_upto < seq && not w.stopping do
-        Condition.wait w.durable w.mu
+      while w.durable_upto < seq do
+        check_failed w;
+        if w.leading then Condition.wait w.durable w.mu else lead w
       done
-    end;
-    Mutex.unlock w.mu
+    end
 
   let last_assigned w =
     Mutex.lock w.mu;
@@ -519,26 +560,30 @@ module Writer = struct
     Mutex.unlock w.mu;
     s
 
-  (** Records enqueued but not yet on disk — the group-commit backlog.
-      A depth that keeps growing means the log domain is not keeping up
-      (sick disk, fsync storms); the progress watchdog alarms on it. *)
+  (** Records appended but not yet taken by a commit: at most about
+      {!batch_limit} unless a leader is stuck in a slow write or fsync
+      (sick disk, fsync storms), which the progress watchdog alarms
+      on. *)
   let queue_depth w =
     Mutex.lock w.mu;
     let n = Queue.length w.q in
     Mutex.unlock w.mu;
     n
 
-  (** Drain the queue, seal the segment with a final fsync, join the log
-      domain.  Idempotent. *)
+  (** Refuse further appends, wait out a commit in progress, commit
+      what is still queued, and seal the segment with a final fsync.
+      Idempotent. *)
   let stop w =
-    Mutex.lock w.mu;
-    let d = w.dom in
-    w.dom <- None;
-    w.stopping <- true;
-    Condition.broadcast w.nonempty;
-    Condition.broadcast w.durable;
-    Mutex.unlock w.mu;
-    Option.iter Domain.join d
+    Mutex.protect w.mu @@ fun () ->
+    if not w.stopping then begin
+      w.stopping <- true;
+      while w.leading do
+        Condition.wait w.durable w.mu
+      done;
+      Fun.protect ~finally:(fun () -> Unix.close w.cur_fd) @@ fun () ->
+      if w.failed = None && not (Queue.is_empty w.q) then lead w;
+      Unix.fsync w.cur_fd
+    end
 end
 
 (* ------------------------------------------------------------------ *)

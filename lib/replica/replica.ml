@@ -565,14 +565,15 @@ end
 module Follower = struct
   (** How the follower touches its local store: forced application (the
       record's effect must hold afterwards, result booleans are
-      irrelevant) plus the durability wait that gates watermark
-      persistence. *)
+      irrelevant) plus the commit that follows each acknowledged batch
+      and gates watermark persistence. *)
   type store_ops = {
     apply_insert : int -> unit;
     apply_delete : int -> unit;
     wal_sync : unit -> unit;
-        (** wait until the follower's own WAL covers everything applied
-            so far (its group commit caught up) *)
+        (** commit the follower's own WAL up to everything applied so
+            far; run once the applied batches are acknowledged, before
+            the follower blocks for more *)
   }
 
   type t = {
@@ -642,6 +643,7 @@ module Follower = struct
   let recv_loop t reader =
     let scratch = Bytes.create 65536 in
     let since_watermark = ref 0 in
+    let uncommitted = ref false in
     let fail msg = Atomic.set t.failed (Some msg) in
     let rec frames () =
       if Atomic.get t.stopping then ()
@@ -668,8 +670,10 @@ module Follower = struct
                 | () -> Obs.Counter.incr Metrics.acks
                 | exception Unix.Unix_error (e, _, _) ->
                     fail ("ack write: " ^ Unix.error_message e));
+                uncommitted := true;
                 if !since_watermark >= t.watermark_every then begin
                   since_watermark := 0;
+                  uncommitted := false;
                   persist_watermark t
                 end;
                 frames ()
@@ -677,6 +681,14 @@ module Follower = struct
                 fail ("primary error: " ^ msg)
             | Result.Ok _ -> frames ())
         | `None -> (
+            (* Every frame read so far is applied and acknowledged:
+               commit them to the follower's own log before blocking
+               for more.  Their acks do not wait for this write (or
+               fsync), and the batches of one read share a commit. *)
+            if !uncommitted then begin
+              uncommitted := false;
+              t.ops.wal_sync ()
+            end;
             match Unix.read t.fd scratch 0 (Bytes.length scratch) with
             | 0 ->
                 if not (Atomic.get t.stopping) then

@@ -570,24 +570,26 @@ let force_close sh conns c =
   Obs.Net.close_noerr c.fd
 
 (* Flush as much buffered output as the socket accepts; true while the
-   connection is still usable.  A write error (EPIPE from a peer that
-   closed mid-reply, ECONNRESET, ...) closes only this connection —
+   connection is still usable.  The pending bytes are blitted into the
+   worker's [scratch], a chunk at a time, and written from there, so a
+   flush copies only what it sends.  A write error (EPIPE from a peer
+   that closed mid-reply, ECONNRESET, ...) closes only this connection —
    with SIGPIPE ignored at [start], a vanished client can never take
    down the worker serving everyone else. *)
-let flush_out sh conns c =
-  let n = pending c in
-  if n = 0 then true
-  else begin
-    Chaos.point Chaos.Net_write;
-    let b = Buffer.to_bytes c.out in
-    match Unix.write c.fd b c.out_off n with
+let flush_out sh conns scratch c =
+  let rec go () =
+    let n = min (pending c) (Bytes.length scratch) in
+    Buffer.blit c.out c.out_off scratch 0 n;
+    match Unix.write c.fd scratch 0 n with
     | written ->
         c.out_off <- c.out_off + written;
         if pending c = 0 then begin
           Buffer.clear c.out;
-          c.out_off <- 0
-        end;
-        true
+          c.out_off <- 0;
+          true
+        end
+        else if written = n then go ()
+        else true
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         true
@@ -595,6 +597,11 @@ let flush_out sh conns c =
         Obs.Counter.incr Metrics.conn_errors;
         force_close sh conns c;
         false
+  in
+  if pending c = 0 then true
+  else begin
+    Chaos.point Chaos.Net_write;
+    go ()
   end
 
 (* Hard-cap eviction: a connection whose unflushed output is still
@@ -739,13 +746,13 @@ let finalize_window c ~b0 ~b1 ~w1 =
    cannot be drained here (stalled peer mid-subscribe) is torn down
    instead — handing off buffered bytes would interleave the streamer's
    frames into half-written ones. *)
-let maybe_handoff sh conns c =
+let maybe_handoff sh conns scratch c =
   match c.handoff with
   | None -> ()
   | Some (seq, from_seq) ->
       c.handoff <- None;
       if Hashtbl.mem conns c.fd then
-        if flush_out sh conns c then begin
+        if flush_out sh conns scratch c then begin
           if pending c > 0 then begin
             Obs.Counter.incr Metrics.conn_errors;
             force_close sh conns c
@@ -764,16 +771,17 @@ let maybe_handoff sh conns c =
         end
 
 (* [barrier] runs between executing a window of pipelined requests and
-   flushing their responses: the durability layer uses it to hold acks
-   until the group commit covering the window is on disk, so one fsync
-   covers the whole window rather than each request.  Responses already
+   flushing their responses: the durability layer commits the window's
+   log records there (one write, plus one fsync in sync mode) before
+   any of its acks leave, so one commit covers the whole window rather
+   than each request.  Responses already
    buffered from earlier windows re-flushed by the select loop passed
    their barrier when they were produced. *)
-let finish_window sh barrier conns c =
+let finish_window sh barrier conns scratch c =
   let b0 = Obs.Clock.now_ns () in
   barrier ();
   let b1 = Obs.Clock.now_ns () in
-  ignore (flush_out sh conns c);
+  ignore (flush_out sh conns scratch c);
   let w1 = Obs.Clock.now_ns () in
   finalize_window c ~b0 ~b1 ~w1;
   check_evict sh conns c
@@ -786,14 +794,14 @@ let handle_read sh ops barrier conns scratch c =
          buffered, flush, then close. *)
       process_frames sh ops c ~arrival:(Obs.Clock.now_ns ());
       c.closing <- true;
-      finish_window sh barrier conns c
+      finish_window sh barrier conns scratch c
   | n ->
       let arrival = Obs.Clock.now_ns () in
       c.last_ns <- arrival;
       Protocol.Reader.feed c.reader scratch n;
       process_frames sh ops c ~arrival;
-      finish_window sh barrier conns c;
-      maybe_handoff sh conns c
+      finish_window sh barrier conns scratch c;
+      maybe_handoff sh conns scratch c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
@@ -809,7 +817,7 @@ let handle_read sh ops barrier conns scratch c =
    output past the hard cap and is evicted.  (Gating here at the soft
    cap would strand output between the two caps, where reads stop, the
    frames stay parked and nothing ever evicts.) *)
-let resume_buffered sh ops barrier conns c =
+let resume_buffered sh ops barrier conns scratch c =
   if
     (not c.closing)
     && pending c <= sh.limits.hard_buffer_bytes
@@ -817,8 +825,8 @@ let resume_buffered sh ops barrier conns c =
   then begin
     let arrival = Obs.Clock.now_ns () in
     process_frames sh ops c ~arrival;
-    if c.window <> [] then finish_window sh barrier conns c;
-    maybe_handoff sh conns c
+    if c.window <> [] then finish_window sh barrier conns scratch c;
+    maybe_handoff sh conns scratch c
   end
 
 (* One BUSY frame (retry-after hint), then close: the admission-control
@@ -973,7 +981,7 @@ let worker_loop sh ops barrier drain_s watchdog ~stopping lsock =
             (fun fd ->
               match Hashtbl.find_opt conns fd with
               | Some c ->
-                  ignore (flush_out sh conns c);
+                  ignore (flush_out sh conns scratch c);
                   check_evict sh conns c
               | None -> ())
             wr;
@@ -983,7 +991,7 @@ let worker_loop sh ops barrier drain_s watchdog ~stopping lsock =
           List.iter
             (fun c ->
               if Hashtbl.mem conns c.fd then
-                resume_buffered sh ops barrier conns c)
+                resume_buffered sh ops barrier conns scratch c)
             cs;
           (* Reap connections that have said goodbye and been fully
              answered. *)

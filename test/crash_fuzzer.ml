@@ -2,17 +2,22 @@
 
    Each trial forks this binary as a patserve child (--server mode: the
    production {!Node} composition, as [patbench serve] runs it) with
-   sync durability on a fresh data directory, drives it with the
+   sync (or, with --durability async, async) durability on a fresh data
+   directory, drives it with the
    journaled closed-loop load generator, kills it with SIGKILL at a
    random moment (optionally with chaos delays at the WAL's
    append/fsync/rotate sites to widen the crash windows, and optionally
    with concurrent checkpoints), then recovers the directory and checks
    the central durability promise:
 
-     every synchronously-acknowledged operation is in the recovered
-     set, and the recovered state is exactly the acknowledged history
-     plus some prefix of each connection's in-flight (sent but
-     unacknowledged) operations.
+     every acknowledged operation is in the recovered set, and the
+     recovered state is exactly the acknowledged history plus some
+     prefix of each connection's in-flight (sent but unacknowledged)
+     operations.
+
+   The promise is the same in both modes under SIGKILL: an ack follows
+   the group commit's [write] either way, and the fsync that only Sync
+   adds matters for power loss, which a kill does not simulate.
 
    The load generator partitions the key universe per connection, so
    each connection's journal totally orders the operations on its keys
@@ -20,6 +25,7 @@
    twice to confirm replay is deterministic and idempotent.
 
    Usage: crash_fuzzer.exe [--trials 50] [--seed 2013] [--universe 4096]
+                           [--durability sync|async]
                            [--keep]   (keep data dirs of passing trials)
 
    Exits non-zero on the first violated trial, keeping its data
@@ -72,6 +78,12 @@ let run_node ?segment_bytes cfg =
         Node.tick node
       done
 
+let durability () =
+  match arg_value "durability" with
+  | None | Some "sync" -> Pstore.Sync
+  | Some "async" -> Pstore.Async
+  | Some d -> failwith ("--durability must be sync or async, not " ^ d)
+
 let child_config () =
   {
     Node.default_config with
@@ -83,10 +95,10 @@ let child_config () =
         (match arg_value "dir" with
         | Some d -> d
         | None -> failwith "child modes require --dir");
-    durability = Pstore.Sync;
+    durability = durability ();
   }
 
-(* A durable sync primary.  With --repl acknowledgements also wait
+(* A durable primary.  With --repl acknowledgements also wait
    until each attached follower has applied the mutation — the property
    the failover trials verify across a SIGKILL. *)
 let server_mode () =
@@ -199,6 +211,7 @@ let read_port ic =
   | exception End_of_file -> failwith "server child died before printing PORT"
 
 let run_trial ~seed ~trial ~universe ~keep =
+  let mode = Pstore.mode_name (durability ()) in
   let rng = Rng.of_int_seed (seed + (trial * 7919)) in
   let dir =
     Filename.concat
@@ -231,6 +244,8 @@ let run_trial ~seed ~trial ~universe ~keep =
         string_of_float checkpoint_s;
         "--segment-bytes";
         string_of_int segment_bytes;
+        "--durability";
+        mode;
       |]
       Unix.stdin out_w Unix.stderr
   in
@@ -323,9 +338,9 @@ let run_trial ~seed ~trial ~universe ~keep =
       0 r.Server.Loadgen.journals
   in
   Printf.eprintf
-    "trial %3d: kill@%.3fs chaos=%dus ckpt=%.2fs | acked=%d in-flight=%d \
+    "trial %3d: %s kill@%.3fs chaos=%dus ckpt=%.2fs | acked=%d in-flight=%d \
      recovered=%d segs=%d%s%s\n%!"
-    trial kill_delay chaos_us checkpoint_s acked in_flight
+    trial mode kill_delay chaos_us checkpoint_s acked in_flight
     (IS.cardinal recovered) ri.Pstore.wal_segments
     (if ri.Pstore.torn_tail then " torn-tail" else "")
     (match ri.Pstore.checkpoint_seq with
@@ -351,6 +366,7 @@ let spawn_child args =
   (pid, Unix.in_channel_of_descr out_r)
 
 let run_failover_trial ~seed ~trial ~universe ~keep =
+  let mode = Pstore.mode_name (durability ()) in
   let rng = Rng.of_int_seed (seed + (trial * 6977)) in
   let mkdir_fresh d =
     rm_rf d;
@@ -378,6 +394,7 @@ let run_failover_trial ~seed ~trial ~universe ~keep =
         "--dir"; pdir;
         "--universe"; string_of_int universe;
         "--segment-bytes"; string_of_int segment_bytes;
+        "--durability"; mode;
       |]
   in
   let fpid = ref (-1) in
@@ -406,6 +423,7 @@ let run_failover_trial ~seed ~trial ~universe ~keep =
         "--dir"; fdir;
         "--universe"; string_of_int universe;
         "--follow-port"; string_of_int pport;
+        "--durability"; mode;
       |]
   in
   fpid := fpid';
@@ -498,6 +516,7 @@ let () =
     (* A worker blocked on a vanished peer can get SIGPIPE on write. *)
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore : Sys.signal_behavior);
     let failover = has_flag "failover" in
+    let mode = Pstore.mode_name (durability ()) in
     let failures = ref 0 in
     (try
        for trial = 1 to trials do
@@ -521,10 +540,11 @@ let () =
      with Exit -> ());
     if !failures = 0 then
       Printf.printf
-        "crash_fuzzer: %d %strials, zero synchronously-acknowledged \
+        "crash_fuzzer: %d %strials (durability %s), zero acknowledged \
          operations lost\n%!"
         trials
         (if failover then "failover " else "")
+        mode
     else begin
       Printf.printf "crash_fuzzer: FAILED\n%!";
       exit 1

@@ -12,17 +12,7 @@ module P = Server.Protocol
 
 let universe = 1 lsl 10
 
-let tmpdir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "node_test_%d_%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
+let tmpdir = Tutil.fresh_dirs "node_test"
 
 let config dir =
   {

@@ -13,17 +13,7 @@ module Wal = Persist.Wal
 
 module Pstore = Node.Store
 
-let tmpdir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "replica_test_%d_%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
+let tmpdir = Tutil.fresh_dirs "replica_test"
 
 let sorted_keys store = List.sort compare (Pstore.to_list store)
 

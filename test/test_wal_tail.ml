@@ -7,17 +7,7 @@
 
 module Wal = Persist.Wal
 
-let tmpdir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "wal_tail_test_%d_%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    dir
+let tmpdir = Tutil.fresh_dirs "wal_tail_test"
 
 let append_file path s =
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in

@@ -257,6 +257,30 @@ let linearizable_run ?(threads = 3) ?(ops_per_thread = 12) ?(universe = 8)
      once the recorded run is over (no residual flags, ordered leaves). *)
   check_ok ops.label ops
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* [fresh_dirs prefix] makes empty scratch directories
+   [<tmp>/<prefix>_<pid>_<n>], one per call.  A directory left by an
+   earlier process with the same pid is removed first: its segments and
+   images would otherwise be recovered as the test's own. *)
+let fresh_dirs prefix =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n)
+    in
+    if Sys.file_exists dir then rm_rf dir;
+    Unix.mkdir dir 0o755;
+    dir
+
 (* End the test executable with a failure once it has run [seconds],
    instead of hanging the suite: an update whose retries can never
    succeed (a livelock) spins forever. *)
