@@ -1,15 +1,16 @@
-(* patbench — full-control benchmark CLI for the Patricia-trie repro.
+(* patbench — benchmark CLI for the Patricia-trie repro.
 
-   Where bench/main.exe regenerates every figure with one command and
-   environment-variable knobs, this tool exposes each experiment as a
-   subcommand with proper flags, adds the paper's mentioned-but-not-
-   plotted configurations, and adds our ablations:
+   Each experiment is a subcommand with flags.  [figure] runs entries of
+   the evaluation table in lib/harness (the paper's Figures 8-11 and the
+   configurations it mentions without plotting); the rest are our own
+   measurements and tools:
 
-     patbench figure --id 8 --threads 1,2,4 --seconds 2 --trials 4
-     patbench extra  --which medium-contention
+     patbench figure --id 8,9 --threads 1,2,4 --seconds 2 --trials 4
+     patbench figure --id medium-contention
      patbench custom --insert 20 --delete 20 --find 60 --range 1000 \
                      --clustered 50
      patbench ablation --which replace|helping|width
+     patbench scan --threads 1,2 --baseline-json scan.json
 *)
 
 open Cmdliner
@@ -41,13 +42,24 @@ let metrics_arg =
   let doc =
     "Write a machine-readable metrics file (JSON): per data point latency \
      percentiles, PAT's contention counters, GC deltas, and raw throughput \
-     samples.  Same schema as bench/main.exe (see EXPERIMENTS.md, \
-     \"Observability\")."
+     samples (schema in EXPERIMENTS.md, \"Observability\")."
   in
   Arg.(
     value
     & opt (some string) None
     & info [ "metrics-json" ] ~doc ~docv:"PATH")
+
+let baseline_arg =
+  let doc =
+    "Write a throughput baseline (JSON): one {figure, structure, threads, \
+     mean_ops_s, stddev_ops_s} row per data point, the input of \
+     test/compare_bench.exe (see EXPERIMENTS.md, \"Throughput regression \
+     gate\")."
+  in
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "baseline-json" ] ~doc ~docv:"PATH")
 
 let backoff_arg =
   let doc =
@@ -138,53 +150,84 @@ let config ~seconds ~trials ~seed threads =
   Harness.
     { threads; seconds; trials; warmup_seconds = min 0.3 (seconds /. 2.0); seed }
 
-(* Metrics collection is per-invocation state: each subcommand's run
-   flips [collect_metrics] through [with_metrics], every [run_sweep]
-   appends its data points, and the file is written once at the end. *)
-let collect_metrics = ref false
-let metrics_acc : Obs.Json.t list ref = ref []
+(* Output files are per-invocation state: [with_outputs] switches each
+   sink on when its path is given, every sweep appends its rows, and
+   the files are written once at the end. *)
+type sink = { mutable on : bool; mutable rows : Obs.Json.t list }
 
-let write_metrics ~threads_list ~seconds ~trials ~seed path =
+let metrics_sink = { on = false; rows = [] }
+let baseline_sink = { on = false; rows = [] }
+let emit sink row = if sink.on then sink.rows <- row :: sink.rows
+
+let baseline_row ~figure ~structure ~threads (dp : Harness.datapoint) =
+  emit baseline_sink
+    Obs.Json.(
+      Obj
+        [
+          ("figure", Str figure);
+          ("structure", Str structure);
+          ("threads", Int threads);
+          ("mean_ops_s", Float dp.Harness.mean);
+          ("stddev_ops_s", Float dp.Harness.stddev);
+        ])
+
+let with_outputs ~threads_list ~seconds ~trials ~seed ?metrics ?baseline f =
   let open Obs.Json in
-  let doc =
+  let config =
     Obj
       [
-        ("schema_version", Int 1);
-        ("benchmark", Str "bin/patbench.exe");
-        ( "config",
-          Obj
-            [
-              ("seconds_per_trial", Float seconds);
-              ("trials", Int trials);
-              ("threads", Arr (List.map (fun t -> Int t) threads_list));
-              ("seed", Int seed);
-              ("available_cores", Int (Domain.recommended_domain_count ()));
-              ("backoff", Bool (Chaos.Backoff.enabled ()));
-              ("chaos_injection", Bool (Chaos.enabled ()));
-            ] );
-        ("datapoints", Arr (List.rev !metrics_acc));
+        ("seconds_per_trial", Float seconds);
+        ("trials", Int trials);
+        ("threads", Arr (List.map (fun t -> Int t) threads_list));
+        ("seed", Int seed);
+        ("available_cores", Int (Domain.recommended_domain_count ()));
+        ("backoff", Bool (Chaos.Backoff.enabled ()));
+        ("chaos_injection", Bool (Chaos.enabled ()));
       ]
   in
-  match to_file path doc with
-  | () ->
-      Format.printf "@.metrics written to %s (%d datapoints)@." path
-        (List.length !metrics_acc)
-  | exception Sys_error m ->
-      Format.eprintf "@.cannot write metrics file: %s@." m;
-      exit 1
-
-let with_metrics ~threads_list ~seconds ~trials ~seed metrics f =
-  collect_metrics := metrics <> None;
-  metrics_acc := [];
+  let write what sink path =
+    let doc =
+      Obj
+        [
+          ("schema_version", Int 1);
+          ("benchmark", Str "bin/patbench.exe");
+          ("config", config);
+          ("datapoints", Arr (List.rev sink.rows));
+        ]
+    in
+    match to_file path doc with
+    | () ->
+        Format.printf "@.%s written to %s (%d datapoints)@." what path
+          (List.length sink.rows)
+    | exception Sys_error m ->
+        Format.eprintf "@.cannot write %s file: %s@." what m;
+        exit 1
+  in
+  let outputs =
+    [
+      ("metrics", metrics_sink, metrics);
+      ("baseline", baseline_sink, baseline);
+    ]
+  in
+  List.iter
+    (fun (_, sink, path) ->
+      sink.on <- path <> None;
+      sink.rows <- [])
+    outputs;
   let r = f () in
-  Option.iter (write_metrics ~threads_list ~seconds ~trials ~seed) metrics;
+  List.iter
+    (fun (what, sink, path) -> Option.iter (write what sink) path)
+    outputs;
   r
 
-let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~title subjects workload =
+(* [key] names the rows in the output files (default: [title]). *)
+let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ?key ~title subjects
+    workload =
+  let key = Option.value key ~default:title in
   Format.printf "@.=== %s ===@." title;
   (* Metrics files and the live endpoint both want latency recording and
      PAT's internal counters; the bare sweep stays uninstrumented. *)
-  let instrumented = !collect_metrics || Harness.Live.enabled () in
+  let instrumented = metrics_sink.on || Harness.Live.enabled () in
   let subjects =
     (* With metrics on, swap PAT for its counter-enabled twin so the
        "counters" object is populated. *)
@@ -199,7 +242,8 @@ let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~title subjects workload
   let rows =
     List.map
       (fun subject ->
-        ( subject.Harness.label,
+        let label = subject.Harness.label in
+        ( label,
           List.map
             (fun threads ->
               let full =
@@ -207,169 +251,100 @@ let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~title subjects workload
                   subject workload
                   (config ~seconds ~trials ~seed threads)
               in
-              if !collect_metrics then
-                metrics_acc :=
-                  Harness.datapoint_full_to_json ~section:title
-                    ~label:subject.Harness.label workload ~threads full
-                  :: !metrics_acc;
-              full.Harness.dp)
+              emit metrics_sink
+                (Harness.datapoint_full_to_json ~section:key ~label workload
+                   ~threads full);
+              baseline_row ~figure:key ~structure:label ~threads
+                full.Harness.dp;
+              full)
             threads_list ))
       subjects
   in
-  Harness.pp_series Format.std_formatter ~title ~threads_list rows;
+  Harness.pp_series Format.std_formatter ~title ~threads_list
+    (List.map
+       (fun (label, fulls) ->
+         (label, List.map (fun f -> f.Harness.dp) fulls))
+       rows);
+  (* Mean nodes visited per search, for subjects that count them (PAT
+     when instrumented), next to the throughput it explains. *)
+  List.iter
+    (fun (label, fulls) ->
+      let means =
+        List.map (fun f -> Harness.descent_mean f.Harness.counters) fulls
+      in
+      if List.exists Option.is_some means then begin
+        Format.printf "%-8s" label;
+        List.iter
+          (function
+            | Some m -> Format.printf "%14.2f" m
+            | None -> Format.printf "%14s" "-")
+          means;
+        Format.printf "  (mean descent, nodes/search)@."
+      end)
+    rows;
   if csv then
     List.iter
-      (fun (label, points) ->
+      (fun (label, fulls) ->
         List.iter2
-          (fun threads dp ->
-            Format.printf "csv,%s,%d,%.0f,%.0f@." label threads dp.Harness.mean
-              dp.Harness.stddev)
-          threads_list points)
+          (fun threads f ->
+            Format.printf "csv,%s,%d,%.0f,%.0f@." label threads
+              f.Harness.dp.Harness.mean f.Harness.dp.Harness.stddev)
+          threads_list fulls)
       rows;
   Format.print_flush ()
 
 (* ------------------------------------------------------------------ *)
-(* figure subcommand *)
+(* figure subcommand: entries of the evaluation table *)
 
 let figure_cmd =
   let id_arg =
-    let doc = "Which figure to regenerate (8, 9, 10 or 11)." in
-    Arg.(required & opt (some int) None & info [ "id" ] ~doc)
-  in
-  let range_arg =
-    let doc = "Override the key range (defaults to the paper's)." in
-    Arg.(value & opt (some int) None & info [ "range" ] ~doc)
-  in
-  let run id range threads_list seconds trials seed csv metrics backoff
-      trace_out serve attribution =
-    set_backoff backoff;
-    let sweep = run_sweep ~threads_list ~seconds ~trials ~seed ~csv in
-    with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-    with_metrics ~threads_list ~seconds ~trials ~seed metrics @@ fun () ->
-    match id with
-    | 8 ->
-        let universe = Option.value range ~default:1_000_000 in
-        sweep ~title:"Figure 8 (top): uniform i5-d5-f90" Harness.all_subjects
-          Harness.{ universe; mix = Mix.i5_d5_f90; dist = Uniform };
-        sweep ~title:"Figure 8 (bottom): uniform i50-d50-f0" Harness.all_subjects
-          Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform };
-        `Ok ()
-    | 9 ->
-        let universe = Option.value range ~default:100 in
-        sweep ~title:"Figure 9 (top): uniform i5-d5-f90, high contention"
-          Harness.all_subjects
-          Harness.{ universe; mix = Mix.i5_d5_f90; dist = Uniform };
-        sweep ~title:"Figure 9 (bottom): uniform i50-d50-f0, high contention"
-          Harness.all_subjects
-          Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform };
-        `Ok ()
-    | 10 ->
-        let universe = Option.value range ~default:1_000_000 in
-        sweep ~title:"Figure 10: PAT replace i10-d10-r80"
-          [ Harness.pat_subject ]
-          Harness.{ universe; mix = Mix.i10_d10_r80; dist = Uniform };
-        `Ok ()
-    | 11 ->
-        let universe = Option.value range ~default:1_000_000 in
-        sweep ~title:"Figure 11: non-uniform (runs of 50) i15-d15-f70"
-          Harness.all_subjects
-          Harness.{ universe; mix = Mix.i15_d15_f70; dist = Clustered 50 };
-        `Ok ()
-    | n -> `Error (false, Printf.sprintf "no figure %d in the paper's evaluation" n)
-  in
-  let doc = "Regenerate one of the paper's evaluation figures." in
-  Cmd.v (Cmd.info "figure" ~doc)
-    Term.(
-      ret
-        (const run $ id_arg $ range_arg $ threads_arg $ seconds_arg $ trials_arg
-       $ seed_arg $ csv_arg $ metrics_arg $ backoff_arg $ trace_out_arg
-       $ serve_arg $ attribution_arg))
-
-(* ------------------------------------------------------------------ *)
-(* extra subcommand: configurations the paper mentions without plotting *)
-
-let extra_cmd =
-  let which_arg =
+    let ids =
+      List.map (fun e -> (e.Harness.id, e.Harness.id)) Harness.experiments
+    in
     let doc =
-      "Which extra experiment: medium-contention (range 10^3, the paper says \
-       it resembles low contention), i15-d15-f70-uniform (ditto), or \
-       clustered-runs (longer run lengths degrade BST/4-ST further)."
+      "Comma-separated entries of the evaluation table to run: the paper's \
+       figures 8, 9, 10 and 11 (the default), or configurations it mentions \
+       without plotting: medium-contention (range 10^3), \
+       i15-d15-f70-uniform, clustered-runs (runs of 50, 200 and 1000) and \
+       kary-arity (the k-ary tree at k = 2..32)."
     in
     Arg.(
-      value
-      & opt (enum
-               [
-                 ("medium-contention", `Medium);
-                 ("i15-d15-f70-uniform", `I15);
-                 ("clustered-runs", `Runs);
-                 ("kary-arity", `Arity);
-               ])
-          `Medium
-      & info [ "which" ] ~doc)
+      value & opt (list (enum ids)) Harness.paper_figures & info [ "id" ] ~doc)
   in
-  let run which threads_list seconds trials seed csv metrics backoff trace_out
-      serve attribution =
+  let range_arg =
+    let doc =
+      "Override the key range of every panel (defaults to the table's)."
+    in
+    Arg.(value & opt (some int) None & info [ "range" ] ~doc)
+  in
+  let run ids range threads_list seconds trials seed csv metrics baseline
+      backoff trace_out serve attribution =
     set_backoff backoff;
-    let sweep = run_sweep ~threads_list ~seconds ~trials ~seed ~csv in
     with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-    with_metrics ~threads_list ~seconds ~trials ~seed metrics @@ fun () ->
-    match which with
-    | `Medium ->
-        sweep ~title:"Extra: uniform i5-d5-f90, range 10^3 (medium contention)"
-          Harness.all_subjects
-          Harness.{ universe = 1_000; mix = Mix.i5_d5_f90; dist = Uniform };
-        sweep ~title:"Extra: uniform i50-d50-f0, range 10^3" Harness.all_subjects
-          Harness.{ universe = 1_000; mix = Mix.i50_d50_f0; dist = Uniform }
-    | `I15 ->
-        sweep ~title:"Extra: uniform i15-d15-f70, range 10^6" Harness.all_subjects
-          Harness.
-            { universe = 1_000_000; mix = Mix.i15_d15_f70; dist = Uniform }
-    | `Runs ->
+    with_outputs ~threads_list ~seconds ~trials ~seed ?metrics ?baseline
+    @@ fun () ->
+    List.iter
+      (fun id ->
+        let e = List.find (fun e -> e.Harness.id = id) Harness.experiments in
         List.iter
-          (fun len ->
-            sweep
-              ~title:
-                (Printf.sprintf "Extra: non-uniform runs of %d, i15-d15-f70" len)
-              Harness.all_subjects
-              Harness.
-                {
-                  universe = 1_000_000;
-                  mix = Mix.i15_d15_f70;
-                  dist = Clustered len;
-                })
-          [ 50; 200; 1000 ]
-    | `Arity ->
-        (* Re-check Brown & Helga's finding (which the paper adopts) that
-           k = 4 is the sweet spot for the k-ary search tree. *)
-        let subjects =
-          List.map
-            (fun arity ->
-              Harness.
-                {
-                  label = Printf.sprintf "%d-ST" arity;
-                  make =
-                    (fun ~universe ->
-                      let t = Kary.create_k ~k:arity ~universe () in
-                      {
-                        insert = Kary.insert t;
-                        delete = Kary.delete t;
-                        member = Kary.member t;
-                        replace = None;
-                        stats = None;
-                      });
-                })
-            [ 2; 4; 8; 16; 32 ]
-        in
-        sweep ~title:"Extra: k-ary arity sweep, uniform i50-d50-f0, range 10^6"
-          subjects
-          Harness.{ universe = 1_000_000; mix = Mix.i50_d50_f0; dist = Uniform }
+          (fun { Harness.key; workload } ->
+            let workload =
+              match range with
+              | Some universe -> { workload with Harness.universe }
+              | None -> workload
+            in
+            run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~key
+              ~title:(key ^ ": " ^ Harness.describe workload)
+              e.Harness.subjects workload)
+          e.Harness.panels)
+      ids
   in
-  let doc = "Run configurations the paper mentions but does not plot." in
-  Cmd.v (Cmd.info "extra" ~doc)
+  let doc = "Run entries of the paper's evaluation (Section V) table." in
+  Cmd.v (Cmd.info "figure" ~doc)
     Term.(
-      const run $ which_arg $ threads_arg $ seconds_arg $ trials_arg $ seed_arg
-      $ csv_arg $ metrics_arg $ backoff_arg $ trace_out_arg $ serve_arg
-      $ attribution_arg)
+      const run $ id_arg $ range_arg $ threads_arg $ seconds_arg $ trials_arg
+      $ seed_arg $ csv_arg $ metrics_arg $ baseline_arg $ backoff_arg
+      $ trace_out_arg $ serve_arg $ attribution_arg)
 
 (* ------------------------------------------------------------------ *)
 (* custom subcommand *)
@@ -398,7 +373,7 @@ let custom_cmd =
           if replace > 0 then [ Harness.pat_subject ] else Harness.all_subjects
         in
         with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-        with_metrics ~threads_list ~seconds ~trials ~seed metrics @@ fun () ->
+        with_outputs ~threads_list ~seconds ~trials ~seed ?metrics @@ fun () ->
         run_sweep ~threads_list ~seconds ~trials ~seed ~csv
           ~title:
             (Printf.sprintf "Custom: %s, range (0, %d)%s" (Harness.Mix.to_string mix)
@@ -456,27 +431,9 @@ let ablation_replace ~threads_list ~seconds ~trials ~seed ~csv =
     Harness.{ universe = 1_000_000; mix = Mix.i10_d10_r80; dist = Uniform }
 
 (* Help-rate: how often updates retry, abandon flagging, help each other
-   or back out as contention rises; uses the trie's internal counters. *)
-let ablation_helping ~threads_list ~seconds ~trials ~seed ~csv =
-  ignore csv;
-  let zero =
-    Core.Patricia.
-      {
-        attempts = 0;
-        helps_given = 0;
-        helps_received = 0;
-        flag_failures = 0;
-        backtracks = 0;
-        backoff_waits = 0;
-        descent_nodes_find = 0;
-        descent_nodes_insert = 0;
-        descent_nodes_delete = 0;
-        descent_nodes_replace = 0;
-        descent_searches = 0;
-        renewals = 0;
-        renew_paths = 0;
-      }
-  in
+   or back out as contention rises; uses the trie's internal counters,
+   diffed over the timed window. *)
+let ablation_helping ~threads_list ~seconds ~seed =
   Format.printf
     "@.=== Ablation: PAT coordination overhead vs contention (i50-d50-f0) ===@.";
   Format.printf "%-10s %8s %12s %12s %12s %12s %12s@." "range" "threads"
@@ -485,70 +442,21 @@ let ablation_helping ~threads_list ~seconds ~trials ~seed ~csv =
     (fun universe ->
       List.iter
         (fun threads ->
-          let t = ref None in
-          let baseline = ref zero in
-          let make_ops () =
-            let trie = Core.Patricia.create ~universe ~record_stats:true () in
-            t := Some trie;
-            Harness.
-              {
-                insert = Core.Patricia.insert trie;
-                delete = Core.Patricia.delete trie;
-                member = Core.Patricia.member trie;
-                replace = None;
-                stats = None;
-              }
+          let full =
+            Harness.run_subject_full Harness.pat_subject_stats
+              Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform }
+              (config ~seconds ~trials:1 ~seed threads)
           in
-          (* Snapshot the counters after prefill and warm-up so the ratios
-             reflect only the timed window. *)
-          let before_timed () =
-            baseline :=
-              Option.value
-                (Option.bind !t Core.Patricia.stats_snapshot)
-                ~default:zero
+          let mean = full.Harness.dp.Harness.mean in
+          let per name =
+            float_of_int (List.assoc name full.Harness.counters)
+            /. (mean *. seconds)
           in
-          let workload =
-            Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform }
-          in
-          let cfg = config ~seconds ~trials:1 ~seed threads in
-          let dp = Harness.run ~before_timed ~make_ops workload cfg in
-          let delta =
-            match Option.bind !t Core.Patricia.stats_snapshot with
-            | Some s ->
-                let b = !baseline in
-                Core.Patricia.
-                  {
-                    attempts = s.attempts - b.attempts;
-                    helps_given = s.helps_given - b.helps_given;
-                    helps_received = s.helps_received - b.helps_received;
-                    flag_failures = s.flag_failures - b.flag_failures;
-                    backtracks = s.backtracks - b.backtracks;
-                    backoff_waits = s.backoff_waits - b.backoff_waits;
-                    descent_nodes_find =
-                      s.descent_nodes_find - b.descent_nodes_find;
-                    descent_nodes_insert =
-                      s.descent_nodes_insert - b.descent_nodes_insert;
-                    descent_nodes_delete =
-                      s.descent_nodes_delete - b.descent_nodes_delete;
-                    descent_nodes_replace =
-                      s.descent_nodes_replace - b.descent_nodes_replace;
-                    descent_searches = s.descent_searches - b.descent_searches;
-                    renewals = s.renewals - b.renewals;
-                    renew_paths = s.renew_paths - b.renew_paths;
-                  }
-            | None -> zero
-          in
-          let ops_total = dp.Harness.mean *. seconds in
-          let per c = float_of_int c /. ops_total in
           Format.printf "%-10d %8d %12.0f %12.3f %12.5f %12.5f %12.5f@."
-            universe threads dp.Harness.mean
-            (per delta.Core.Patricia.attempts)
-            (per delta.Core.Patricia.flag_failures)
-            (per delta.Core.Patricia.helps_given)
-            (per delta.Core.Patricia.backtracks))
+            universe threads mean (per "attempts") (per "flag_failures")
+            (per "helps_given") (per "backtracks"))
         threads_list)
     [ 100; 10_000; 1_000_000 ];
-  ignore trials;
   Format.print_flush ()
 
 (* Key-width sweep: same live key count, growing universe — longer keys
@@ -672,10 +580,10 @@ let ablation_cmd =
       serve attribution =
     set_backoff backoff;
     with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-    with_metrics ~threads_list ~seconds ~trials ~seed metrics @@ fun () ->
+    with_outputs ~threads_list ~seconds ~trials ~seed ?metrics @@ fun () ->
     match which with
     | `Replace -> ablation_replace ~threads_list ~seconds ~trials ~seed ~csv
-    | `Helping -> ablation_helping ~threads_list ~seconds ~trials ~seed ~csv
+    | `Helping -> ablation_helping ~threads_list ~seconds ~seed
     | `Width -> ablation_width ~threads_list ~seconds ~trials ~seed ~csv
     | `Seq -> ablation_seq ~threads_list ~seconds ~trials ~seed ~csv
     | `Vlk -> ablation_vlk ~threads_list ~seconds ~trials ~seed ~csv
@@ -1770,8 +1678,11 @@ let replicate_cmd =
    throughput with a continuous scanner attached or with one page cut
    per 1 000 updates (the copy-on-descent overhead on the write path).
    In-process measurements of lib/core's snapshot machinery; the served
-   SCAN path is exercised by `load --scan-every` and the bench driver's
-   "scan" section. *)
+   SCAN path is exercised by `load --scan-every`.  At [threads] t the
+   measured domain runs beside t - 1 churning writers; the gated
+   "Scan (snapshot)", "Scan (goodput)" and "Scan (writer)" baseline rows
+   are the snapshot rate, the widest range's goodput and the writer
+   with a scanner attached. *)
 
 let scan_cmd =
   let universe_arg =
@@ -1782,27 +1693,12 @@ let scan_cmd =
     let doc = "Comma-separated range widths for the goodput sweep." in
     Arg.(value & opt (list int) [ 1_024; 8_192; 65_536 ] & info [ "widths" ] ~doc)
   in
-  let writers_arg =
-    let doc = "Churning writer domains attached during the measurements." in
-    Arg.(value & opt int 2 & info [ "writers" ] ~doc)
-  in
-  let run universe widths writers seconds trials seed csv =
+  let run universe widths threads_list seconds trials seed csv baseline =
     if universe < 2 then `Error (false, "--universe must be at least 2")
-    else if writers < 1 then `Error (false, "--writers must be at least 1")
+    else if List.exists (fun t -> t < 1) threads_list then
+      `Error (false, "--threads must be at least 1")
     else begin
-      let mean_stddev = function
-        | [] -> (0.0, 0.0)
-        | xs ->
-            let n = float_of_int (List.length xs) in
-            let mean = List.fold_left ( +. ) 0.0 xs /. n in
-            let var =
-              List.fold_left
-                (fun a x -> a +. ((x -. mean) *. (x -. mean)))
-                0.0 xs
-              /. n
-            in
-            (mean, sqrt var)
-      in
+      with_outputs ~threads_list ~seconds ~trials ~seed ?baseline @@ fun () ->
       let prefilled ?record_stats () =
         let t = Core.Patricia.create ~universe ?record_stats () in
         let rng = Rng.of_int_seed seed in
@@ -1861,19 +1757,32 @@ let scan_cmd =
         List.iter Domain.join doms;
         !count /. elapsed
       in
-      let samples ~bg ~scanner t step =
-        List.init trials (fun _ -> rate ~bg ~scanner t step)
+      (* [trials] samples, each on the trie and step [fresh] returns. *)
+      let samples ~bg ~scanner fresh =
+        Harness.mean_stddev
+          (List.init trials (fun _ ->
+               let t, step = fresh () in
+               rate ~bg ~scanner t step))
+      in
+      let on_prefilled step () =
+        let t = prefilled () in
+        (t, step t)
       in
       let csv_rows = ref [] in
-      let report name xs unit_ =
-        let mean, stddev = mean_stddev xs in
-        Printf.printf "  %-44s %14.1f ±%10.1f %s\n%!" name mean stddev unit_;
-        csv_rows := (name, mean, stddev) :: !csv_rows
+      let report name (dp : Harness.datapoint) unit_ =
+        Printf.printf "  %-44s %14.1f ±%10.1f %s\n%!" name dp.mean dp.stddev
+          unit_;
+        csv_rows := (name, dp.mean, dp.stddev) :: !csv_rows
+      in
+      let churning t =
+        if t = 1 then "quiesced"
+        else Printf.sprintf "%d writer(s) churning" (t - 1)
       in
       Printf.printf
-        "What a frozen view costs (universe %d, %d writer domain(s), %.1fs × \
-         %d trials)\n"
-        universe writers seconds trials;
+        "What a frozen view costs (universe %d, threads %s, %.1fs × %d trials)\n"
+        universe
+        (String.concat "," (List.map string_of_int threads_list))
+        seconds trials;
       (* 1. Snapshot cost: O(1) in the number of keys, so empty vs
          half-full must land in the same ballpark; churn adds only the
          cost of resolving in-flight descriptors. *)
@@ -1884,40 +1793,55 @@ let scan_cmd =
         done;
         64.0
       in
-      let ns rates = List.map (fun r -> 1e9 /. r) rates in
-      let empty = Core.Patricia.create ~universe () in
+      let ns (dp : Harness.datapoint) =
+        Harness.mean_stddev (List.map (fun r -> 1e9 /. r) dp.samples)
+      in
+      let empty () =
+        let t = Core.Patricia.create ~universe () in
+        (t, snap_step t)
+      in
       report "empty trie, quiesced"
-        (ns (samples ~bg:0 ~scanner:false empty (snap_step empty)))
+        (ns (samples ~bg:0 ~scanner:false empty))
         "ns";
-      let t = prefilled () in
-      report
-        (Printf.sprintf "%d keys, quiesced" (Core.Patricia.size t))
-        (ns (samples ~bg:0 ~scanner:false t (snap_step t)))
-        "ns";
-      report
-        (Printf.sprintf "%d keys, %d writers churning" (Core.Patricia.size t)
-           writers)
-        (ns (samples ~bg:writers ~scanner:false t (snap_step t)))
-        "ns";
-      (* 2. Goodput vs range width: each step freezes a fresh view and
-         folds [0, width) out of it while the writers churn. *)
-      Printf.printf "\nScan goodput under churn (keys streamed per second):\n";
+      let keys = Core.Patricia.size (prefilled ()) in
       List.iter
-        (fun w ->
-          let w = min w universe in
-          let step () =
-            let v = Core.Patricia.snapshot t in
-            float_of_int
-              (Core.Patricia.View.fold_range v ~lo:0 ~hi:(w - 1) ~init:0
-                 ~f:(fun n _ -> n + 1))
+        (fun threads ->
+          let dp =
+            samples ~bg:(threads - 1) ~scanner:false (on_prefilled snap_step)
           in
           report
-            (Printf.sprintf "width %d" w)
-            (samples ~bg:writers ~scanner:false t step)
-            "keys/s")
+            (Printf.sprintf "%d keys, %s" keys (churning threads))
+            (ns dp) "ns";
+          baseline_row ~figure:"Scan (snapshot)" ~structure:"PAT" ~threads dp)
+        threads_list;
+      (* 2. Goodput vs range width: each step freezes a fresh view and
+         folds [0, width) out of it while the writers churn. *)
+      Printf.printf "\nScan goodput (keys streamed per second):\n";
+      let widest = List.fold_left max 0 widths in
+      List.iter
+        (fun w ->
+          let step t () =
+            let v = Core.Patricia.snapshot t in
+            float_of_int
+              (Core.Patricia.View.fold_range v ~lo:0 ~hi:(min w universe - 1)
+                 ~init:0 ~f:(fun n _ -> n + 1))
+          in
+          List.iter
+            (fun threads ->
+              let dp =
+                samples ~bg:(threads - 1) ~scanner:false (on_prefilled step)
+              in
+              report
+                (Printf.sprintf "width %d, %s" (min w universe)
+                   (churning threads))
+                dp "keys/s";
+              if w = widest then
+                baseline_row ~figure:"Scan (goodput)" ~structure:"PAT" ~threads
+                  dp)
+            threads_list)
         widths;
       (* 3. The write path's side of the bargain: one measured writer
-         (plus --writers-1 background ones) with and without a
+         (plus threads - 1 background ones) with and without a
          continuous whole-view scanner attached. *)
       Printf.printf "\nWriter throughput (measured domain, ops/s):\n";
       let writer_step ?kinds t =
@@ -1926,20 +1850,24 @@ let scan_cmd =
           churn ?kinds t rng;
           1.0
       in
-      let quiet =
-        let t = prefilled () in
-        samples ~bg:(writers - 1) ~scanner:false t (writer_step t)
-      in
-      let scanned =
-        let t = prefilled () in
-        samples ~bg:(writers - 1) ~scanner:true t (writer_step t)
-      in
-      report "no scanner" quiet "ops/s";
-      report "continuous scanner attached" scanned "ops/s";
-      let mq, _ = mean_stddev quiet and ms, _ = mean_stddev scanned in
-      if mq > 0.0 then
-        Printf.printf "  scanner overhead on the write path: %.1f%%\n"
-          ((1.0 -. (ms /. mq)) *. 100.0);
+      List.iter
+        (fun threads ->
+          let measure scanner =
+            samples ~bg:(threads - 1) ~scanner (on_prefilled writer_step)
+          in
+          let quiet = measure false and scanned = measure true in
+          report
+            (Printf.sprintf "threads %d, no scanner" threads)
+            quiet "ops/s";
+          report
+            (Printf.sprintf "threads %d, scanner attached" threads)
+            scanned "ops/s";
+          if quiet.mean > 0.0 then
+            Printf.printf "  scanner overhead on the write path: %.1f%%\n"
+              ((1.0 -. (scanned.mean /. quiet.mean)) *. 100.0);
+          baseline_row ~figure:"Scan (writer)" ~structure:"PAT" ~threads
+            scanned)
+        threads_list;
       (* 4. One writer alone on the ladder's i10-d10-r80 mix, with and
          without a ~256-key page cut from a fresh snapshot after every
          1 000 of its updates (the ladder's scan-churn rate).  Each page
@@ -1964,8 +1892,8 @@ let scan_cmd =
           1.0
         in
         let before = Core.Patricia.stats_snapshot t in
-        let xs = samples ~bg:0 ~scanner:false t step in
-        report name xs "ops/s";
+        let dp = samples ~bg:0 ~scanner:false (fun () -> (t, step)) in
+        report name dp "ops/s";
         (match (before, Core.Patricia.stats_snapshot t) with
         | Some a, Some b ->
             let per f =
@@ -1978,7 +1906,7 @@ let scan_cmd =
               (per (fun s -> s.Core.Patricia.renewals))
               (per (fun s -> s.Core.Patricia.renew_paths))
         | _ -> ());
-        fst (mean_stddev xs)
+        dp.mean
       in
       let alone = paged "no pages" ~pages:false in
       let with_pages = paged "one page per 1 000 updates" ~pages:true in
@@ -2003,8 +1931,8 @@ let scan_cmd =
   Cmd.v (Cmd.info "scan" ~doc)
     Term.(
       ret
-        (const run $ universe_arg $ widths_arg $ writers_arg $ seconds_arg
-       $ trials_arg $ seed_arg $ csv_arg))
+        (const run $ universe_arg $ widths_arg $ threads_arg $ seconds_arg
+       $ trials_arg $ seed_arg $ csv_arg $ baseline_arg))
 
 (* ------------------------------------------------------------------ *)
 
@@ -2018,7 +1946,6 @@ let () =
        (Cmd.group info
           [
             figure_cmd;
-            extra_cmd;
             custom_cmd;
             ablation_cmd;
             serve_cmd;

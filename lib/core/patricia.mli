@@ -181,7 +181,7 @@ type snapshot = {
   backoff_waits : int;
       (** retries that paused in the contention backoff — always [0]
           unless [Chaos.Backoff.set_enabled true]
-          ([patbench --backoff] / [REPRO_BACKOFF=1]) *)
+          ([patbench --backoff]) *)
   descent_nodes_find : int;
       (** nodes visited by [member] searches (root's child = 1 each) *)
   descent_nodes_insert : int;  (** nodes visited by insert-attempt searches *)

@@ -369,8 +369,8 @@ let counter_deltas before after =
 (* One prefill + warm-up + timed trial.  Returns the trial's metrics and
    the latency histogram (when [record_latency]) so callers can merge
    histograms across trials for whole-datapoint percentiles. *)
-let run_trial_full ?(before_timed = fun () -> ()) ?(record_latency = false)
-    ~make_ops workload config trial_idx =
+let run_trial_full ?(record_latency = false) ~make_ops workload config
+    trial_idx =
   let ops = make_ops () in
   (* Let a live scrape see this instance's internal counters.  Once per
      trial, not per operation, so no gating needed. *)
@@ -419,7 +419,6 @@ let run_trial_full ?(before_timed = fun () -> ()) ?(record_latency = false)
     float_of_int total /. elapsed
   in
   if config.warmup_seconds > 0.0 then ignore (run_phase config.warmup_seconds);
-  before_timed ();
   (* Latency, counters and GC are all measured over the timed window
      only: the histogram is created after warm-up and the cumulative
      counters are diffed around the phase. *)
@@ -437,13 +436,9 @@ let run_trial_full ?(before_timed = fun () -> ()) ?(record_latency = false)
     },
     hist )
 
-let run_trial ?before_timed ~make_ops workload config trial_idx =
-  let m, _ = run_trial_full ?before_timed ~make_ops workload config trial_idx in
-  m.ops_per_sec
-
-(** A whole data point with observability: the throughput statistics of
-    [run] plus per-trial metrics, the latency summary of all trials'
-    samples merged, and counter/GC totals across trials. *)
+(** A whole data point with observability: the throughput statistics
+    plus per-trial metrics, the latency summary of all trials' samples
+    merged, and counter/GC totals across trials. *)
 type datapoint_full = {
   dp : datapoint;
   trial_metrics : trial_metrics list;
@@ -452,15 +447,14 @@ type datapoint_full = {
   gc : gc_delta;
 }
 
-let run_full ?before_timed ?(record_latency = false) ~make_ops workload config =
+let run_full ?(record_latency = false) ~make_ops workload config =
   let combined =
     if record_latency then Some (Obs.Histogram.create ()) else None
   in
   let trial_metrics =
     List.init config.trials (fun i ->
         let m, h =
-          run_trial_full ?before_timed ~record_latency ~make_ops workload config
-            i
+          run_trial_full ~record_latency ~make_ops workload config i
         in
         (match (combined, h) with
         | Some into, Some h -> Obs.Histogram.merge_into ~into h
@@ -493,9 +487,6 @@ let run_full ?before_timed ?(record_latency = false) ~make_ops workload config =
     gc;
   }
 
-let run ?before_timed ~make_ops workload config =
-  (run_full ?before_timed ~make_ops workload config).dp
-
 (* ------------------------------------------------------------------ *)
 (* The six structures of the paper's evaluation, packaged uniformly. *)
 
@@ -517,27 +508,28 @@ let pat_subject =
         });
   }
 
-let bst_subject =
+(* A comparison structure with no replace and no internal counters. *)
+let set_subject (module S : Dset_intf.CONCURRENT_SET) =
   {
-    label = Nbbst.name;
+    label = S.name;
     make =
       (fun ~universe ->
-        let t = Nbbst.create ~universe () in
+        let t = S.create ~universe () in
         {
-          insert = Nbbst.insert t;
-          delete = Nbbst.delete t;
-          member = Nbbst.member t;
+          insert = S.insert t;
+          delete = S.delete t;
+          member = S.member t;
           replace = None;
           stats = None;
         });
   }
 
-let kary_subject =
+let kary_arity_subject k =
   {
-    label = Kary.name;
+    label = Printf.sprintf "%d-ST" k;
     make =
       (fun ~universe ->
-        let t = Kary.create ~universe () in
+        let t = Kary.create_k ~k ~universe () in
         {
           insert = Kary.insert t;
           delete = Kary.delete t;
@@ -547,50 +539,11 @@ let kary_subject =
         });
   }
 
-let skiplist_subject =
-  {
-    label = Skiplist.name;
-    make =
-      (fun ~universe ->
-        let t = Skiplist.create ~universe () in
-        {
-          insert = Skiplist.insert t;
-          delete = Skiplist.delete t;
-          member = Skiplist.member t;
-          replace = None;
-          stats = None;
-        });
-  }
-
-let avl_subject =
-  {
-    label = Avl.name;
-    make =
-      (fun ~universe ->
-        let t = Avl.create ~universe () in
-        {
-          insert = Avl.insert t;
-          delete = Avl.delete t;
-          member = Avl.member t;
-          replace = None;
-          stats = None;
-        });
-  }
-
-let ctrie_subject =
-  {
-    label = Ctrie.name;
-    make =
-      (fun ~universe ->
-        let t = Ctrie.create ~universe () in
-        {
-          insert = Ctrie.insert t;
-          delete = Ctrie.delete t;
-          member = Ctrie.member t;
-          replace = None;
-          stats = None;
-        });
-  }
+let bst_subject = set_subject (module Nbbst)
+let kary_subject = kary_arity_subject Kary.k
+let skiplist_subject = set_subject (module Skiplist)
+let avl_subject = set_subject (module Avl)
+let ctrie_subject = set_subject (module Ctrie)
 
 (** PAT with its internal contention counters enabled (per-domain
     sharded, so the counters do not serialize the hot path).  Used when
@@ -628,13 +581,80 @@ let all_subjects =
     ctrie_subject;
   ]
 
-let run_subject subject workload config =
-  run ~make_ops:(fun () -> subject.make ~universe:workload.universe) workload config
+(* ------------------------------------------------------------------ *)
+(* The evaluation's configurations, each stated once: Section V's
+   Figures 8-11, then the configurations the paper mentions without
+   plotting.  A panel's key names its rows in metrics and baseline
+   files, so the regression gate matches rows by it. *)
+
+type panel = { key : string; workload : workload }
+type experiment = { id : string; panels : panel list; subjects : subject list }
+
+let experiments =
+  let panel key universe mix dist =
+    { key; workload = { universe; mix; dist } }
+  in
+  let large = 1_000_000 in
+  let top_bottom name universe =
+    [
+      panel (name ^ " (top)") universe Mix.i5_d5_f90 Uniform;
+      panel (name ^ " (bottom)") universe Mix.i50_d50_f0 Uniform;
+    ]
+  in
+  [
+    { id = "8"; panels = top_bottom "Figure 8" large; subjects = all_subjects };
+    { id = "9"; panels = top_bottom "Figure 9" 100; subjects = all_subjects };
+    (* No comparison structure has an atomic replace. *)
+    {
+      id = "10";
+      panels = [ panel "Figure 10" large Mix.i10_d10_r80 Uniform ];
+      subjects = [ pat_subject ];
+    };
+    {
+      id = "11";
+      panels = [ panel "Figure 11" large Mix.i15_d15_f70 (Clustered 50) ];
+      subjects = all_subjects;
+    };
+    (* The paper says range 10^3 and a uniform i15-d15-f70 behave like
+       Figure 8, and that longer runs hurt BST and 4-ST further. *)
+    {
+      id = "medium-contention";
+      panels = top_bottom "Medium contention" 1_000;
+      subjects = all_subjects;
+    };
+    {
+      id = "i15-d15-f70-uniform";
+      panels = [ panel "Uniform i15-d15-f70" large Mix.i15_d15_f70 Uniform ];
+      subjects = all_subjects;
+    };
+    {
+      id = "clustered-runs";
+      panels =
+        List.map
+          (fun n ->
+            panel (Printf.sprintf "Runs of %d" n) large Mix.i15_d15_f70
+              (Clustered n))
+          [ 50; 200; 1000 ];
+      subjects = all_subjects;
+    };
+    (* Brown and Helga's finding, which the paper adopts: k = 4 is the
+       k-ary tree's sweet spot. *)
+    {
+      id = "kary-arity";
+      panels = [ panel "k-ary arity" large Mix.i50_d50_f0 Uniform ];
+      subjects = List.map kary_arity_subject [ 2; 4; 8; 16; 32 ];
+    };
+  ]
+
+let paper_figures = [ "8"; "9"; "10"; "11" ]
 
 let run_subject_full ?record_latency subject workload config =
   run_full ?record_latency
     ~make_ops:(fun () -> subject.make ~universe:workload.universe)
     workload config
+
+let run_subject subject workload config =
+  (run_subject_full subject workload config).dp
 
 (* ------------------------------------------------------------------ *)
 (* Metrics-file assembly: one JSON object per (structure, workload,
@@ -644,6 +664,13 @@ let run_subject_full ?record_latency subject workload config =
 let dist_string = function
   | Uniform -> "uniform"
   | Clustered n -> Printf.sprintf "clustered-%d" n
+
+let describe w =
+  Printf.sprintf "%s %s, range (0, %d)"
+    (match w.dist with
+    | Uniform -> "uniform"
+    | Clustered n -> Printf.sprintf "runs of %d," n)
+    (Mix.to_string w.mix) w.universe
 
 let gc_delta_to_json (g : gc_delta) =
   Obs.Json.Obj

@@ -133,37 +133,18 @@ val prefill : ops -> int -> Rng.t -> unit
     steady state of the paper's i50-d50 prefill; randomizing the order
     matters — a sorted sweep would degenerate the unbalanced trees). *)
 
-val run_trial :
-  ?before_timed:(unit -> unit) ->
-  make_ops:(unit -> ops) ->
-  workload ->
-  config ->
-  int ->
-  float
-(** One prefill + warm-up + timed trial; returns ops/second.
-    [before_timed] runs after warm-up (used to snapshot ablation
-    counters). *)
-
 val run_trial_full :
-  ?before_timed:(unit -> unit) ->
   ?record_latency:bool ->
   make_ops:(unit -> ops) ->
   workload ->
   config ->
   int ->
   trial_metrics * Obs.Histogram.t option
-(** Like {!run_trial} but also measuring the timed window: per-operation
-    latency (when [record_latency], default [false]), counter deltas via
-    [ops.stats], and [Gc.quick_stat] deltas.  The returned histogram is
-    the trial's raw latency data, for merging across trials. *)
-
-val run :
-  ?before_timed:(unit -> unit) ->
-  make_ops:(unit -> ops) ->
-  workload ->
-  config ->
-  datapoint
-(** [config.trials] independent trials on fresh structures. *)
+(** One prefill + warm-up + timed trial, measuring the timed window:
+    ops/second, per-operation latency (when [record_latency], default
+    [false]), counter deltas via [ops.stats], and [Gc.quick_stat]
+    deltas.  The returned histogram is the trial's raw latency data, for
+    merging across trials. *)
 
 (** A data point plus observability: per-trial metrics, latency summary
     over all trials' samples, counter and GC totals across trials. *)
@@ -176,13 +157,13 @@ type datapoint_full = {
 }
 
 val run_full :
-  ?before_timed:(unit -> unit) ->
   ?record_latency:bool ->
   make_ops:(unit -> ops) ->
   workload ->
   config ->
   datapoint_full
-(** [config.trials] independent trials with full metrics collection. *)
+(** [config.trials] independent trials on fresh structures, with full
+    metrics collection. *)
 
 (** One of the six structures of the paper's evaluation. *)
 type subject = { label : string; make : universe:int -> ops }
@@ -201,14 +182,36 @@ val skiplist_subject : subject
 val avl_subject : subject
 val ctrie_subject : subject
 
+val kary_arity_subject : int -> subject
+(** The k-ary search tree with arity [k], labelled ["<k>-ST"]. *)
+
 val all_subjects : subject list
 (** In the order of the paper's chart legends:
     PAT, 4-ST, BST, AVL, SL, Ctrie. *)
+
+(** One chart of an experiment.  [key] names its rows in metrics and
+    baseline files (["Figure 8 (top)"]); the regression gate matches
+    rows by it. *)
+type panel = { key : string; workload : workload }
+
+type experiment = { id : string; panels : panel list; subjects : subject list }
+
+val experiments : experiment list
+(** The evaluation's configurations, each stated once: ids ["8"],
+    ["9"], ["10"] and ["11"] are Section V's figures; ["medium-contention"],
+    ["i15-d15-f70-uniform"], ["clustered-runs"] and ["kary-arity"] are
+    configurations the paper mentions without plotting. *)
+
+val paper_figures : string list
+(** The ids of Figures 8-11. *)
 
 val run_subject : subject -> workload -> config -> datapoint
 
 val run_subject_full :
   ?record_latency:bool -> subject -> workload -> config -> datapoint_full
+
+val describe : workload -> string
+(** e.g. ["uniform i5-d5-f90, range (0, 1000000)"]. *)
 
 val gc_delta_to_json : gc_delta -> Obs.Json.t
 

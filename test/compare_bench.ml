@@ -1,5 +1,5 @@
-(* Compare two benchmark baseline files (bench/main.exe --baseline-json)
-   and fail on throughput regressions.
+(* Compare two benchmark baseline files (bin/patbench.exe figure / scan
+   --baseline-json) and fail on throughput regressions.
 
    CI runners differ in absolute speed from whatever machine wrote the
    committed baseline, so raw thresholds are useless.  Instead the

@@ -144,6 +144,80 @@ let test_subject_labels () =
     [ "PAT"; "4-ST"; "BST"; "AVL"; "SL"; "Ctrie" ]
     (List.map (fun s -> s.Harness.label) Harness.all_subjects)
 
+(* The evaluation table is the only statement of the paper's figures,
+   so their constants are checked here against Section V. *)
+let test_evaluation_table () =
+  let open Harness in
+  let unique what xs =
+    List.iter
+      (fun x ->
+        if List.length (List.filter (String.equal x) xs) > 1 then
+          Alcotest.failf "%s %S appears twice" what x)
+      xs
+  in
+  unique "id" (List.map (fun e -> e.id) experiments);
+  unique "gate key"
+    (List.concat_map (fun e -> List.map (fun p -> p.key) e.panels) experiments);
+  List.iter
+    (fun e ->
+      List.iter
+        (fun p ->
+          if p.workload.mix.Mix.replace > 0 then
+            List.iter
+              (fun s ->
+                if (s.make ~universe:16).replace = None then
+                  Alcotest.failf "%s: %s has no replace" p.key s.label)
+              e.subjects)
+        e.panels)
+    experiments;
+  let figure id =
+    match List.find_opt (fun e -> e.id = id) experiments with
+    | Some e ->
+        ( List.map (fun s -> s.label) e.subjects,
+          List.map
+            (fun p ->
+              (p.key, p.workload.universe, p.workload.mix, p.workload.dist))
+            e.panels )
+    | None -> Alcotest.failf "no figure %s" id
+  in
+  let six = [ "PAT"; "4-ST"; "BST"; "AVL"; "SL"; "Ctrie" ] in
+  let i5_d5_f90 = Mix.v ~insert:5 ~delete:5 ~find:90 ()
+  and i50_d50_f0 = Mix.v ~insert:50 ~delete:50 ~find:0 () in
+  let check id expected =
+    if figure id <> expected then
+      Alcotest.failf "figure %s differs from the paper" id
+  in
+  Alcotest.(check (list string)) "paper figures" [ "8"; "9"; "10"; "11" ]
+    paper_figures;
+  check "8"
+    ( six,
+      [
+        ("Figure 8 (top)", 1_000_000, i5_d5_f90, Uniform);
+        ("Figure 8 (bottom)", 1_000_000, i50_d50_f0, Uniform);
+      ] );
+  check "9"
+    ( six,
+      [
+        ("Figure 9 (top)", 100, i5_d5_f90, Uniform);
+        ("Figure 9 (bottom)", 100, i50_d50_f0, Uniform);
+      ] );
+  check "10"
+    ( [ "PAT" ],
+      [
+        ( "Figure 10",
+          1_000_000,
+          Mix.v ~insert:10 ~delete:10 ~replace:80 (),
+          Uniform );
+      ] );
+  check "11"
+    ( six,
+      [
+        ( "Figure 11",
+          1_000_000,
+          Mix.v ~insert:15 ~delete:15 ~find:70 (),
+          Clustered 50 );
+      ] )
+
 let () =
   Alcotest.run "harness"
     [
@@ -155,6 +229,7 @@ let () =
           Alcotest.test_case "clustered runs of 50" `Quick test_clustered_stream_runs;
           Alcotest.test_case "clustered wraps" `Quick test_clustered_wraps;
           Alcotest.test_case "prefill half-full" `Quick test_prefill_half_full;
+          Alcotest.test_case "evaluation table" `Quick test_evaluation_table;
         ] );
       ( "statistics",
         [ Alcotest.test_case "mean/stddev" `Quick test_mean_stddev ] );

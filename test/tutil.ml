@@ -265,20 +265,24 @@ let rec rm_rf path =
   else Sys.remove path
 
 (* [fresh_dirs prefix] makes empty scratch directories
-   [<tmp>/<prefix>_<pid>_<n>], one per call.  A directory left by an
-   earlier process with the same pid is removed first: its segments and
-   images would otherwise be recovered as the test's own. *)
+   [<tmp>/<prefix>_<pid>_<n>], one per call, and removes them all when
+   the process exits.  A directory left by an earlier process with the
+   same pid is removed first: its segments and images would otherwise
+   be recovered as the test's own. *)
 let fresh_dirs prefix =
-  let n = ref 0 in
+  let made = ref [] in
+  at_exit (fun () ->
+      List.iter (fun dir -> if Sys.file_exists dir then rm_rf dir) !made);
   fun () ->
-    incr n;
     let dir =
       Filename.concat
         (Filename.get_temp_dir_name ())
-        (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n)
+        (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ())
+           (List.length !made + 1))
     in
     if Sys.file_exists dir then rm_rf dir;
     Unix.mkdir dir 0o755;
+    made := dir :: !made;
     dir
 
 (* End the test executable with a failure once it has run [seconds],

@@ -2,10 +2,9 @@
    produce:
 
      validate_metrics FILE
-       metrics JSON written by bench/main.exe and bin/patbench.exe
-       (--metrics-json / REPRO_METRICS_JSON): exits 0 iff the file
-       parses and every data point carries the documented fields with
-       sane values.
+       metrics JSON written by bin/patbench.exe --metrics-json: exits
+       0 iff the file parses and every data point carries the
+       documented fields with sane values.
 
      validate_metrics --prometheus FILE [--require FAMILY]...
        a scraped Prometheus exposition: every sample line must parse,
