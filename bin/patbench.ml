@@ -955,7 +955,7 @@ let recover_cmd =
     Term.(ret (const run $ data_dir_arg $ range_arg $ compact_arg))
 
 (* ------------------------------------------------------------------ *)
-(* load subcommand: closed-loop load generator against a running server *)
+(* load subcommand: the load generator against a running server *)
 
 let load_cmd =
   let addr_arg =
@@ -995,11 +995,11 @@ let load_cmd =
   in
   let open_loop_arg =
     let doc =
-      "Open-loop mode: offer $(docv) requests per second (total across \
-       domains) on a fixed schedule instead of the closed loop — the \
-       instrument for measuring overload.  Reports offered vs acked \
-       (goodput), BUSY sheds/declines, lost requests and disconnects; \
-       never fails on server overload, that is what it measures."
+      "Open pacing: make $(docv) requests per second (total across \
+       domains) due on a fixed schedule instead of keeping --depth in \
+       flight — the instrument for measuring overload.  Sheds, BUSY \
+       declines, lost requests and disconnects are counted, not failed \
+       on; latency still runs from each request's due time."
     in
     Arg.(
       value & opt (some float) None & info [ "open-loop" ] ~doc ~docv:"RATE")
@@ -1007,8 +1007,8 @@ let load_cmd =
   let scan_every_arg =
     let doc =
       "Mix one SCAN page per $(docv) generated requests into the workload \
-       (closed loop only; 0 = never).  Each generator runs a resumable \
-       cursor and verifies every page against the cursor contract."
+       (0 = never).  Each generator runs a resumable cursor and verifies \
+       every page against the cursor contract."
     in
     Arg.(value & opt int 0 & info [ "scan-every" ] ~doc ~docv:"N")
   in
@@ -1017,121 +1017,96 @@ let load_cmd =
       value & opt int 256
       & info [ "scan-count" ] ~doc:"Page size for generated SCANs.")
   in
-  let run_open_loop ~addr ~port ~domains ~seconds ~mix ~range ~seed ~metrics
-      rate =
-    let cfg =
-      Server.Loadgen.
-        {
-          addr;
-          port;
-          domains;
-          rate;
-          seconds;
-          mix;
-          universe = range;
-          dist = Harness.Uniform;
-          seed;
-          reconnect_s = 0.05;
-        }
-    in
-    Format.printf
-      "load: open loop, offering %.0f req/s (%s) for %.1fs on %d domains@."
-      rate (Harness.Mix.to_string mix) seconds domains;
-    Format.print_flush ();
-    let r = Server.Loadgen.run_open cfg in
-    let l = r.Server.Loadgen.latency in
-    Format.printf
-      "load: offered %d, sent %d, acked %d in %.2fs = %.0f ops/s goodput@.\
-       load: busy %d (shed rate %.3f), errors %d, lost %d, disconnects %d@.\
-       load: ack latency ns p50=%d p90=%d p99=%d p99.9=%d max=%d@."
-      r.Server.Loadgen.offered r.Server.Loadgen.sent r.Server.Loadgen.acked
-      r.Server.Loadgen.elapsed_s r.Server.Loadgen.goodput
-      r.Server.Loadgen.busy r.Server.Loadgen.shed_rate
-      r.Server.Loadgen.errors r.Server.Loadgen.lost
-      r.Server.Loadgen.disconnects l.Obs.Histogram.p50 l.Obs.Histogram.p90
-      l.Obs.Histogram.p99 l.Obs.Histogram.p999 l.Obs.Histogram.max;
-    Option.iter
-      (fun path ->
-        Obs.Json.to_file path (Server.Loadgen.open_report_to_json cfg r);
-        Format.printf "load: report written to %s@." path)
-      metrics;
-    Format.print_flush ();
-    `Ok ()
-  in
   let run addr port domains depth seconds insert delete find replace range seed
       metrics scrape open_loop scan_every scan_count =
     match Harness.Mix.v ~insert ~delete ~find ~replace () with
     | exception Invalid_argument m -> `Error (false, m)
-    | mix when open_loop <> None -> (
-        match
-          run_open_loop ~addr ~port ~domains ~seconds ~mix ~range ~seed
-            ~metrics (Option.get open_loop)
-        with
-        | r -> r
-        | exception Unix.Unix_error (e, fn, _) ->
-            `Error
-              (false, Printf.sprintf "%s failed: %s" fn (Unix.error_message e)))
     | mix -> (
+        let pacing =
+          match open_loop with
+          | Some rate -> Server.Loadgen.Open rate
+          | None -> Server.Loadgen.Closed depth
+        in
         let cfg =
           Server.Loadgen.
             {
               addr;
               port;
               domains;
-              depth;
+              pacing;
               seconds;
               mix;
               universe = range;
-              dist = Harness.Uniform;
               seed;
               journal = false;
-              tolerate_disconnect = false;
-              partition = false;
               scrape_port = scrape;
               scan_every;
               scan_count;
             }
         in
+        (* The retries ride out a shed from a server still reaping the
+           generator's connections. *)
+        let size () =
+          let c = Server.Client.connect ~addr ~port ~retries:5 () in
+          Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
+          Server.Client.size c
+        in
         try
           (* Size accounting baseline: works against a non-empty server
              too, the expectation is relative to what we found. *)
-          let c0 = Server.Client.connect ~addr ~port () in
-          let size_before = Server.Client.size c0 in
-          Server.Client.close c0;
+          let size_before = size () in
           let prefilled =
             Server.Loadgen.prefill ~addr ~port ~universe:range ~seed ()
           in
           Format.printf
             "load: prefilled %d keys (server had %d), running %s for %.1fs on \
-             %d domains, depth %d@."
+             %d domains, %s@."
             prefilled size_before (Harness.Mix.to_string mix) seconds domains
-            depth;
+            (match pacing with
+            | Closed depth -> Printf.sprintf "depth %d" depth
+            | Open rate -> Printf.sprintf "offering %.0f req/s" rate);
           Format.print_flush ();
           let r = Server.Loadgen.run cfg in
-          let c1 = Server.Client.connect ~addr ~port () in
-          let final = Server.Client.size c1 in
-          Server.Client.close c1;
-          let expected = size_before + prefilled + r.Server.Loadgen.size_delta in
-          let l = r.Server.Loadgen.latency in
+          let l = r.Server.Loadgen.latency and late = r.Server.Loadgen.late in
           Format.printf
-            "load: %d ops in %.2fs = %.0f ops/s, %d errors@.\
-             load: latency ns p50=%d p90=%d p99=%d p99.9=%d max=%d@.\
-             load: final size %d, expected %d (replay of acknowledged ops)@."
-            r.Server.Loadgen.ops r.Server.Loadgen.elapsed_s
-            r.Server.Loadgen.throughput r.Server.Loadgen.errors
-            l.Obs.Histogram.p50 l.Obs.Histogram.p90 l.Obs.Histogram.p99
-            l.Obs.Histogram.p999 l.Obs.Histogram.max final expected;
-          if r.Server.Loadgen.scan_pages > 0 then
-            Format.printf
-              "load: %d scan pages verified (%d keys streamed)@."
-              r.Server.Loadgen.scan_pages r.Server.Loadgen.scan_keys;
-          (match r.Server.Loadgen.server_metrics with
+            "load: offered %d, acked %d in %.2fs = %.0f ops/s goodput@.\
+             load: busy %d, errors %d, lost %d, disconnects %d@.\
+             load: latency ns (due to response) p50=%d p90=%d p99=%d \
+             p99.9=%d max=%d@.\
+             load: late ns (due to written) p50=%d p99=%d max=%d@."
+            r.offered r.acked r.elapsed_s r.goodput r.busy r.errors r.lost
+            r.disconnects l.Obs.Histogram.p50 l.Obs.Histogram.p90
+            l.Obs.Histogram.p99 l.Obs.Histogram.p999 l.Obs.Histogram.max
+            late.Obs.Histogram.p50 late.Obs.Histogram.p99
+            late.Obs.Histogram.max;
+          (* A lost request may or may not have executed, so no exact
+             expectation exists once one is lost. *)
+          let sizes =
+            if r.lost > 0 then begin
+              Format.printf
+                "load: final size not checked: %d lost requests may or may \
+                 not have executed@."
+                r.lost;
+              None
+            end
+            else begin
+              let final = size () in
+              let expected = size_before + prefilled + r.size_delta in
+              Format.printf
+                "load: final size %d, expected %d (replay of acknowledged \
+                 ops)@."
+                final expected;
+              Some (final, expected)
+            end
+          in
+          if r.scan_pages > 0 then
+            Format.printf "load: %d scan pages verified (%d keys streamed)@."
+              r.scan_pages r.scan_keys;
+          (match r.server_metrics with
           | [] -> ()
           | kv ->
               Format.printf "load: server-side (scraped):";
-              List.iter
-                (fun (k, v) -> Format.printf " %s=%.0f" k v)
-                kv;
+              List.iter (fun (k, v) -> Format.printf " %s=%.0f" k v) kv;
               Format.printf "@.");
           Option.iter
             (fun path ->
@@ -1139,26 +1114,34 @@ let load_cmd =
               Format.printf "load: report written to %s@." path)
             metrics;
           Format.print_flush ();
-          if r.Server.Loadgen.errors > 0 then
-            `Error (false, "load completed with application-level errors")
-          else if final <> expected then
-            `Error
-              ( false,
-                Printf.sprintf
-                  "SIZE mismatch: server says %d, replay of acknowledged \
-                   operations says %d — an acknowledged update was lost"
-                  final expected )
-          else `Ok ()
+          match sizes with
+          | _ when r.errors > 0 ->
+              `Error (false, "load completed with application-level errors")
+          | _ when open_loop = None && r.disconnects > 0 ->
+              `Error
+                ( false,
+                  Printf.sprintf "%d generator connections were lost"
+                    r.disconnects )
+          | Some (final, expected) when final <> expected ->
+              `Error
+                ( false,
+                  Printf.sprintf
+                    "SIZE mismatch: server says %d, replay of acknowledged \
+                     operations says %d — an acknowledged update was lost"
+                    final expected )
+          | _ -> `Ok ()
         with
         | Server.Client.Protocol_error m -> `Error (false, "protocol error: " ^ m)
+        | Server.Client.Busy _ -> `Error (false, "the server stayed busy")
         | Unix.Unix_error (e, fn, _) ->
             `Error
               (false, Printf.sprintf "%s failed: %s" fn (Unix.error_message e)))
   in
   let doc =
-    "Drive a running patserve server with a multi-domain closed-loop \
-     pipelined workload and verify the final SIZE against a replay of the \
-     acknowledged operations."
+    "Drive a running patserve server from one connection per generator \
+     domain, paced closed (--depth in flight) or open (--open-loop RATE), \
+     with latency timed from each request's due time, and verify the \
+     final SIZE against a replay of the acknowledged operations."
   in
   Cmd.v (Cmd.info "load" ~doc)
     Term.(
@@ -1541,35 +1524,24 @@ let replicate_cmd =
       let prefilled =
         Server.Loadgen.prefill ~addr:"127.0.0.1" ~port ~universe:range ~seed ()
       in
-      let cfg =
-        Server.Loadgen.
+      let r =
+        Server.Loadgen.run
           {
-            addr = "127.0.0.1";
+            Server.Loadgen.default_config with
             port;
-            domains = 4;
-            depth = 16;
             seconds;
             mix = Harness.Mix.v ~insert:10 ~delete:10 ~find:0 ~replace:80 ();
             universe = range;
-            dist = Harness.Uniform;
             seed;
-            journal = false;
-            tolerate_disconnect = false;
-            partition = false;
-            scrape_port = None;
-            scan_every = 0;
-            scan_count = 256;
           }
       in
-      let r = Server.Loadgen.run cfg in
       Atomic.set sampling false;
       Domain.join sampler;
-      let l = r.Server.Loadgen.latency in
+      let l = r.latency in
       Format.printf
         "replicate: prefill %d, %d ops in %.2fs = %.0f ops/s, %d errors@.\
          replicate: ack latency ns p50=%d p99=%d max=%d@."
-        prefilled r.Server.Loadgen.ops r.Server.Loadgen.elapsed_s
-        r.Server.Loadgen.throughput r.Server.Loadgen.errors l.Obs.Histogram.p50
+        prefilled r.acked r.elapsed_s r.goodput r.errors l.Obs.Histogram.p50
         l.Obs.Histogram.p99 l.Obs.Histogram.max;
       (if followers > 0 then
          let mean =

@@ -2,11 +2,10 @@
     and an optional resilience layer.
 
     One connection, not domain-safe: create one client per domain (the
-    loopback adapter and the load generator both do).  The two-level
-    API mirrors the protocol: {!request} is one synchronous round trip;
-    {!send}/{!recv} split the two halves so a caller can keep many
-    requests in flight and match the (in-order) responses by tag, which
-    is what the closed-loop load generator builds its window on.
+    loopback adapter does).  The two-level API mirrors the protocol:
+    {!request} is one synchronous round trip; {!send}/{!recv} split the
+    two halves so a caller can keep many requests in flight and match
+    the (in-order) responses by tag.
 
     The resilience layer wraps only the synchronous helpers
     ({!insert} .. {!batch}).  With [retries > 0] they transparently

@@ -70,6 +70,18 @@ let op_index = function
 
 let op_count = 12
 
+let op_names =
+  let names = Array.make op_count "" in
+  List.iter
+    (fun op -> names.(op_index op) <- op_name op)
+    [
+      Insert 0; Delete 0; Member 0; Replace { remove = 0; add = 0 }; Size;
+      Batch []; Subscribe { from_seq = 0 }; Logack { applied_seq = 0 };
+      Hashcheck { prefix = 0; len = 0 }; Promote; Scan { cursor = 0; count = 0 };
+      Range { lo = 0; hi = 0; cursor = 0; count = 0 };
+    ];
+  names
+
 (* Opcode and status bytes. *)
 let opc_insert = 1
 and opc_delete = 2

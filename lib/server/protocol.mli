@@ -187,6 +187,10 @@ val op_index : op -> int
 
 val op_count : int
 
+val op_names : string array
+(** [op_names.(op_index op) = op_name op] for every opcode: the label
+    table behind per-opcode counter arrays. *)
+
 val encode_request : Buffer.t -> request -> unit
 (** Append the full frame (length prefix included).
     @raise Invalid_argument on a [seq] outside u32, a nested or

@@ -21,8 +21,9 @@
     serving path exactly like they perturb the trie's CAS sites.
 
     Submodules: {!Protocol} (the wire format), {!Client} (a blocking
-    pipelined client), {!Loadgen} (a multi-domain closed-loop load
-    generator), {!Loopback} (an adapter that makes a served set look
+    pipelined client), {!Loadgen} (a multi-domain load generator:
+    one connection loop per domain, closed or open pacing, latency
+    timed from each request's due time), {!Loopback} (an adapter that makes a served set look
     like an ordinary [CONCURRENT_SET_WITH_REPLACE] again, for running
     generic tests over the network path). *)
 
@@ -36,11 +37,6 @@ module Loadgen = Loadgen
    on the write path like every other hot-path counter in the repo. *)
 
 module Metrics = struct
-  let op_names =
-    [|
-      "insert"; "delete"; "member"; "replace"; "size"; "batch"; "subscribe";
-      "logack"; "hashcheck"; "promote"; "scan"; "range";
-    |]
   let requests = Array.init Protocol.op_count (fun _ -> Obs.Counter.create ())
   let latency = Array.init Protocol.op_count (fun _ -> Obs.Histogram.create ())
   let accepted = Obs.Counter.create ()
@@ -139,7 +135,7 @@ module Metrics = struct
       Array.to_list
         (Array.mapi
            (fun i name -> (name, Obs.Counter.sum requests.(i)))
-           op_names)
+           Protocol.op_names)
     in
     per_op
     @ [
@@ -166,14 +162,14 @@ module Metrics = struct
         counter b ~name:"patserve_requests_total"
           ~help:"Requests served, by opcode" ~labels:[ ("op", name) ]
           (float_of_int (Obs.Counter.sum requests.(i))))
-      op_names;
+      Protocol.op_names;
     Array.iteri
       (fun i name ->
         histogram_summary b ~name:"patserve_request_latency_ns"
           ~help:"Server-side request handling latency, by opcode"
           ~labels:[ ("op", name) ]
           (Obs.Histogram.snapshot latency.(i)))
-      op_names;
+      Protocol.op_names;
     counter b ~name:"patserve_connections_accepted_total"
       ~help:"Connections accepted"
       (float_of_int (Obs.Counter.sum accepted));
@@ -222,7 +218,7 @@ module Metrics = struct
               ~labels:[ ("op", op); ("stage", stage) ]
               (Obs.Histogram.snapshot stages.(i).(s)))
           stage_names)
-      op_names
+      Protocol.op_names
 end
 
 (* The process-global slowest-K request table, fed by every worker and
@@ -710,7 +706,7 @@ let finalize_window c ~b0 ~b1 ~w1 =
           if total > Obs.Slowlog.admission_floor slowlog then
             Obs.Slowlog.note slowlog
               {
-                Obs.Slowlog.op = Metrics.op_names.(p.p_op);
+                Obs.Slowlog.op = Protocol.op_names.(p.p_op);
                 key = p.p_key;
                 conn = c.id;
                 seq = p.p_seq;

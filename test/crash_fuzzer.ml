@@ -19,7 +19,7 @@
    the group commit's [write] either way, and the fsync that only Sync
    adds matters for power loss, which a kill does not simulate.
 
-   The load generator partitions the key universe per connection, so
+   The journaled load gives each connection its own key slice, so
    each connection's journal totally orders the operations on its keys
    and the check is exact, not heuristic.  Recovery is also performed
    twice to confirm replay is deterministic and idempotent.
@@ -31,6 +31,7 @@
    Exits non-zero on the first violated trial, keeping its data
    directory for post-mortem. *)
 
+open Fixture
 module IS = Set.Make (Int)
 module P = Server.Protocol
 
@@ -55,12 +56,6 @@ let arg_float name default =
   match arg_value name with Some v -> float_of_string v | None -> default
 
 let has_flag name = Array.exists (( = ) ("--" ^ name)) Sys.argv
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Children: production nodes ({!Node}) that run until killed. *)
@@ -132,73 +127,6 @@ let follower_mode () =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Model: replay a connection's journal over its slice of the keyspace. *)
-
-exception Violation of string
-
-let violate fmt = Printf.ksprintf (fun m -> raise (Violation m)) fmt
-
-(* Blind application: what the server does to the set if it executes
-   [op], independent of what was acknowledged. *)
-let apply_blind set op =
-  match op with
-  | P.Insert k -> IS.add k set
-  | P.Delete k -> IS.remove k set
-  | P.Member _ -> set
-  | P.Replace { remove; add } ->
-      if IS.mem remove set && (not (IS.mem add set)) && remove <> add then
-        IS.add add (IS.remove remove set)
-      else set
-  | _ -> set
-
-(* Acknowledged application: additionally check the acked result against
-   the model — per-connection pipelining means every earlier operation
-   of this connection was acknowledged first, and the keyspace is
-   partitioned, so the expected result is exact. *)
-let apply_acked conn set ((op, r) : P.op * bool) =
-  let expect_bool what expected =
-    if r <> expected then
-      violate "conn %d: %s acked %b, model says %b" conn what r expected
-  in
-  (match op with
-  | P.Insert k -> expect_bool (Printf.sprintf "INSERT %d" k) (not (IS.mem k set))
-  | P.Delete k -> expect_bool (Printf.sprintf "DELETE %d" k) (IS.mem k set)
-  | P.Member k -> expect_bool (Printf.sprintf "MEMBER %d" k) (IS.mem k set)
-  | P.Replace { remove; add } ->
-      expect_bool
-        (Printf.sprintf "REPLACE %d->%d" remove add)
-        (IS.mem remove set && (not (IS.mem add set)) && remove <> add)
-  | _ -> ());
-  if r then apply_blind set op else set
-
-(* The recovered slice must equal the acked state extended by some
-   prefix of the in-flight operations: SIGKILL preserves completed
-   writes, so the durable suffix cuts the per-connection order at an
-   arbitrary — but prefix-closed — point. *)
-let check_connection ~conn ~recovered ~lo ~hi (j : Server.Loadgen.journal) =
-  let slice = IS.filter (fun k -> k >= lo && k < hi) recovered in
-  let acked_state = List.fold_left (apply_acked conn) IS.empty j.Server.Loadgen.acked in
-  let ok = ref (IS.equal slice acked_state) in
-  let s = ref acked_state in
-  List.iter
-    (fun op ->
-      s := apply_blind !s op;
-      if IS.equal slice !s then ok := true)
-    j.Server.Loadgen.in_flight;
-  if not !ok then begin
-    let show set =
-      String.concat "," (List.map string_of_int (IS.elements set))
-    in
-    violate
-      "conn %d (keys [%d,%d)): recovered slice {%s} matches no prefix state; \
-       acked state {%s} (+%d in-flight), lost {%s}, extra {%s}"
-      conn lo hi (show slice) (show acked_state)
-      (List.length j.Server.Loadgen.in_flight)
-      (show (IS.diff acked_state slice))
-      (show (IS.diff slice acked_state))
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Parent: one trial. *)
 
 let read_port ic =
@@ -264,14 +192,12 @@ let run_trial ~seed ~trial ~universe ~keep =
       Server.Loadgen.default_config with
       port;
       domains = load_domains;
-      depth = 8;
+      pacing = Closed 8;
       seconds = 60.0 (* the kill, not the clock, ends the run *);
       universe;
       seed = seed + trial;
       mix = Harness.Mix.v ~insert:40 ~delete:20 ~find:10 ~replace:30 ();
       journal = true;
-      tolerate_disconnect = true;
-      partition = true;
     }
   in
   let killer =
@@ -330,7 +256,7 @@ let run_trial ~seed ~trial ~universe ~keep =
       check_connection ~conn ~recovered ~lo:(conn * span)
         ~hi:((conn + 1) * span) j)
     r.Server.Loadgen.journals;
-  let acked = r.Server.Loadgen.ops in
+  let acked = r.Server.Loadgen.acked in
   let in_flight =
     List.fold_left
       (fun a (j : Server.Loadgen.journal) ->
@@ -435,14 +361,12 @@ let run_failover_trial ~seed ~trial ~universe ~keep =
       Server.Loadgen.default_config with
       port = pport;
       domains = load_domains;
-      depth = 8;
+      pacing = Closed 8;
       seconds = 60.0 (* the kill, not the clock, ends the run *);
       universe;
       seed = seed + trial;
       mix = Harness.Mix.v ~insert:40 ~delete:20 ~find:10 ~replace:30 ();
       journal = true;
-      tolerate_disconnect = true;
-      partition = true;
     }
   in
   let killer =
@@ -485,7 +409,7 @@ let run_failover_trial ~seed ~trial ~universe ~keep =
       check_connection ~conn ~recovered ~lo:(conn * span)
         ~hi:((conn + 1) * span) j)
     r.Server.Loadgen.journals;
-  let acked = r.Server.Loadgen.ops in
+  let acked = r.Server.Loadgen.acked in
   let in_flight =
     List.fold_left
       (fun a (j : Server.Loadgen.journal) ->

@@ -3,9 +3,10 @@
    the slow-reader soft cap (stall, then resume once the client
    drains) and hard cap (counted eviction), the idle reaper, the
    client's retry layer surviving a shed, the watchdog's
-   ok -> degraded:overload -> ok cycle, and survival of abrupt client
-   disconnects.  All counters come from [Server.Metrics.snapshot]
-   in-process; every test resets them first. *)
+   ok -> degraded:overload -> ok cycle, survival of abrupt client
+   disconnects, and the open-loop load generator's shed accounting.
+   All counters come from [Server.Metrics.snapshot] in-process; every
+   test resets them first. *)
 
 module P = Server.Protocol
 
@@ -336,6 +337,33 @@ let test_client_retries_through_shed () =
   Alcotest.(check bool) "retried insert lands" true (Server.Client.insert c 7);
   Alcotest.(check bool) "at least one shed happened" true (counter "shed" >= 1)
 
+(* The open-loop generator against a one-connection server: two of its
+   three domains are shed at accept, again after every reconnect.  The
+   sheds show up as BUSY and disconnects, [run] returns instead of
+   raising, and every offered request is still accounted for. *)
+let test_open_loop_counts_sheds () =
+  let limits = { Server.default_limits with Server.max_conns = Some 1 } in
+  with_server ~limits ~universe:4_096 @@ fun port ->
+  let r =
+    Server.Loadgen.run
+      {
+        Server.Loadgen.default_config with
+        port;
+        domains = 3;
+        pacing = Open 3_000.0;
+        seconds = 0.6;
+        universe = 4_096;
+        seed = 29;
+      }
+  in
+  let open Server.Loadgen in
+  Alcotest.(check int) "offered = acked + busy + errors + lost" r.offered
+    (r.acked + r.busy + r.errors + r.lost);
+  Alcotest.(check bool) "the admitted domain made progress" true (r.acked > 0);
+  Alcotest.(check bool) "sheds counted as disconnects" true (r.disconnects > 0);
+  Alcotest.(check bool) "shed requests counted as busy" true (r.busy > 0);
+  Alcotest.(check bool) "the server shed" true (counter "shed" >= 1)
+
 (* Reconnect-and-resend: the server closes the connection while the
    client still has a pipelined window outstanding (the idle reaper
    stands in for any server-side close).  The dead window is forgotten
@@ -483,5 +511,7 @@ let () =
             test_abrupt_close_is_contained;
           Alcotest.test_case "stop closes idle quickly" `Quick
             test_stop_closes_idle_quickly;
+          Alcotest.test_case "open loop counts sheds" `Quick
+            test_open_loop_counts_sheds;
         ] );
     ]

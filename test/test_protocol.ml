@@ -52,12 +52,10 @@ let roundtrip_response resp =
 (* ------------------------------------------------------------------ *)
 (* Round trips *)
 
+(* Every opcode round-trips, and [op_names] labels each by its own
+   name, one distinct label per opcode. *)
 let test_request_roundtrips () =
-  List.iter
-    (fun op ->
-      let req = { P.seq = 7; op } in
-      if roundtrip_request req <> req then
-        Alcotest.failf "%s did not round-trip" (P.op_name op))
+  let ops =
     [
       P.Insert 0;
       P.Insert max_int;
@@ -79,6 +77,19 @@ let test_request_roundtrips () =
       P.Range { lo = 0; hi = max_int; cursor = -1; count = 512 };
       P.Range { lo = 17; hi = 17; cursor = 16; count = 1 };
     ]
+  in
+  List.iter
+    (fun op ->
+      let req = { P.seq = 7; op } in
+      if roundtrip_request req <> req then
+        Alcotest.failf "%s did not round-trip" (P.op_name op);
+      Alcotest.(check string) "op_names label" (P.op_name op)
+        P.op_names.(P.op_index op))
+    ops;
+  Alcotest.(check int) "one label per opcode" P.op_count
+    (List.length (List.sort_uniq compare (Array.to_list P.op_names)));
+  Alcotest.(check int) "every opcode sampled" P.op_count
+    (List.length (List.sort_uniq compare (List.map P.op_index ops)))
 
 let test_response_roundtrips () =
   List.iter

@@ -2,7 +2,7 @@
    over a real loopback connection, pipelining, batch, error handling
    (application-level errors leave the stream usable, framing-level
    errors close it without hurting other connections), graceful stop,
-   the closed-loop load generator's size accounting, and a
+   the load generator's accounting in both pacings and its journal, and a
    linearizability check where every operation is a network round
    trip. *)
 
@@ -307,7 +307,7 @@ let test_loadgen_size_accounting () =
         default_config with
         port;
         domains = 3;
-        depth = 8;
+        pacing = Closed 8;
         seconds = 0.4;
         universe = 2_048;
         mix = Harness.Mix.v ~insert:25 ~delete:25 ~find:25 ~replace:25 ();
@@ -316,7 +316,7 @@ let test_loadgen_size_accounting () =
   in
   let r = Server.Loadgen.run cfg in
   Alcotest.(check int) "no errors" 0 r.Server.Loadgen.errors;
-  Alcotest.(check bool) "made progress" true (r.Server.Loadgen.ops > 0);
+  Alcotest.(check bool) "made progress" true (r.Server.Loadgen.acked > 0);
   (* The whole point of the delta accounting: acknowledged effects add
      up to the observable size, and the server's size agrees with the
      structure underneath it. *)
@@ -326,6 +326,85 @@ let test_loadgen_size_accounting () =
     (prefilled + r.Server.Loadgen.size_delta)
     final;
   Alcotest.(check int) "served size = trie size" (Core.Patricia.size trie) final
+
+(* The open loop shares the closed loop's accounting: every offered
+   request is acked, declined, failed or lost; SCAN pages are verified;
+   and with nothing lost the acknowledged effects replay to the served
+   size.  Identities and progress only, never rates. *)
+let test_loadgen_open_loop () =
+  with_server ~domains:2 ~universe:2_048 @@ fun trie port ->
+  let prefilled = Server.Loadgen.prefill ~port ~universe:2_048 ~seed:5 () in
+  let r =
+    Server.Loadgen.run
+      {
+        Server.Loadgen.default_config with
+        port;
+        domains = 2;
+        pacing = Open 2_000.0;
+        seconds = 0.5;
+        universe = 2_048;
+        mix = Harness.Mix.v ~insert:30 ~delete:30 ~find:20 ~replace:20 ();
+        seed = 17;
+        scan_every = 10;
+        scan_count = 64;
+      }
+  in
+  let open Server.Loadgen in
+  Alcotest.(check int) "offered = acked + busy + errors + lost" r.offered
+    (r.acked + r.busy + r.errors + r.lost);
+  Alcotest.(check bool) "made progress" true (r.acked > 0);
+  Alcotest.(check int) "no errors" 0 r.errors;
+  Alcotest.(check bool) "scan pages verified" true (r.scan_pages > 0);
+  Alcotest.(check bool) "late measured" true (r.late.Obs.Histogram.count > 0);
+  if r.lost = 0 then
+    with_client port @@ fun c ->
+    let final = Server.Client.size c in
+    Alcotest.(check int) "size = prefill + delta" (prefilled + r.size_delta)
+      final;
+    Alcotest.(check int) "served size = trie size" (Core.Patricia.size trie)
+      final
+
+(* A journaled closed loop whose server stops mid-run: every domain
+   loses its connection, [run] returns instead of raising, and each
+   domain's key slice of the served trie is its acknowledged history
+   extended by a prefix of what it still had in flight. *)
+let test_loadgen_journal_on_stop () =
+  let universe = 3_000 and domains = 3 in
+  let trie, srv = pat_server ~universe () in
+  let stopper =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.3;
+        Server.stop ~drain_s:0.1 srv)
+  in
+  let r =
+    Server.Loadgen.run
+      {
+        Server.Loadgen.default_config with
+        port = Server.port srv;
+        domains;
+        pacing = Closed 8;
+        seconds = 30.0 (* the stop, not the clock, ends the run *);
+        universe;
+        mix = Harness.Mix.v ~insert:40 ~delete:20 ~find:10 ~replace:30 ();
+        seed = 23;
+        journal = true;
+      }
+  in
+  Domain.join stopper;
+  let open Server.Loadgen in
+  Alcotest.(check int) "every connection lost" domains r.disconnects;
+  Alcotest.(check bool) "made progress" true (r.acked > 0);
+  Alcotest.(check int) "offered = acked + busy + errors + lost" r.offered
+    (r.acked + r.busy + r.errors + r.lost);
+  let served = IS.of_list (Core.Patricia.to_list trie) in
+  let span = universe / domains in
+  List.iteri
+    (fun conn (j : journal) ->
+      try
+        Fixture.check_connection ~conn ~recovered:served ~lo:(conn * span)
+          ~hi:((conn + 1) * span) j
+      with Fixture.Violation m -> Alcotest.fail m)
+    r.journals
 
 (* Linearizability with every operation a network round trip.  The ops
    record hands each recording domain its own connection (the client is
@@ -587,6 +666,10 @@ let () =
             test_watchdog_stall_and_recovery;
           Alcotest.test_case "loadgen size accounting" `Quick
             test_loadgen_size_accounting;
+          Alcotest.test_case "loadgen open loop accounting" `Quick
+            test_loadgen_open_loop;
+          Alcotest.test_case "loadgen journal on server stop" `Quick
+            test_loadgen_journal_on_stop;
           Alcotest.test_case "linearizable over network" `Quick
             test_linearizable_over_network;
         ] );

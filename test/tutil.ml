@@ -257,13 +257,6 @@ let linearizable_run ?(threads = 3) ?(ops_per_thread = 12) ?(universe = 8)
      once the recorded run is over (no residual flags, ordered leaves). *)
   check_ok ops.label ops
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 (* [fresh_dirs prefix] makes empty scratch directories
    [<tmp>/<prefix>_<pid>_<n>], one per call, and removes them all when
    the process exits.  A directory left by an earlier process with the
@@ -271,8 +264,7 @@ let rec rm_rf path =
    be recovered as the test's own. *)
 let fresh_dirs prefix =
   let made = ref [] in
-  at_exit (fun () ->
-      List.iter (fun dir -> if Sys.file_exists dir then rm_rf dir) !made);
+  at_exit (fun () -> List.iter Fixture.rm_rf !made);
   fun () ->
     let dir =
       Filename.concat
@@ -280,7 +272,7 @@ let fresh_dirs prefix =
         (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ())
            (List.length !made + 1))
     in
-    if Sys.file_exists dir then rm_rf dir;
+    Fixture.rm_rf dir;
     Unix.mkdir dir 0o755;
     made := dir :: !made;
     dir
