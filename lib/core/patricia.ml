@@ -35,10 +35,10 @@ let max_elt t =
   (* Mirror traversal: rightmost real leaf first. *)
   let c = t.ctx in
   let rec go = function
-    | Any (Leaf l) ->
+    | Any (Leaf l as n) ->
         if
           (not (K.is_sentinel c l.key))
-          && not (logically_removed (Atomic.get l.linfo))
+          && not (logically_removed (Atomic.get (info_cell n)))
         then raise_notrace (Found_key (K.export c l.key))
     | Any (Internal i) ->
         go (Atomic.get i.c1);
@@ -62,10 +62,10 @@ let fold_range_from ~live (c : K.ctx) root ~lo ~hi ~init ~f =
     let ilo = lo + c.offset and ihi = hi + c.offset in
     let rec go acc node =
       match node with
-      | Any (Leaf l) ->
+      | Any (Leaf l as n) ->
           if
             l.key >= ilo && l.key <= ihi
-            && not (live && logically_removed (Atomic.get l.linfo))
+            && not (live && logically_removed (Atomic.get (info_cell n)))
           then f acc (l.key - c.offset)
           else acc
       | Any (Internal i) ->

@@ -260,6 +260,13 @@ module For_testing : sig
   (** Number of flagged nodes on the search path of a key — 0 in any
       quiescent state where no update died holding flags. *)
 
+  val layout_on_path : t -> int -> (Obj.t * Obj.t * Obj.t list) list
+  (** Each node on the search path of a key, root first, with the value
+      its info word reads and its other fields read by name, in
+      declaration order.  The info word is field 0 of every node and the
+      named fields follow it, so for each [(n, i, fs)],
+      [Obj.field n 0 == i] and field [j + 1] is element [j] of [fs]. *)
+
   val view_flags_on_path : view -> int -> int
   (** {!flags_on_path} in a frozen view.  The live trie's renewals mark
       the stale nodes they copy, so a node of the view that has been

@@ -125,14 +125,16 @@ type ik = |
 type info = Clean | Unflag of { mutable u : unit } | Flag of flag | Snap of snap
 
 (* A node carries its fields inline: a child field points straight at
-   the child's block, with no wrapper box between. *)
+   the child's block, with no wrapper box between.  The info word is
+   field 0 of both kinds, as in the paper's node, and is accessed only
+   through [info_cell] below, never as a record field. *)
 and _ tnode =
-  | Leaf : { key : K.key; linfo : info Atomic.t } -> lk tnode
+  | Leaf : { mutable linfo : info; key : K.key } -> lk tnode
   | Internal : {
+      mutable iinfo : info;
       label : K.label;
       c0 : node Atomic.t; (* left child (next bit 0) *)
       c1 : node Atomic.t; (* right child (next bit 1) *)
-      iinfo : info Atomic.t;
       gen : unit ref;
           (* Generation stamp: physically equal to [hgen] of the holder
              that was current when this node was created.  Immutable.
@@ -190,7 +192,7 @@ and decision = Pending | Commit | Abort
 
 (* The Flag descriptor (paper Figure 2, lines 8-16).  [flag_nodes] are the
    internal nodes to flag, sorted by label; [old_infos.(i)] is the value
-   that must still be in [flag_nodes.(i).iinfo] for the flag CAS to
+   that must still be in [flag_nodes.(i)]'s info for the flag CAS to
    succeed.  Child [k] of [pnodes.(i)] is CASed from [old_children.(i)]
    to [new_children.(i)].  [unflag_nodes] are unflagged afterwards; flagged
    nodes absent from it are removed from the trie and stay flagged
@@ -316,17 +318,22 @@ let my_slot t =
 
 let fresh_unflag () = Unflag { u = () }
 
-let new_leaf key : leaf = Leaf { key; linfo = Atomic.make Clean }
+(* A node's info word as an atomic cell.  [Atomic.get],
+   [compare_and_set] and [set] act on field 0 of whatever block they are
+   given, with the write barrier an [Atomic.t] gets, and field 0 of both
+   node kinds is the info word (the layout test of test_patricia and
+   test_patricia_vlk pins this).  The one cast in the trie: OCaml 5.4's
+   atomic record fields would replace it. *)
+external info_cell : _ tnode -> info Atomic.t = "%identity"
+
+let new_leaf key : leaf = Leaf { linfo = Clean; key }
 
 (* Field access on a typed node: the pattern is exhaustive at its type,
    so each compiles to a single load with no tag test. *)
 let[@inline] label (Internal i : internal) = i.label
-let[@inline] iinfo (Internal i : internal) = i.iinfo
+let[@inline] iinfo (i : internal) = info_cell i
 let[@inline] child (Internal i : internal) b = if b then i.c1 else i.c0
-
-let node_info = function
-  | Any (Leaf l) -> l.linfo
-  | Any (Internal i) -> i.iinfo
+let[@inline] node_info (Any n) = info_cell n
 
 let node_span = function
   | Any (Leaf l) -> K.key_span l.key
@@ -334,13 +341,7 @@ let node_span = function
 
 let make_internal ~gen label c0 c1 : internal =
   Internal
-    {
-      label;
-      c0 = Atomic.make c0;
-      c1 = Atomic.make c1;
-      iinfo = Atomic.make Clean;
-      gen;
-    }
+    { iinfo = Clean; label; c0 = Atomic.make c0; c1 = Atomic.make c1; gen }
 
 (* A copy of [i] in generation [gen], children read now: callers read
    [i]'s info field first (see [copy_node]). *)
@@ -526,7 +527,7 @@ type search_result = {
 let[@inline] found hint gp gp_info p p_info d node =
   let rmvd =
     match node with
-    | Any (Leaf l) -> logically_removed (Atomic.get l.linfo)
+    | Any (Leaf _ as l) -> logically_removed (Atomic.get (info_cell l))
     | Any (Internal _) -> false
   in
   {
@@ -547,7 +548,7 @@ let search_from (root : internal) v =
     let node = Atomic.get (child p (K.bit (label p) v)) in
     match node with
     | Any (Internal r as i) when K.is_prefix r.label v ->
-        go p p_info i (Atomic.get r.iinfo) (d + 1)
+        go p p_info i (Atomic.get (iinfo i)) (d + 1)
     | _ -> found root gp gp_info p p_info d node
   in
   let ri = Atomic.get (iinfo root) in
@@ -669,7 +670,7 @@ let search t v =
     | Any (Internal r as i) when K.is_prefix r.label v ->
         go
           (if K.fits ctx bits r.label then i else hint)
-          p p_info i (Atomic.get r.iinfo) (d + 1)
+          p p_info i (Atomic.get (iinfo i)) (d + 1)
     | _ -> found hint gp gp_info p p_info d node
   in
   let slot = K.slot ctx bits v in
@@ -788,7 +789,7 @@ and help_flag (fi : info) (f : flag) : bool =
       (* Line 95: flag the leaf removed by a general-case replace; leaves
          are flagged by a plain write, never by CAS, and never unflagged. *)
       (match f.rmv_leaf with
-      | Some (Leaf l) -> Atomic.set l.linfo fi
+      | Some l -> Atomic.set (info_cell l) fi
       | None -> ());
       child_cas_phase f;
       (* Lines 99-102: unflag, in reverse order, the nodes still in the trie. *)
@@ -993,7 +994,7 @@ let run_own t fi =
    own node, whose other child is the original one.  [None] after
    helping a descriptor pending on the run. *)
 let rec renew_run t h v p p_info p_child j (Internal ir as i : internal) =
-  match Atomic.get ir.iinfo with
+  match Atomic.get (iinfo i) with
   | (Flag _ | Snap _) as fi ->
       bump t.stats (fun s -> s.helps_given);
       ignore (help fi);
@@ -1062,7 +1063,7 @@ let renew_path t (h : holder) p p_info (i : internal) v =
         ok
 
 (* The stale run under [p] is renewed and the descent continues from
-   [p]: the committed renewal left a fresh Unflag in [p.iinfo] (the old
+   [p]: the committed renewal left a fresh Unflag in [p]'s info (the old
    [p_info] would fail every later flag CAS on [p]), so re-read it —
    before the child, the order Lemma 31 needs — and the child slot now
    holds the top copy, under which the rest of the run's copies are
@@ -1081,7 +1082,7 @@ let search_renew ~need_gp t (h : holder) v =
         if r.gen == h.hgen then
           go
             (if K.fits ctx bits r.label then i else hint)
-            p p_info i (Atomic.get r.iinfo) (d + 1)
+            p p_info i (Atomic.get (iinfo i)) (d + 1)
         else if renew_path t h p p_info i v then
           go hint gp gp_info p (Atomic.get (iinfo p)) d
         else None
@@ -1401,9 +1402,9 @@ let replace t ~remove ~add =
 let fold t ~init ~f =
   let c = t.ctx in
   let rec go acc = function
-    | Any (Leaf l) ->
-        if K.is_sentinel c l.key || logically_removed (Atomic.get l.linfo) then
-          acc
+    | Any (Leaf l as n) ->
+        if K.is_sentinel c l.key || logically_removed (Atomic.get (info_cell n))
+        then acc
         else f acc (K.export c l.key)
     | Any (Internal i) -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
   in
@@ -1609,9 +1610,9 @@ let check_invariants t =
 (* Shape census (Obs.Shape): weakly-consistent walk like [fold], exact
    in quiescence.  Per-node word estimates, 64-bit layout:
 
-     internal:  block 6 (header, label, c0, c1, iinfo, gen)
-                + 2 child Atomics 4 + iinfo Atomic 2        = 12
-     leaf:      block 3 (header, key, linfo) + linfo Atomic 2  = 5
+     internal:  block 6 (header, iinfo, label, c0, c1, gen)
+                + 2 child Atomics 4                     = 10
+     leaf:      block 3 (header, linfo, key)             = 3
 
    plus 2 for a node whose info field holds an Unflag (a one-field
    mutable block; [Clean] is immediate, and a leaf is never unflagged),
@@ -1631,8 +1632,8 @@ let check_invariants t =
    headers.  The nodes it points at are the trie's, except the dummy
    (one node per trie, not counted) and, briefly, a node removed since
    a descent wrote it back. *)
-let internal_words = 12
-let leaf_words = 5
+let internal_words = 10
+let leaf_words = 3
 let info_words = function Unflag _ -> 2 | Clean | Flag _ | Snap _ -> 0
 
 let census t =
@@ -1640,19 +1641,19 @@ let census t =
   let a = Obs.Shape.acc ~structure:name in
   let rec go depth node =
     match node with
-    | Any (Leaf l) ->
-        let li = Atomic.get l.linfo in
+    | Any (Leaf l as n) ->
+        let li = Atomic.get (info_cell n) in
         let sentinel = K.is_sentinel c l.key in
         let keys = if sentinel || logically_removed li then 0 else 1 in
         Obs.Shape.leaf a ~depth ~keys ~sentinel
           ~words:(leaf_words + info_words li + K.key_words l.key)
-    | Any (Internal i) ->
+    | Any (Internal i as n) ->
         Obs.Shape.internal a ~depth
           ~prefix_len:(K.label_length c i.label)
           ~children:2
           ~words:
             (internal_words
-            + info_words (Atomic.get i.iinfo)
+            + info_words (Atomic.get (info_cell n))
             + K.label_words i.label);
         go (depth + 1) (Atomic.get i.c0);
         go (depth + 1) (Atomic.get i.c1)
@@ -1726,11 +1727,11 @@ module For_testing = struct
   let flags_from root v =
     let rec go acc (node : node) =
       match node with
-      | Any (Leaf l) -> (
-          acc + match Atomic.get l.linfo with Flag _ -> 1 | _ -> 0)
+      | Any (Leaf _ as l) -> (
+          acc + match Atomic.get (info_cell l) with Flag _ -> 1 | _ -> 0)
       | Any (Internal r as i) ->
           let acc =
-            acc + match Atomic.get r.iinfo with Flag _ -> 1 | _ -> 0
+            acc + match Atomic.get (iinfo i) with Flag _ -> 1 | _ -> 0
           in
           if K.is_prefix r.label v then
             go acc (Atomic.get (child i (K.bit r.label v)))
@@ -1739,6 +1740,26 @@ module For_testing = struct
     go 0 (Any root)
 
   let flags_on_path t k = flags_from (Atomic.get t.holder).hroot (K.import t.ctx k)
+
+  (* Each node on the search path of [k], root first, with the value its
+     info cell reads and its other fields read by name, in declaration
+     order: the layout test checks that the cell is field 0 and the
+     named fields fill the rest. *)
+  let layout_on_path t k =
+    let v = K.import t.ctx k in
+    let rec go acc node =
+      let cell = Obj.repr (Atomic.get (node_info node)) in
+      match node with
+      | Any (Leaf l) ->
+          List.rev ((Obj.repr node, cell, [ Obj.repr l.key ]) :: acc)
+      | Any (Internal r as i) ->
+          let named = Obj.[ repr r.label; repr r.c0; repr r.c1; repr r.gen ] in
+          let acc = (Obj.repr node, cell, named) :: acc in
+          if K.is_prefix r.label v then
+            go acc (Atomic.get (child i (K.bit r.label v)))
+          else List.rev acc
+    in
+    go [] (Any (Atomic.get t.holder).hroot)
 
   (* The same count in a frozen view: a stale node the live trie renewed
      since the snapshot is marked, so it counts here. *)

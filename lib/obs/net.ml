@@ -144,10 +144,39 @@ let http_get ?(timeout_s = 5.0) ~addr ~port ~path () =
                   | None -> Error "malformed HTTP status line")
               | _ -> Error "malformed HTTP status line")))
 
+(** Errors {!accept_poll} met other than the transient [EAGAIN],
+    [EWOULDBLOCK], [EINTR] and [ECONNABORTED]: a listener whose socket
+    hits [EMFILE] or [EBADF] keeps polling, and this is where it shows. *)
+let accept_errors = Counter.create ()
+
+(* The errnos already logged, so each is logged once per process. *)
+let logged_errors = Atomic.make []
+
+let rec log_once call e =
+  let seen = Atomic.get logged_errors in
+  if not (List.mem e seen) then
+    if Atomic.compare_and_set logged_errors seen (e :: seen) then
+      Printf.eprintf "Obs.Net: %s on a listening socket failed: %s\n%!" call
+        (Unix.error_message e)
+    else log_once call e
+
+(* A counted error also waits out the poll timeout: a persistent one
+   (a closed socket, a full descriptor table) would otherwise spin. *)
+let accept_failed call e timeout_s =
+  match e with
+  | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED -> None
+  | e ->
+      Counter.incr accept_errors;
+      log_once call e;
+      Unix.sleepf timeout_s;
+      None
+
 (** [accept_poll ~stopping ?timeout_s sock] selects on [sock] for up to
     [timeout_s] and accepts one pending connection.  Returns [None] when
     the stop flag is up, nothing arrived within the timeout, or the
-    accept itself failed (racing accepters see [EAGAIN] here). *)
+    select or accept failed (racing accepters see [EAGAIN] here); other
+    than the transient errors, a failure is counted in {!accept_errors}
+    and logged on stderr the first time its errno is seen. *)
 let accept_poll ~stopping ?(timeout_s = 0.25) sock =
   if stopping () then None
   else
@@ -155,6 +184,7 @@ let accept_poll ~stopping ?(timeout_s = 0.25) sock =
     | [ _ ], _, _ -> (
         match Unix.accept sock with
         | fd, _ -> Some fd
-        | exception Unix.Unix_error (_, _, _) -> None)
+        | exception Unix.Unix_error (e, _, _) ->
+            accept_failed "accept" e timeout_s)
     | _ -> None
-    | exception Unix.Unix_error (_, _, _) -> None
+    | exception Unix.Unix_error (e, _, _) -> accept_failed "select" e timeout_s

@@ -42,6 +42,7 @@ type t = {
   mutable reader : Protocol.Reader.t;
   scratch : Bytes.t;
   sendbuf : Buffer.t;
+  mutable wbuf : Bytes.t; (* what [write_all] writes from; grows *)
   mutable next_seq : int;
   addr : string;
   port : int;
@@ -77,6 +78,7 @@ let connect ?(addr = "127.0.0.1") ~port ?(retries = 0) ?op_timeout_s () =
     reader = Protocol.Reader.create ();
     scratch = Bytes.create 65536;
     sendbuf = Buffer.create 256;
+    wbuf = Bytes.create 256;
     next_seq = 1;
     addr;
     port;
@@ -95,9 +97,14 @@ let reconnect t =
   t.reader <- Protocol.Reader.create ();
   t.fd <- open_conn ~addr:t.addr ~port:t.port ~op_timeout_s:t.op_timeout_s
 
+(* Writes [buf] out from the client's own [wbuf], grown when a window
+   outgrows it: no per-request copy is allocated. *)
 let write_all t buf =
-  let b = Buffer.to_bytes buf in
-  let n = Bytes.length b in
+  let n = Buffer.length buf in
+  if Bytes.length t.wbuf < n then
+    t.wbuf <- Bytes.create (max n (2 * Bytes.length t.wbuf));
+  let b = t.wbuf in
+  Buffer.blit buf 0 b 0 n;
   let rec go off =
     if off < n then
       match Unix.write t.fd b off (n - off) with

@@ -197,7 +197,14 @@ let ack (cfg : config) t op (result : Protocol.result_) =
       true
   | _ -> false
 
+(* Sets the calling thread's timer slack, in ns (a no-op off Linux). *)
+external set_timerslack : int -> unit = "server_set_timerslack" [@@noalloc]
+
 let worker (cfg : config) ~lat ~late go d =
+  (* An open-paced domain sleeps until each arrival is due: with the
+     default 50 us timer slack its wakeups, and so its requests, run
+     that much late. *)
+  (match cfg.pacing with Open _ -> set_timerslack 1_000 | Closed _ -> ());
   let rng = Rng.of_int_seed (cfg.seed + (d * 104729) + 1) in
   let raw_key = Harness.key_stream Harness.Uniform cfg.universe rng in
   let next_key =

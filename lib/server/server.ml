@@ -204,6 +204,11 @@ module Metrics = struct
       ~help:
         "Connections closed on a read/write error (EPIPE, ECONNRESET, ...)"
       (float_of_int (Obs.Counter.sum conn_errors));
+    counter b ~name:"patserve_accept_errors_total"
+      ~help:
+        "Metrics-listener select/accept errors other than EAGAIN, \
+         EWOULDBLOCK, EINTR and ECONNABORTED"
+      (float_of_int (Obs.Counter.sum Obs.Net.accept_errors));
     gauge b ~name:"patserve_conn_buffer_bytes"
       ~help:"Buffered (unflushed) response bytes across all connections"
       (float_of_int (conn_buffer_bytes ()));

@@ -313,6 +313,14 @@ let test_no_aba ~unflagged_first () =
     ~prepare_delete:(P.For_testing.prepare_delete t)
     ~help:P.For_testing.help ~unflagged_first (64, 96, 65, 97)
 
+let test_info_word_is_field_0 () =
+  let t = P.create ~universe:64 () in
+  Tutil.info_word_is_field_0 ~insert:(P.insert t)
+    ~prepare_insert:(P.For_testing.prepare_insert t)
+    ~prepare_delete:(P.For_testing.prepare_delete t)
+    ~flag_only:P.For_testing.flag_only ~help:P.For_testing.help
+    ~layout:(P.For_testing.layout_on_path t) (10, 11)
+
 let test_help_completes_stalled_delete () =
   let t = P.create ~universe:64 () in
   ignore (P.insert t 8);
@@ -530,6 +538,8 @@ let () =
             (test_no_aba ~unflagged_first:false);
           Alcotest.test_case "no ABA: fresh Unflags are distinct" `Quick
             (test_no_aba ~unflagged_first:true);
+          Alcotest.test_case "info word is field 0" `Quick
+            test_info_word_is_field_0;
         ] );
       ( "stats",
         [

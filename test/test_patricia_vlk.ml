@@ -172,6 +172,15 @@ let test_no_aba ~unflagged_first () =
       V.For_testing.prepare_delete t (Bitkey.Bitstr.encode_bytes k))
     ~help:V.For_testing.help ~unflagged_first ("aa", "b", "ab", "ba")
 
+let test_info_word_is_field_0 () =
+  let t = V.create () and enc = Bitkey.Bitstr.encode_bytes in
+  Tutil.info_word_is_field_0
+    ~insert:(fun k -> V.insert_key t k)
+    ~prepare_insert:(V.For_testing.prepare_insert t)
+    ~prepare_delete:(V.For_testing.prepare_delete t)
+    ~flag_only:V.For_testing.flag_only ~help:V.For_testing.help
+    ~layout:(V.For_testing.layout_on_path t) (enc "aa", enc "ab")
+
 (* The level-cache cases of Tutil: key [k] is the byte [2k], so its
    leading digits are PAT's 7-bit key. *)
 let cached () =
@@ -234,6 +243,8 @@ let () =
             (test_no_aba ~unflagged_first:false);
           Alcotest.test_case "no ABA: fresh Unflags are distinct" `Quick
             (test_no_aba ~unflagged_first:true);
+          Alcotest.test_case "info word is field 0" `Quick
+            test_info_word_is_field_0;
         ] );
       ("cache", Tutil.cache_cases cached);
     ]

@@ -299,6 +299,43 @@ let test_serve_custom_routes () =
   let code, _, _ = http_request ~port "/debug/other" in
   Alcotest.(check int) "unknown path 404s" 404 code
 
+(* A listening socket closed under the poller: every select then fails
+   with EBADF, which the poller must count (and keep polling) instead of
+   reading it as "nothing arrived". *)
+let test_accept_poll_counts_errors () =
+  let sock, _ = Obs.Net.listen_tcp ~addr:"127.0.0.1" ~port:0 ~backlog:4 () in
+  let errors () = Obs.Counter.sum Obs.Net.accept_errors in
+  let before = errors () in
+  let stop = Atomic.make false and polls = Atomic.make 0 in
+  let poller =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          (match
+             Obs.Net.accept_poll ~stopping:(fun () -> false) ~timeout_s:0.01 sock
+           with
+          | Some fd -> Unix.close fd
+          | None -> ());
+          Atomic.incr polls
+        done)
+  in
+  let wait_until cond =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.005
+    done
+  in
+  wait_until (fun () -> Atomic.get polls >= 2);
+  Alcotest.(check int) "no error while open" before (errors ());
+  Unix.close sock;
+  wait_until (fun () -> errors () > before);
+  let after = errors () and polled = Atomic.get polls in
+  wait_until (fun () -> Atomic.get polls >= polled + 2);
+  let still_polling = Atomic.get polls >= polled + 2 in
+  Atomic.set stop true;
+  Domain.join poller;
+  Alcotest.(check bool) "closed socket counted" true (after > before);
+  Alcotest.(check bool) "still polling" true still_polling
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -319,5 +356,7 @@ let () =
           Alcotest.test_case "health hook exception is 500" `Quick
             test_serve_health_hook_exception;
           Alcotest.test_case "custom routes" `Quick test_serve_custom_routes;
+          Alcotest.test_case "accept_poll counts errors" `Quick
+            test_accept_poll_counts_errors;
         ] );
     ]

@@ -201,6 +201,59 @@ let stale_delete_after_unflag ~insert ~member ~check ~prepare_delete ~help
         (k2 :: keys);
       match check () with Ok () -> () | Error e -> Alcotest.fail e
 
+(* The info word is field 0 of every node, where [Atomic] operates: for
+   each node on a key's search path, [layout] gives the node, what its
+   info cell reads and its other fields read by name.  Field 0 must be
+   that very info value and fields 1.. the named fields, in order: a
+   record that put another field first would fail here, where every
+   access through the cast would still agree with itself.  Inserting
+   [k] into the empty trie flags and unflags the root; deleting [k]
+   beside [s] flags and unflags internal nodes below it.  Each path is
+   checked while the flags are held and after they are released. *)
+let info_word_is_field_0 ~insert ~prepare_insert ~prepare_delete ~flag_only
+    ~help ~layout (k, s) =
+  let check what =
+    let path = layout k in
+    List.iteri
+      (fun i (n, info, named) ->
+        let name = Printf.sprintf "%s: node %d" what i in
+        Alcotest.(check bool) (name ^ " field 0 is its info") true
+          (Obj.field n 0 == info);
+        Alcotest.(check int) (name ^ " size") (1 + List.length named) (Obj.size n);
+        List.iteri
+          (fun j f ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s field %d by name" name (j + 1))
+              true
+              (Obj.field n (j + 1) == f))
+          named)
+      path;
+    path
+  in
+  let stall what d =
+    Alcotest.(check bool) (what ^ " flags") true (flag_only d);
+    ignore (check (what ^ " flagged"));
+    Alcotest.(check bool) (what ^ " completes") true (help d);
+    check (what ^ " unflagged")
+  in
+  (match prepare_insert k with
+  | None -> Alcotest.fail "prepare_insert unexpectedly failed"
+  | Some d -> (
+      match stall "insert" d with
+      | (root, info, _) :: (inner, _, _) :: rest ->
+          Alcotest.(check bool) "root holds an Unflag" true (Obj.is_block info);
+          Alcotest.(check bool) "root and child are internal" true
+            (Obj.tag root = 1 && Obj.tag inner = 1);
+          Alcotest.(check bool) "path ends at a leaf" true
+            (match List.rev rest with
+            | (l, _, _) :: _ -> Obj.tag l = 0
+            | [] -> false)
+      | _ -> Alcotest.fail "path too short"));
+  Alcotest.(check bool) "insert s" true (insert s);
+  match prepare_delete k with
+  | None -> Alcotest.fail "prepare_delete unexpectedly failed"
+  | Some d -> ignore (stall "delete" d)
+
 let spawn_n n f = List.init n (fun d -> Domain.spawn (fun () -> f d))
 let join_all ds = List.map Domain.join ds
 
