@@ -1,15 +1,14 @@
 (* patbench — benchmark CLI for the Patricia-trie repro.
 
    Each experiment is a subcommand with flags.  [figure] runs entries of
-   the evaluation table in lib/harness (the paper's Figures 8-11 and the
-   configurations it mentions without plotting); the rest are our own
-   measurements and tools:
+   the evaluation table in lib/harness (the paper's Figures 8-11, the
+   configurations it mentions without plotting, and our ablations of
+   PAT); the rest are our own measurements and tools:
 
      patbench figure --id 8,9 --threads 1,2,4 --seconds 2 --trials 4
      patbench figure --id medium-contention
-     patbench custom --insert 20 --delete 20 --find 60 --range 1000 \
-                     --clustered 50
-     patbench ablation --which replace|helping|width
+     patbench figure --id helping,seq --range 1000
+     patbench figure --id contention --backoff
      patbench scan --threads 1,2 --baseline-json scan.json
 *)
 
@@ -220,10 +219,9 @@ let with_outputs ~threads_list ~seconds ~trials ~seed ?metrics ?baseline f =
     outputs;
   r
 
-(* [key] names the rows in the output files (default: [title]). *)
-let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ?key ~title subjects
+(* [key] names the rows in the output files. *)
+let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~key ~title subjects
     workload =
-  let key = Option.value key ~default:title in
   Format.printf "@.=== %s ===@." title;
   (* Metrics files and the live endpoint both want latency recording and
      PAT's internal counters; the bare sweep stays uninstrumented. *)
@@ -265,22 +263,30 @@ let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ?key ~title subjects
        (fun (label, fulls) ->
          (label, List.map (fun f -> f.Harness.dp) fulls))
        rows);
-  (* Mean nodes visited per search, for subjects that count them (PAT
-     when instrumented), next to the throughput it explains. *)
+  (* Per-operation coordination counts, for subjects that record them
+     (PAT when instrumented, and in the helping entry), under the
+     throughput they explain. *)
   List.iter
     (fun (label, fulls) ->
-      let means =
-        List.map (fun f -> Harness.descent_mean f.Harness.counters) fulls
-      in
-      if List.exists Option.is_some means then begin
-        Format.printf "%-8s" label;
+      if List.exists (fun f -> f.Harness.counters <> []) fulls then
         List.iter
-          (function
-            | Some m -> Format.printf "%14.2f" m
-            | None -> Format.printf "%14s" "-")
-          means;
-        Format.printf "  (mean descent, nodes/search)@."
-      end)
+          (fun (what, value) ->
+            Format.printf "%-8s" label;
+            List.iter
+              (fun f ->
+                match value f with
+                | Some v -> Format.printf "%14.5f" v
+                | None -> Format.printf "%14s" "-")
+              fulls;
+            Format.printf "  %s@." what)
+          [
+            ("attempts/op", fun f -> Harness.per_op f "attempts");
+            ("flag failures/op", fun f -> Harness.per_op f "flag_failures");
+            ("helps/op", fun f -> Harness.per_op f "helps_given");
+            ("backtracks/op", fun f -> Harness.per_op f "backtracks");
+            ( "nodes/search",
+              fun f -> Harness.descent_mean f.Harness.counters );
+          ])
     rows;
   if csv then
     List.iter
@@ -306,7 +312,12 @@ let figure_cmd =
        figures 8, 9, 10 and 11 (the default), or configurations it mentions \
        without plotting: medium-contention (range 10^3), \
        i15-d15-f70-uniform, clustered-runs (runs of 50, 200 and 1000) and \
-       kary-arity (the k-ary tree at k = 2..32)."
+       kary-arity (the k-ary tree at k = 2..32); or ablations of PAT: \
+       replace (against a non-atomic delete+insert), helping (retry, help \
+       and backtrack rates at ranges 10^2, 10^4, 10^6), width (ranges 2^8 \
+       to 2^24), seq (against the sequential trie, one thread), vlk \
+       (against PAT-VLK) and contention (ranges 100 and 1000; run it with \
+       and without $(b,--backoff))."
     in
     Arg.(
       value & opt (list (enum ids)) Harness.paper_figures & info [ "id" ] ~doc)
@@ -327,13 +338,12 @@ let figure_cmd =
       (fun id ->
         let e = List.find (fun e -> e.Harness.id = id) Harness.experiments in
         List.iter
-          (fun { Harness.key; workload } ->
-            let workload =
-              match range with
-              | Some universe -> { workload with Harness.universe }
-              | None -> workload
-            in
-            run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~key
+          (fun p ->
+            let workload = Harness.panel_workload ?range p in
+            let key = p.Harness.key in
+            run_sweep
+              ~threads_list:(Harness.entry_threads e threads_list)
+              ~seconds ~trials ~seed ~csv ~key
               ~title:(key ^ ": " ^ Harness.describe workload)
               e.Harness.subjects workload)
           e.Harness.panels)
@@ -345,256 +355,6 @@ let figure_cmd =
       const run $ id_arg $ range_arg $ threads_arg $ seconds_arg $ trials_arg
       $ seed_arg $ csv_arg $ metrics_arg $ baseline_arg $ backoff_arg
       $ trace_out_arg $ serve_arg $ attribution_arg)
-
-(* ------------------------------------------------------------------ *)
-(* custom subcommand *)
-
-let custom_cmd =
-  let pct name = Arg.(value & opt int 0 & info [ name ] ~doc:(name ^ " percentage")) in
-  let range_arg =
-    Arg.(value & opt int 1_000_000 & info [ "range" ] ~doc:"Key range (universe).")
-  in
-  let clustered_arg =
-    let doc = "Use the non-uniform distribution with runs of this length." in
-    Arg.(value & opt (some int) None & info [ "clustered" ] ~doc)
-  in
-  let run insert delete find replace range clustered threads_list seconds trials
-      seed csv metrics backoff trace_out serve attribution =
-    set_backoff backoff;
-    match Harness.Mix.v ~insert ~delete ~find ~replace () with
-    | exception Invalid_argument m -> `Error (false, m)
-    | mix ->
-        let dist =
-          match clustered with
-          | None -> Harness.Uniform
-          | Some len -> Harness.Clustered len
-        in
-        let subjects =
-          if replace > 0 then [ Harness.pat_subject ] else Harness.all_subjects
-        in
-        with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-        with_outputs ~threads_list ~seconds ~trials ~seed ?metrics @@ fun () ->
-        run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-          ~title:
-            (Printf.sprintf "Custom: %s, range (0, %d)%s" (Harness.Mix.to_string mix)
-               range
-               (match clustered with
-               | None -> ""
-               | Some l -> Printf.sprintf ", runs of %d" l))
-          subjects
-          Harness.{ universe = range; mix; dist };
-        `Ok ()
-  in
-  let doc = "Run a custom operation mix / distribution / range." in
-  Cmd.v (Cmd.info "custom" ~doc)
-    Term.(
-      ret
-        (const run $ pct "insert" $ pct "delete" $ pct "find" $ pct "replace"
-       $ range_arg $ clustered_arg $ threads_arg $ seconds_arg $ trials_arg
-       $ seed_arg $ csv_arg $ metrics_arg $ backoff_arg $ trace_out_arg
-       $ serve_arg $ attribution_arg))
-
-(* ------------------------------------------------------------------ *)
-(* ablation subcommand *)
-
-(* Replace vs non-atomic delete+insert on PAT: quantifies what the atomic
-   operation costs (or saves) relative to the naive composition. *)
-let ablation_replace ~threads_list ~seconds ~trials ~seed ~csv =
-  let composed_subject =
-    Harness.
-      {
-        label = "del+ins";
-        make =
-          (fun ~universe ->
-            let t = Core.Patricia.create ~universe () in
-            {
-              insert = Core.Patricia.insert t;
-              delete = Core.Patricia.delete t;
-              member = Core.Patricia.member t;
-              replace =
-                Some
-                  (fun remove add ->
-                    (* Non-atomic composition: the pair of states is
-                       transiently visible, unlike the real replace. *)
-                    if Core.Patricia.delete t remove then begin
-                      ignore (Core.Patricia.insert t add);
-                      true
-                    end
-                    else false);
-              stats = None;
-            });
-      }
-  in
-  run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-    ~title:"Ablation: atomic replace vs delete+insert, i10-d10-r80, range 10^6"
-    [ Harness.pat_subject; composed_subject ]
-    Harness.{ universe = 1_000_000; mix = Mix.i10_d10_r80; dist = Uniform }
-
-(* Help-rate: how often updates retry, abandon flagging, help each other
-   or back out as contention rises; uses the trie's internal counters,
-   diffed over the timed window. *)
-let ablation_helping ~threads_list ~seconds ~seed =
-  Format.printf
-    "@.=== Ablation: PAT coordination overhead vs contention (i50-d50-f0) ===@.";
-  Format.printf "%-10s %8s %12s %12s %12s %12s %12s@." "range" "threads"
-    "ops/s" "attempts/op" "flagfail/op" "helps/op" "backtrk/op";
-  List.iter
-    (fun universe ->
-      List.iter
-        (fun threads ->
-          let full =
-            Harness.run_subject_full Harness.pat_subject_stats
-              Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform }
-              (config ~seconds ~trials:1 ~seed threads)
-          in
-          let mean = full.Harness.dp.Harness.mean in
-          let per name =
-            float_of_int (List.assoc name full.Harness.counters)
-            /. (mean *. seconds)
-          in
-          Format.printf "%-10d %8d %12.0f %12.3f %12.5f %12.5f %12.5f@."
-            universe threads mean (per "attempts") (per "flag_failures")
-            (per "helps_given") (per "backtracks"))
-        threads_list)
-    [ 100; 10_000; 1_000_000 ];
-  Format.print_flush ()
-
-(* Key-width sweep: same live key count, growing universe — longer keys
-   mean longer trie paths; quantifies the height-vs-width tradeoff. *)
-let ablation_width ~threads_list ~seconds ~trials ~seed ~csv =
-  List.iter
-    (fun universe ->
-      run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-        ~title:
-          (Printf.sprintf "Ablation: PAT key-width, range (0, %d), i50-d50-f0"
-             universe)
-        [ Harness.pat_subject ]
-        Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform })
-    [ 1 lsl 8; 1 lsl 12; 1 lsl 16; 1 lsl 20; 1 lsl 24 ]
-
-(* The price of lock-freedom: the concurrent trie vs the plain sequential
-   trie, single-threaded.  The gap is the flag/descriptor machinery. *)
-let ablation_seq ~threads_list ~seconds ~trials ~seed ~csv =
-  ignore threads_list;
-  let seq_subject =
-    Harness.
-      {
-        label = "SEQ-PAT";
-        make =
-          (fun ~universe ->
-            let t = Core.Patricia_seq.create ~universe () in
-            {
-              insert = Core.Patricia_seq.insert t;
-              delete = Core.Patricia_seq.delete t;
-              member = Core.Patricia_seq.member t;
-              replace = None;
-              stats = None;
-            });
-      }
-  in
-  List.iter
-    (fun universe ->
-      run_sweep ~threads_list:[ 1 ] ~seconds ~trials ~seed ~csv
-        ~title:
-          (Printf.sprintf
-             "Ablation: coordination cost, 1 thread, range (0, %d), i50-d50-f0"
-             universe)
-        [ Harness.pat_subject; seq_subject ]
-        Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform })
-    [ 1_000; 1_000_000 ]
-
-(* Unbounded-length keys (Section VI) vs fixed-width keys carrying the
-   same information: the cost of multi-word labels. *)
-let ablation_vlk ~threads_list ~seconds ~trials ~seed ~csv =
-  let universe = 65_536 in
-  let vlk_subject =
-    Harness.
-      {
-        label = "PAT-VLK";
-        make =
-          (fun ~universe:_ ->
-            let t = Core.Patricia_vlk.create () in
-            let key k = Printf.sprintf "%08x" k in
-            {
-              insert = (fun k -> Core.Patricia_vlk.insert t (key k));
-              delete = (fun k -> Core.Patricia_vlk.delete t (key k));
-              member = (fun k -> Core.Patricia_vlk.member t (key k));
-              replace =
-                Some
-                  (fun remove add ->
-                    Core.Patricia_vlk.replace t ~remove:(key remove)
-                      ~add:(key add));
-              stats = None;
-            });
-      }
-  in
-  run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-    ~title:
-      (Printf.sprintf
-         "Ablation: fixed-width vs unbounded keys, range (0, %d), i50-d50-f0"
-         universe)
-    [ Harness.pat_subject; vlk_subject ]
-    Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform }
-
-(* Contention cliff: PAT with and without bounded exponential backoff on
-   small universes, where retry storms are the dominant cost.  The same
-   binary runs both arms so the comparison shares code and seeds. *)
-let ablation_backoff ~threads_list ~seconds ~trials ~seed ~csv =
-  let was = Chaos.Backoff.enabled () in
-  Fun.protect ~finally:(fun () -> Chaos.Backoff.set_enabled was) @@ fun () ->
-  List.iter
-    (fun universe ->
-      List.iter
-        (fun backoff ->
-          Chaos.Backoff.set_enabled backoff;
-          run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-            ~title:
-              (Printf.sprintf
-                 "Ablation: backoff %s, range (0, %d), i50-d50-f0"
-                 (if backoff then "on" else "off")
-                 universe)
-            [ Harness.pat_subject ]
-            Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform })
-        [ false; true ])
-    [ 100; 1_000 ]
-
-let ablation_cmd =
-  let which_arg =
-    let doc = "Which ablation: replace, helping, width, seq, vlk, or backoff." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("replace", `Replace);
-               ("helping", `Helping);
-               ("width", `Width);
-               ("seq", `Seq);
-               ("vlk", `Vlk);
-               ("backoff", `Backoff);
-             ])
-          `Replace
-      & info [ "which" ] ~doc)
-  in
-  let run which threads_list seconds trials seed csv metrics backoff trace_out
-      serve attribution =
-    set_backoff backoff;
-    with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-    with_outputs ~threads_list ~seconds ~trials ~seed ?metrics @@ fun () ->
-    match which with
-    | `Replace -> ablation_replace ~threads_list ~seconds ~trials ~seed ~csv
-    | `Helping -> ablation_helping ~threads_list ~seconds ~seed
-    | `Width -> ablation_width ~threads_list ~seconds ~trials ~seed ~csv
-    | `Seq -> ablation_seq ~threads_list ~seconds ~trials ~seed ~csv
-    | `Vlk -> ablation_vlk ~threads_list ~seconds ~trials ~seed ~csv
-    | `Backoff -> ablation_backoff ~threads_list ~seconds ~trials ~seed ~csv
-  in
-  let doc = "Run an ablation study on the Patricia trie's design choices." in
-  Cmd.v (Cmd.info "ablation" ~doc)
-    Term.(
-      const run $ which_arg $ threads_arg $ seconds_arg $ trials_arg $ seed_arg
-      $ csv_arg $ metrics_arg $ backoff_arg $ trace_out_arg $ serve_arg
-      $ attribution_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve subcommand: the trie behind the patserve binary protocol *)
@@ -1250,48 +1010,42 @@ let analyze_cmd =
         let vlk = Core.Patricia_vlk.create ~record_stats:true () in
         let kary = Kary.create ~universe:range ~record_stats:true () in
         let hex k = Printf.sprintf "%08x" k in
+        let ops insert delete member =
+          Harness.{ insert; delete; member; replace = None; stats = None }
+        in
         let subjects =
           [
             ( Core.Patricia.name,
-              Core.Patricia.insert pat,
-              Core.Patricia.member pat,
+              ops (Core.Patricia.insert pat) (Core.Patricia.delete pat)
+                (Core.Patricia.member pat),
               (fun () -> Core.Patricia.census pat),
               (fun () -> Core.Patricia.descent_stats pat),
               fun () -> Core.Patricia.descent_summary pat );
             ( Core.Patricia_vlk.name,
-              (fun k -> Core.Patricia_vlk.insert vlk (hex k)),
-              (fun k -> Core.Patricia_vlk.member vlk (hex k)),
+              ops
+                (fun k -> Core.Patricia_vlk.insert vlk (hex k))
+                (fun k -> Core.Patricia_vlk.delete vlk (hex k))
+                (fun k -> Core.Patricia_vlk.member vlk (hex k)),
               (fun () -> Core.Patricia_vlk.census vlk),
               (fun () -> Core.Patricia_vlk.descent_stats vlk),
               fun () -> Core.Patricia_vlk.descent_summary vlk );
             ( Kary.name,
-              Kary.insert kary,
-              Kary.member kary,
+              ops (Kary.insert kary) (Kary.delete kary) (Kary.member kary),
               (fun () -> Kary.census kary),
               (fun () -> Kary.descent_stats kary),
               fun () -> Kary.descent_summary kary );
           ]
         in
-        (* Same half-full steady state as the harness prefill: a random
-           half of the universe, in random order. *)
-        let perm = Array.init range Fun.id in
-        let rng = Rng.of_int_seed seed in
-        for i = range - 1 downto 1 do
-          let j = Rng.int rng (i + 1) in
-          let tmp = perm.(i) in
-          perm.(i) <- perm.(j);
-          perm.(j) <- tmp
-        done;
         Format.printf
           "structure forensics: range (0, %d), %d keys (half-full), seed %d, \
            %d member probes@."
           range (range / 2) seed probes;
         let results =
           List.map
-            (fun (label, insert, member, census, dstats, dsummary) ->
-              for i = 0 to (range / 2) - 1 do
-                ignore (insert perm.(i))
-              done;
+            (fun (label, (ops : Harness.ops), census, dstats, dsummary) ->
+              (* The harness's half-full steady state, the same random
+                 half for every structure. *)
+              Harness.prefill ops range (Rng.of_int_seed seed);
               let delta before after key =
                 match
                   (List.assoc_opt key before, List.assoc_opt key after)
@@ -1303,7 +1057,7 @@ let analyze_cmd =
               let rng = Rng.of_int_seed (seed + 1) in
               let t0 = Obs.Clock.now_ns () in
               for _ = 1 to probes do
-                ignore (member (Rng.int rng range))
+                ignore (ops.member (Rng.int rng range))
               done;
               let elapsed = Obs.Clock.now_ns () - t0 in
               let d1 = Option.value ~default:[] (dstats ()) in
@@ -1918,8 +1672,6 @@ let () =
        (Cmd.group info
           [
             figure_cmd;
-            custom_cmd;
-            ablation_cmd;
             serve_cmd;
             load_cmd;
             recover_cmd;

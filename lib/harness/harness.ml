@@ -118,6 +118,7 @@ let gc_delta_zero =
 (** Everything one timed trial can report beyond raw throughput. *)
 type trial_metrics = {
   ops_per_sec : float;
+  operations : int; (* completed in the timed window, all domains *)
   latency : Obs.Histogram.summary option;
       (* per-operation latency over the timed window, all domains *)
   counters : (string * int) list;
@@ -416,7 +417,7 @@ let run_trial_full ?(record_latency = false) ~make_ops workload config
     Atomic.set stop true;
     let total = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
     let elapsed = Unix.gettimeofday () -. t0 in
-    float_of_int total /. elapsed
+    (total, float_of_int total /. elapsed)
   in
   if config.warmup_seconds > 0.0 then ignore (run_phase config.warmup_seconds);
   (* Latency, counters and GC are all measured over the timed window
@@ -425,11 +426,12 @@ let run_trial_full ?(record_latency = false) ~make_ops workload config
   let hist = if record_latency then Some (Obs.Histogram.create ()) else None in
   let counters0 = counters_of ops in
   let gc0 = Gc.quick_stat () in
-  let ops_per_sec = run_phase ?latency:hist config.seconds in
+  let operations, ops_per_sec = run_phase ?latency:hist config.seconds in
   let gc1 = Gc.quick_stat () in
   let counters1 = counters_of ops in
   ( {
       ops_per_sec;
+      operations;
       latency = Option.map Obs.Histogram.snapshot hist;
       counters = counter_deltas counters0 counters1;
       gc = gc_delta_between gc0 gc1;
@@ -488,13 +490,118 @@ let run_full ?(record_latency = false) ~make_ops workload config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The six structures of the paper's evaluation, packaged uniformly. *)
+(* The six structures of the paper's evaluation, each listed once. *)
+
+(** The paper's trie behind the common signature (the stats switch of
+    [Core.Patricia.create] is dropped). *)
+module Pat : Dset_intf.CONCURRENT_SET_WITH_REPLACE with type t = Core.Patricia.t =
+struct
+  type t = Core.Patricia.t
+
+  let name = Core.Patricia.name
+  let create ~universe () = Core.Patricia.create ~universe ()
+  let insert = Core.Patricia.insert
+  let delete = Core.Patricia.delete
+  let member = Core.Patricia.member
+  let to_list = Core.Patricia.to_list
+  let size = Core.Patricia.size
+  let replace = Core.Patricia.replace
+  let census = Core.Patricia.census
+  let descent_stats = Core.Patricia.descent_stats
+
+  (* The one real snapshot capability among the six: an O(1) frozen
+     view, repackaged as the first-class traversal record of the common
+     signature. *)
+  let snapshot = Core.Patricia.snapshot_capability
+end
+
+(** 4-ST behind the common signature (the stats switch of [Kary.create]
+    is dropped, as for {!Pat}). *)
+module Kary_st : Dset_intf.CONCURRENT_SET with type t = Kary.t = struct
+  include Kary
+
+  let create ~universe () = Kary.create ~universe ()
+end
+
+let structures : Dset_intf.packed list =
+  [
+    Dset_intf.Packed (module Pat);
+    Dset_intf.Packed (module Kary_st);
+    Dset_intf.Packed (module Nbbst);
+    Dset_intf.Packed (module Avl);
+    Dset_intf.Packed (module Skiplist);
+    Dset_intf.Packed (module Ctrie);
+  ]
 
 type subject = { label : string; make : universe:int -> ops }
 
-let pat_subject =
+let pat_subject_with ~record_stats =
   {
     label = Core.Patricia.name;
+    make =
+      (fun ~universe ->
+        let t = Core.Patricia.create ~universe ~record_stats () in
+        {
+          insert = Core.Patricia.insert t;
+          delete = Core.Patricia.delete t;
+          member = Core.Patricia.member t;
+          replace =
+            Some (fun remove add -> Core.Patricia.replace t ~remove ~add);
+          stats =
+            (if record_stats then
+               Some
+                 (fun () ->
+                   match Core.Patricia.stats_snapshot t with
+                   | Some s -> Core.Patricia.stats_to_alist s
+                   | None -> [])
+             else None);
+        });
+  }
+
+let pat_subject = pat_subject_with ~record_stats:false
+
+(** PAT with its internal contention counters enabled (per-domain
+    sharded, so the counters do not serialize the hot path).  Used when
+    a metrics file is requested and by the [helping] entry; the plain
+    {!pat_subject} stays completely uninstrumented for like-for-like
+    figure reproduction. *)
+let pat_subject_stats = pat_subject_with ~record_stats:true
+
+(* The operations of a structure with no replace and no counters. *)
+let plain_ops insert delete member =
+  { insert; delete; member; replace = None; stats = None }
+
+let set_subject (Dset_intf.Packed (module S)) =
+  {
+    label = S.name;
+    make =
+      (fun ~universe ->
+        let t = S.create ~universe () in
+        plain_ops (S.insert t) (S.delete t) (S.member t));
+  }
+
+(* PAT is the one structure with an atomic replace, which the packed
+   signature does not carry. *)
+let all_subjects =
+  List.map
+    (fun (Dset_intf.Packed (module S) as p) ->
+      if S.name = Pat.name then pat_subject else set_subject p)
+    structures
+
+let kary_arity_subject k =
+  {
+    label = Printf.sprintf "%d-ST" k;
+    make =
+      (fun ~universe ->
+        let t = Kary.create_k ~k ~universe () in
+        plain_ops (Kary.insert t) (Kary.delete t) (Kary.member t));
+  }
+
+(* PAT's replace as a non-atomic delete then insert: the pair of states
+   is transiently visible, unlike the real replace. *)
+let del_ins_subject =
+  {
+    label = "del+ins";
     make =
       (fun ~universe ->
         let t = Core.Patricia.create ~universe () in
@@ -503,97 +610,69 @@ let pat_subject =
           delete = Core.Patricia.delete t;
           member = Core.Patricia.member t;
           replace =
-            Some (fun remove add -> Core.Patricia.replace t ~remove ~add);
-          stats = None;
-        });
-  }
-
-(* A comparison structure with no replace and no internal counters. *)
-let set_subject (module S : Dset_intf.CONCURRENT_SET) =
-  {
-    label = S.name;
-    make =
-      (fun ~universe ->
-        let t = S.create ~universe () in
-        {
-          insert = S.insert t;
-          delete = S.delete t;
-          member = S.member t;
-          replace = None;
-          stats = None;
-        });
-  }
-
-let kary_arity_subject k =
-  {
-    label = Printf.sprintf "%d-ST" k;
-    make =
-      (fun ~universe ->
-        let t = Kary.create_k ~k ~universe () in
-        {
-          insert = Kary.insert t;
-          delete = Kary.delete t;
-          member = Kary.member t;
-          replace = None;
-          stats = None;
-        });
-  }
-
-let bst_subject = set_subject (module Nbbst)
-let kary_subject = kary_arity_subject Kary.k
-let skiplist_subject = set_subject (module Skiplist)
-let avl_subject = set_subject (module Avl)
-let ctrie_subject = set_subject (module Ctrie)
-
-(** PAT with its internal contention counters enabled (per-domain
-    sharded, so the counters do not serialize the hot path).  Used when
-    a metrics file is requested; the plain {!pat_subject} stays
-    completely uninstrumented for like-for-like figure reproduction. *)
-let pat_subject_stats =
-  {
-    label = Core.Patricia.name;
-    make =
-      (fun ~universe ->
-        let t = Core.Patricia.create ~universe ~record_stats:true () in
-        {
-          insert = Core.Patricia.insert t;
-          delete = Core.Patricia.delete t;
-          member = Core.Patricia.member t;
-          replace =
-            Some (fun remove add -> Core.Patricia.replace t ~remove ~add);
-          stats =
             Some
-              (fun () ->
-                match Core.Patricia.stats_snapshot t with
-                | Some s -> Core.Patricia.stats_to_alist s
-                | None -> []);
+              (fun remove add ->
+                if Core.Patricia.delete t remove then begin
+                  ignore (Core.Patricia.insert t add);
+                  true
+                end
+                else false);
+          stats = None;
         });
   }
 
-(** In the order the paper's legends list them. *)
-let all_subjects =
-  [
-    pat_subject;
-    kary_subject;
-    bst_subject;
-    avl_subject;
-    skiplist_subject;
-    ctrie_subject;
-  ]
+(* The plain sequential trie: correct on one domain only. *)
+let seq_subject =
+  {
+    label = Core.Patricia_seq.name;
+    make =
+      (fun ~universe ->
+        let t = Core.Patricia_seq.create ~universe () in
+        plain_ops (Core.Patricia_seq.insert t) (Core.Patricia_seq.delete t)
+          (Core.Patricia_seq.member t));
+  }
+
+(* PAT-VLK over the same logical keys, each spelled as 8 hex digits. *)
+let vlk_subject =
+  {
+    label = Core.Patricia_vlk.name;
+    make =
+      (fun ~universe:_ ->
+        let t = Core.Patricia_vlk.create () in
+        let key k = Printf.sprintf "%08x" k in
+        {
+          insert = (fun k -> Core.Patricia_vlk.insert t (key k));
+          delete = (fun k -> Core.Patricia_vlk.delete t (key k));
+          member = (fun k -> Core.Patricia_vlk.member t (key k));
+          replace =
+            Some
+              (fun remove add ->
+                Core.Patricia_vlk.replace t ~remove:(key remove) ~add:(key add));
+          stats = None;
+        });
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The evaluation's configurations, each stated once: Section V's
-   Figures 8-11, then the configurations the paper mentions without
-   plotting.  A panel's key names its rows in metrics and baseline
-   files, so the regression gate matches rows by it. *)
+   Figures 8-11, the configurations the paper mentions without
+   plotting, then our ablations of PAT.  A panel's key names its rows
+   in metrics and baseline files, so the regression gate matches rows
+   by it. *)
 
 type panel = { key : string; workload : workload }
-type experiment = { id : string; panels : panel list; subjects : subject list }
+
+type experiment = {
+  id : string;
+  panels : panel list;
+  subjects : subject list;
+  threads : int list option;
+}
 
 let experiments =
   let panel key universe mix dist =
     { key; workload = { universe; mix; dist } }
   in
+  let entry ?threads id panels subjects = { id; panels; subjects; threads } in
   let large = 1_000_000 in
   let top_bottom name universe =
     [
@@ -601,52 +680,80 @@ let experiments =
       panel (name ^ " (bottom)") universe Mix.i50_d50_f0 Uniform;
     ]
   in
+  (* One update-only panel per range, for the PAT ablations. *)
+  let ranges name universes =
+    List.map
+      (fun u ->
+        panel (Printf.sprintf "%s, range %d" name u) u Mix.i50_d50_f0 Uniform)
+      universes
+  in
   [
-    { id = "8"; panels = top_bottom "Figure 8" large; subjects = all_subjects };
-    { id = "9"; panels = top_bottom "Figure 9" 100; subjects = all_subjects };
+    entry "8" (top_bottom "Figure 8" large) all_subjects;
+    entry "9" (top_bottom "Figure 9" 100) all_subjects;
     (* No comparison structure has an atomic replace. *)
-    {
-      id = "10";
-      panels = [ panel "Figure 10" large Mix.i10_d10_r80 Uniform ];
-      subjects = [ pat_subject ];
-    };
-    {
-      id = "11";
-      panels = [ panel "Figure 11" large Mix.i15_d15_f70 (Clustered 50) ];
-      subjects = all_subjects;
-    };
+    entry "10"
+      [ panel "Figure 10" large Mix.i10_d10_r80 Uniform ]
+      [ pat_subject ];
+    entry "11"
+      [ panel "Figure 11" large Mix.i15_d15_f70 (Clustered 50) ]
+      all_subjects;
     (* The paper says range 10^3 and a uniform i15-d15-f70 behave like
        Figure 8, and that longer runs hurt BST and 4-ST further. *)
-    {
-      id = "medium-contention";
-      panels = top_bottom "Medium contention" 1_000;
-      subjects = all_subjects;
-    };
-    {
-      id = "i15-d15-f70-uniform";
-      panels = [ panel "Uniform i15-d15-f70" large Mix.i15_d15_f70 Uniform ];
-      subjects = all_subjects;
-    };
-    {
-      id = "clustered-runs";
-      panels =
-        List.map
-          (fun n ->
-            panel (Printf.sprintf "Runs of %d" n) large Mix.i15_d15_f70
-              (Clustered n))
-          [ 50; 200; 1000 ];
-      subjects = all_subjects;
-    };
+    entry "medium-contention" (top_bottom "Medium contention" 1_000) all_subjects;
+    entry "i15-d15-f70-uniform"
+      [ panel "Uniform i15-d15-f70" large Mix.i15_d15_f70 Uniform ]
+      all_subjects;
+    entry "clustered-runs"
+      (List.map
+         (fun n ->
+           panel (Printf.sprintf "Runs of %d" n) large Mix.i15_d15_f70
+             (Clustered n))
+         [ 50; 200; 1000 ])
+      all_subjects;
     (* Brown and Helga's finding, which the paper adopts: k = 4 is the
        k-ary tree's sweet spot. *)
-    {
-      id = "kary-arity";
-      panels = [ panel "k-ary arity" large Mix.i50_d50_f0 Uniform ];
-      subjects = List.map kary_arity_subject [ 2; 4; 8; 16; 32 ];
-    };
+    entry "kary-arity"
+      [ panel "k-ary arity" large Mix.i50_d50_f0 Uniform ]
+      (List.map kary_arity_subject [ 2; 4; 8; 16; 32 ]);
+    (* What atomicity costs over the naive composition, on Figure 10's
+       workload. *)
+    entry "replace"
+      [ panel "Replace vs del+ins" large Mix.i10_d10_r80 Uniform ]
+      [ pat_subject; del_ins_subject ];
+    (* How often updates retry, fail to flag, help or back out as
+       contention rises. *)
+    entry "helping"
+      (ranges "Helping" [ 100; 10_000; large ])
+      [ pat_subject_stats ];
+    (* Same mix, growing universe: longer keys and a taller trie, and
+       (half full) more keys. *)
+    entry "width"
+      (ranges "Key width" [ 1 lsl 8; 1 lsl 12; 1 lsl 16; 1 lsl 20; 1 lsl 24 ])
+      [ pat_subject ];
+    (* The price of lock-freedom on one domain, the only one the
+       sequential trie is correct on. *)
+    entry "seq" ~threads:[ 1 ]
+      (ranges "Coordination cost" [ 1_000; large ])
+      [ pat_subject; seq_subject ];
+    (* Section VI's unbounded keys against machine words. *)
+    entry "vlk"
+      (ranges "Unbounded keys" [ 65_536 ])
+      [ pat_subject; vlk_subject ];
+    (* The retry storms [--backoff] exists for: run once without it and
+       once with it. *)
+    entry "contention"
+      (ranges "Contention" [ 100; 1_000 ])
+      [ pat_subject ];
   ]
 
 let paper_figures = [ "8"; "9"; "10"; "11" ]
+
+let entry_threads e requested = Option.value e.threads ~default:requested
+
+let panel_workload ?range p =
+  match range with
+  | Some universe -> { p.workload with universe }
+  | None -> p.workload
 
 let run_subject_full ?record_latency subject workload config =
   run_full ?record_latency
@@ -700,6 +807,19 @@ let descent_mean counters =
       in
       Some (float_of_int nodes /. float_of_int searches)
   | _ -> None
+
+(* The counters are summed over all trials, so the divisor is every
+   trial's timed operations, not one trial's. *)
+let per_op (full : datapoint_full) name =
+  match List.assoc_opt name full.counters with
+  | Some n ->
+      let ops =
+        List.fold_left
+          (fun acc (m : trial_metrics) -> acc + m.operations)
+          0 full.trial_metrics
+      in
+      if ops > 0 then Some (float_of_int n /. float_of_int ops) else None
+  | None -> None
 
 let datapoint_full_to_json ~section ~label workload ~threads
     (full : datapoint_full) =

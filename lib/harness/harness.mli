@@ -73,6 +73,7 @@ type gc_delta = {
     structure-internal counter deltas, and GC deltas. *)
 type trial_metrics = {
   ops_per_sec : float;
+  operations : int;  (** completed in the timed window, all domains *)
   latency : Obs.Histogram.summary option;
   counters : (string * int) list;
   gc : gc_delta;
@@ -165,7 +166,16 @@ val run_full :
 (** [config.trials] independent trials on fresh structures, with full
     metrics collection. *)
 
-(** One of the six structures of the paper's evaluation. *)
+(** {2 Structures and the evaluation table} *)
+
+(** The paper's trie behind the common signature. *)
+module Pat : Dset_intf.CONCURRENT_SET_WITH_REPLACE with type t = Core.Patricia.t
+
+val structures : Dset_intf.packed list
+(** The six structures of the paper's evaluation, in the order of its
+    chart legends: PAT, 4-ST, BST, AVL, SL, Ctrie. *)
+
+(** One structure (or variant) as the runner sees it. *)
 type subject = { label : string; make : universe:int -> ops }
 
 val pat_subject : subject
@@ -176,31 +186,37 @@ val pat_subject_stats : subject
     per-domain sharded, so enabling them does not add a shared CAS to
     the update path. *)
 
-val bst_subject : subject
-val kary_subject : subject
-val skiplist_subject : subject
-val avl_subject : subject
-val ctrie_subject : subject
-
-val kary_arity_subject : int -> subject
-(** The k-ary search tree with arity [k], labelled ["<k>-ST"]. *)
-
 val all_subjects : subject list
-(** In the order of the paper's chart legends:
-    PAT, 4-ST, BST, AVL, SL, Ctrie. *)
+(** {!structures} as subjects, in the same order. *)
 
 (** One chart of an experiment.  [key] names its rows in metrics and
     baseline files (["Figure 8 (top)"]); the regression gate matches
     rows by it. *)
 type panel = { key : string; workload : workload }
 
-type experiment = { id : string; panels : panel list; subjects : subject list }
+type experiment = {
+  id : string;
+  panels : panel list;
+  subjects : subject list;
+  threads : int list option;
+      (** The thread counts this entry runs at whatever is requested
+          ([seq]: one, the sequential trie's only correct setting);
+          [None] runs the requested counts. *)
+}
 
 val experiments : experiment list
 (** The evaluation's configurations, each stated once: ids ["8"],
-    ["9"], ["10"] and ["11"] are Section V's figures; ["medium-contention"],
-    ["i15-d15-f70-uniform"], ["clustered-runs"] and ["kary-arity"] are
-    configurations the paper mentions without plotting. *)
+    ["9"], ["10"] and ["11"] are Section V's figures;
+    ["medium-contention"], ["i15-d15-f70-uniform"], ["clustered-runs"]
+    and ["kary-arity"] are configurations the paper mentions without
+    plotting; ["replace"], ["helping"], ["width"], ["seq"], ["vlk"] and
+    ["contention"] are our ablations of PAT. *)
+
+val entry_threads : experiment -> int list -> int list
+(** The thread counts an entry runs when [requested] are asked for. *)
+
+val panel_workload : ?range:int -> panel -> workload
+(** The panel's workload, with its key range replaced by [range]. *)
 
 val paper_figures : string list
 (** The ids of Figures 8-11. *)
@@ -220,6 +236,10 @@ val descent_mean : (string * int) list -> float option
     counter alist containing the [descent_nodes_*]/[descent_searches]
     deltas of a timed window; [None] when the subject records no
     descent counters. *)
+
+val per_op : datapoint_full -> string -> float option
+(** A counter of {!datapoint_full.counters} per timed operation, over
+    all trials; [None] when the subject does not record it. *)
 
 val datapoint_full_to_json :
   section:string ->

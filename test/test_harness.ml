@@ -77,28 +77,68 @@ let test_prefill_half_full () =
     (!present > 4_500 && !present < 5_500)
 
 let test_throughput_run_all_subjects () =
-  (* End to end: every structure completes a short trial and reports a
-     positive throughput. *)
-  let workload =
-    Harness.{ universe = 500; mix = Mix.i5_d5_f90; dist = Uniform }
-  in
-  let config =
-    Harness.
-      {
-        default_config with
-        threads = 2;
-        seconds = 0.05;
-        trials = 2;
-        warmup_seconds = 0.0;
-      }
-  in
+  (* End to end: every (entry, panel, subject) of the evaluation table
+     completes a short trial at a tiny universe, through the override
+     [patbench figure --range] applies, at each thread count the entry
+     allows, and reports a positive throughput. *)
+  let open Harness in
   List.iter
-    (fun s ->
-      let dp = Harness.run_subject s workload config in
-      if dp.Harness.mean <= 0.0 then
-        Alcotest.failf "%s reported non-positive throughput" s.Harness.label;
-      Alcotest.(check int) "two samples" 2 (List.length dp.Harness.samples))
-    Harness.all_subjects
+    (fun e ->
+      List.iter
+        (fun p ->
+          let workload = panel_workload ~range:1024 p in
+          List.iter
+            (fun s ->
+              List.iter
+                (fun threads ->
+                  (* The sequential trie is only correct on one domain. *)
+                  if s.label = Core.Patricia_seq.name && threads > 1 then
+                    Alcotest.failf "%s: %s on %d domains" e.id s.label threads;
+                  let dp =
+                    run_subject s workload
+                      {
+                        default_config with
+                        threads;
+                        seconds = 0.01;
+                        trials = 1;
+                        warmup_seconds = 0.0;
+                      }
+                  in
+                  if dp.mean <= 0.0 then
+                    Alcotest.failf "%s / %s / %s: non-positive throughput"
+                      e.id p.key s.label)
+                (entry_threads e [ 1; 2 ]))
+            e.subjects)
+        e.panels)
+    experiments
+
+(* The counters of a data point are summed over its trials, so a
+   per-operation rate must divide by every trial's operations: at one
+   thread the rate does not depend on the number of trials. *)
+let test_per_op_over_trials () =
+  let open Harness in
+  let e = List.find (fun e -> e.id = "helping") experiments in
+  let p = List.hd e.panels and s = List.hd e.subjects in
+  let attempts trials =
+    let full =
+      run_subject_full s p.workload
+        {
+          threads = 1;
+          seconds = 0.05;
+          trials;
+          warmup_seconds = 0.0;
+          seed = 2013;
+        }
+    in
+    Alcotest.(check int) "one sample per trial" trials
+      (List.length full.dp.samples);
+    match per_op full "attempts" with
+    | Some a when a > 0.0 -> a
+    | _ -> Alcotest.fail "helping records no attempts"
+  in
+  let one = attempts 1 and two = attempts 2 in
+  if Float.abs (two -. one) > 0.1 *. one then
+    Alcotest.failf "attempts/op %.4f at 1 trial, %.4f at 2" one two
 
 let test_replace_workload_runs () =
   let workload =
@@ -236,6 +276,8 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "all subjects run" `Slow test_throughput_run_all_subjects;
+          Alcotest.test_case "per-op counters over trials" `Quick
+            test_per_op_over_trials;
           Alcotest.test_case "replace workload" `Slow test_replace_workload_runs;
           Alcotest.test_case "clustered workload" `Slow test_clustered_workload_runs;
           Alcotest.test_case "subject labels" `Quick test_subject_labels;

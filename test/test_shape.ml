@@ -1,6 +1,7 @@
 (* Structure-forensics tests: the Obs.Shape census against tries of
-   known shape, descent-depth accounting bounds, the registry's uniform
-   census/descent capability (with its explicit "unsupported" marker). *)
+   known shape, descent-depth accounting bounds, and the uniform census
+   capability of the six structures (with its explicit "unsupported"
+   marker). *)
 
 module P = Core.Patricia
 module V = Core.Patricia_vlk
@@ -240,7 +241,7 @@ let test_kary_descent () =
         (List.assoc_opt "descent_nodes_replace" alist = None)
 
 (* ------------------------------------------------------------------ *)
-(* Registry capability: supported structures answer, baselines carry
+(* Census capability: supported structures answer, baselines carry
    the explicit unsupported marker *)
 
 let test_registry_capability () =
@@ -262,7 +263,7 @@ let test_registry_capability () =
             (S.name ^ " may be unsupported")
             true
             (not (List.mem S.name [ "PAT"; "4-ST" ])))
-    Registry.all
+    Harness.structures
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus rendering *)
