@@ -41,8 +41,8 @@ let max_elt t =
           && not (logically_removed (Atomic.get (info_cell n)))
         then raise_notrace (Found_key (K.export c l.key))
     | Any (Internal i) ->
-        go (Atomic.get i.c1);
-        go (Atomic.get i.c0)
+        go i.c1;
+        go i.c0
   in
   match go (Any (Atomic.get t.holder).hroot) with
   | () -> None
@@ -73,7 +73,7 @@ let fold_range_from ~live (c : K.ctx) root ~lo ~hi ~init ~f =
           let m = i.label in
           let low = m land -m in
           if m + low - 1 < ilo || m - low > ihi then acc
-          else go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
+          else go (go acc i.c0) i.c1
     in
     go init (Any root)
   end
@@ -94,7 +94,7 @@ module View = struct
           if K.is_sentinel c l.key then tail ()
           else Seq.Cons (K.export c l.key, tail)
       | Any (Internal i) ->
-          walk (Atomic.get i.c0) (fun () -> walk (Atomic.get i.c1) tail ()) ()
+          walk i.c0 (fun () -> walk i.c1 tail ()) ()
     in
     fun () -> walk (Any v.vroot) (fun () -> Seq.Nil) ()
 end

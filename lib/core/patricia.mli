@@ -267,6 +267,12 @@ module For_testing : sig
       named fields follow it, so for each [(n, i, fs)],
       [Obj.field n 0 == i] and field [j + 1] is element [j] of [fs]. *)
 
+  val cas_child : Obj.t -> bool -> Obj.t -> Obj.t -> bool
+  (** [cas_child n b old nc]: the child CAS of the updates, on an
+      internal node [n] from {!layout_on_path}: child [b] ([true] the
+      right one) from [old] to [nc], by physical equality.  [true] iff
+      it swapped. *)
+
   val view_flags_on_path : view -> int -> int
   (** {!flags_on_path} in a frozen view.  The live trie's renewals mark
       the stale nodes they copy, so a node of the view that has been

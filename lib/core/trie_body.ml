@@ -124,17 +124,19 @@ type ik = |
    [Clean] has never been flagged. *)
 type info = Clean | Unflag of { mutable u : unit } | Flag of flag | Snap of snap
 
-(* A node carries its fields inline: a child field points straight at
-   the child's block, with no wrapper box between.  The info word is
-   field 0 of both kinds, as in the paper's node, and is accessed only
-   through [info_cell] below, never as a record field. *)
+(* A node carries its fields inline, as the paper's node does: an
+   internal node is one block, and a child field points straight at the
+   child's block, with no wrapper box between.  The info word is field 0
+   of both kinds and is accessed only through [info_cell] below, never
+   as a record field.  The children are read as plain fields and written
+   after construction only by [cas_child], never with [<-]. *)
 and _ tnode =
   | Leaf : { mutable linfo : info; key : K.key } -> lk tnode
   | Internal : {
       mutable iinfo : info;
       label : K.label;
-      c0 : node Atomic.t; (* left child (next bit 0) *)
-      c1 : node Atomic.t; (* right child (next bit 1) *)
+      mutable c0 : node; (* left child (next bit 0), field 2 *)
+      mutable c1 : node; (* right child (next bit 1), field 3 *)
       gen : unit ref;
           (* Generation stamp: physically equal to [hgen] of the holder
              that was current when this node was created.  Immutable.
@@ -335,18 +337,29 @@ let[@inline] iinfo (i : internal) = info_cell i
 let[@inline] child (Internal i : internal) b = if b then i.c1 else i.c0
 let[@inline] node_info (Any n) = info_cell n
 
+(* The child CAS (line 97): field [2 + b] of an internal node, [c0] or
+   [c1], from [old] to [nc].  The stub (child_cas.c) calls the runtime's
+   [caml_atomic_cas_field], the field-indexed twin of the [caml_atomic_cas]
+   behind [Atomic.compare_and_set]: physical equality, a sequentially
+   consistent CAS and the write barrier.  OCaml 5.4's atomic record
+   fields would replace it. *)
+external cas_field : internal -> int -> node -> node -> bool
+  = "core_cas_field"
+[@@noalloc]
+
+let[@inline] cas_child p b old nc = cas_field p (2 + Bool.to_int b) old nc
+
 let node_span = function
   | Any (Leaf l) -> K.key_span l.key
   | Any (Internal i) -> K.label_span i.label
 
 let make_internal ~gen label c0 c1 : internal =
-  Internal
-    { iinfo = Clean; label; c0 = Atomic.make c0; c1 = Atomic.make c1; gen }
+  Internal { iinfo = Clean; label; c0; c1; gen }
 
 (* A copy of [i] in generation [gen], children read now: callers read
    [i]'s info field first (see [copy_node]). *)
 let copy_internal ~gen (Internal i : internal) =
-  make_internal ~gen i.label (Atomic.get i.c0) (Atomic.get i.c1)
+  make_internal ~gen i.label i.c0 i.c1
 
 let make_stats () : stats =
   {
@@ -500,7 +513,7 @@ let logically_removed = function
   | Clean | Unflag _ | Snap _ -> false
   | Flag f ->
       let (Internal p) = f.pnodes.(0) and old = f.old_children.(0) in
-      not (Atomic.get p.c0 == old || Atomic.get p.c1 == old)
+      not (p.c0 == old || p.c1 == old)
 
 type search_result = {
   gp : internal option;
@@ -545,7 +558,7 @@ let search_from (root : internal) v =
   (* The root's label is a prefix of every key, so the loop body runs at
      least once and [p] is always an internal node on return. *)
   let rec go gp gp_info p p_info d =
-    let node = Atomic.get (child p (K.bit (label p) v)) in
+    let node = child p (K.bit (label p) v) in
     match node with
     | Any (Internal r as i) when K.is_prefix r.label v ->
         go p p_info i (Atomic.get (iinfo i)) (d + 1)
@@ -665,7 +678,7 @@ let search t v =
   let lc = h.hcache in
   let bits = lc.bits in
   let rec go hint gp gp_info p p_info d =
-    let node = Atomic.get (child p (K.bit (label p) v)) in
+    let node = child p (K.bit (label p) v) in
     match node with
     | Any (Internal r as i) when K.is_prefix r.label v ->
         go
@@ -740,7 +753,7 @@ let child_cas_phase f =
         | Any (Internal c) -> K.child_bit (label p) c.label
       in
       chaos_point Chaos.Child_cas;
-      if not (Atomic.compare_and_set (child p b) f.old_children.(i) nc) then
+      if not (cas_child p b f.old_children.(i) nc) then
         (* Expected old child already gone: a helper or a conflicting
            update got there first.  Attempt number unknown on the
            helper side, recorded as 0. *)
@@ -1000,7 +1013,7 @@ let rec renew_run t h v p p_info p_child j (Internal ir as i : internal) =
       ignore (help fi);
       None
   | (Clean | Unflag _) as ii -> (
-      let c0 = Atomic.get ir.c0 and c1 = Atomic.get ir.c1 in
+      let c0 = ir.c0 and c1 = ir.c1 in
       let b = K.bit ir.label v in
       let r =
         match if b then c1 else c0 with
@@ -1076,7 +1089,7 @@ let search_renew ~need_gp t (h : holder) v =
   let ctx = t.ctx and lc = h.hcache in
   let bits = lc.bits in
   let rec go hint gp gp_info p p_info d =
-    let node = Atomic.get (child p (K.bit (label p) v)) in
+    let node = child p (K.bit (label p) v) in
     match node with
     | Any (Internal r as i) when K.is_prefix r.label v ->
         if r.gen == h.hgen then
@@ -1200,7 +1213,7 @@ let delete_flag t h r v =
   assert (rooted h r);
   match (r.gp, r.gp_info) with
   | Some gp, Some gp_info ->
-      let node_sibling = Atomic.get (child r.p (not (K.bit (label r.p) v))) in
+      let node_sibling = child r.p (not (K.bit (label r.p) v)) in
       swing_flag t h ~nodes:[| gp; r.p |] ~infos:[| gp_info; r.p_info |] gp
         (Any r.p) node_sibling
   | _ -> None
@@ -1249,9 +1262,7 @@ let delete t k =
    restart. *)
 let replace_flag t h rd ri vd vi node_info_i =
   assert (rooted h rd);
-  let node_sibling_d =
-    Atomic.get (child rd.p (not (K.bit (label rd.p) vd)))
-  in
+  let node_sibling_d = child rd.p (not (K.bit (label rd.p) vd)) in
   let node_d = rd.node and node_i = ri.node in
   let pd = rd.p and pi = ri.p in
   let leaf_d =
@@ -1319,7 +1330,7 @@ let replace_flag t h rd ri vd vi node_info_i =
        the deletion also restructures; one CAS replaces gp_d by a new
        two-level node built from the two siblings and the new leaf. *)
     let gpd = Option.get rd.gp in
-    let p_sibling_d = Atomic.get (child gpd (not (K.bit (label gpd) vd))) in
+    let p_sibling_d = child gpd (not (K.bit (label gpd) vd)) in
     match create_node t h node_sibling_d p_sibling_d None with
     | None -> None
     | Some new_child_i -> (
@@ -1406,7 +1417,7 @@ let fold t ~init ~f =
         if K.is_sentinel c l.key || logically_removed (Atomic.get (info_cell n))
         then acc
         else f acc (K.export c l.key)
-    | Any (Internal i) -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
+    | Any (Internal i) -> go (go acc i.c0) i.c1
   in
   go init (Any (Atomic.get t.holder).hroot)
 
@@ -1497,7 +1508,7 @@ module View = struct
     let rec go acc = function
       | Any (Leaf l) ->
           if K.is_sentinel c l.key then acc else f acc (K.export c l.key)
-      | Any (Internal i) -> go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
+      | Any (Internal i) -> go (go acc i.c0) i.c1
     in
     go init (Any v.vroot)
 
@@ -1595,8 +1606,8 @@ let check_invariants t =
     | Any (Internal i) ->
         if not (K.within (K.label_span i.label) path) then
           err "internal %a outside its parent's half" (K.pp_label c) i.label;
-        go (K.half i.label false) (Atomic.get i.c0);
-        go (K.half i.label true) (Atomic.get i.c1)
+        go (K.half i.label false) i.c0;
+        go (K.half i.label true) i.c1
   in
   let root = (Atomic.get t.holder).hroot in
   go (K.label_span (label root)) (Any root);
@@ -1610,15 +1621,14 @@ let check_invariants t =
 (* Shape census (Obs.Shape): weakly-consistent walk like [fold], exact
    in quiescence.  Per-node word estimates, 64-bit layout:
 
-     internal:  block 6 (header, iinfo, label, c0, c1, gen)
-                + 2 child Atomics 4                     = 10
-     leaf:      block 3 (header, linfo, key)             = 3
+     internal:  block 6 (header, iinfo, label, c0, c1, gen) = 6
+     leaf:      block 3 (header, linfo, key)                = 3
 
    plus 2 for a node whose info field holds an Unflag (a one-field
    mutable block; [Clean] is immediate, and a leaf is never unflagged),
    plus whatever a boxed label or key adds ([K.label_words],
-   [K.key_words]; nothing for PAT's immediate ints).  An Atomic.t is a
-   one-field record; [Any] is unboxed, so a child field points at the
+   [K.key_words]; nothing for PAT's immediate ints).  [Any] is unboxed
+   and the children are plain fields, so a child field points at the
    child's own block.  [measured_words] cross-checks the estimate with
    [Obj.reachable_words] from the root: in a quiescent trie with one
    generation the two differ by exactly the 2-word [hgen] ref the nodes
@@ -1632,7 +1642,7 @@ let check_invariants t =
    headers.  The nodes it points at are the trie's, except the dummy
    (one node per trie, not counted) and, briefly, a node removed since
    a descent wrote it back. *)
-let internal_words = 10
+let internal_words = 6
 let leaf_words = 3
 let info_words = function Unflag _ -> 2 | Clean | Flag _ | Snap _ -> 0
 
@@ -1655,8 +1665,8 @@ let census t =
             (internal_words
             + info_words (Atomic.get (info_cell n))
             + K.label_words i.label);
-        go (depth + 1) (Atomic.get i.c0);
-        go (depth + 1) (Atomic.get i.c1)
+        go (depth + 1) i.c0;
+        go (depth + 1) i.c1
   in
   let h = Atomic.get t.holder in
   go 0 (Any h.hroot);
@@ -1734,7 +1744,7 @@ module For_testing = struct
             acc + match Atomic.get (iinfo i) with Flag _ -> 1 | _ -> 0
           in
           if K.is_prefix r.label v then
-            go acc (Atomic.get (child i (K.bit r.label v)))
+            go acc (child i (K.bit r.label v))
           else acc
     in
     go 0 (Any root)
@@ -1756,10 +1766,15 @@ module For_testing = struct
           let named = Obj.[ repr r.label; repr r.c0; repr r.c1; repr r.gen ] in
           let acc = (Obj.repr node, cell, named) :: acc in
           if K.is_prefix r.label v then
-            go acc (Atomic.get (child i (K.bit r.label v)))
+            go acc (child i (K.bit r.label v))
           else List.rev acc
     in
     go [] (Any (Atomic.get t.holder).hroot)
+
+  (* [cas_child] on a node [layout_on_path] returned, for the test that
+     pins which field each child bit writes. *)
+  let cas_child n b old nc =
+    cas_child (Obj.obj n : internal) b (Obj.obj old : node) (Obj.obj nc)
 
   (* The same count in a frozen view: a stale node the live trie renewed
      since the snapshot is marked, so it counts here. *)
@@ -1773,7 +1788,7 @@ module For_testing = struct
     let h = Atomic.get t.holder in
     let rec go acc (Internal r as i : internal) =
       let acc = if r.gen == h.hgen then acc else acc + 1 in
-      match Atomic.get (child i (K.bit r.label v)) with
+      match child i (K.bit r.label v) with
       | Any (Internal cr as c) when K.is_prefix cr.label v -> go acc c
       | _ -> acc
     in

@@ -114,153 +114,193 @@ let max_logrecs = 0xFFFF
 let max_page_keys = 8192
 
 (* ------------------------------------------------------------------ *)
-(* Encoding.  Frames are assembled payload-first into the caller's
-   buffer: reserve 4 bytes, write the payload, patch the length in.
-   Buffer has no random access, so instead encode into a scratch and
-   blit — payloads are small (<= a batch), this stays cheap. *)
+(* Encoding.  A frame is written straight into the caller's buffer: a
+   sizing pass computes the payload's length and makes every check the
+   encoding needs, then the length prefix and the payload follow.  An
+   [invalid_arg] therefore leaves the buffer as it was, and an encode
+   allocates nothing but the buffer's own growth: integers go out as
+   16-bit halves, never as boxed [Int32]/[Int64]. *)
 
-let add_u16 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
+let add_u8 buf v = Buffer.add_char buf (Char.unsafe_chr v)
+let add_u16 buf v = Buffer.add_uint16_be buf (v land 0xFFFF)
 
-let add_u32 buf v = Buffer.add_int32_be buf (Int32.of_int v)
-let add_i64 buf v = Buffer.add_int64_be buf (Int64.of_int v)
+let add_u32 buf v =
+  add_u16 buf (v lsr 16);
+  add_u16 buf v
+
+let add_i64 buf v =
+  add_u16 buf (v asr 48);
+  add_u16 buf (v lsr 32);
+  add_u16 buf (v lsr 16);
+  add_u16 buf v
 
 let check_seq seq =
   if seq < 0 || seq > 0xFFFFFFFF then
     invalid_arg "Protocol: seq out of u32 range"
 
-let encode_simple_op buf op =
-  match op with
-  | Insert k ->
-      Buffer.add_char buf (Char.chr opc_insert);
-      add_i64 buf k
-  | Delete k ->
-      Buffer.add_char buf (Char.chr opc_delete);
-      add_i64 buf k
-  | Member k ->
-      Buffer.add_char buf (Char.chr opc_member);
-      add_i64 buf k
-  | Replace { remove; add } ->
-      Buffer.add_char buf (Char.chr opc_replace);
-      add_i64 buf remove;
-      add_i64 buf add
-  | Size -> Buffer.add_char buf (Char.chr opc_size)
+(* Payload bytes of an op, checked: what [encode_op] writes for it. *)
+let simple_op_size = function
+  | Insert _ | Delete _ | Member _ -> 9
+  | Replace _ -> 17
+  | Size -> 1
   | Batch _ -> invalid_arg "Protocol: nested BATCH"
   | Subscribe _ | Logack _ | Hashcheck _ | Promote ->
       invalid_arg "Protocol: replication op is not a simple op"
   | Scan _ | Range _ -> invalid_arg "Protocol: scan op is not a simple op"
 
-let encode_op buf op =
-  match op with
+let check_count what count =
+  if count < 1 || count > max_page_keys then
+    invalid_arg ("Protocol: " ^ what ^ " count out of range")
+
+let op_size = function
   | Batch ops ->
-      let n = List.length ops in
-      if n > max_batch then invalid_arg "Protocol: BATCH too large";
-      Buffer.add_char buf (Char.chr opc_batch);
-      add_u16 buf n;
-      List.iter
-        (fun o ->
+      if List.compare_length_with ops max_batch > 0 then
+        invalid_arg "Protocol: BATCH too large";
+      List.fold_left
+        (fun n o ->
           match o with
           | Size -> invalid_arg "Protocol: SIZE inside BATCH"
-          | o -> encode_simple_op buf o)
-        ops
-  | Subscribe { from_seq } ->
-      Buffer.add_char buf (Char.chr opc_subscribe);
-      add_i64 buf from_seq
-  | Logack { applied_seq } ->
-      Buffer.add_char buf (Char.chr opc_logack);
-      add_i64 buf applied_seq
-  | Hashcheck { prefix; len } ->
+          | o -> n + simple_op_size o)
+        3 ops
+  | Subscribe _ | Logack _ -> 9
+  | Hashcheck { len; _ } ->
       if len < 0 || len > 0xFF then
         invalid_arg "Protocol: HASHCHECK prefix length out of u8 range";
-      Buffer.add_char buf (Char.chr opc_hashcheck);
+      10
+  | Promote -> 1
+  | Scan { count; _ } ->
+      check_count "SCAN" count;
+      11
+  | Range { count; _ } ->
+      check_count "RANGE" count;
+      27
+  | op -> simple_op_size op
+
+(* [encode_op] writes an op [op_size] has checked. *)
+let rec encode_op buf op =
+  match op with
+  | Insert k ->
+      add_u8 buf opc_insert;
+      add_i64 buf k
+  | Delete k ->
+      add_u8 buf opc_delete;
+      add_i64 buf k
+  | Member k ->
+      add_u8 buf opc_member;
+      add_i64 buf k
+  | Replace { remove; add } ->
+      add_u8 buf opc_replace;
+      add_i64 buf remove;
+      add_i64 buf add
+  | Size -> add_u8 buf opc_size
+  | Batch ops ->
+      add_u8 buf opc_batch;
+      add_u16 buf (List.length ops);
+      List.iter (encode_op buf) ops
+  | Subscribe { from_seq } ->
+      add_u8 buf opc_subscribe;
+      add_i64 buf from_seq
+  | Logack { applied_seq } ->
+      add_u8 buf opc_logack;
+      add_i64 buf applied_seq
+  | Hashcheck { prefix; len } ->
+      add_u8 buf opc_hashcheck;
       add_i64 buf prefix;
-      Buffer.add_char buf (Char.chr len)
-  | Promote -> Buffer.add_char buf (Char.chr opc_promote)
+      add_u8 buf len
+  | Promote -> add_u8 buf opc_promote
   | Scan { cursor; count } ->
-      if count < 1 || count > max_page_keys then
-        invalid_arg "Protocol: SCAN count out of range";
-      Buffer.add_char buf (Char.chr opc_scan);
+      add_u8 buf opc_scan;
       add_i64 buf cursor;
       add_u16 buf count
   | Range { lo; hi; cursor; count } ->
-      if count < 1 || count > max_page_keys then
-        invalid_arg "Protocol: RANGE count out of range";
-      Buffer.add_char buf (Char.chr opc_range);
+      add_u8 buf opc_range;
       add_i64 buf lo;
       add_i64 buf hi;
       add_i64 buf cursor;
       add_u16 buf count
-  | op -> encode_simple_op buf op
 
-let frame buf payload =
-  let len = Buffer.length payload in
+(* The length prefix and the seq of a payload of [size] bytes after it. *)
+let frame_head buf seq size =
+  let len = 4 + size in
   if len > max_frame_payload then invalid_arg "Protocol: frame too large";
   add_u32 buf len;
-  Buffer.add_buffer buf payload
+  add_u32 buf seq
 
 let encode_request buf { seq; op } =
   check_seq seq;
-  let p = Buffer.create 32 in
-  add_u32 p seq;
-  encode_op p op;
-  frame buf p
+  frame_head buf seq (op_size op);
+  encode_op buf op
 
-let encode_response buf { seq; result } =
-  check_seq seq;
-  let p = Buffer.create 32 in
-  add_u32 p seq;
-  (match result with
-  | Bool false -> Buffer.add_char p (Char.chr st_false)
-  | Bool true -> Buffer.add_char p (Char.chr st_true)
-  | Count v ->
-      Buffer.add_char p (Char.chr st_count);
-      add_i64 p v
+(* An error message is cut to what fits the frame after seq and status. *)
+let error_room = max_frame_payload - 5
+
+let result_size = function
+  | Bool _ -> 1
+  | Count _ -> 9
   | Many bs ->
       let n = List.length bs in
       if n > max_batch then invalid_arg "Protocol: MANY too large";
-      Buffer.add_char p (Char.chr st_many);
-      add_u16 p n;
-      List.iter (fun b -> Buffer.add_char p (if b then '\001' else '\000')) bs
-  | Logrecs { head_seq; recs } ->
-      let n = List.length recs in
-      if n > max_logrecs then invalid_arg "Protocol: LOGRECS too large";
-      Buffer.add_char p (Char.chr st_logrecs);
-      add_i64 p head_seq;
-      add_u16 p n;
-      List.iter
-        (fun { rseq; rop } ->
-          (match rop with
-          | Insert _ | Delete _ | Replace _ -> ()
-          | _ -> invalid_arg "Protocol: LOGRECS record must be a mutation");
-          add_i64 p rseq;
-          encode_simple_op p rop)
-        recs
-  | Hashes { node; left; right } ->
-      Buffer.add_char p (Char.chr st_hashes);
-      add_i64 p node;
-      add_i64 p left;
-      add_i64 p right
-  | Page { cut; next_cursor; complete; keys } ->
+      3 + n
+  | Logrecs { recs; _ } ->
+      if List.compare_length_with recs max_logrecs > 0 then
+        invalid_arg "Protocol: LOGRECS too large";
+      List.fold_left
+        (fun n { rop; _ } ->
+          match rop with
+          | Insert _ | Delete _ | Replace _ -> n + 8 + simple_op_size rop
+          | _ -> invalid_arg "Protocol: LOGRECS record must be a mutation")
+        11 recs
+  | Hashes _ -> 25
+  | Page { keys; _ } ->
       let n = List.length keys in
       if n > max_page_keys then invalid_arg "Protocol: PAGE too large";
-      Buffer.add_char p (Char.chr st_page);
-      add_i64 p cut;
-      add_i64 p next_cursor;
-      Buffer.add_char p (if complete then '\001' else '\000');
-      add_u16 p n;
-      List.iter (fun k -> add_i64 p k) keys
+      20 + (8 * n)
   | Busy { retry_after_ms } ->
       if retry_after_ms < 0 || retry_after_ms > 0xFFFFFFFF then
         invalid_arg "Protocol: retry_after_ms out of u32 range";
-      Buffer.add_char p (Char.chr st_busy);
-      add_u32 p retry_after_ms
+      5
+  | Error msg -> 1 + min (String.length msg) error_room
+
+let encode_response buf { seq; result } =
+  check_seq seq;
+  frame_head buf seq (result_size result);
+  match result with
+  | Bool false -> add_u8 buf st_false
+  | Bool true -> add_u8 buf st_true
+  | Count v ->
+      add_u8 buf st_count;
+      add_i64 buf v
+  | Many bs ->
+      add_u8 buf st_many;
+      add_u16 buf (List.length bs);
+      List.iter (fun b -> add_u8 buf (Bool.to_int b)) bs
+  | Logrecs { head_seq; recs } ->
+      add_u8 buf st_logrecs;
+      add_i64 buf head_seq;
+      add_u16 buf (List.length recs);
+      List.iter
+        (fun { rseq; rop } ->
+          add_i64 buf rseq;
+          encode_op buf rop)
+        recs
+  | Hashes { node; left; right } ->
+      add_u8 buf st_hashes;
+      add_i64 buf node;
+      add_i64 buf left;
+      add_i64 buf right
+  | Page { cut; next_cursor; complete; keys } ->
+      add_u8 buf st_page;
+      add_i64 buf cut;
+      add_i64 buf next_cursor;
+      add_u8 buf (Bool.to_int complete);
+      add_u16 buf (List.length keys);
+      List.iter (add_i64 buf) keys
+  | Busy { retry_after_ms } ->
+      add_u8 buf st_busy;
+      add_u32 buf retry_after_ms
   | Error msg ->
-      Buffer.add_char p (Char.chr st_error);
-      let room = max_frame_payload - Buffer.length p in
-      Buffer.add_string p
-        (if String.length msg <= room then msg else String.sub msg 0 room));
-  frame buf p
+      add_u8 buf st_error;
+      Buffer.add_substring buf msg 0 (min (String.length msg) error_room)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding: a bounds-checked cursor over one payload. *)

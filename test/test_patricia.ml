@@ -321,6 +321,14 @@ let test_info_word_is_field_0 () =
     ~flag_only:P.For_testing.flag_only ~help:P.For_testing.help
     ~layout:(P.For_testing.layout_on_path t) (10, 11)
 
+let test_cas_child_fields () =
+  let t = P.create ~universe:64 () in
+  Tutil.cas_child_fields ~insert:(P.insert t)
+    ~layout:(P.For_testing.layout_on_path t)
+    ~cas_child:P.For_testing.cas_child
+    ~check:(fun () -> P.check_invariants t)
+    (10, 11)
+
 let test_help_completes_stalled_delete () =
   let t = P.create ~universe:64 () in
   ignore (P.insert t 8);
@@ -540,6 +548,8 @@ let () =
             (test_no_aba ~unflagged_first:true);
           Alcotest.test_case "info word is field 0" `Quick
             test_info_word_is_field_0;
+          Alcotest.test_case "child CAS writes its bit's field" `Quick
+            test_cas_child_fields;
         ] );
       ( "stats",
         [

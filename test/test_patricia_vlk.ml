@@ -181,6 +181,15 @@ let test_info_word_is_field_0 () =
     ~flag_only:V.For_testing.flag_only ~help:V.For_testing.help
     ~layout:(V.For_testing.layout_on_path t) (enc "aa", enc "ab")
 
+let test_cas_child_fields () =
+  let t = V.create () and enc = Bitkey.Bitstr.encode_bytes in
+  Tutil.cas_child_fields
+    ~insert:(fun k -> V.insert_key t k)
+    ~layout:(V.For_testing.layout_on_path t)
+    ~cas_child:V.For_testing.cas_child
+    ~check:(fun () -> V.check_invariants t)
+    (enc "aa", enc "ab")
+
 (* The level-cache cases of Tutil: key [k] is the byte [2k], so its
    leading digits are PAT's 7-bit key. *)
 let cached () =
@@ -245,6 +254,8 @@ let () =
             (test_no_aba ~unflagged_first:true);
           Alcotest.test_case "info word is field 0" `Quick
             test_info_word_is_field_0;
+          Alcotest.test_case "child CAS writes its bit's field" `Quick
+            test_cas_child_fields;
         ] );
       ("cache", Tutil.cache_cases cached);
     ]

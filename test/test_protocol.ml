@@ -189,6 +189,37 @@ let test_encode_rejects_bad_scans () =
   | _ -> Alcotest.fail "oversized PAGE accepted"
   | exception Invalid_argument _ -> ()
 
+(* Frames are written in place: encoding into a cleared, pre-grown
+   buffer allocates no scratch payload and no boxed integer, and a
+   rejected encode leaves the buffer as it was. *)
+let test_encode_in_place () =
+  let b = Buffer.create 4096 in
+  let words_per_encode encode v =
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      Buffer.clear b;
+      encode b v
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let check what w =
+    if w > 2. then Alcotest.failf "%s: %.2f minor words per encode" what w
+  in
+  check "INSERT request"
+    (words_per_encode P.encode_request { P.seq = 7; op = P.Insert 123_456 });
+  check "Bool response"
+    (words_per_encode P.encode_response { P.seq = 7; result = P.Bool true });
+  Buffer.clear b;
+  P.encode_request b { P.seq = 1; op = P.Insert 1 };
+  let frame = Buffer.contents b in
+  let bad = P.Batch [ P.Insert 2; P.Size ] in
+  (match P.encode_request b { P.seq = 2; op = bad } with
+  | () -> Alcotest.fail "bad batch accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) "buffer untouched by a rejected encode" frame
+    (Buffer.contents b)
+
 (* qcheck: arbitrary op trees (bounded) survive the full stack, even
    when the stream arrives one byte at a time. *)
 let gen_simple_op =
@@ -381,6 +412,7 @@ let () =
             test_encode_rejects_bad_batches;
           Alcotest.test_case "encode rejects bad scans" `Quick
             test_encode_rejects_bad_scans;
+          Alcotest.test_case "encode in place" `Quick test_encode_in_place;
           prop_pipeline_roundtrip;
           prop_page_roundtrip;
         ] );

@@ -254,6 +254,52 @@ let info_word_is_field_0 ~insert ~prepare_insert ~prepare_delete ~flag_only
   | None -> Alcotest.fail "prepare_delete unexpectedly failed"
   | Some d -> ignore (stall "delete" d)
 
+(* The child CAS writes the field its bit names: on each internal node
+   of [k]'s search path (fields [info; label; c0; c1; gen]), a CAS with
+   bit [false] swaps field 2 only and one with bit [true] field 3 only,
+   and a CAS expecting a value the field does not hold swaps nothing and
+   returns [false].  Each swap is undone before the next, and the trie
+   must still check. *)
+let cas_child_fields ~insert ~layout ~cas_child ~check (k, s) =
+  ignore (insert k);
+  ignore (insert s);
+  let internal =
+    List.filter (fun (_, _, named) -> List.length named = 4) (layout k)
+  in
+  Alcotest.(check bool) "an internal node on the path" true (internal <> []);
+  List.iteri
+    (fun i (n, _, _) ->
+      let fields () = List.init (Obj.size n) (Obj.field n) in
+      let same what before =
+        List.iteri
+          (fun j (x, y) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "node %d %s: field %d" i what j)
+              true (x == y))
+          (List.combine before (fields ()))
+      in
+      let c0 = Obj.field n 2 and c1 = Obj.field n 3 in
+      let before = fields () in
+      let cas what b old nc expect =
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d %s" i what)
+          expect (cas_child n b old nc)
+      in
+      cas "stale bit false" false c1 c0 false;
+      cas "stale bit true" true c0 c1 false;
+      same "after stale CASes" before;
+      cas "bit false" false c0 c1 true;
+      same "after bit false"
+        (List.mapi (fun j x -> if j = 2 then c1 else x) before);
+      cas "bit false undone" false c1 c0 true;
+      cas "bit true" true c1 c0 true;
+      same "after bit true"
+        (List.mapi (fun j x -> if j = 3 then c0 else x) before);
+      cas "bit true undone" true c0 c1 true;
+      same "restored" before)
+    internal;
+  match check () with Ok () -> () | Error e -> Alcotest.fail e
+
 let spawn_n n f = List.init n (fun d -> Domain.spawn (fun () -> f d))
 let join_all ds = List.map Domain.join ds
 
