@@ -257,8 +257,9 @@ module For_testing : sig
       routine; used by tests to count helping. *)
 
   val flags_on_path : t -> int -> int
-  (** Number of flagged nodes on the search path of a key — 0 in any
-      quiescent state where no update died holding flags. *)
+  (** Number of flagged or removed-marked nodes on the search path of a
+      key — 0 in any quiescent state where no update died holding
+      flags. *)
 
   val layout_on_path : t -> int -> (Obj.t * Obj.t * Obj.t list) list
   (** Each node on the search path of a key, root first, with the value
@@ -266,6 +267,11 @@ module For_testing : sig
       declaration order.  The info word is field 0 of every node and the
       named fields follow it, so for each [(n, i, fs)],
       [Obj.field n 0 == i] and field [j + 1] is element [j] of [fs]. *)
+
+  val is_dead : Obj.t -> bool
+  (** Whether a node from {!layout_on_path} is marked removed: a
+      committed update took it out of the trie and replaced its
+      descriptor with the immediate mark that stays for good. *)
 
   val cas_child : Obj.t -> bool -> Obj.t -> Obj.t -> bool
   (** [cas_child n b old nc]: the child CAS of the updates, on an

@@ -111,6 +111,7 @@ module For_testing : sig
   val set_help_hook : (unit -> unit) option -> unit
   val flags_on_path : t -> Bitkey.Bitstr.t -> int
   val layout_on_path : t -> Bitkey.Bitstr.t -> (Obj.t * Obj.t * Obj.t list) list
+  val is_dead : Obj.t -> bool
   val cas_child : Obj.t -> bool -> Obj.t -> Obj.t -> bool
   val view_flags_on_path : view -> Bitkey.Bitstr.t -> int
   val stale_on_path : t -> Bitkey.Bitstr.t -> int

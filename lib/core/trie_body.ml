@@ -34,6 +34,12 @@
      one, an info field that reads [Clean] has never been flagged, and
      a flag CAS expecting [Clean] is as ABA-free as one expecting an
      Unflag.  Leaves are never unflagged, so they never hold one.
+   - A node an update removes is flagged for good, as in the paper, but
+     not with the descriptor: whoever completes a committed descriptor
+     CASes each node it removed from the Flag to the immediate [Dead].
+     A removed node already in the major heap would otherwise keep the
+     whole descriptor alive after the update returns, and every minor
+     collection would promote it.
    - A Flag descriptor must be wrapped in the [info] variant exactly once
      so that all CASes and reads compare the same physical value; the
      shared wrapper is created in [new_flag] and threaded everywhere.
@@ -121,8 +127,15 @@ type ik = |
    (unflag, backtrack, and a snapshot's release of the old root) install
    an [Unflag], and always a freshly allocated one (the mutable field
    keeps the compiler from sharing the block), so a field that reads
-   [Clean] has never been flagged. *)
-type info = Clean | Unflag of { mutable u : unit } | Flag of flag | Snap of snap
+   [Clean] has never been flagged.  [Dead] marks a node a committed
+   update removed: it replaces that update's [Flag] once the child CASes
+   are done, is flagged for good, and no CAS ever expects it. *)
+type info =
+  | Clean
+  | Dead
+  | Unflag of { mutable u : unit }
+  | Flag of flag
+  | Snap of snap
 
 (* A node carries its fields inline, as the paper's node does: an
    internal node is one block, and a child field points straight at the
@@ -198,8 +211,9 @@ and decision = Pending | Commit | Abort
    succeed.  Child [k] of [pnodes.(i)] is CASed from [old_children.(i)]
    to [new_children.(i)].  [unflag_nodes] are unflagged afterwards; flagged
    nodes absent from it are removed from the trie and stay flagged
-   ("marked") forever.  [rmv_leaf] is the leaf logically removed by a
-   general-case replace. *)
+   ("marked") forever, as [Dead] once the child CASes are done.
+   [rmv_leaf] is the leaf logically removed by a general-case replace,
+   flagged and then marked [Dead] the same way. *)
 and flag = {
   flag_nodes : internal array;
   old_infos : info array;
@@ -455,7 +469,7 @@ let[@inline] attempt_retry kind ~key ~attempt ~t0 cause =
       ~t0
 
 let[@inline] flagged = function
-  | Flag _ | Snap _ -> true
+  | Flag _ | Snap _ | Dead -> true
   | Clean | Unflag _ -> false
 
 (* Cause of a [None] return from [new_flag], recovered from the info
@@ -508,8 +522,10 @@ let make ~record_stats ctx =
 
 (* logicallyRemoved (lines 122-124): a leaf flagged by a general-case
    replace is logically removed once the replace's first child CAS has
-   happened, i.e. once oldChild[0] is no longer a child of pNode[0]. *)
+   happened, i.e. once oldChild[0] is no longer a child of pNode[0].  A
+   leaf reads [Dead] only after both child CASes. *)
 let logically_removed = function
+  | Dead -> true
   | Clean | Unflag _ | Snap _ -> false
   | Flag f ->
       let (Internal p) = f.pnodes.(0) and old = f.old_children.(0) in
@@ -763,6 +779,12 @@ let child_cas_phase f =
 
 let help_counter_hook : (unit -> unit) option ref = ref None
 
+(* [index_of a m x 0] is the position of [x] among [a.(0 .. m-1)]
+   (physical equality), or -1.  [Array.memq] would allocate a closure
+   per call. *)
+let rec index_of (a : internal array) m x j =
+  if j = m then -1 else if a.(j) == x then j else index_of a m x (j + 1)
+
 (* Complete an in-flight snapshot found installed on a root: swing the
    holder (idempotent — the new holder value is carried by the
    descriptor, so every helper CASes to the same value) and release the
@@ -774,6 +796,10 @@ let help_snap (si : info) (s : snap) =
 let rec help (fi : info) : bool =
   match fi with
   | Clean | Unflag _ -> assert false
+  | Dead ->
+      (* A completed descriptor's mark: helping it would only make CASes
+         that fail. *)
+      true
   | Snap s ->
       (* A snapshot never fails; completing it counts as success and the
          helper retries its own operation against the new generation. *)
@@ -799,19 +825,32 @@ and help_flag (fi : info) (f : flag) : bool =
      ignore (Atomic.compare_and_set f.decision Pending d));
   match Atomic.get f.decision with
   | Commit ->
-      (* Line 95: flag the leaf removed by a general-case replace; leaves
-         are flagged by a plain write, never by CAS, and never unflagged. *)
+      (* Line 95: flag the leaf removed by a general-case replace.  A
+         leaf is never unflagged, so it reads [Clean] until this CAS and
+         only the first helper's succeeds: a late helper must not put
+         the descriptor back on a leaf already marked [Dead]. *)
       (match f.rmv_leaf with
-      | Some l -> Atomic.set (info_cell l) fi
+      | Some l -> ignore (Atomic.compare_and_set (info_cell l) Clean fi)
       | None -> ());
       child_cas_phase f;
       (* Lines 99-102: unflag, in reverse order, the nodes still in the trie. *)
       chaos_point Chaos.Unflag;
-      for i = Array.length f.unflag_nodes - 1 downto 0 do
+      let u = Array.length f.unflag_nodes in
+      for i = u - 1 downto 0 do
         ignore
           (Atomic.compare_and_set (iinfo f.unflag_nodes.(i)) fi
              (fresh_unflag ()))
       done;
+      (* The nodes the paper leaves flagged forever are out of the trie
+         now: mark them [Dead], so that none keeps the descriptor alive. *)
+      for i = 0 to Array.length f.flag_nodes - 1 do
+        let x = f.flag_nodes.(i) in
+        if index_of f.unflag_nodes u x 0 < 0 then
+          ignore (Atomic.compare_and_set (iinfo x) fi Dead)
+      done;
+      (match f.rmv_leaf with
+      | Some l -> ignore (Atomic.compare_and_set (info_cell l) fi Dead)
+      | None -> ());
       true
   | Abort ->
       (* Lines 103-106: flagging failed (or the generation moved on) —
@@ -826,13 +865,8 @@ and help_flag (fi : info) (f : flag) : bool =
       false
   | Pending -> assert false
 
-(* Helpers of [new_flag] below, over the first [m] entries of an array.
-   [index_of a m x 0] is the position of [x] among [a.(0 .. m-1)]
-   (physical equality), or -1. *)
-let rec index_of (a : internal array) m x j =
-  if j = m then -1 else if a.(j) == x then j else index_of a m x (j + 1)
-
-(* Position of the first Flag or Snap among [infos], or its length. *)
+(* Position of the first flagged info (a Flag, a Snap or [Dead]) among
+   [infos], or its length. *)
 let rec first_flagged (infos : info array) i =
   if i = Array.length infos || flagged infos.(i) then i
   else first_flagged infos (i + 1)
@@ -1008,7 +1042,7 @@ let run_own t fi =
    helping a descriptor pending on the run. *)
 let rec renew_run t h v p p_info p_child j (Internal ir as i : internal) =
   match Atomic.get (iinfo i) with
-  | (Flag _ | Snap _) as fi ->
+  | (Flag _ | Snap _ | Dead) as fi ->
       bump t.stats (fun s -> s.helps_given);
       ignore (help fi);
       None
@@ -1472,6 +1506,7 @@ let snapshot t =
     | (Flag _ | Snap _) as fi ->
         ignore (help fi);
         attempt ()
+    | Dead -> assert false (* a root is never removed *)
     | (Clean | Unflag _) as ri ->
         let gen' = ref () in
         let root' = copy_internal ~gen:gen' root in
@@ -1595,6 +1630,9 @@ let check_invariants t =
     (match (Atomic.get (node_info node), node) with
     | (Clean | Unflag _), _ -> ()
     | Snap _, _ -> err "residual snapshot descriptor on reachable node"
+    | Dead, Any (Leaf l) -> err "dead mark on reachable leaf %a" K.pp_key l.key
+    | Dead, Any (Internal i) ->
+        err "dead mark on internal %a" (K.pp_label c) i.label
     | Flag _, Any (Leaf l) ->
         err "residual flag on reachable leaf %a" K.pp_key l.key
     | Flag _, Any (Internal i) ->
@@ -1644,7 +1682,7 @@ let check_invariants t =
    a descent wrote it back. *)
 let internal_words = 6
 let leaf_words = 3
-let info_words = function Unflag _ -> 2 | Clean | Flag _ | Snap _ -> 0
+let info_words = function Unflag _ -> 2 | Clean | Dead | Flag _ | Snap _ -> 0
 
 let census t =
   let c = t.ctx in
@@ -1713,7 +1751,8 @@ module For_testing = struct
   let flag_only fi =
     match fi with
     | Flag f -> flag_phase fi f
-    | Clean | Unflag _ | Snap _ -> invalid_arg "flag_only: not a Flag descriptor"
+    | Clean | Dead | Unflag _ | Snap _ ->
+        invalid_arg "flag_only: not a Flag descriptor"
 
   let set_help_hook h = help_counter_hook := h
 
@@ -1732,17 +1771,15 @@ module For_testing = struct
 
   let counters t = Option.map stats_to_alist (stats_snapshot t)
 
-  (* Count of nodes currently flagged along the search path of [v] from
-     [root]. *)
+  (* Count of nodes currently flagged or marked [Dead] along the search
+     path of [v] from [root]. *)
   let flags_from root v =
+    let mark = function Flag _ | Dead -> 1 | Clean | Unflag _ | Snap _ -> 0 in
     let rec go acc (node : node) =
       match node with
-      | Any (Leaf _ as l) -> (
-          acc + match Atomic.get (info_cell l) with Flag _ -> 1 | _ -> 0)
+      | Any (Leaf _ as l) -> acc + mark (Atomic.get (info_cell l))
       | Any (Internal r as i) ->
-          let acc =
-            acc + match Atomic.get (iinfo i) with Flag _ -> 1 | _ -> 0
-          in
+          let acc = acc + mark (Atomic.get (iinfo i)) in
           if K.is_prefix r.label v then
             go acc (child i (K.bit r.label v))
           else acc
@@ -1770,6 +1807,10 @@ module For_testing = struct
           else List.rev acc
     in
     go [] (Any (Atomic.get t.holder).hroot)
+
+  (* Whether a node [layout_on_path] returned reads [Dead]: a committed
+     update removed it. *)
+  let is_dead n = Atomic.get (node_info (Obj.obj n : node)) == Dead
 
   (* [cas_child] on a node [layout_on_path] returned, for the test that
      pins which field each child bit writes. *)

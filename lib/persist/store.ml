@@ -29,27 +29,28 @@
 
     {2 Durability contract}
 
-    Mutations are applied to the in-memory structure first and published
-    to the log after.  {!barrier} commits this domain's records: the
-    patserve server calls it once per window of pipelined requests,
-    before the window's acknowledgements are written, so the window
-    costs one group-commit [write].  In {!Sync} mode the commit is also
-    fsynced, so an acknowledged operation survives power loss; in
+    A mutation is applied to the in-memory structure and then appended
+    to the log, both under the lock of its key's stripe (a fixed array
+    of mutexes indexed by a hash of the key; a Replace takes both of its
+    keys' stripes, in ascending order).  Two mutations of one key
+    therefore reach the log in the order the structure linearized them,
+    whichever sessions issued them.  {!barrier} commits this domain's
+    records: the patserve server calls it once per window of pipelined
+    requests, before the window's acknowledgements are written, so the
+    window costs one group-commit [write].  In {!Sync} mode the commit
+    is also fsynced, so an acknowledged operation survives power loss; in
     {!Async} mode it is not, so an acknowledged operation has reached
     the operating system and survives a process crash ([kill -9]) but
     not power loss.  Recovery therefore restores {e every acknowledged
-    operation} of the crash its mode covers, and restores operations in
-    their per-session (per-connection) order — an acknowledged operation
-    also orders before anything issued after its ack was observed,
-    because the ack itself waited for the commit.  Two {e concurrent,
-    unacknowledged} mutations of the same key from different sessions
-    may be recovered in either order (the WAL records them in publish
-    order, which can differ from the structure's internal linearization
-    of that race); sessions that need cross-session ordering must wait
-    for acks, which is the usual contract of a replicated log.  Under
-    process crash ([kill -9]) every completed [write] survives; under
-    power loss the guarantee covers operations up to the last completed
-    fsync. *)
+    operation} of the crash its mode covers, in the order the live
+    structure took them: per key the log order is the linearization
+    order, across sessions too, so a reopened store holds the set a
+    [member] would have answered before the restart.  A crash can lose
+    an unacknowledged mutation, and with it only mutations logged after
+    it.  Under process crash ([kill -9]) every completed [write]
+    survives; under power loss the guarantee covers operations up to
+    the last completed fsync.  A checkpoint's view can still hold a
+    mutation applied but not yet logged (see {!checkpoint}). *)
 
 (** The last effect of every key a recovery touches, as a set of the
     keys that end present: an open-addressing table from a key's 32-key
@@ -172,6 +173,9 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
     writer : Wal.Writer.t option;
     info : recovery_info;
     last_logged : int ref Domain.DLS.key;
+    stripes : Mutex.t array;
+        (* per-key locks held across apply + append, so per key the log
+           order is the structure's order *)
     ckpt_mu : Mutex.t;
     retention : (unit -> int option) Atomic.t;
         (* checkpoint GC floor: lowest WAL seq some attached consumer
@@ -280,6 +284,11 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
     in
     (set, info, writer)
 
+  (* A power of two: a key's stripe is the top bits of its Fibonacci
+     hash, so keys that share their low bits still spread. *)
+  let stripe_count = 64
+  let[@inline] stripe k = (k * 0x1E3779B97F4A7C15) lsr 57
+
   (** [open_ ~dir ~universe ~mode ()] recovers the state persisted in
       [dir] (creating it if absent) into a fresh [S.t] and, in the
       logging modes, locks [dir] and starts the group-commit writer on a
@@ -305,6 +314,7 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
           writer;
           info;
           last_logged = Domain.DLS.new_key (fun () -> ref (-1));
+          stripes = Array.init stripe_count (fun _ -> Mutex.create ());
           ckpt_mu = Mutex.create ();
           retention = Atomic.make (fun () -> None);
           lock = Atomic.make lock;
@@ -337,19 +347,34 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
     | Some w -> (Domain.DLS.get t.last_logged) := Wal.Writer.append w r
 
   (* Mutations: apply to the structure, then publish the acknowledged
-     effect.  A [false] result changed nothing and is not logged. *)
+     effect.  A [false] result changed nothing and is not logged.  When
+     the store logs, both steps run under the stripe locks of the keys
+     [a] and [b] the mutation touches, the lower first, so two
+     mutations never wait on each other in a cycle. *)
+  let locked t a b f =
+    match t.writer with
+    | None -> f ()
+    | Some _ ->
+        let a = stripe a and b = stripe b in
+        if a = b then Mutex.protect t.stripes.(a) f
+        else
+          Mutex.protect t.stripes.(min a b) @@ fun () ->
+          Mutex.protect t.stripes.(max a b) f
 
   let insert t k =
+    locked t k k @@ fun () ->
     let ok = S.insert t.set k in
     if ok then log t (Wal.Insert k);
     ok
 
   let delete t k =
+    locked t k k @@ fun () ->
     let ok = S.delete t.set k in
     if ok then log t (Wal.Delete k);
     ok
 
   let replace t ~remove ~add =
+    locked t remove add @@ fun () ->
     let ok = S.replace t.set ~remove ~add in
     if ok then log t (Wal.Replace { remove; add });
     ok

@@ -329,6 +329,30 @@ let test_cas_child_fields () =
     ~check:(fun () -> P.check_invariants t)
     (10, 11)
 
+(* Stored keys are one more than the user keys, 9 bits at universe
+   256: 8 and 9 share the parent 0000010 and 200 and 201 the parent
+   0110010; 12 (000001101) leaves the first at its seventh bit and 150
+   (010010111) the second at its third. *)
+let test_dead_marks () =
+  Tutil.dead_marks ~is_dead:P.For_testing.is_dead
+    ~fresh:(fun () ->
+      let t = P.create ~universe:256 () in
+      {
+        Tutil.m_insert = P.insert t;
+        m_delete = P.delete t;
+        m_replace = (fun remove add -> P.replace t ~remove ~add);
+        m_snapshot =
+          (fun () -> P.For_testing.view_flags_on_path (P.snapshot t));
+        m_layout = P.For_testing.layout_on_path t;
+        m_prepare_delete =
+          (fun k ->
+            Option.map
+              (fun d () -> P.For_testing.help d)
+              (P.For_testing.prepare_delete t k));
+        m_check = (fun () -> P.check_invariants t);
+      })
+    (8, 9, 200, 201, 12, 150)
+
 let test_help_completes_stalled_delete () =
   let t = P.create ~universe:64 () in
   ignore (P.insert t 8);
@@ -464,6 +488,64 @@ let test_member_allocation_flat () =
     true
     (big <= small +. 2.)
 
+(* Words promoted to the major heap per successful update over 20 000
+   [pair]s on a 4 096-key PAT holding 2 048 random keys, one domain.
+   [pair t a b] gets a present key [a] and an absent one [b] and
+   returns how many of its updates succeeded.  A minor collection
+   before the loop promotes the prefill, so what the loop leaves
+   promoted is what outlives it: the nodes it links in, and whatever a
+   node it removes still points at when the next minor collection
+   runs. *)
+let promoted_per_update pair =
+  let universe = 4096 in
+  let t = P.create ~universe () in
+  let rng = Rng.of_int_seed 2013 in
+  let keys = Array.init universe Fun.id in
+  for i = universe - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- x
+  done;
+  let half = universe / 2 in
+  for i = 0 to half - 1 do
+    ignore (P.insert t keys.(i) : bool)
+  done;
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words and ok = ref 0 in
+  for _ = 1 to 20_000 do
+    let a = keys.(Rng.int rng half) and b = keys.(half + Rng.int rng half) in
+    ok := !ok + pair t a b
+  done;
+  Gc.minor ();
+  ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int !ok
+
+(* A node an update removes reads the immediate removed mark once the
+   update is done, not its descriptor, so the descriptor dies in the
+   minor heap even when the removed node lives in the major one.  With
+   the descriptor kept on the removed node (the paper's marking),
+   delete + insert promoted about 16 words per update and a pair of
+   replaces about 55. *)
+let test_descriptors_die_young () =
+  let bool = Bool.to_int in
+  let churn =
+    promoted_per_update (fun t a _ ->
+        let d = P.delete t a in
+        let i = P.insert t a in
+        bool d + bool i)
+  and swap =
+    promoted_per_update (fun t a b ->
+        let there = P.replace t ~remove:a ~add:b in
+        let back = P.replace t ~remove:b ~add:a in
+        bool there + bool back)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "delete + insert: %.1f promoted words/update <= 8" churn)
+    true (churn <= 8.);
+  Alcotest.(check bool)
+    (Printf.sprintf "replace pairs: %.1f promoted words/update <= 12" swap)
+    true (swap <= 12.)
+
 (* The level-cache cases of Tutil over raw 7-bit keys. *)
 let cached () =
   let t = P.create_width ~width:7 ~record_stats:true () in
@@ -550,6 +632,8 @@ let () =
             test_info_word_is_field_0;
           Alcotest.test_case "child CAS writes its bit's field" `Quick
             test_cas_child_fields;
+          Alcotest.test_case "removed nodes hold Dead, not a descriptor" `Quick
+            test_dead_marks;
         ] );
       ( "stats",
         [
@@ -557,6 +641,8 @@ let () =
           Alcotest.test_case "off by default" `Quick test_no_stats_by_default;
           Alcotest.test_case "member allocation independent of depth" `Quick
             test_member_allocation_flat;
+          Alcotest.test_case "descriptors die young" `Quick
+            test_descriptors_die_young;
         ] );
       ( "cache",
         Tutil.cache_cases cached

@@ -190,6 +190,31 @@ let test_cas_child_fields () =
     ~check:(fun () -> V.check_invariants t)
     (enc "aa", enc "ab")
 
+(* In data bits (two encoded digits each): "aa" and "ab" share their
+   first 14 bits and so a parent, as "za" and "zb" do; "ai" leaves the
+   first pair's prefix at its thirteenth bit and "zz" the second's at
+   its twelfth. *)
+let test_dead_marks () =
+  let enc = Bitkey.Bitstr.encode_bytes in
+  Tutil.dead_marks ~is_dead:V.For_testing.is_dead
+    ~fresh:(fun () ->
+      let t = V.create () in
+      {
+        Tutil.m_insert = V.insert_key t;
+        m_delete = V.delete_key t;
+        m_replace = V.replace_key t;
+        m_snapshot =
+          (fun () -> V.For_testing.view_flags_on_path (V.snapshot t));
+        m_layout = V.For_testing.layout_on_path t;
+        m_prepare_delete =
+          (fun k ->
+            Option.map
+              (fun d () -> V.For_testing.help d)
+              (V.For_testing.prepare_delete t k));
+        m_check = (fun () -> V.check_invariants t);
+      })
+    (enc "aa", enc "ab", enc "za", enc "zb", enc "ai", enc "zz")
+
 (* The level-cache cases of Tutil: key [k] is the byte [2k], so its
    leading digits are PAT's 7-bit key. *)
 let cached () =
@@ -256,6 +281,8 @@ let () =
             test_info_word_is_field_0;
           Alcotest.test_case "child CAS writes its bit's field" `Quick
             test_cas_child_fields;
+          Alcotest.test_case "removed nodes hold Dead, not a descriptor" `Quick
+            test_dead_marks;
         ] );
       ("cache", Tutil.cache_cases cached);
     ]

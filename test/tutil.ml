@@ -300,6 +300,103 @@ let cas_child_fields ~insert ~layout ~cas_child ~check (k, s) =
     internal;
   match check () with Ok () -> () | Error e -> Alcotest.fail e
 
+(* The operations [dead_marks] runs on one fresh trie.  [m_snapshot]
+   takes a snapshot and returns the count of flagged or marked nodes on
+   a key's path in its view; [m_prepare_delete] builds a delete's
+   descriptor without running it and returns its [help]. *)
+type 'k marks = {
+  m_insert : 'k -> bool;
+  m_delete : 'k -> bool;
+  m_replace : 'k -> 'k -> bool;
+  m_snapshot : unit -> 'k -> int;
+  m_layout : 'k -> (Obj.t * Obj.t * Obj.t list) list;
+  m_prepare_delete : 'k -> (unit -> bool) option;
+  m_check : unit -> (unit, string) result;
+}
+
+(* A node a committed update removes reads the immediate removed mark
+   afterwards, not the update's descriptor, so nothing keeps the
+   descriptor alive once the update returns.  Keys: [a] and [b] share a
+   parent [pd], as [c] and [d] do elsewhere; [x]'s search ends at [pd]
+   itself, and [y]'s ends at [c] and [d]'s parent.  The nodes are taken
+   from [a]'s (or [x]'s) search path before the update and read after
+   it: a delete's parent; the internal node an insert replaces; a
+   general replace's [pd] and its removed leaf; the stale run a path
+   renewal copies after a snapshot.  A late help of a completed delete
+   leaves its mark as it was.  The nodes that stay in the trie read
+   unmarked, and the invariants hold after each update. *)
+let dead_marks ~fresh ~is_dead (a, b, c, d, x, y) =
+  let setup () =
+    let m = fresh () in
+    List.iter
+      (fun k -> Alcotest.(check bool) "setup insert" true (m.m_insert k))
+      [ a; b; c; d ];
+    m
+  in
+  let internals path =
+    List.filter_map
+      (fun (n, _, named) -> if List.length named = 4 then Some n else None)
+      path
+  in
+  let last l = List.nth l (List.length l - 1) in
+  let dead what n = Alcotest.(check bool) (what ^ " is marked") true (is_dead n) in
+  let live what n =
+    Alcotest.(check bool) (what ^ " is unmarked") false (is_dead n)
+  in
+  let ok m = match m.m_check () with Ok () -> () | Error e -> Alcotest.fail e in
+  (* A delete's parent; its grandparent stays. *)
+  let m = setup () in
+  let path = m.m_layout a in
+  let ins = internals path in
+  let pd = last ins and gpd = List.nth ins (List.length ins - 2) in
+  Alcotest.(check bool) "delete a" true (m.m_delete a);
+  dead "delete: parent" pd;
+  live "delete: grandparent" gpd;
+  ok m;
+  (* An insert whose search ends at an internal node replaces it. *)
+  let m = setup () in
+  let (n, _, named) = last (m.m_layout x) in
+  Alcotest.(check int) "x's search ends at an internal node" 4
+    (List.length named);
+  Alcotest.(check bool) "insert x" true (m.m_insert x);
+  dead "insert: replaced internal node" n;
+  ok m;
+  (* A general replace removes pd and flags a's leaf on the way. *)
+  let m = setup () in
+  let path = m.m_layout a in
+  let pd = last (internals path) and (leaf, _, _) = last path in
+  let (ni, _, _) = last (m.m_layout y) in
+  Alcotest.(check bool) "replace a by y" true (m.m_replace a y);
+  dead "replace: pd" pd;
+  dead "replace: removed leaf" leaf;
+  dead "replace: internal node the insertion replaced" ni;
+  live "replace: b's leaf" (let (l, _, _) = last (m.m_layout b) in l);
+  ok m;
+  (* After a snapshot every internal node below the root is stale; a
+     delete renews the whole run, and the run leaves the live trie. *)
+  let m = setup () in
+  let view_marks = m.m_snapshot () in
+  let stale = List.tl (internals (m.m_layout a)) in
+  Alcotest.(check bool) "a stale run below the root" true (stale <> []);
+  Alcotest.(check bool) "delete a after a snapshot" true (m.m_delete a);
+  List.iteri (fun i n -> dead (Printf.sprintf "renewal: stale node %d" i) n) stale;
+  Alcotest.(check int) "the view counts the marks" (List.length stale)
+    (view_marks a);
+  ok m;
+  (* A late help of a completed delete finds the mark and leaves it. *)
+  let m = setup () in
+  let ins = internals (m.m_layout a) in
+  let pd = last ins and gpd = List.nth ins (List.length ins - 2) in
+  match m.m_prepare_delete a with
+  | None -> Alcotest.fail "prepare_delete unexpectedly failed"
+  | Some help ->
+      Alcotest.(check bool) "help completes the delete" true (help ());
+      dead "help: parent" pd;
+      Alcotest.(check bool) "a late help follows the commit" true (help ());
+      dead "late help: parent" pd;
+      live "late help: grandparent" gpd;
+      ok m
+
 let spawn_n n f = List.init n (fun d -> Domain.spawn (fun () -> f d))
 let join_all ds = List.map Domain.join ds
 
