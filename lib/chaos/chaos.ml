@@ -16,6 +16,7 @@ type site =
   | Unflag
   | Backtrack
   | Retry
+  | Snap_swing
   | Net_accept
   | Net_read
   | Net_write
@@ -35,6 +36,7 @@ let all_sites =
     Unflag;
     Backtrack;
     Retry;
+    Snap_swing;
     Net_accept;
     Net_read;
     Net_write;
@@ -54,6 +56,7 @@ let site_name = function
   | Unflag -> "unflag"
   | Backtrack -> "backtrack"
   | Retry -> "retry"
+  | Snap_swing -> "snap_swing"
   | Net_accept -> "net_accept"
   | Net_read -> "net_read"
   | Net_write -> "net_write"
@@ -72,14 +75,15 @@ let site_index = function
   | Unflag -> 5
   | Backtrack -> 6
   | Retry -> 7
-  | Net_accept -> 8
-  | Net_read -> 9
-  | Net_write -> 10
-  | Net_decode -> 11
-  | Wal_append -> 12
-  | Wal_fsync -> 13
-  | Wal_rotate -> 14
-  | Repl_apply -> 15
+  | Snap_swing -> 8
+  | Net_accept -> 9
+  | Net_read -> 10
+  | Net_write -> 11
+  | Net_decode -> 12
+  | Wal_append -> 13
+  | Wal_fsync -> 14
+  | Wal_rotate -> 15
+  | Repl_apply -> 16
 
 let n_sites = List.length all_sites
 

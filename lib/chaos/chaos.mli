@@ -49,6 +49,12 @@ type site =
                    (lines 103-106) *)
   | Retry  (** an update attempt failed and is about to restart from a
                fresh search — the site where contention backoff waits *)
+  | Snap_swing
+      (** snapshot (not in the paper): the holder CAS has superseded the
+          old generation, and the snapshot is about to release the old
+          root and help the descriptors published in the domains' slots.
+          A policy stalling here leaves a committed descriptor of the
+          old generation pending under the new one. *)
   | Net_accept  (** patserve: a connection was just accepted *)
   | Net_read  (** patserve: about to read from a connection socket *)
   | Net_write  (** patserve: about to write buffered responses *)

@@ -280,9 +280,10 @@ module For_testing : sig
       it swapped. *)
 
   val view_flags_on_path : view -> int -> int
-  (** {!flags_on_path} in a frozen view.  The live trie's renewals mark
-      the stale nodes they copy, so a node of the view that has been
-      renewed since the snapshot counts here. *)
+  (** {!flags_on_path} in a frozen view.  The live trie's renewals
+      leave the stale nodes they copy unflagged, so a node of the view
+      renewed since the snapshot does not count here; one a committed
+      update removed since does. *)
 
   val stale_on_path : t -> int -> int
   (** Number of internal nodes on the search path of a key that belong

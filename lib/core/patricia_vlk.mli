@@ -114,6 +114,9 @@ module For_testing : sig
   val is_dead : Obj.t -> bool
   val cas_child : Obj.t -> bool -> Obj.t -> Obj.t -> bool
   val view_flags_on_path : view -> Bitkey.Bitstr.t -> int
+  (** {!flags_on_path} in a frozen view, as {!Patricia.For_testing}'s:
+      renewed nodes read unflagged there, removed ones do not. *)
+
   val stale_on_path : t -> Bitkey.Bitstr.t -> int
   val set_cache_bits : t -> int option -> unit
   val cache_bits : t -> int

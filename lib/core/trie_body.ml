@@ -52,7 +52,11 @@
    the trie root sits behind a generation-stamped holder, every update
    descriptor validates the holder at a single decision CAS, and a
    snapshot swings the holder to a copied root — O(1) in the number of
-   keys — after which the old generation is immutable. *)
+   keys — after which the old generation is immutable.  An update copies
+   the old-generation nodes on its path into the live one with a
+   descriptor that flags only their live parent: the copied run leaves
+   the live trie unflagged, the one exception to the rule above that a
+   removed node stays flagged. *)
 
 (* What an instance's key module provides.  A label is the common
    prefix of the keys below an internal node; a span is the set of keys
@@ -595,15 +599,22 @@ let search_root t v = search_from (Atomic.get t.holder).hroot v
    deepest node it passed there if that differs from the hint.
 
    Why a hint read unflagged is a sound start (DESIGN.md, "Level
-   cache"): the trie never unlinks an internal node without flagging it
-   for good, and never links it again, so a node that was once on a
-   search path and now reads unflagged is in the trie at that read, and
+   cache"): the trie never unlinks a node of the live generation
+   without flagging it for good, and never links it again, so a node
+   that was once on a search path and now reads unflagged is in the
+   trie at that read, unless its generation was superseded since, and
    its label puts it on the search path of every key it prefixes.  The
-   descent then goes on as one from the root would from there.  The
-   single node that leaves the trie unflagged is a superseded root,
-   which [help_snap] unflags; roots are never written back, and each
+   descent then goes on as one from the root would from there.  Two
+   kinds of node leave the trie unflagged.  A superseded root, which
+   [help_snap] unflags: roots are never written back, and each
    generation has its own array, so no search starts in an older
-   generation's root through the cache.  Each generation's array holds
+   generation's root through the cache.  And a stale run a path renewal
+   copied ([renew_path]): it is reached only through its own, superseded
+   generation's array, by a descent that read that holder before the
+   swing.  Everything below it is frozen, so a find from it reads what a
+   root descent read just before the renewal, an instant inside the
+   find's interval; an update from it aborts at the decision CAS, since
+   the holder moved.  Each generation's array holds
    only nodes stamped with it: [search_renew] flags and CASes the
    children of its start node, which must not belong to a frozen
    generation, so [search] writes back only live-stamped nodes.
@@ -920,8 +931,7 @@ let new_flag t h ~(nodes : internal array) ~infos ~unflag ~pnodes
     else begin
       (* Line 115: flag in a fixed total order to avoid livelock.  A
          stable insertion sort: at most four entries, the general
-         replace's.  Path renewals, which can flag a whole path, build
-         their descriptor in order without coming here ([renew_run]). *)
+         replace's. *)
       for i = 1 to m - 1 do
         let x = nodes.(i) and xi = infos.(i) in
         let j = ref (i - 1) in
@@ -1010,13 +1020,15 @@ let copy_node ~gen = function
    node an insert replaces — may be stale: marking touches only the
    info field, which frozen-view traversals ignore.)  Every node below a
    stale node is stale too, so the descent meets stale nodes in runs: a
-   renewal copies the whole run toward the key at once, the way the
-   paper's general replace flags four nodes with one descriptor.  It is
-   an ordinary descriptor: it flags the live parent and every node of
-   the run, swings the parent's child to the top copy and unflags only
-   the parent, so the run stays marked forever like any removed node.
-   It validates at the same decision CAS as any update and aborts if a
-   snapshot intervenes.  A committed renewal does not end the descent:
+   renewal copies the whole run toward the key at once.  It is the
+   single-swing descriptor of an insert: it flags the live parent only,
+   swings the parent's child to the top copy and unflags the parent.
+   The run is frozen (its generation gets no new children once the
+   descriptors it committed are done, and the copy helps any it finds
+   pending), so its nodes need no flag and leave the live trie
+   unmarked; a frozen view still walks them.  The descriptor validates
+   at the same decision CAS as any update and aborts if a snapshot
+   intervenes.  A committed renewal does not end the descent:
    the search re-reads the parent and goes on through the copies, so a
    path that is stale all the way down costs one renewal descriptor and
    one pass. *)
@@ -1028,68 +1040,54 @@ let run_own t fi =
   Atomic.set slot None;
   r
 
-(* The descriptor of a path renewal, built from the bottom of the stale
-   run up.  [i] is the [j]-th stale node (from 0) of the run that
-   hangs from the live node [p] (read with [p_info]) as its child
-   [p_child].  The run goes on through every internal node whose
-   label prefixes [v]; all of them are stale, since only live nodes
-   ever get new children.  Each node's info is read before its children
-   (Lemma 31): the flag CAS on that info then certifies the children
-   the copy took.  The bottom frame allocates the descriptor, sized now
-   that the run's length is known, and each frame on the way back up
-   enters its node and info and wraps the copy below it in a copy of its
-   own node, whose other child is the original one.  [None] after
-   helping a descriptor pending on the run. *)
-let rec renew_run t h v p p_info p_child j (Internal ir as i : internal) =
+(* The copies of a path renewal, built from the bottom of the stale run
+   up.  [i] is a stale node of a run that hangs from a live node; the run
+   goes on through every internal node whose label prefixes [v].  Each
+   node's info is read before its children: a stale node read unflagged
+   after the holder swing has its final children (DESIGN.md, "Path
+   renewal"), and one read flagged is helped instead, since a descriptor
+   of its own generation may still CAS its children.  The bottom frame
+   puts the child below the run in [top.(0)], and each frame on the way
+   back up replaces it with a copy of its own node over it and the
+   original other child.  Returns the number of nodes copied, the top
+   copy left in [top.(0)], or -1 after helping a descriptor pending on
+   the run. *)
+let rec renew_run t h v top (Internal ir as i : internal) =
   match Atomic.get (iinfo i) with
   | (Flag _ | Snap _ | Dead) as fi ->
       bump t.stats (fun s -> s.helps_given);
       ignore (help fi);
-      None
-  | (Clean | Unflag _) as ii -> (
+      -1
+  | Clean | Unflag _ ->
       let c0 = ir.c0 and c1 = ir.c1 in
       let b = K.bit ir.label v in
-      let r =
+      let n =
         match if b then c1 else c0 with
         | Any (Internal nr as n) when K.is_prefix nr.label v ->
-            renew_run t h v p p_info p_child (j + 1) n
+            renew_run t h v top n
         | below ->
-            (* A root-to-leaf path has distinct nodes, already in
-               [compare_label] order: no [new_flag] dedup or sort. *)
-            let ps = [| p |] in
-            Some
-              {
-                flag_nodes = Array.make (j + 2) p;
-                old_infos = Array.make (j + 2) p_info;
-                unflag_nodes = ps;
-                pnodes = ps;
-                old_children = [| p_child |];
-                new_children = [| below |];
-                rmv_leaf = None;
-                decision = Atomic.make Pending;
-                fholder = h;
-                fcell = t.holder;
-                fstats = t.stats;
-              }
+            top.(0) <- below;
+            0
       in
-      match r with
-      | None -> r
-      | Some f ->
-          f.flag_nodes.(j + 1) <- i;
-          f.old_infos.(j + 1) <- ii;
-          let below = f.new_children.(0) and gen = h.hgen in
-          f.new_children.(0) <-
-            Any
-              (if b then make_internal ~gen ir.label c0 below
-               else make_internal ~gen ir.label below c1);
-          r)
+      if n >= 0 then begin
+        let below = top.(0) and gen = h.hgen in
+        top.(0) <-
+          Any
+            (if b then make_internal ~gen ir.label c0 below
+             else make_internal ~gen ir.label below c1);
+        n + 1
+      end
+      else n
 
 (* Renew the stale run below the live node [p] — the first stale node
-   [i] and every node under it toward [v] — with one descriptor: flag
-   [p] and the whole run, swing [p]'s child to the top copy, unflag only
-   [p].  The run stays marked, as a removed node does.  [true] iff the
-   renewal committed; [false] after helping a descriptor pending on [p]
-   or the run, or when the attempt aborted. *)
+   [i] and every node under it toward [v] — with the single-swing
+   descriptor of an insert: flag [p], swing its child from [i] to the
+   top copy, unflag [p].  The run itself is neither flagged nor marked:
+   it belongs to a superseded generation, which gets no new children,
+   so the flag on [p] alone orders the swing against every other update
+   of that subtree.  [true] iff the renewal committed; [false] after
+   helping a descriptor pending on [p] or the run, or when the attempt
+   aborted. *)
 let renew_path t (h : holder) p p_info (i : internal) v =
   if flagged p_info then begin
     bump t.stats (fun s -> s.helps_given);
@@ -1097,14 +1095,18 @@ let renew_path t (h : holder) p p_info (i : internal) v =
     false
   end
   else
-    match renew_run t h v p p_info (Any i) 0 i with
+    let top = [| Any i |] in
+    let n = renew_run t h v top i in
+    n > 0
+    &&
+    match swing_flag t h ~nodes:[| p |] ~infos:[| p_info |] p (Any i) top.(0) with
     | None -> false
-    | Some f ->
+    | Some fi ->
         chaos_point Chaos.Renew;
-        let ok = run_own t (Flag f) in
+        let ok = run_own t fi in
         (match t.stats with
         | Some s when ok ->
-            Obs.Counter.add s.renewals (Array.length f.flag_nodes - 1);
+            Obs.Counter.add s.renewals n;
             Obs.Counter.incr s.renew_paths
         | _ -> ());
         ok
@@ -1517,6 +1519,7 @@ let snapshot t =
              superseded [h] — then [h] is frozen all the same and this
              call linearizes at that snapshot's swing. *)
           ignore (Atomic.compare_and_set t.holder h h');
+          chaos_point Chaos.Snap_swing;
           ignore (Atomic.compare_and_set (iinfo root) si (fresh_unflag ()));
           List.iter
             (fun slot ->
@@ -1817,8 +1820,9 @@ module For_testing = struct
   let cas_child n b old nc =
     cas_child (Obj.obj n : internal) b (Obj.obj old : node) (Obj.obj nc)
 
-  (* The same count in a frozen view: a stale node the live trie renewed
-     since the snapshot is marked, so it counts here. *)
+  (* The same count in a frozen view.  A path renewal leaves the nodes
+     it copies unflagged, so only the nodes a committed update removed
+     since the snapshot count here. *)
   let view_flags_on_path w k = flags_from w.vroot (K.import w.vctx k)
 
   (* Count of internal nodes the search path of [k] descends through

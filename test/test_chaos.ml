@@ -231,12 +231,13 @@ type renew_subject = {
   snapshot : unit -> frozen;
   live : unit -> string list;
   stale_on_path : string -> int;
+  helps_given : unit -> int;
   audit : unit -> (unit, string) result;
 }
 
 (* PAT over universe 16 (width 5), keys as decimal strings. *)
 let pat_renew_subject () =
-  let t = P.create ~universe:16 () in
+  let t = P.create ~universe:16 ~record_stats:true () in
   let str = List.map string_of_int and int = int_of_string in
   {
     insert = (fun k -> P.insert t (int k));
@@ -250,12 +251,15 @@ let pat_renew_subject () =
         });
     live = (fun () -> str (P.to_list t));
     stale_on_path = (fun k -> P.For_testing.stale_on_path t (int k));
+    helps_given =
+      (fun () ->
+        match P.stats_snapshot t with Some s -> s.helps_given | None -> 0);
     audit = (fun () -> P.check_invariants t);
   }
 
 (* PAT-VLK through its byte-string API. *)
 let vlk_renew_subject () =
-  let t = V.create () in
+  let t = V.create ~record_stats:true () in
   {
     insert = V.insert t;
     delete = V.delete t;
@@ -271,6 +275,11 @@ let vlk_renew_subject () =
     live = (fun () -> V.to_list t);
     stale_on_path =
       (fun k -> V.For_testing.stale_on_path t (Bitkey.Bitstr.encode_bytes k));
+    helps_given =
+      (fun () ->
+        match V.For_testing.counters t with
+        | Some c -> List.assoc "helps_given" c
+        | None -> 0);
     audit = (fun () -> V.check_invariants t);
   }
 
@@ -387,6 +396,11 @@ let chain_stall ~name s ~prefill ~victim ~added () =
   | sites ->
       Alcotest.failf "%s: victim after release crossed %s" name
         (String.concat ", " (List.map Chaos.site_name sites)));
+  (* The main domain's renewal and the victim's retry between them
+     renewed the whole path v2 froze: no node of an older generation is
+     left on the victim's live path. *)
+  Alcotest.(check int) (name ^ ": v1's stale run is off the live path") 0
+    (s.stale_on_path victim);
   let v3 = s.snapshot () in
   let expect1 = sorted prefill in
   let expect2 = sorted (added :: prefill) in
@@ -402,12 +416,12 @@ let chain_stall ~name s ~prefill ~victim ~added () =
         (sorted (v.walk ())))
     [ ("first view", v1, expect1); ("second view", v2, expect2);
       ("third view", v3, expect3) ];
-  (* The main domain's renewal and the victim's retry between them
-     renewed the whole run v1 froze, and a renewal marks every node it
-     copies, not only the one it detaches. *)
+  (* A renewal flags only the live parent of the run it copies: the
+     run v1 froze reads unflagged in v1, though it has left the live
+     trie. *)
   Alcotest.(check int)
-    (name ^ ": v1's stale run marked")
-    run (v1.marked victim)
+    (name ^ ": v1's renewed run reads unflagged")
+    0 (v1.marked victim)
 
 let test_stall_chain () =
   (* Universe 16 (width 5): internal keys 8, 12, 14, 15 and the low
@@ -423,6 +437,82 @@ let test_stall_chain () =
   let key k = "k" ^ String.make 1 (Char.chr (k + 1)) in
   chain_stall ~name:"PAT-VLK stale chain" (vlk_renew_subject ())
     ~prefill:(List.map key [ 7; 11; 13; 14 ]) ~victim:(key 12) ~added:(key 8) ()
+
+(* Domain A's insert commits and freezes at [Child_cas], its parent node
+   flagged.  Domain B's snapshot swings the holder past A's generation
+   and freezes at [Snap_swing], before it helps the descriptors
+   published in the slots, so A's parent is stale and still waits for
+   A's child CAS.  The main domain then inserts a key whose path crosses
+   that node.  Its renewal must help A before copying the node: a copy
+   taken now would keep the child A is about to replace, and the live
+   trie would lose A's key while B's view holds it.  On release the live
+   set, B's view, a fresh view and the invariants must be exact. *)
+let pending_stall ~name s ~prefill ~pending ~crossing () =
+  let sorted l = List.sort compare l in
+  List.iter (fun k -> assert (s.insert k)) prefill;
+  let at_child = Chaos.Stall.install Chaos.Child_cas
+  and at_swing = Chaos.Stall.install Chaos.Snap_swing in
+  Chaos.set_policy ~name
+    (Some
+       (fun site ->
+         Chaos.Stall.hook at_child site;
+         Chaos.Stall.hook at_swing site));
+  Fun.protect
+    ~finally:(fun () ->
+      Chaos.Stall.release at_child;
+      Chaos.Stall.release at_swing;
+      Chaos.set_policy None)
+  @@ fun () ->
+  let stalled what st d =
+    if not (Chaos.Stall.wait_stalled ~timeout_s:60.0 st) then begin
+      ignore (Domain.join d);
+      Alcotest.failf "%s: %s never reached its stall" name what
+    end
+  in
+  let a = Domain.spawn (fun () -> s.insert pending) in
+  stalled "the pending insert" at_child a;
+  let view = Atomic.make None in
+  let b = Domain.spawn (fun () -> Atomic.set view (Some (s.snapshot ()))) in
+  stalled "the snapshot" at_swing b;
+  let h0 = s.helps_given () in
+  Alcotest.(check bool) (name ^ ": insert across the pending node") true
+    (s.insert crossing);
+  Alcotest.(check int)
+    (name ^ ": the renewal helped the pending insert")
+    1
+    (s.helps_given () - h0);
+  if not (Chaos.Stall.stalled at_child && Chaos.Stall.stalled at_swing) then
+    Alcotest.failf "%s: a stalled domain left its stall early" name;
+  Chaos.Stall.release at_child;
+  Chaos.Stall.release at_swing;
+  Alcotest.(check bool) (name ^ ": pending insert") true (Domain.join a);
+  Domain.join b;
+  let expect1 = sorted (pending :: prefill) in
+  let expect2 = sorted (crossing :: expect1) in
+  Alcotest.(check (list string)) (name ^ ": live set") expect2 (sorted (s.live ()));
+  (match Atomic.get view with
+  | None -> Alcotest.failf "%s: the snapshot returned no view" name
+  | Some v ->
+      Alcotest.(check (list string)) (name ^ ": the snapshot's view") expect1
+        (sorted (v.walk ())));
+  Alcotest.(check (list string))
+    (name ^ ": a fresh view") expect2
+    (sorted ((s.snapshot ()).walk ()));
+  match s.audit () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: invariants: %s" name e
+
+let test_stall_pending () =
+  (* Universe 16 (width 5): 9, 11 and 12 (internal 01010, 01100, 01101)
+     hang below the node 01, itself below 0.  Inserting 10 (01011) flags
+     01; inserting 13 (01110) descends through 0, 01 and 0110. *)
+  let str = List.map string_of_int in
+  pending_stall ~name:"PAT pending commit" (pat_renew_subject ())
+    ~prefill:(str [ 9; 11; 12 ]) ~pending:"10" ~crossing:"13" ();
+  let key k = "k" ^ String.make 1 (Char.chr (k + 1)) in
+  pending_stall ~name:"PAT-VLK pending commit" (vlk_renew_subject ())
+    ~prefill:(List.map key [ 9; 11; 12 ]) ~pending:(key 10)
+    ~crossing:(key 13) ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6 special cases of replace *)
@@ -643,6 +733,8 @@ let () =
               test_stall_renew;
             Alcotest.test_case "stale chain copy never overwrites a later update"
               `Quick test_stall_chain;
+            Alcotest.test_case "renewal helps a commit pending under a snapshot"
+              `Quick test_stall_pending;
           ] );
       ( "figure 6 replace",
         List.concat_map

@@ -342,7 +342,9 @@ let test_dead_marks () =
         m_delete = P.delete t;
         m_replace = (fun remove add -> P.replace t ~remove ~add);
         m_snapshot =
-          (fun () -> P.For_testing.view_flags_on_path (P.snapshot t));
+          (fun () ->
+            let w = P.snapshot t in
+            (P.For_testing.view_flags_on_path w, fun () -> P.View.size w));
         m_layout = P.For_testing.layout_on_path t;
         m_prepare_delete =
           (fun k ->

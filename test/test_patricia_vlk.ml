@@ -204,7 +204,9 @@ let test_dead_marks () =
         m_delete = V.delete_key t;
         m_replace = V.replace_key t;
         m_snapshot =
-          (fun () -> V.For_testing.view_flags_on_path (V.snapshot t));
+          (fun () ->
+            let w = V.snapshot t in
+            (V.For_testing.view_flags_on_path w, fun () -> V.View.size w));
         m_layout = V.For_testing.layout_on_path t;
         m_prepare_delete =
           (fun k ->

@@ -214,7 +214,7 @@ let test_renewal_continues () =
     model := apply !model;
     Alcotest.(check int) (name ^ ": one attempt") 1 (s1.attempts - s0.attempts);
     Alcotest.(check int)
-      (name ^ ": one renewal per stale node")
+      (name ^ ": renewals count the copies, one per stale node")
       stale (s1.renewals - s0.renewals);
     Alcotest.(check int)
       (name ^ ": one renewal descriptor per search that met a stale node")
@@ -247,6 +247,50 @@ let test_renewal_continues () =
         (P.View.to_list v))
     !views;
   Alcotest.(check (list int)) "live set" (IS.elements !model) (P.to_list t);
+  match P.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invariants: %s" e
+
+(* A path renewal flags only the live parent of the stale run it
+   copies.  After a snapshot, an insert and a delete each meet a run of
+   at least five stale nodes; between its [Renew] crossing and the
+   renewal's child CAS, each update's chaos trail must cross [Flag_cas]
+   once, where a renewal that flags every node it copies crosses it
+   [stale + 1] times. *)
+let test_renewal_flags_parent () =
+  let universe = 1000 in
+  let t = P.create ~universe () in
+  let st = Random.State.make [| 12 |] in
+  for _ = 1 to 400 do
+    ignore (P.insert t (Random.State.int st universe))
+  done;
+  let first p lo = List.find p (List.init (universe - lo) (fun i -> lo + i)) in
+  let run name op k =
+    ignore (P.snapshot t);
+    let stale = P.For_testing.stale_on_path t k in
+    if stale < 5 then
+      Alcotest.failf "%s: only %d stale nodes on its path" name stale;
+    let trail = ref [] in
+    Chaos.with_policy ~name
+      (fun site -> trail := site :: !trail)
+      (fun () -> Alcotest.(check bool) (name ^ " result") true (op k));
+    let rec after_renew = function
+      | Chaos.Renew :: rest -> rest
+      | _ :: rest -> after_renew rest
+      | [] -> Alcotest.failf "%s: no renewal on the trail" name
+    in
+    let rec flags n = function
+      | Chaos.Flag_cas :: rest -> flags (n + 1) rest
+      | Chaos.Child_cas :: _ | [] -> n
+      | _ :: rest -> flags n rest
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%s: flag CASes renewing %d stale nodes" name stale)
+      1
+      (flags 0 (after_renew (List.rev !trail)))
+  in
+  run "insert" (P.insert t) (first (fun k -> not (P.member t k)) 100);
+  run "delete" (P.delete t) (first (P.member t) 200);
   match P.check_invariants t with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
@@ -551,6 +595,8 @@ let () =
             test_root_flag_helped_to_commit_by_snapshot;
           Alcotest.test_case "stale path renewed in one attempt" `Quick
             test_renewal_continues;
+          Alcotest.test_case "a renewal flags only the run's parent" `Quick
+            test_renewal_flags_parent;
         ] );
       ( "storms",
         [

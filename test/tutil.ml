@@ -302,13 +302,14 @@ let cas_child_fields ~insert ~layout ~cas_child ~check (k, s) =
 
 (* The operations [dead_marks] runs on one fresh trie.  [m_snapshot]
    takes a snapshot and returns the count of flagged or marked nodes on
-   a key's path in its view; [m_prepare_delete] builds a delete's
-   descriptor without running it and returns its [help]. *)
+   a key's path in its view, and the view's size; [m_prepare_delete]
+   builds a delete's descriptor without running it and returns its
+   [help]. *)
 type 'k marks = {
   m_insert : 'k -> bool;
   m_delete : 'k -> bool;
   m_replace : 'k -> 'k -> bool;
-  m_snapshot : unit -> 'k -> int;
+  m_snapshot : unit -> ('k -> int) * (unit -> int);
   m_layout : 'k -> (Obj.t * Obj.t * Obj.t list) list;
   m_prepare_delete : 'k -> (unit -> bool) option;
   m_check : unit -> (unit, string) result;
@@ -321,10 +322,11 @@ type 'k marks = {
    itself, and [y]'s ends at [c] and [d]'s parent.  The nodes are taken
    from [a]'s (or [x]'s) search path before the update and read after
    it: a delete's parent; the internal node an insert replaces; a
-   general replace's [pd] and its removed leaf; the stale run a path
-   renewal copies after a snapshot.  A late help of a completed delete
-   leaves its mark as it was.  The nodes that stay in the trie read
-   unmarked, and the invariants hold after each update. *)
+   general replace's [pd] and its removed leaf.  A late help of a
+   completed delete leaves its mark as it was.  The nodes that stay in
+   the trie read unmarked, and the invariants hold after each update.
+   The stale run a path renewal copies after a snapshot is the one
+   exception: it leaves the live trie unflagged and unmarked. *)
 let dead_marks ~fresh ~is_dead (a, b, c, d, x, y) =
   let setup () =
     let m = fresh () in
@@ -373,15 +375,23 @@ let dead_marks ~fresh ~is_dead (a, b, c, d, x, y) =
   live "replace: b's leaf" (let (l, _, _) = last (m.m_layout b) in l);
   ok m;
   (* After a snapshot every internal node below the root is stale; a
-     delete renews the whole run, and the run leaves the live trie. *)
+     delete renews the whole run, and the run leaves the live trie
+     unflagged, while the view still walks it. *)
   let m = setup () in
-  let view_marks = m.m_snapshot () in
+  let view_marks, view_size = m.m_snapshot () in
   let stale = List.tl (internals (m.m_layout a)) in
   Alcotest.(check bool) "a stale run below the root" true (stale <> []);
   Alcotest.(check bool) "delete a after a snapshot" true (m.m_delete a);
-  List.iteri (fun i n -> dead (Printf.sprintf "renewal: stale node %d" i) n) stale;
-  Alcotest.(check int) "the view counts the marks" (List.length stale)
-    (view_marks a);
+  let on_path = List.map (fun (n, _, _) -> n) (m.m_layout a) in
+  List.iteri
+    (fun i n ->
+      let what = Printf.sprintf "renewal: stale node %d" i in
+      live what n;
+      Alcotest.(check bool) (what ^ " is off the live path") false
+        (List.memq n on_path))
+    stale;
+  Alcotest.(check int) "the view's path reads unflagged" 0 (view_marks a);
+  Alcotest.(check int) "the view walks its frozen set" 4 (view_size ());
   ok m;
   (* A late help of a completed delete finds the mark and leaves it. *)
   let m = setup () in
