@@ -83,35 +83,23 @@ let serve_arg =
   let doc =
     "Serve live metrics over HTTP on 127.0.0.1:$(docv) for the whole run: \
      GET /metrics returns Prometheus text (throughput counter, latency \
-     quantiles, retry attribution, GC state), GET /healthz returns ok.  \
-     Port 0 binds an ephemeral port (printed at startup).  Implies \
-     latency recording and retry attribution."
+     quantiles, PAT's attempt and retry-cause counters, GC state), GET \
+     /healthz returns ok.  Port 0 binds an ephemeral port (printed at \
+     startup).  Implies latency recording and PAT's counters."
   in
   Arg.(value & opt (some int) None & info [ "serve" ] ~doc ~docv:"PORT")
-
-let attribution_arg =
-  let doc =
-    "Profile CAS-retry attribution: histogram every update retry by cause \
-     (flag CAS lost, child CAS lost, flagged-ancestor help, backtrack, \
-     structural conflict) and by the attempt depth at which it struck; \
-     print the decomposition table at exit."
-  in
-  Arg.(value & flag & info [ "attribution" ] ~doc)
 
 let set_backoff b = Chaos.Backoff.set_enabled b
 
 (* Install the flight recorder around one subcommand invocation: the
-   attempt-span trace ring (--trace-out), the retry-attribution profiler
-   (--attribution, implied by --serve) and the live scrape endpoint
-   (--serve).  Teardown always runs — the trace file and attribution
-   table survive a failing sweep. *)
-let with_flight_recorder ~trace_out ~serve ~attribution f =
+   attempt-span trace ring (--trace-out) and the live scrape endpoint
+   (--serve).  Teardown always runs — the trace file survives a failing
+   sweep. *)
+let with_flight_recorder ~trace_out ~serve f =
   let tr =
     Option.map (fun _ -> Obs.Trace.create ~capacity:16384 ()) trace_out
   in
   Option.iter (fun t -> Obs.Trace.set_recorder (Some t)) tr;
-  let profile = attribution || serve <> None in
-  if profile then Obs.Attribution.set_enabled true;
   let server =
     Option.map
       (fun port ->
@@ -137,11 +125,6 @@ let with_flight_recorder ~trace_out ~serve ~attribution f =
             (List.length (Obs.Trace.dump t))
             (Obs.Trace.dropped t)
       | _ -> ());
-      if profile then begin
-        Format.printf "@.=== Retry attribution ===@.";
-        Obs.Attribution.pp Format.std_formatter ();
-        Obs.Attribution.set_enabled false
-      end;
       Format.print_flush ())
     f
 
@@ -282,6 +265,10 @@ let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~key ~title subjects
           [
             ("attempts/op", fun f -> Harness.per_op f "attempts");
             ("flag failures/op", fun f -> Harness.per_op f "flag_failures");
+            ( "flagged-ancestor restarts/op",
+              fun f -> Harness.per_op f "flagged_ancestor" );
+            ("conflicts/op", fun f -> Harness.per_op f "conflicts");
+            ("child CAS lost/op", fun f -> Harness.per_op f "child_cas_lost");
             ("helps/op", fun f -> Harness.per_op f "helps_given");
             ("backtracks/op", fun f -> Harness.per_op f "backtracks");
             ( "nodes/search",
@@ -329,9 +316,9 @@ let figure_cmd =
     Arg.(value & opt (some int) None & info [ "range" ] ~doc)
   in
   let run ids range threads_list seconds trials seed csv metrics baseline
-      backoff trace_out serve attribution =
+      backoff trace_out serve =
     set_backoff backoff;
-    with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
+    with_flight_recorder ~trace_out ~serve @@ fun () ->
     with_outputs ~threads_list ~seconds ~trials ~seed ?metrics ?baseline
     @@ fun () ->
     List.iter
@@ -354,7 +341,7 @@ let figure_cmd =
     Term.(
       const run $ id_arg $ range_arg $ threads_arg $ seconds_arg $ trials_arg
       $ seed_arg $ csv_arg $ metrics_arg $ baseline_arg $ backoff_arg
-      $ trace_out_arg $ serve_arg $ attribution_arg)
+      $ trace_out_arg $ serve_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve subcommand: the trie behind the patserve binary protocol *)

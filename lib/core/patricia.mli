@@ -174,10 +174,28 @@ type snapshot = {
   helps_received : int;
       (** flag CASes lost because a helper had already installed the
           same descriptor — how often this trie's updates were helped *)
-  flag_failures : int;  (** attempts abandoned in the flagging phase *)
+  flag_failures : int;
+      (** attempts abandoned because a flag CAS lost (paper lines
+          87-92) *)
+  flagged_ancestor : int;
+      (** attempts restarted after helping a pending descriptor they read
+          (lines 109-111) *)
+  conflicts : int;
+      (** attempts restarted with no descriptor to help: a [createNode]
+          prefix clash, or a node whose info changed between two reads.
+          Every failed attempt is counted once, under one of these three
+          causes: [attempts] = updates + [flag_failures] +
+          [flagged_ancestor] + [conflicts], where a [replace] of a key by
+          itself makes no attempt *)
+  child_cas_lost : int;
+      (** child CASes whose expected old child was already gone: a
+          helper or a conflicting update got there first *)
   backtracks : int;
       (** failed flag phases backed out inside [help] (paper lines
           103-106) *)
+  descriptors_run : int;
+      (** entries to [help] on an update descriptor: each update's own
+          run plus every help of a pending one *)
   backoff_waits : int;
       (** retries that paused in the contention backoff — always [0]
           unless [Chaos.Backoff.set_enabled true]
@@ -251,10 +269,6 @@ module For_testing : sig
   val help : descriptor -> bool
   (** Complete (or back out) the update described by the descriptor,
       exactly as any helping process would. *)
-
-  val set_help_hook : (unit -> unit) option -> unit
-  (** Install a callback invoked at every entry to the internal help
-      routine; used by tests to count helping. *)
 
   val flags_on_path : t -> int -> int
   (** Number of flagged or removed-marked nodes on the search path of a

@@ -108,7 +108,6 @@ module For_testing : sig
   val prepare_delete : t -> Bitkey.Bitstr.t -> descriptor option
   val flag_only : descriptor -> bool
   val help : descriptor -> bool
-  val set_help_hook : (unit -> unit) option -> unit
   val flags_on_path : t -> Bitkey.Bitstr.t -> int
   val layout_on_path : t -> Bitkey.Bitstr.t -> (Obj.t * Obj.t * Obj.t list) list
   val is_dead : Obj.t -> bool

@@ -238,7 +238,8 @@ and flag = {
   fstats : stats option;
       (* The owning trie's counters, carried by the descriptor so that
          helpers — which see only the descriptor — can attribute events
-         (helps received, backtracks) to the right trie. *)
+         (descriptors run, helps received, lost child CASes, backtracks)
+         to the right trie. *)
 }
 
 (* Descriptor of an in-flight snapshot, installed on the old root's
@@ -259,8 +260,18 @@ and stats = {
   helps_received : Obs.Counter.t;
       (* flag CASes lost because another process had already installed
          this very descriptor — i.e. our operation was helped along *)
+  (* Every failed attempt bumps exactly one of the next three, by cause,
+     so attempts = updates + flag_failures + flagged_ancestor + conflicts. *)
   flag_failures : Obs.Counter.t; (* attempts abandoned in the flagging phase *)
+  flagged_ancestor : Obs.Counter.t;
+      (* attempts restarted after helping a pending descriptor they read *)
+  conflicts : Obs.Counter.t;
+      (* attempts restarted with no descriptor to help: a prefix clash or
+         a node that changed between two reads *)
+  child_cas_lost : Obs.Counter.t;
+      (* child CASes whose expected old child was already gone *)
   backtracks : Obs.Counter.t; (* failed flag phases backed out in help *)
+  descriptors_run : Obs.Counter.t; (* entries to help on a Flag, own or not *)
   backoff_waits : Obs.Counter.t;
       (* retries that paused in the contention backoff (Chaos.Backoff) *)
   renewals : Obs.Counter.t;
@@ -284,7 +295,11 @@ type snapshot = {
   helps_given : int;
   helps_received : int;
   flag_failures : int;
+  flagged_ancestor : int;
+  conflicts : int;
+  child_cas_lost : int;
   backtracks : int;
+  descriptors_run : int;
   backoff_waits : int;
   descent_nodes_find : int;
   descent_nodes_insert : int;
@@ -385,7 +400,11 @@ let make_stats () : stats =
     helps_given = Obs.Counter.create ();
     helps_received = Obs.Counter.create ();
     flag_failures = Obs.Counter.create ();
+    flagged_ancestor = Obs.Counter.create ();
+    conflicts = Obs.Counter.create ();
+    child_cas_lost = Obs.Counter.create ();
     backtracks = Obs.Counter.create ();
+    descriptors_run = Obs.Counter.create ();
     backoff_waits = Obs.Counter.create ();
     renewals = Obs.Counter.create ();
     renew_paths = Obs.Counter.create ();
@@ -432,15 +451,12 @@ let[@inline] retry_pause (stats : stats option) bo =
   else bo
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder (lib/obs).  Two further gated instrumentation
-   families alongside [bump] and [chaos_point], with the same disabled
-   cost — one atomic load and an untaken branch per site:
-
-   - one closed span per update attempt into the global trace recorder
-     ([Obs.Trace.set_recorder]), labelled with the attempt number and
-     the retry cause / CAS site it ended at;
-   - per-cause retry attribution ([Obs.Attribution.mark] and
-     [op_complete], both gated internally on their own flag).
+(* Flight recorder (lib/obs).  One closed span per update attempt into
+   the global trace recorder ([Obs.Trace.set_recorder]), labelled with
+   the attempt number and the retry cause it ended at, so the spans of
+   one operation give the attempt depth each cause struck at.  With no
+   recorder the cost is that of [chaos_point]: one atomic load and an
+   untaken branch.
 
    [span_start] reads the clock only when tracing is live; a zero start
    marks the attempt as untraced, so the completion helpers need no
@@ -460,16 +476,31 @@ let span_emit kind ~key ~ok ~attempt ~site ~t0 =
    why the operation was a no-op). *)
 let[@inline] attempt_done kind ~key ~attempt ~t0 ~site ok =
   if t0 <> 0 then span_emit kind ~key ~ok ~attempt ~site ~t0;
-  Obs.Attribution.op_complete ();
   ok
 
-(* Attempt failed and the loop will go around; [cause] names the CAS it
-   lost or the conflict it hit. *)
-let[@inline] attempt_retry kind ~key ~attempt ~t0 cause =
-  Obs.Attribution.mark cause ~attempt;
+(* Why a failed attempt goes around: one of its flag CASes lost (paper
+   lines 87-92), it helped a pending descriptor it read (lines 109-111),
+   or it met a conflict with no descriptor to help. *)
+type cause = Flag_cas_lost | Flagged_ancestor | Conflict
+
+(* Attempt failed and the loop will go around: count it under its
+   [cause], the only place a failed attempt is counted. *)
+let[@inline] attempt_retry (stats : stats option) kind ~key ~attempt ~t0 cause =
+  (match stats with
+  | None -> ()
+  | Some s ->
+      Obs.Counter.incr
+        (match cause with
+        | Flag_cas_lost -> s.flag_failures
+        | Flagged_ancestor -> s.flagged_ancestor
+        | Conflict -> s.conflicts));
   if t0 <> 0 then
     span_emit kind ~key ~ok:false ~attempt
-      ~site:(Obs.Attribution.cause_name cause)
+      ~site:
+        (match cause with
+        | Flag_cas_lost -> "flag_cas_lost"
+        | Flagged_ancestor -> "flagged_ancestor"
+        | Conflict -> "conflict")
       ~t0
 
 let[@inline] flagged = function
@@ -481,8 +512,7 @@ let[@inline] flagged = function
    a pending descriptor; otherwise a node changed between two reads of
    the same attempt. *)
 let[@inline] retry_cause2 a b =
-  if flagged a || flagged b then Obs.Attribution.Flagged_ancestor
-  else Obs.Attribution.Conflict
+  if flagged a || flagged b then Flagged_ancestor else Conflict
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -782,13 +812,10 @@ let child_cas_phase f =
       chaos_point Chaos.Child_cas;
       if not (cas_child p b f.old_children.(i) nc) then
         (* Expected old child already gone: a helper or a conflicting
-           update got there first.  Attempt number unknown on the
-           helper side, recorded as 0. *)
-        Obs.Attribution.mark Obs.Attribution.Child_cas_lost ~attempt:0;
+           update got there first. *)
+        bump f.fstats (fun s -> s.child_cas_lost);
       chaos_point Chaos.After_child_cas)
     f.pnodes
-
-let help_counter_hook : (unit -> unit) option ref = ref None
 
 (* [index_of a m x 0] is the position of [x] among [a.(0 .. m-1)]
    (physical equality), or -1.  [Array.memq] would allocate a closure
@@ -819,7 +846,7 @@ let rec help (fi : info) : bool =
   | Flag f -> help_flag fi f
 
 and help_flag (fi : info) (f : flag) : bool =
-  (match !help_counter_hook with Some h -> h () | None -> ());
+  bump f.fstats (fun s -> s.descriptors_run);
   let do_child_cas = flag_phase fi f in
   (* The decision CAS (not in the paper): an update commits only if some
      process that saw every flag in place also saw the trie's holder
@@ -868,7 +895,6 @@ and help_flag (fi : info) (f : flag) : bool =
          back the flags out. *)
       chaos_point Chaos.Backtrack;
       bump f.fstats (fun s -> s.backtracks);
-      Obs.Attribution.mark Obs.Attribution.Backtrack ~attempt:0;
       for i = Array.length f.flag_nodes - 1 downto 0 do
         ignore
           (Atomic.compare_and_set (iinfo f.flag_nodes.(i)) fi (fresh_unflag ()))
@@ -1206,8 +1232,7 @@ let insert t k =
     let h = Atomic.get t.holder in
     match search_renew ~need_gp:false t h v with
     | None ->
-        attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
-          Obs.Attribution.Conflict;
+        attempt_retry stats Obs.Trace.Insert ~key:v ~attempt:n ~t0 Conflict;
         attempt (retry_pause stats bo) (n + 1)
     | Some r -> (
         descent stats (fun s -> s.descent_insert) r.depth;
@@ -1221,12 +1246,11 @@ let insert t k =
               attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0
                 ~site:"applied" true
           | Some _ ->
-              bump stats (fun s -> s.flag_failures);
-              attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
-                Obs.Attribution.Flag_cas_lost;
+              attempt_retry stats Obs.Trace.Insert ~key:v ~attempt:n ~t0
+                Flag_cas_lost;
               attempt (retry_pause stats bo) (n + 1)
           | None ->
-              attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
+              attempt_retry stats Obs.Trace.Insert ~key:v ~attempt:n ~t0
                 (retry_cause2 r.p_info node_info_v);
               attempt (retry_pause stats bo) (n + 1))
   in
@@ -1263,8 +1287,7 @@ let delete t k =
     let h = Atomic.get t.holder in
     match search_renew ~need_gp:true t h v with
     | None ->
-        attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
-          Obs.Attribution.Conflict;
+        attempt_retry stats Obs.Trace.Delete ~key:v ~attempt:n ~t0 Conflict;
         attempt (retry_pause stats bo) (n + 1)
     | Some r -> (
         descent stats (fun s -> s.descent_delete) r.depth;
@@ -1277,15 +1300,14 @@ let delete t k =
               attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0
                 ~site:"applied" true
           | Some _ ->
-              bump stats (fun s -> s.flag_failures);
-              attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
-                Obs.Attribution.Flag_cas_lost;
+              attempt_retry stats Obs.Trace.Delete ~key:v ~attempt:n ~t0
+                Flag_cas_lost;
               attempt (retry_pause stats bo) (n + 1)
           | None ->
-              attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
+              attempt_retry stats Obs.Trace.Delete ~key:v ~attempt:n ~t0
                 (match r.gp_info with
                 | Some gp_info -> retry_cause2 gp_info r.p_info
-                | None -> Obs.Attribution.Conflict);
+                | None -> Conflict);
               attempt (retry_pause stats bo) (n + 1))
   in
   attempt Chaos.Backoff.init 1
@@ -1388,7 +1410,7 @@ let replace_keys t vd vi =
     let t0 = span_start () in
     let h = Atomic.get t.holder in
     match search_renew ~need_gp:true t h vd with
-    | None -> retry bo n t0 Obs.Attribution.Conflict
+    | None -> retry bo n t0 Conflict
     | Some rd -> (
         descent stats (fun s -> s.descent_replace) rd.depth;
         if not (key_in_trie rd.node vd rd.rmvd) then
@@ -1396,7 +1418,7 @@ let replace_keys t vd vi =
             false
         else
           match search_renew ~need_gp:false t h vi with
-          | None -> retry bo n t0 Obs.Attribution.Conflict
+          | None -> retry bo n t0 Conflict
           | Some ri -> (
               descent stats (fun s -> s.descent_replace) ri.depth;
               if key_in_trie ri.node vi ri.rmvd then
@@ -1408,9 +1430,7 @@ let replace_keys t vd vi =
                 | Some fi when run_own t fi ->
                     attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0
                       ~site:"applied" true
-                | Some _ ->
-                    bump stats (fun s -> s.flag_failures);
-                    retry bo n t0 Obs.Attribution.Flag_cas_lost
+                | Some _ -> retry bo n t0 Flag_cas_lost
                 | None ->
                     (* Recover the cause from every info value this
                        attempt read; [new_flag]'s [None] collapses
@@ -1424,10 +1444,10 @@ let replace_keys t vd vi =
                          match rd.gp_info with
                          | Some i -> flagged i
                          | None -> false
-                       then Obs.Attribution.Flagged_ancestor
-                       else Obs.Attribution.Conflict)))
+                       then Flagged_ancestor
+                       else Conflict)))
   and retry bo n t0 cause =
-    attempt_retry Obs.Trace.Replace ~key:vd ~attempt:n ~t0 cause;
+    attempt_retry stats Obs.Trace.Replace ~key:vd ~attempt:n ~t0 cause;
     attempt (retry_pause stats bo) (n + 1)
   in
   attempt Chaos.Backoff.init 1
@@ -1566,7 +1586,11 @@ let stats_snapshot t : snapshot option =
           helps_given = Obs.Counter.sum s.helps_given;
           helps_received = Obs.Counter.sum s.helps_received;
           flag_failures = Obs.Counter.sum s.flag_failures;
+          flagged_ancestor = Obs.Counter.sum s.flagged_ancestor;
+          conflicts = Obs.Counter.sum s.conflicts;
+          child_cas_lost = Obs.Counter.sum s.child_cas_lost;
           backtracks = Obs.Counter.sum s.backtracks;
+          descriptors_run = Obs.Counter.sum s.descriptors_run;
           backoff_waits = Obs.Counter.sum s.backoff_waits;
           descent_nodes_find = Obs.Counter.sum s.descent_find;
           descent_nodes_insert = Obs.Counter.sum s.descent_insert;
@@ -1587,7 +1611,11 @@ let stats_to_alist (s : snapshot) =
     ("helps_given", s.helps_given);
     ("helps_received", s.helps_received);
     ("flag_failures", s.flag_failures);
+    ("flagged_ancestor", s.flagged_ancestor);
+    ("conflicts", s.conflicts);
+    ("child_cas_lost", s.child_cas_lost);
     ("backtracks", s.backtracks);
+    ("descriptors_run", s.descriptors_run);
     ("backoff_waits", s.backoff_waits);
     ("descent_nodes_find", s.descent_nodes_find);
     ("descent_nodes_insert", s.descent_nodes_insert);
@@ -1756,8 +1784,6 @@ module For_testing = struct
     | Flag f -> flag_phase fi f
     | Clean | Dead | Unflag _ | Snap _ ->
         invalid_arg "flag_only: not a Flag descriptor"
-
-  let set_help_hook h = help_counter_hook := h
 
   (* Fix the level cache at [2^bits] slots ([Some 0]: none) from the
      next sampled descent of every generation, or return it to sizing

@@ -131,11 +131,11 @@ type trial_metrics = {
 
    The run loops below bump a striped ops counter and (on the latency
    path) a sharded histogram whenever live mode is on; the [prometheus]
-   producer renders those together with the retry attribution, chaos
-   crossings, trace-ring drops, trie-internal counters and GC state into
-   one text exposition.  Same hot-path discipline as everything else in
-   this file: live mode off costs one atomic load and an untaken branch
-   per operation. *)
+   producer renders those together with the chaos crossings, trace-ring
+   drops, the trie-internal counters (attempts and retries by cause
+   among them) and GC state into one text exposition.  Same hot-path
+   discipline as everything else in this file: live mode off costs one
+   atomic load and an untaken branch per operation. *)
 
 module Live = struct
   let active = Atomic.make false
@@ -208,27 +208,6 @@ module Live = struct
     histogram_summary b ~name:"repro_op_latency_ns"
       ~help:"Per-operation latency over the live window, nanoseconds"
       (Obs.Histogram.snapshot latency);
-    (* Two passes: the exposition format wants each metric family's
-       samples contiguous, so all cause counters come before all
-       attempt-depth summaries. *)
-    let attribution = Obs.Attribution.snapshot () in
-    List.iter
-      (fun (s : Obs.Attribution.summary) ->
-        counter b ~name:"repro_retry_cause_total"
-          ~help:"Update-attempt retries by cause"
-          ~labels:[ ("cause", s.Obs.Attribution.name) ]
-          (float_of_int s.Obs.Attribution.count))
-      attribution;
-    List.iter
-      (fun (s : Obs.Attribution.summary) ->
-        histogram_summary b ~name:"repro_retry_attempt_depth"
-          ~help:"Attempt number at which each retry cause struck"
-          ~labels:[ ("cause", s.Obs.Attribution.name) ]
-          s.Obs.Attribution.attempts)
-      attribution;
-    histogram_summary b ~name:"repro_help_chain_depth"
-      ~help:"Foreign descriptors helped per completed operation"
-      (Obs.Attribution.help_depth_summary ());
     (match Obs.Trace.recorder () with
     | Some tr ->
         counter b ~name:"repro_trace_dropped_events_total"
@@ -316,18 +295,23 @@ let run_loop ?latency ops workload stop rng =
   in
   let count = ref 0 in
   (* Two loop bodies so the un-instrumented path pays no clock reads and
-     no option test per operation. *)
+     no option test per operation.  Each runs an operation before it
+     first reads [stop], so a domain that starts after the window closed
+     still counts one. *)
   (match latency with
   | None ->
-      while not (Atomic.get stop) do
+      while
         let r = Rng.int rng 100 in
         let k = next_key () in
         do_op r k;
         Live.tick ();
-        incr count
+        incr count;
+        not (Atomic.get stop)
+      do
+        ()
       done
   | Some hist ->
-      while not (Atomic.get stop) do
+      while
         let r = Rng.int rng 100 in
         let k = next_key () in
         let t0 = Obs.Clock.now_ns () in
@@ -335,7 +319,10 @@ let run_loop ?latency ops workload stop rng =
         let dt = Obs.Clock.now_ns () - t0 in
         Obs.Histogram.record hist dt;
         Live.op dt;
-        incr count
+        incr count;
+        not (Atomic.get stop)
+      do
+        ()
       done);
   !count
 

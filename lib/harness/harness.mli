@@ -84,10 +84,11 @@ val mean_stddev : float list -> datapoint
 (** Live telemetry behind the scrape endpoint ([Obs.Serve]): a striped
     counter of completed operations and a sharded latency histogram the
     run loops bump while enabled, plus a [prometheus] producer rendering
-    them together with the retry attribution, chaos crossings,
-    trace-ring drops, trie-internal counters and GC state.  Disabled
-    (the default), each operation pays one atomic load and an untaken
-    branch. *)
+    them together with chaos crossings, trace-ring drops, GC state and
+    the registered structure's counters as [repro_trie_<name>_total]
+    (for PAT: attempts, each retry cause, helps, backtracks and
+    descriptors run).  Disabled (the default), each operation pays one
+    atomic load and an untaken branch. *)
 module Live : sig
   val set_enabled : bool -> unit
   (** Enabling from the disabled state resets the live counter,
@@ -104,7 +105,7 @@ module Live : sig
   val set_stats_source : (unit -> (string * int) list) option -> unit
   (** Register the structure-internal cumulative counter snapshot a
       scrape should expose; the trial runner does this automatically for
-      subjects with [ops.stats]. *)
+      subjects with [ops.stats], and a serving node for its trie. *)
 
   val set_extra_producer : (Obs.Prometheus.t -> unit) option -> unit
   (** Replace the extra-producer list with exactly this producer (or

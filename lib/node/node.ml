@@ -411,13 +411,19 @@ let durable ~log ?segment_bytes cfg dir =
           gate = Some gate;
         }
 
-(* The metrics endpoint: harness live families, the server, WAL and
-   replication families, the watchdog verdict, runtime events, and the
-   structure forensics — the shape census (pat_shape_*; an O(n)
-   read-only walk per scrape) and the descent-depth histogram when the
-   trie records stats. *)
+(* The metrics endpoint: harness live families, the trie's counters
+   (repro_trie_*_total: attempts, retries by cause, helps), the server,
+   WAL and replication families, the watchdog verdict, runtime events,
+   and the structure forensics — the shape census (pat_shape_*; an O(n)
+   read-only walk per scrape) and the descent-depth histogram.  Each
+   reads [b.trie ()] at scrape time, so it follows PROMOTE's swap. *)
 let serve_metrics ~log ~wd ~runtime b port =
   Harness.Live.set_enabled true;
+  Harness.Live.set_stats_source
+    (Some
+       (fun () ->
+         Option.fold ~none:[] ~some:Core.Patricia.stats_to_alist
+           (Core.Patricia.stats_snapshot (b.trie ()))));
   Harness.Live.clear_extra_producers ();
   List.iter Harness.Live.add_extra_producer
     [
@@ -454,6 +460,11 @@ let serve_metrics ~log ~wd ~runtime b port =
     (Printf.sprintf "serving metrics on http://127.0.0.1:%d/metrics"
        (Obs.Serve.port s));
   s
+
+let detach_metrics () =
+  Harness.Live.set_stats_source None;
+  Harness.Live.clear_extra_producers ();
+  Harness.Live.set_enabled false
 
 let serve ~log cfg b =
   (* Flight recorder: the same trace ring collects trie attempt spans,
@@ -526,8 +537,7 @@ let serve ~log cfg b =
       match Option.map (serve_metrics ~log ~wd ~runtime b) cfg.metrics_port with
       | exception Unix.Unix_error (e, _, _) ->
           Server.stop ~drain_s:0.0 srv;
-          Harness.Live.clear_extra_producers ();
-          Harness.Live.set_enabled false;
+          detach_metrics ();
           bind_failed (Option.value cfg.metrics_port ~default:0) e
       | metrics -> Ok { srv; backend = b; wd; metrics; runtime; recorder; log })
 
@@ -574,6 +584,5 @@ let stop t =
   Option.iter
     (fun s ->
       Obs.Serve.stop s;
-      Harness.Live.clear_extra_producers ();
-      Harness.Live.set_enabled false)
+      detach_metrics ())
     t.metrics

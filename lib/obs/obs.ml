@@ -15,8 +15,6 @@
       recorder (overflow is counted, never silent);
     - {!Perfetto}: Chrome trace-event JSON export of the trace rings,
       viewable in Perfetto / [chrome://tracing], one track per domain;
-    - {!Attribution}: CAS-retry attribution — per-cause retry counters
-      and attempt-depth histograms plus help-chain depth;
     - {!Prometheus}: text exposition (0.0.4) renderer for counters,
       gauges and histogram quantiles;
     - {!Net}: shared loopback TCP listener plumbing (ephemeral-port
@@ -47,7 +45,6 @@ module Counter = Counter
 module Histogram = Histogram
 module Trace = Trace
 module Perfetto = Perfetto
-module Attribution = Attribution
 module Prometheus = Prometheus
 module Net = Net
 module Serve = Serve

@@ -112,6 +112,30 @@ let test_throughput_run_all_subjects () =
         e.panels)
     experiments
 
+(* Every worker runs at least one operation, however late its domain
+   starts: a zero-length trial on two domains counts at least two. *)
+let test_zero_length_trials_count_each_worker () =
+  let open Harness in
+  let workload = { universe = 64; mix = Mix.i50_d50_f0; dist = Uniform } in
+  let config =
+    {
+      default_config with
+      threads = 2;
+      seconds = 0.0;
+      trials = 1;
+      warmup_seconds = 0.0;
+    }
+  in
+  for i = 0 to 199 do
+    let m, _ =
+      run_trial_full ~make_ops:(fun () -> pat_subject.make ~universe:64)
+        workload config i
+    in
+    if m.operations < config.threads then
+      Alcotest.failf "trial %d: %d operations on %d threads" i m.operations
+        config.threads
+  done
+
 (* The counters of a data point are summed over its trials, so a
    per-operation rate must divide by every trial's operations: at one
    thread the rate does not depend on the number of trials. *)
@@ -278,6 +302,8 @@ let () =
           Alcotest.test_case "all subjects run" `Slow test_throughput_run_all_subjects;
           Alcotest.test_case "per-op counters over trials" `Quick
             test_per_op_over_trials;
+          Alcotest.test_case "zero-length trials count each worker" `Quick
+            test_zero_length_trials_count_each_worker;
           Alcotest.test_case "replace workload" `Slow test_replace_workload_runs;
           Alcotest.test_case "clustered workload" `Slow test_clustered_workload_runs;
           Alcotest.test_case "subject labels" `Quick test_subject_labels;

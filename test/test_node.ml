@@ -2,8 +2,9 @@
    runs it: a durable sync primary and a follower node, writes through
    the wire client, PROMOTE (twice: it is idempotent), writes to the
    promoted node, and recovery of its set on a restart over the same
-   directory; and the follow configurations that fail to start, as
-   values rather than exceptions.  Node installs process-global lag and
+   directory; the follow configurations that fail to start, as values
+   rather than exceptions; and the served trie's counters on the
+   metrics endpoint.  Node installs process-global lag and
    queue-depth sources; with two nodes in one process their readings
    are not checked here. *)
 
@@ -131,6 +132,61 @@ let test_port_in_use () =
     (List.init 10 Fun.id)
     (served_keys (Node.port reopened))
 
+(* A node with a metrics port exports its trie's counters: two
+   connections contend on a 64-key range, then one scrape must read a
+   positive attempt count and every retry-cause counter. *)
+let test_metrics_export_trie_counters () =
+  with_node
+    {
+      Node.default_config with
+      port = 0;
+      range = 64;
+      domains = 2;
+      metrics_port = Some 0;
+    }
+  @@ fun n ->
+  let port = Node.port n in
+  let client seed =
+    Domain.spawn (fun () ->
+        let c = Server.Client.connect ~port () in
+        Fun.protect ~finally:(fun () -> Server.Client.close c) @@ fun () ->
+        let rng = Rng.of_int_seed seed in
+        for _ = 1 to 2_000 do
+          let k = Rng.int rng 64 in
+          ignore
+            (match Rng.int rng 3 with
+            | 0 -> Server.Client.insert c k
+            | 1 -> Server.Client.delete c k
+            | _ ->
+                Server.Client.replace c ~remove:k
+                  ~add:((k + 1 + Rng.int rng 63) mod 64))
+        done)
+  in
+  List.iter Domain.join [ client 71; client 73 ];
+  let mport = Obs.Serve.port (Option.get n.Node.metrics) in
+  let body =
+    match
+      Obs.Net.http_get ~addr:"127.0.0.1" ~port:mport ~path:"/metrics" ()
+    with
+    | Ok (200, body) -> body
+    | Ok (status, _) -> Alcotest.failf "/metrics answered %d" status
+    | Error e -> Alcotest.failf "/metrics: %s" e
+  in
+  let samples, errors = Obs.Prometheus.parse_samples body in
+  Alcotest.(check (list string)) "exposition parses clean" [] errors;
+  let sample name =
+    match Obs.Prometheus.find_sample samples ~name ~labels:[] with
+    | Some v -> v
+    | None -> Alcotest.failf "no %s on /metrics" name
+  in
+  Alcotest.(check bool)
+    "repro_trie_attempts_total > 0" true
+    (sample "repro_trie_attempts_total" > 0.0);
+  List.iter
+    (fun cause -> ignore (sample ("repro_trie_" ^ cause ^ "_total")))
+    [ "flag_failures"; "child_cas_lost"; "flagged_ancestor"; "backtracks";
+      "conflicts" ]
+
 let () =
   Alcotest.run "node"
     [
@@ -142,5 +198,7 @@ let () =
             test_follow_start_errors;
           Alcotest.test_case "a port in use is a start error" `Quick
             test_port_in_use;
+          Alcotest.test_case "metrics export the trie's counters" `Quick
+            test_metrics_export_trie_counters;
         ] );
     ]

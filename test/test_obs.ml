@@ -553,87 +553,58 @@ let test_perfetto_validate_rejects () =
           ]))
 
 (* ------------------------------------------------------------------ *)
-(* Retry attribution *)
+(* Trie retry counters *)
 
-module A = Obs.Attribution
-
-let test_attribution_mechanics () =
-  A.set_enabled true;
-  Fun.protect ~finally:(fun () -> A.set_enabled false) @@ fun () ->
-  A.mark A.Flag_cas_lost ~attempt:1;
-  A.mark A.Flag_cas_lost ~attempt:3;
-  A.mark A.Child_cas_lost ~attempt:0;
-  A.mark A.Flagged_ancestor ~attempt:2;
-  A.mark A.Flagged_ancestor ~attempt:2;
-  A.op_complete ();
-  Alcotest.(check int) "total" 5 (A.total ());
-  let by_name name =
-    List.find (fun (s : A.summary) -> s.A.name = name) (A.snapshot ())
-  in
-  Alcotest.(check int) "flag_cas_lost" 2 (by_name "flag_cas_lost").A.count;
-  Alcotest.(check int) "child_cas_lost" 1 (by_name "child_cas_lost").A.count;
-  Alcotest.(check int) "backtrack" 0 (by_name "backtrack").A.count;
-  Alcotest.(check int)
-    "attempt histogram populated" 2
-    (by_name "flag_cas_lost").A.attempts.H.count;
-  (* The two Flagged_ancestor marks belong to the one completed op:
-     help-chain depth 2. *)
-  let hd = A.help_depth_summary () in
-  Alcotest.(check int) "one chain recorded" 1 hd.H.count;
-  Alcotest.(check int) "chain depth" 2 hd.H.max;
-  (* Re-enabling from disabled resets. *)
-  A.set_enabled false;
-  A.set_enabled true;
-  Alcotest.(check int) "reset on re-enable" 0 (A.total ())
-
-let test_attribution_disabled_is_noop () =
-  A.set_enabled false;
-  A.mark A.Backtrack ~attempt:1;
-  A.op_complete ();
-  Alcotest.(check int) "nothing recorded" 0 (A.total ())
-
-(* End-to-end: a contended workload attributes every lost CAS to some
-   cause, and the JSON snapshot is well-formed. *)
-let test_attribution_concurrent () =
-  A.set_enabled true;
-  Fun.protect ~finally:(fun () -> A.set_enabled false) @@ fun () ->
-  let trie = Core.Patricia.create ~universe:64 ~record_stats:true () in
+(* Every update attempt is counted once: it either ends its operation or
+   fails under exactly one cause, so over a contended run attempts -
+   updates = flag_failures + flagged_ancestor + conflicts.  Two domains
+   on 64 keys also run descriptors and lose child CASes to each other's
+   helping.  [replace k k] makes no attempt, so the workers never call it. *)
+let counted_once label ~insert ~delete ~replace ~counters =
+  let per_domain = 30_000 in
+  let ready = Atomic.make 0 in
   let worker seed =
     Domain.spawn (fun () ->
         let rng = Rng.of_int_seed seed in
-        for _ = 1 to 20_000 do
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        for _ = 1 to per_domain do
           let k = Rng.int rng 64 in
-          if Rng.int rng 2 = 0 then ignore (Core.Patricia.insert trie k)
-          else ignore (Core.Patricia.delete trie k)
+          match Rng.int rng 3 with
+          | 0 -> ignore (insert k)
+          | 1 -> ignore (delete k)
+          | _ -> ignore (replace k ((k + 1 + Rng.int rng 63) mod 64))
         done)
   in
-  let ds = List.init 2 worker in
-  List.iter Domain.join ds;
-  (* Whatever contention materialized, the books must balance: snapshot
-     counts sum to total, and the JSON form parses back. *)
-  let total =
-    List.fold_left (fun acc (s : A.summary) -> acc + s.A.count) 0 (A.snapshot ())
-  in
-  Alcotest.(check int) "by-cause counts sum to total" (A.total ()) total;
-  (match J.of_string (J.to_string (A.to_json ())) with
-  | J.Obj kvs ->
-      Alcotest.(check bool) "enabled field" true (List.mem_assoc "enabled" kvs);
-      Alcotest.(check bool) "by_cause field" true (List.mem_assoc "by_cause" kvs)
-  | _ -> Alcotest.fail "attribution json not an object");
-  (* On a 64-key universe with two domains, some retries should exist;
-     don't require a specific cause, just consistency with the trie's
-     own counters: flag failures it counted appear as flag_cas_lost. *)
-  match Core.Patricia.stats_snapshot trie with
-  | Some st ->
-      let flag_lost =
-        (List.find (fun (s : A.summary) -> s.A.name = "flag_cas_lost")
-           (A.snapshot ()))
-          .A.count
-      in
-      Alcotest.(check int)
-        "flag_cas_lost mirrors trie flag_failures"
-        st.Core.Patricia.flag_failures flag_lost
-  | None -> Alcotest.fail "stats requested but absent"
+  List.iter Domain.join [ worker 31; worker 47 ];
+  let c = Option.get (counters ()) in
+  let get name = List.assoc name c in
+  Alcotest.(check int)
+    (label ^ ": attempts - updates = flag failures + flagged + conflicts")
+    (get "attempts" - (2 * per_domain))
+    (get "flag_failures" + get "flagged_ancestor" + get "conflicts");
+  List.iter
+    (fun name ->
+      if get name <= 0 then
+        Alcotest.failf "%s: %s reads %d" label name (get name))
+    [ "child_cas_lost"; "descriptors_run" ]
+
+let test_attempts_counted_once () =
+  let module P = Core.Patricia in
+  let t = P.create ~universe:64 ~record_stats:true () in
+  counted_once "PAT" ~insert:(P.insert t) ~delete:(P.delete t)
+    ~replace:(fun remove add -> P.replace t ~remove ~add)
+    ~counters:(fun () -> Option.map P.stats_to_alist (P.stats_snapshot t));
+  let module V = Core.Patricia_vlk in
+  let t = V.create ~record_stats:true () in
+  let key k = String.make 1 (Char.chr (k * 4)) in
+  counted_once "PAT-VLK"
+    ~insert:(fun k -> V.insert t (key k))
+    ~delete:(fun k -> V.delete t (key k))
+    ~replace:(fun remove add -> V.replace t ~remove:(key remove) ~add:(key add))
+    ~counters:(fun () -> V.For_testing.counters t)
 
 (* ------------------------------------------------------------------ *)
 (* Slowlog: lock-free exact top-K of slowest requests *)
@@ -944,14 +915,10 @@ let () =
           Alcotest.test_case "validate rejects malformed docs" `Quick
             test_perfetto_validate_rejects;
         ] );
-      ( "attribution",
+      ( "trie counters",
         [
-          Alcotest.test_case "mark, snapshot, reset" `Quick
-            test_attribution_mechanics;
-          Alcotest.test_case "disabled is a no-op" `Quick
-            test_attribution_disabled_is_noop;
-          Alcotest.test_case "concurrent workload balances" `Quick
-            test_attribution_concurrent;
+          Alcotest.test_case "every attempt is counted once" `Quick
+            test_attempts_counted_once;
         ] );
       ( "slowlog",
         [

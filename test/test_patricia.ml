@@ -441,7 +441,11 @@ let test_stats_recording () =
           "helps_given";
           "helps_received";
           "flag_failures";
+          "flagged_ancestor";
+          "conflicts";
+          "child_cas_lost";
           "backtracks";
+          "descriptors_run";
           "backoff_waits";
           "descent_nodes_find";
           "descent_nodes_insert";

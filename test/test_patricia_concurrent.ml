@@ -153,25 +153,20 @@ let test_wait_free_members_during_updates () =
 let test_helping_occurs_under_contention () =
   (* Count entries to the internal help routine during a contended run:
      with all domains hammering four keys, operations must sometimes run
-     descriptors (their own and each other's).  The hook is global, so
-     this test is also a guard against the hook breaking silently. *)
-  let helps = Atomic.make 0 in
-  P.For_testing.set_help_hook (Some (fun () -> Atomic.incr helps));
-  Fun.protect
-    ~finally:(fun () -> P.For_testing.set_help_hook None)
-    (fun () ->
-      let t = P.create ~universe:4 () in
-      Tutil.join_all
-        (Tutil.spawn_n n_domains (fun d ->
-             let rng = Rng.of_int_seed (2500 + d) in
-             for _ = 1 to 20_000 do
-               let k = Rng.int rng 4 in
-               if Rng.bool rng then ignore (P.insert t k)
-               else ignore (P.delete t k)
-             done))
-      |> ignore;
-      match P.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "help ran" true (Atomic.get helps > 0)
+     descriptors (their own and each other's). *)
+  let t = P.create ~universe:4 ~record_stats:true () in
+  Tutil.join_all
+    (Tutil.spawn_n n_domains (fun d ->
+         let rng = Rng.of_int_seed (2500 + d) in
+         for _ = 1 to 20_000 do
+           let k = Rng.int rng 4 in
+           if Rng.bool rng then ignore (P.insert t k)
+           else ignore (P.delete t k)
+         done))
+  |> ignore;
+  (match P.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e);
+  let s = Option.get (P.stats_snapshot t) in
+  Alcotest.(check bool) "help ran" true (s.P.descriptors_run > 0)
 
 let test_linearizable_histories () =
   (* Many small recorded histories, checked exhaustively. *)

@@ -3,7 +3,6 @@
    concurrent trie workload runs, plus routing and shutdown behavior. *)
 
 module S = Obs.Serve
-module A = Obs.Attribution
 
 (* ------------------------------------------------------------------ *)
 (* Minimal HTTP/1.1 client over stdlib Unix, mirroring what curl or a
@@ -194,16 +193,19 @@ let run_batch trie =
 
 let test_serve_live_scrape () =
   Harness.Live.set_enabled true;
-  A.set_enabled true;
+  let trie = Core.Patricia.create ~universe:512 ~record_stats:true () in
+  Harness.Live.set_stats_source
+    (Some
+       (fun () ->
+         Core.Patricia.(stats_to_alist (Option.get (stats_snapshot trie)))));
   let srv = S.start ~port:0 Harness.Live.prometheus in
   Fun.protect
     ~finally:(fun () ->
       S.stop srv;
-      A.set_enabled false;
+      Harness.Live.set_stats_source None;
       Harness.Live.set_enabled false)
   @@ fun () ->
   let port = S.port srv in
-  let trie = Core.Patricia.create ~universe:512 () in
   (* First batch runs concurrently with the first scrape; the second
      scrape happens after both batches completed, so it must observe
      every tick the first scrape observed, and then some. *)
@@ -224,19 +226,17 @@ let test_serve_live_scrape () =
     (ops2 >= ops1);
   (* After both batches joined, the striped counter sum is exact. *)
   Alcotest.(check (float 0.0)) "ops_total exact" 40_000.0 ops2;
-  (* The attribution families are exposed (five causes, zero or not). *)
+  (* The trie's attempts are counted, and its retry-cause counters are
+     exposed (zero or not). *)
+  Alcotest.(check bool)
+    "repro_trie_attempts_total > 0" true
+    (sample_value body2 "repro_trie_attempts_total" > 0.0);
   List.iter
-    (fun c ->
-      let line =
-        Printf.sprintf "repro_retry_cause_total{cause=\"%s\"}" (A.cause_name c)
-      in
-      let rec contains i =
-        i + String.length line <= String.length body2
-        && (String.sub body2 i (String.length line) = line || contains (i + 1))
-      in
-      Alcotest.(check bool) line true (contains 0))
-    [ A.Flag_cas_lost; A.Child_cas_lost; A.Flagged_ancestor; A.Backtrack;
-      A.Conflict ]
+    (fun cause ->
+      let name = "repro_trie_" ^ cause ^ "_total" in
+      Alcotest.(check bool) name true (sample_value body2 name >= 0.0))
+    [ "flag_failures"; "child_cas_lost"; "flagged_ancestor"; "backtracks";
+      "conflicts" ]
 
 (* ------------------------------------------------------------------ *)
 (* Health hook and custom routes (the watchdog/slowlog wiring) *)

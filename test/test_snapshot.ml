@@ -203,12 +203,8 @@ let test_renewal_continues () =
            (fun k -> nodes_on_paths ~width (pat_labels ~width !model) [ k ] > 0)
            paths)
     in
-    let descriptors = ref 0 in
     let s0 = stats () in
-    P.For_testing.set_help_hook (Some (fun () -> incr descriptors));
-    let result =
-      Fun.protect ~finally:(fun () -> P.For_testing.set_help_hook None) op
-    in
+    let result = op () in
     Alcotest.(check bool) (name ^ " result") expect result;
     let s1 = stats () in
     model := apply !model;
@@ -222,7 +218,8 @@ let test_renewal_continues () =
       (s1.renew_paths - s0.renew_paths);
     Alcotest.(check int)
       (name ^ ": descriptors run")
-      (renewing + 1) !descriptors;
+      (renewing + 1)
+      (s1.descriptors_run - s0.descriptors_run);
     Alcotest.(check int)
       (name ^ ": one search per key")
       (List.length paths)

@@ -70,14 +70,23 @@ let check_counters ctx = function
         (fun (k, v) -> nonneg_num ctx ("counters." ^ k) (Some v))
         kvs;
       (* PAT's counter set is emitted whole: a snapshot that has
-         "attempts" must also carry the backoff counter added with the
-         fault-injection layer and the snapshot renewal counters. *)
+         "attempts" must also carry the retry causes, the descriptor
+         count, the backoff counter added with the fault-injection layer
+         and the snapshot renewal counters. *)
       if List.mem_assoc "attempts" kvs then
         List.iter
           (fun k ->
             if not (List.mem_assoc k kvs) then
               err "%s: counters with \"attempts\" lack %S" ctx k)
-          [ "backoff_waits"; "renewals"; "renew_paths" ]
+          [
+            "child_cas_lost";
+            "flagged_ancestor";
+            "conflicts";
+            "descriptors_run";
+            "backoff_waits";
+            "renewals";
+            "renew_paths";
+          ]
   | _ -> err "%s: \"counters\" is not an object" ctx
 
 let check_gc ctx = function
