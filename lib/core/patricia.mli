@@ -48,18 +48,24 @@ val create_width : width:int -> ?record_stats:bool -> unit -> t
 
 val insert : t -> int -> bool
 (** [insert t v] adds [v] and returns [true], or returns [false] if [v]
-    was already present.  Lock-free. *)
+    was already present.  Lock-free.  An insert, delete or replace that
+    returns [false] is decided on its search, as {!member} is, and
+    writes nothing but its slot of the level cache: it builds no
+    descriptor and, after a {!snapshot}, renews no stale path.  (If a
+    concurrent update changes its answer after it renewed a path to
+    commit, it returns [false] with that renewal made.) *)
 
 val delete : t -> int -> bool
 (** [delete t v] removes [v] and returns [true], or returns [false] if
-    [v] was absent.  Lock-free. *)
+    [v] was absent.  Lock-free; [false] writes nothing, as for
+    {!insert}. *)
 
 val replace : t -> remove:int -> add:int -> bool
 (** [replace t ~remove ~add] atomically removes [remove] and inserts
     [add].  Returns [true] iff [remove] was present and [add] absent at
     the linearization point; otherwise the trie is unchanged and the
-    result is [false].  [replace t ~remove:v ~add:v] is always [false].
-    Lock-free; performs at most two child CASes (one in the special
+    result is [false], and the call wrote nothing, as for {!insert}.
+    [replace t ~remove:v ~add:v] is always [false].  Lock-free; performs at most two child CASes (one in the special
     cases of Figure 6). *)
 
 val member : t -> int -> bool
@@ -211,12 +217,14 @@ type snapshot = {
           the mean descent depth *)
   renewals : int;
       (** stale internal nodes that committed renewals copied into the
-          live generation after a {!snapshot}.  Each is paid once,
-          inside the descent that met it, so it does not add to
-          [attempts] *)
+          live generation after a {!snapshot}.  Only an update that
+          will commit renews, in a root descent of the same attempt, so
+          this does not add to [attempts]; one that returns [false]
+          copies nothing *)
   renew_paths : int;
-      (** committed renewal descriptors: one renews a whole stale run
-          of a path, so a search that meets stale nodes commits one *)
+      (** committed renewal descriptors, all made by committing
+          updates: one renews a whole stale run of a path, so a renewal
+          descent commits one per stale run it meets *)
 }
 
 val stats_snapshot : t -> snapshot option

@@ -28,7 +28,12 @@ val create : ?record_stats:bool -> unit -> t
 (** {1 Byte-string API} (keys are arbitrary {e non-empty} strings) *)
 
 val insert : t -> string -> bool
+
 val delete : t -> string -> bool
+(** An insert, delete or replace that returns [false] writes nothing
+    but its slot of the level cache, exactly as in {!Patricia.insert}:
+    it builds no descriptor and renews no stale path. *)
+
 val member : t -> string -> bool
 
 val replace : t -> remove:string -> add:string -> bool
@@ -123,5 +128,6 @@ module For_testing : sig
   val counters : t -> (string * int) list option
   (** Every counter of a trie created with [~record_stats:true], named
       as in {!Patricia.stats_to_alist} (helps received, backtracks,
-      renewals, ...); [None] otherwise. *)
+      renewals, ...); [None] otherwise.  [renewals] and [renew_paths]
+      count only the renewals of committing updates, as PAT's do. *)
 end

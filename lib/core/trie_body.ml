@@ -52,11 +52,13 @@
    the trie root sits behind a generation-stamped holder, every update
    descriptor validates the holder at a single decision CAS, and a
    snapshot swings the holder to a copied root — O(1) in the number of
-   keys — after which the old generation is immutable.  An update copies
-   the old-generation nodes on its path into the live one with a
-   descriptor that flags only their live parent: the copied run leaves
-   the live trie unflagged, the one exception to the rule above that a
-   removed node stays flagged. *)
+   keys — after which the old generation is immutable.  An update that
+   returns false has only searched, as in the paper.  One that will
+   commit under an old-generation parent first copies the old-generation
+   nodes on its path into the live one, with a descriptor that flags
+   only their live parent: the copied run leaves the live trie
+   unflagged, the one exception to the rule above that a removed node
+   stays flagged. *)
 
 (* What an instance's key module provides.  A label is the common
    prefix of the keys below an internal node; a span is the set of keys
@@ -157,11 +159,11 @@ and _ tnode =
       gen : unit ref;
           (* Generation stamp: physically equal to [hgen] of the holder
              that was current when this node was created.  Immutable.
-             Updates renew (copy into the current generation) every
-             internal node they descend through whose stamp is stale, so
-             the nodes whose children they CAS always belong to the live
-             generation and the frozen generations behind past snapshots
-             are never mutated. *)
+             An update that will commit renews (copies into the current
+             generation) every internal node it descends through whose
+             stamp is stale, so the nodes whose children it CASes always
+             belong to the live generation and the frozen generations
+             behind past snapshots are never mutated. *)
     }
       -> ik tnode
 
@@ -641,13 +643,13 @@ let search_root t v = search_from (Atomic.get t.holder).hroot v
    generation's root through the cache.  And a stale run a path renewal
    copied ([renew_path]): it is reached only through its own, superseded
    generation's array, by a descent that read that holder before the
-   swing.  Everything below it is frozen, so a find from it reads what a
-   root descent read just before the renewal, an instant inside the
-   find's interval; an update from it aborts at the decision CAS, since
-   the holder moved.  Each generation's array holds
-   only nodes stamped with it: [search_renew] flags and CASes the
-   children of its start node, which must not belong to a frozen
-   generation, so [search] writes back only live-stamped nodes.
+   swing.  Everything below it is frozen, so a search from it reads what
+   a root descent read just before the renewal, an instant inside the
+   search's interval: a find or an update returning false linearizes
+   there, and an update that goes on to commit aborts at the decision
+   CAS, since the holder moved.  Each generation's array holds only
+   nodes stamped with it, so a hint never makes an update's parent
+   stale: [search] writes back only nodes of its holder's generation.
 
    Sizing follows the trie ([size_cache]): one in 64 of each domain's
    descents that start at a hint (every one while the array has fewer
@@ -725,13 +727,14 @@ let size_cache t h depth =
     end
   end
 
-(* Search (lines 76-85) for [find], starting at [v]'s hint when it
-   qualifies.  The loop tracks the last node it passes whose label fits
-   the cache's levels, and the search writes that node back if it is
-   not the hint it read, nor the root, and belongs to the live
-   generation. *)
-let search t v =
-  let ctx = t.ctx and h = Atomic.get t.holder in
+(* Search (lines 76-85) of generation [h], starting at [v]'s hint when
+   it qualifies: the descent of [find] and the first of every update,
+   which validates its descriptor against [h].  The loop tracks the last
+   node it passes whose label fits the cache's levels, and the search
+   writes that node back if it is not the hint it read, nor the root,
+   and belongs to [h]'s generation. *)
+let search t (h : holder) v =
+  let ctx = t.ctx in
   let lc = h.hcache in
   let bits = lc.bits in
   let rec go hint gp gp_info p p_info d =
@@ -1026,7 +1029,7 @@ let copy_node ~gen = function
   | Any (Internal _ as i) -> Any (copy_internal ~gen i)
 
 (* ------------------------------------------------------------------ *)
-(* Update-side search: publication and copy-on-descent renewal.
+(* Publication and path renewal.
 
    [run_own] wraps [help] on a descriptor this domain created: the
    descriptor is published in the domain's slot before the flagging
@@ -1037,27 +1040,30 @@ let copy_node ~gen = function
    generation is either visible in a slot (and helped to completion
    before the snapshot returns) or already fully applied.
 
-   [search_renew] is [search] for updates: it additionally copies every
-   stale-generation internal node the path descends *through* into the
-   current generation ([renew_path]) before using it, so the nodes an
-   update flags-and-CASes-children-of always carry the live generation
-   stamp and frozen views behind past snapshots are never structurally
-   mutated.  (Terminal nodes that only get *marked* — e.g. an internal
-   node an insert replaces — may be stale: marking touches only the
-   info field, which frozen-view traversals ignore.)  Every node below a
-   stale node is stale too, so the descent meets stale nodes in runs: a
-   renewal copies the whole run toward the key at once.  It is the
-   single-swing descriptor of an insert: it flags the live parent only,
-   swings the parent's child to the top copy and unflags the parent.
-   The run is frozen (its generation gets no new children once the
-   descriptors it committed are done, and the copy helps any it finds
-   pending), so its nodes need no flag and leave the live trie
-   unmarked; a frozen view still walks them.  The descriptor validates
-   at the same decision CAS as any update and aborts if a snapshot
-   intervenes.  A committed renewal does not end the descent:
-   the search re-reads the parent and goes on through the copies, so a
-   path that is stale all the way down costs one renewal descriptor and
-   one pass. *)
+   An update searches as [find] does ([search]) and decides there.  One
+   that returns false writes nothing, as in the paper: it linearizes at
+   its search's read, as a find does, since a stale run under a live
+   parent holds its subtree's state as of the moment that parent's
+   child pointer was read (DESIGN.md, "Path renewal").  Only an update
+   that will commit renews.  It flags and CASes the children of the
+   nodes its search ended under, and frozen views behind past snapshots
+   must never be structurally mutated, so those nodes must carry the
+   live generation stamp.  Every node below a stale node is stale too,
+   so a parent stamped live vouches for the whole path above it.
+   (Terminal nodes that only get *marked*, e.g. an internal node an
+   insert replaces, may be stale: marking touches only the info field,
+   which frozen-view traversals ignore.)  An update whose parent is
+   stale descends again from the root with [renew], which copies the
+   stale run it meets into the live generation ([renew_path]).  The
+   descent meets stale nodes in runs, and a renewal copies the whole run
+   toward the key at once.  It is the single-swing descriptor of an
+   insert: it flags the live parent only, swings the parent's child to
+   the top copy and unflags the parent.  The run is frozen (its
+   generation gets no new children once the descriptors it committed
+   are done, and the copy helps any it finds pending), so its nodes need
+   no flag and leave the live trie unmarked; a frozen view still walks
+   them.  The descriptor validates at the same decision CAS as any
+   update and aborts if a snapshot intervenes. *)
 
 let run_own t fi =
   let slot = my_slot t in
@@ -1137,68 +1143,45 @@ let renew_path t (h : holder) p p_info (i : internal) v =
         | _ -> ());
         ok
 
-(* The stale run under [p] is renewed and the descent continues from
-   [p]: the committed renewal left a fresh Unflag in [p]'s info (the old
-   [p_info] would fail every later flag CAS on [p]), so re-read it —
-   before the child, the order Lemma 31 needs — and the child slot now
-   holds the top copy, under which the rest of the run's copies are
+(* The root descent of an update that will commit but whose search
+   ended under a stale parent, or, for a delete or a replace, right
+   under a hint, with no grandparent: a search of [h] for [v] from the
+   root that renews the stale run it meets.  A committed renewal does
+   not end the descent.  It left a fresh Unflag in [p]'s info (the old
+   [p_info] would fail every later flag CAS on [p]), so the descent
+   re-reads it, before the child, the order Lemma 31 needs, and goes on
+   through the top copy, under which the rest of the run's copies are
    live.  [gp], [gp_info] and the depth are untouched by the renewal.
-   [None] means a renewal failed (it aborted, or it helped a pending
-   descriptor instead): the caller restarts from a fresh holder read, so
-   once a snapshot supersedes [h] the descent stops at its first aborted
-   renewal. *)
-let search_renew ~need_gp t (h : holder) v =
-  let ctx = t.ctx and lc = h.hcache in
-  let bits = lc.bits in
-  let rec go hint gp gp_info p p_info d =
+   The result has a live parent and, below the root, a grandparent, so
+   the update commits from it.  [None] means a renewal failed (it
+   aborted, or it helped a pending descriptor instead): the caller
+   restarts from a fresh holder read, so once a snapshot supersedes [h]
+   the descent stops at its first aborted renewal. *)
+let renew t (h : holder) v =
+  let rec go gp gp_info p p_info d =
     let node = child p (K.bit (label p) v) in
     match node with
     | Any (Internal r as i) when K.is_prefix r.label v ->
-        if r.gen == h.hgen then
-          go
-            (if K.fits ctx bits r.label then i else hint)
-            p p_info i (Atomic.get (iinfo i)) (d + 1)
+        if r.gen == h.hgen then go p p_info i (Atomic.get (iinfo i)) (d + 1)
         else if renew_path t h p p_info i v then
-          go hint gp gp_info p (Atomic.get (iinfo p)) d
+          go gp gp_info p (Atomic.get (iinfo p)) d
         else None
-    | _ -> Some (found hint gp gp_info p p_info d node)
+    | _ -> Some (found h.hroot gp gp_info p p_info d node)
   in
-  let slot = K.slot ctx bits v in
-  let c = Array.unsafe_get lc.slots slot in
-  chaos_point Chaos.Cache;
-  let ci = Atomic.get (iinfo c) in
   let root = h.hroot in
-  let r =
-    if (not (flagged ci)) && K.is_prefix (label c) v then
-      match go c c ci c ci 0 with
-      | Some { gp = None; _ } when need_gp ->
-          (* Stopped right under the hint: a delete or a replace needs
-             the grandparent, so search again from the root. *)
-          if sampled t bits then size_cache t h 1;
-          let ri = Atomic.get (iinfo root) in
-          go root root ri root ri 0
-      | Some x as r ->
-          if sampled t bits then size_cache t h x.depth;
-          r
-      | None -> None
-    else
-      let ri = Atomic.get (iinfo root) in
-      let r = go root root ri root ri 0 in
-      (match r with Some x when bits = 0 -> size_cache t h x.depth | _ -> ());
-      r
-  in
-  (match r with
-  | Some r when r.hint != c && r.hint != root ->
-      Array.unsafe_set lc.slots slot r.hint
-  | _ -> ());
-  r
+  let ri = Atomic.get (iinfo root) in
+  go root ri root ri 0
+
+(* Whether the parent a search of [h] ended under is of [h]'s
+   generation, so an update may flag it and CAS its children. *)
+let[@inline] live h (Internal p : internal) = p.gen == h.hgen
 
 (* ------------------------------------------------------------------ *)
 (* find (lines 72-75) *)
 
 let member t k =
   let v = K.import t.ctx k in
-  let r = search t v in
+  let r = search t (Atomic.get t.holder) v in
   descent t.stats (fun s -> s.descent_find) r.depth;
   key_in_trie r.node v r.rmvd
 
@@ -1223,45 +1206,49 @@ let insert_flag t h r v node_info_v =
           swing_flag t h ~nodes:[| r.p |] ~infos:[| r.p_info |] r.p r.node
             new_child)
 
-let insert t k =
-  let v = K.import t.ctx k in
-  let stats = t.stats in
-  let rec attempt bo n =
-    bump stats (fun s -> s.attempts);
-    let t0 = span_start () in
-    let h = Atomic.get t.holder in
-    match search_renew ~need_gp:false t h v with
-    | None ->
-        attempt_retry stats Obs.Trace.Insert ~key:v ~attempt:n ~t0 Conflict;
-        attempt (retry_pause stats bo) (n + 1)
-    | Some r -> (
-        descent stats (fun s -> s.descent_insert) r.depth;
-        if key_in_trie r.node v r.rmvd then
-          attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0 ~site:"present"
-            false
-        else
-          let node_info_v = Atomic.get (node_info r.node) in
-          match insert_flag t h r v node_info_v with
-          | Some fi when run_own t fi ->
-              attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0
-                ~site:"applied" true
-          | Some _ ->
-              attempt_retry stats Obs.Trace.Insert ~key:v ~attempt:n ~t0
-                Flag_cas_lost;
-              attempt (retry_pause stats bo) (n + 1)
-          | None ->
-              attempt_retry stats Obs.Trace.Insert ~key:v ~attempt:n ~t0
-                (retry_cause2 r.p_info node_info_v);
-              attempt (retry_pause stats bo) (n + 1))
-  in
-  attempt Chaos.Backoff.init 1
+(* Each update's attempt loop is top-level functions of the trie and
+   the key, not closures over them, so an update allocates no closure. *)
+let rec insert_attempt t v bo n =
+  bump t.stats (fun s -> s.attempts);
+  let t0 = span_start () in
+  let h = Atomic.get t.holder in
+  insert_searched t v bo n t0 h (search t h v)
+
+(* The attempt's search [r] of [h], which the insert commits from or
+   returns false from; only a search it renews from is not counted. *)
+and insert_searched t v bo n t0 h r =
+  let present = key_in_trie r.node v r.rmvd in
+  if (not present) && not (live h r.p) then
+    match renew t h v with
+    | Some r -> insert_searched t v bo n t0 h r
+    | None -> insert_retry t v bo n t0 Conflict
+  else begin
+    descent t.stats (fun s -> s.descent_insert) r.depth;
+    if present then
+      attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0 ~site:"present"
+        false
+    else
+      let node_info_v = Atomic.get (node_info r.node) in
+      match insert_flag t h r v node_info_v with
+      | Some fi when run_own t fi ->
+          attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0 ~site:"applied"
+            true
+      | Some _ -> insert_retry t v bo n t0 Flag_cas_lost
+      | None -> insert_retry t v bo n t0 (retry_cause2 r.p_info node_info_v)
+  end
+
+and insert_retry t v bo n t0 cause =
+  attempt_retry t.stats Obs.Trace.Insert ~key:v ~attempt:n ~t0 cause;
+  insert_attempt t v (retry_pause t.stats bo) (n + 1)
+
+let insert t k = insert_attempt t (K.import t.ctx k) Chaos.Backoff.init 1
 
 (* ------------------------------------------------------------------ *)
 (* delete (lines 33-41) *)
 
-(* A search for a delete or a replace that stopped without a
-   grandparent started at the root: [search_renew ~need_gp:true] redoes
-   one from a hint that would. *)
+(* A delete or a replace needs the grandparent of the leaf it removes,
+   which a search that stopped right under its start node has only if
+   it started at the root; [renew] redoes one from a hint. *)
 let[@inline] rooted h r = r.gp <> None || r.p == h.hroot
 
 (* Line 40: flag gp, mark p (p leaves the trie), and swing gp's child
@@ -1278,39 +1265,41 @@ let delete_flag t h r v =
         (Any r.p) node_sibling
   | _ -> None
 
-let delete t k =
-  let v = K.import t.ctx k in
-  let stats = t.stats in
-  let rec attempt bo n =
-    bump stats (fun s -> s.attempts);
-    let t0 = span_start () in
-    let h = Atomic.get t.holder in
-    match search_renew ~need_gp:true t h v with
-    | None ->
-        attempt_retry stats Obs.Trace.Delete ~key:v ~attempt:n ~t0 Conflict;
-        attempt (retry_pause stats bo) (n + 1)
-    | Some r -> (
-        descent stats (fun s -> s.descent_delete) r.depth;
-        if not (key_in_trie r.node v r.rmvd) then
-          attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0 ~site:"absent"
-            false
-        else
-          match delete_flag t h r v with
-          | Some fi when run_own t fi ->
-              attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0
-                ~site:"applied" true
-          | Some _ ->
-              attempt_retry stats Obs.Trace.Delete ~key:v ~attempt:n ~t0
-                Flag_cas_lost;
-              attempt (retry_pause stats bo) (n + 1)
-          | None ->
-              attempt_retry stats Obs.Trace.Delete ~key:v ~attempt:n ~t0
-                (match r.gp_info with
-                | Some gp_info -> retry_cause2 gp_info r.p_info
-                | None -> Conflict);
-              attempt (retry_pause stats bo) (n + 1))
-  in
-  attempt Chaos.Backoff.init 1
+let rec delete_attempt t v bo n =
+  bump t.stats (fun s -> s.attempts);
+  let t0 = span_start () in
+  let h = Atomic.get t.holder in
+  delete_searched t v bo n t0 h (search t h v)
+
+(* As [insert_searched], with a grandparent for the commit. *)
+and delete_searched t v bo n t0 h r =
+  let present = key_in_trie r.node v r.rmvd in
+  if present && not (live h r.p && rooted h r) then
+    match renew t h v with
+    | Some r -> delete_searched t v bo n t0 h r
+    | None -> delete_retry t v bo n t0 Conflict
+  else begin
+    descent t.stats (fun s -> s.descent_delete) r.depth;
+    if not present then
+      attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0 ~site:"absent" false
+    else
+      match delete_flag t h r v with
+      | Some fi when run_own t fi ->
+          attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0 ~site:"applied"
+            true
+      | Some _ -> delete_retry t v bo n t0 Flag_cas_lost
+      | None ->
+          delete_retry t v bo n t0
+            (match r.gp_info with
+            | Some gp_info -> retry_cause2 gp_info r.p_info
+            | None -> Conflict)
+  end
+
+and delete_retry t v bo n t0 cause =
+  attempt_retry t.stats Obs.Trace.Delete ~key:v ~attempt:n ~t0 cause;
+  delete_attempt t v (retry_pause t.stats bo) (n + 1)
+
+let delete t k = delete_attempt t (K.import t.ctx k) Chaos.Backoff.init 1
 
 (* ------------------------------------------------------------------ *)
 (* replace (lines 42-71) *)
@@ -1403,60 +1392,70 @@ let replace_flag t h rd ri vd vi node_info_i =
   end
   else None
 
-let replace_keys t vd vi =
-  let stats = t.stats in
-  let rec attempt bo n =
-    bump stats (fun s -> s.attempts);
-    let t0 = span_start () in
-    let h = Atomic.get t.holder in
-    match search_renew ~need_gp:true t h vd with
-    | None -> retry bo n t0 Conflict
-    | Some rd -> (
-        descent stats (fun s -> s.descent_replace) rd.depth;
-        if not (key_in_trie rd.node vd rd.rmvd) then
-          attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0 ~site:"absent"
-            false
-        else
-          match search_renew ~need_gp:false t h vi with
-          | None -> retry bo n t0 Conflict
-          | Some ri -> (
-              descent stats (fun s -> s.descent_replace) ri.depth;
-              if key_in_trie ri.node vi ri.rmvd then
-                attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0
-                  ~site:"present" false
-              else
-                let node_info_i = Atomic.get (node_info ri.node) in
-                match replace_flag t h rd ri vd vi node_info_i with
-                | Some fi when run_own t fi ->
-                    attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0
-                      ~site:"applied" true
-                | Some _ -> retry bo n t0 Flag_cas_lost
-                | None ->
-                    (* Recover the cause from every info value this
-                       attempt read; [new_flag]'s [None] collapses
-                       help-and-restart and read-read conflicts into one
-                       constructor. *)
-                    retry bo n t0
-                      (if
-                         flagged node_info_i || flagged rd.p_info
-                         || flagged ri.p_info
-                         ||
-                         match rd.gp_info with
-                         | Some i -> flagged i
-                         | None -> false
-                       then Flagged_ancestor
-                       else Conflict)))
-  and retry bo n t0 cause =
-    attempt_retry stats Obs.Trace.Replace ~key:vd ~attempt:n ~t0 cause;
-    attempt (retry_pause stats bo) (n + 1)
-  in
-  attempt Chaos.Backoff.init 1
+let rec replace_attempt t vd vi bo n =
+  bump t.stats (fun s -> s.attempts);
+  let t0 = span_start () in
+  let h = Atomic.get t.holder in
+  replace_searched_d t vd vi bo n t0 h false (search t h vd)
+
+(* The attempt's search [rd] for [vd]; once [renewed], [vi]'s search is
+   a [renew] too. *)
+and replace_searched_d t vd vi bo n t0 h renewed rd =
+  if not (key_in_trie rd.node vd rd.rmvd) then begin
+    descent t.stats (fun s -> s.descent_replace) rd.depth;
+    attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0 ~site:"absent" false
+  end
+  else if renewed then
+    match renew t h vi with
+    | Some ri -> replace_searched_i t vd vi bo n t0 h rd ri
+    | None -> replace_retry t vd vi bo n t0 Conflict
+  else replace_searched_i t vd vi bo n t0 h rd (search t h vi)
+
+(* Both searches, [vd] found present.  A commit that needs a renewal, or
+   [vd]'s grandparent, first redoes both with [renew], in the same
+   order, whose results always allow it; the searches the replace
+   commits or returns from are the ones counted. *)
+and replace_searched_i t vd vi bo n t0 h rd ri =
+  let present = key_in_trie ri.node vi ri.rmvd in
+  if (not present) && not (rooted h rd && live h rd.p && live h ri.p) then
+    match renew t h vd with
+    | Some rd -> replace_searched_d t vd vi bo n t0 h true rd
+    | None -> replace_retry t vd vi bo n t0 Conflict
+  else begin
+    descent t.stats (fun s -> s.descent_replace) rd.depth;
+    descent t.stats (fun s -> s.descent_replace) ri.depth;
+    if present then
+      attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0 ~site:"present"
+        false
+    else
+      let node_info_i = Atomic.get (node_info ri.node) in
+      match replace_flag t h rd ri vd vi node_info_i with
+      | Some fi when run_own t fi ->
+          attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0 ~site:"applied"
+            true
+      | Some _ -> replace_retry t vd vi bo n t0 Flag_cas_lost
+      | None ->
+          (* Recover the cause from every info value this attempt read;
+             [new_flag]'s [None] collapses help-and-restart and read-read
+             conflicts into one constructor. *)
+          replace_retry t vd vi bo n t0
+            (if
+               flagged node_info_i || flagged rd.p_info || flagged ri.p_info
+               || match rd.gp_info with Some i -> flagged i | None -> false
+             then Flagged_ancestor
+             else Conflict)
+  end
+
+and replace_retry t vd vi bo n t0 cause =
+  attempt_retry t.stats Obs.Trace.Replace ~key:vd ~attempt:n ~t0 cause;
+  replace_attempt t vd vi (retry_pause t.stats bo) (n + 1)
 
 (* replace(v, v) is always false: the sequential specification requires
    [remove] present *and* [add] absent, which a single key cannot satisfy. *)
 let replace t ~remove ~add =
   let vd = K.import t.ctx remove and vi = K.import t.ctx add in
-  if K.equal_key vd vi then false else replace_keys t vd vi
+  if K.equal_key vd vi then false
+  else replace_attempt t vd vi Chaos.Backoff.init 1
 
 (* ------------------------------------------------------------------ *)
 (* Quiescent traversals and invariant checking (test/debug interface) *)
@@ -1506,9 +1505,10 @@ let size t = fold t ~init:0 ~f:(fun acc _ -> acc + 1)
    — the publish precedes the decision read, and our scan follows the
    holder CAS, so SC order leaves no third case.  Helping it completes
    those child CASes, which are the last writes the frozen subtree can
-   ever receive: updates after step 4 renew every internal node they
-   descend through into the new generation before CASing its children,
-   and late straggler CASes of old descriptors fail by no-ABA.
+   ever receive: an update after step 4 that commits renews every
+   internal node it descends through into the new generation before
+   CASing its children, and late straggler CASes of old descriptors
+   fail by no-ABA.
 
    The frozen walk therefore ignores info fields entirely: every
    reachable non-sentinel leaf is an element of the frozen set.  A

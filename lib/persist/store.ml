@@ -35,7 +35,9 @@
     keys' stripes, in ascending order).  Two mutations of one key
     therefore reach the log in the order the structure linearized them,
     whichever sessions issued them.  {!barrier} commits this domain's
-    records: the patserve server calls it once per window of pipelined
+    records, and the records its reads, failed updates and snapshots
+    observed, which another domain may have applied but not yet
+    written: the patserve server calls it once per window of pipelined
     requests, before the window's acknowledgements are written, so the
     window costs one group-commit [write].  In {!Sync} mode the commit
     is also fsynced, so an acknowledged operation survives power loss; in
@@ -176,6 +178,9 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
     stripes : Mutex.t array;
         (* per-key locks held across apply + append, so per key the log
            order is the structure's order *)
+    stripe_seqs : int array;
+        (* the seq of each stripe's last appended record, written and
+           read under that stripe's lock *)
     ckpt_mu : Mutex.t;
     retention : (unit -> int option) Atomic.t;
         (* checkpoint GC floor: lowest WAL seq some attached consumer
@@ -315,6 +320,7 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
           info;
           last_logged = Domain.DLS.new_key (fun () -> ref (-1));
           stripes = Array.init stripe_count (fun _ -> Mutex.create ());
+          stripe_seqs = Array.make stripe_count (-1);
           ckpt_mu = Mutex.create ();
           retention = Atomic.make (fun () -> None);
           lock = Atomic.make lock;
@@ -329,10 +335,11 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
       (the replication primary's tailer).  [None] in {!Ephemeral}. *)
   let wal_writer t = t.writer
 
-  (** Highest WAL sequence number logged by the {e calling} domain —
-      the per-domain stamp {!barrier} waits on.  A replication layer
-      running a sync-ack barrier needs the same stamp to know which
-      sequence its followers must acknowledge. *)
+  (** Highest WAL sequence number the {e calling} domain's answers
+      depend on: its own records, and those its reads and failed
+      updates observed — the per-domain stamp {!barrier} waits on.  A
+      replication layer running a sync-ack barrier needs the same stamp
+      to know which sequence its followers must acknowledge. *)
   let last_logged_here t = !(Domain.DLS.get t.last_logged)
 
   (** Install the checkpoint-GC retention hook: a closure returning the
@@ -341,16 +348,36 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
       records at or past the returned floor survive checkpointing. *)
   let set_retention_hook t f = Atomic.set t.retention f
 
-  let log t r =
+  (* Raise the calling domain's barrier stamp to [seq]. *)
+  let[@inline] depends_on t seq =
+    let last = Domain.DLS.get t.last_logged in
+    if seq > !last then last := seq
+
+  (* Log the record of a mutation of keys [a] and [b], under their
+     stripe locks. *)
+  let log t a b r =
     match t.writer with
     | None -> ()
-    | Some w -> (Domain.DLS.get t.last_logged) := Wal.Writer.append w r
+    | Some w ->
+        let seq = Wal.Writer.append w r in
+        depends_on t seq;
+        t.stripe_seqs.(stripe a) <- seq;
+        t.stripe_seqs.(stripe b) <- seq
+
+  (* A mutation of keys [a] and [b] returned [false], under their stripe
+     locks: its answer depends on the last records of those stripes,
+     which hold every logged write it can have observed, since a
+     mutation appends before it releases its stripes. *)
+  let observed t a b =
+    if Option.is_some t.writer then
+      depends_on t (max t.stripe_seqs.(stripe a) t.stripe_seqs.(stripe b))
 
   (* Mutations: apply to the structure, then publish the acknowledged
-     effect.  A [false] result changed nothing and is not logged.  When
-     the store logs, both steps run under the stripe locks of the keys
-     [a] and [b] the mutation touches, the lower first, so two
-     mutations never wait on each other in a cycle. *)
+     effect.  A [false] result changed nothing and is not logged, but
+     its answer waits for the writes it observed.  When the store logs,
+     both steps run under the stripe locks of the keys [a] and [b] the
+     mutation touches, the lower first, so two mutations never wait on
+     each other in a cycle. *)
   let locked t a b f =
     match t.writer with
     | None -> f ()
@@ -364,28 +391,57 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
   let insert t k =
     locked t k k @@ fun () ->
     let ok = S.insert t.set k in
-    if ok then log t (Wal.Insert k);
+    if ok then log t k k (Wal.Insert k) else observed t k k;
     ok
 
   let delete t k =
     locked t k k @@ fun () ->
     let ok = S.delete t.set k in
-    if ok then log t (Wal.Delete k);
+    if ok then log t k k (Wal.Delete k) else observed t k k;
     ok
 
   let replace t ~remove ~add =
     locked t remove add @@ fun () ->
     let ok = S.replace t.set ~remove ~add in
-    if ok then log t (Wal.Replace { remove; add });
+    if ok then log t remove add (Wal.Replace { remove; add })
+    else observed t remove add;
     ok
 
-  let member t k = S.member t.set k
+  (* A read waits out its key's stripe after reading the structure: a
+     mutation it observed may still be between its apply and its
+     append, and the read's answer depends on that record. *)
+  let member t k =
+    let ok = S.member t.set k in
+    (match t.writer with
+    | None -> ()
+    | Some _ ->
+        let i = stripe k in
+        Mutex.lock t.stripes.(i);
+        let seq = t.stripe_seqs.(i) in
+        Mutex.unlock t.stripes.(i);
+        depends_on t seq);
+    ok
+
   let size t = S.size t.set
   let to_list t = S.to_list t.set
 
   (** Atomic frozen view of the current contents (the structure's
-      snapshot capability, untouched by the WAL layer). *)
-  let snapshot t = S.snapshot t.set
+      snapshot capability).  The view may hold mutations still between
+      their apply and their append, so the calling domain's barrier
+      stamp is raised to the last assigned sequence number, read once
+      every stripe has been waited out after the view was taken. *)
+  let snapshot t =
+    let v = S.snapshot t.set in
+    (match t.writer with
+    | None -> ()
+    | Some w ->
+        Array.iter
+          (fun m ->
+            Mutex.lock m;
+            Mutex.unlock m)
+          t.stripes;
+        depends_on t (Wal.Writer.last_assigned w));
+    v
 
   (** Newest {e assigned} WAL sequence number — the [cut] a scan page
       or checkpoint taken {e after} reading it may be paired with:
@@ -398,8 +454,9 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
     | Some w -> Wal.Writer.last_assigned w
     | None -> t.info.last_seq
 
-  (** Commit this domain's most recent logged mutation: return once it
-      is written ({!Async}) or written and fsynced ({!Sync}), leading
+  (** Commit this domain's most recent logged mutation, and every
+      record its reads and failed updates observed: return once they
+      are written ({!Async}) or written and fsynced ({!Sync}), leading
       the group commit if none is in progress.  An acknowledgement must
       not be released before this returns; the patserve server calls
       it once per processed frame window, which is what makes group

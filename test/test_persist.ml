@@ -31,6 +31,22 @@ let last_segment dir =
   | seg :: _ -> Filename.concat dir seg
   | [] -> Alcotest.fail "no wal segment found"
 
+(* Copy every file of [src] into [dst], one at a time, as a crash
+   image: a file being appended may be cut mid-frame. *)
+let copy_files ~src ~dst =
+  Array.iter
+    (fun n ->
+      let b =
+        let ic = open_in_bin (Filename.concat src n) in
+        let len = in_channel_length ic in
+        let b = really_input_string ic len in
+        close_in ic; b
+      in
+      let oc = open_out_bin (Filename.concat dst n) in
+      output_string oc b;
+      close_out oc)
+    (Sys.readdir src)
+
 (* ------------------------------------------------------------------ *)
 (* WAL *)
 
@@ -466,6 +482,81 @@ let test_log_order_is_set_order () =
     log_order_trial ()
   done
 
+(* A read or an update that returns false must not be acknowledged
+   before the writes it observed are logged.  Domain A applies [held]
+   and is held before its barrier, so its record sits queued, unwritten.
+   The main domain then runs [op], which observes A's write and logs
+   nothing itself, and calls [barrier], as the server does before it
+   acknowledges a window.  A copy of the data directory taken then is
+   what a [kill -9] would leave: reopened, it must hold the state [op]
+   answered from, [key] present or absent as [expect] says.  [durable]
+   keys are inserted and committed first. *)
+let read_then_crash ~what ~durable ~held ~op ~key ~expect =
+  let src = tmpdir () and dst = tmpdir () in
+  let s = mk_store ~mode:Pstore.Async src in
+  List.iter (fun k -> assert (Pstore.insert s k)) durable;
+  Pstore.barrier s;
+  let applied = Atomic.make false and release = Atomic.make false in
+  let a =
+    Domain.spawn (fun () ->
+        let ok = held s in
+        Atomic.set applied true;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done;
+        Pstore.barrier s;
+        ok)
+  in
+  while not (Atomic.get applied) do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check bool) (what ^ ": the answer") true (op s);
+  Pstore.barrier s;
+  copy_files ~src ~dst;
+  Atomic.set release true;
+  assert (Domain.join a);
+  Pstore.close s;
+  let r = mk_store ~mode:Pstore.Ephemeral dst in
+  let recovered = Pstore.member r key in
+  Pstore.close r;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: key %d %s in the crash image" what key
+       (if expect then "present" else "absent"))
+    expect recovered
+
+let test_member_waits_for_its_write () =
+  read_then_crash ~what:"member" ~durable:[]
+    ~held:(fun s -> Pstore.insert s 5)
+    ~op:(fun s -> Pstore.member s 5)
+    ~key:5 ~expect:true
+
+let test_failed_insert_waits () =
+  read_then_crash ~what:"failed insert" ~durable:[]
+    ~held:(fun s -> Pstore.insert s 5)
+    ~op:(fun s -> not (Pstore.insert s 5))
+    ~key:5 ~expect:true
+
+let test_failed_delete_waits () =
+  read_then_crash ~what:"failed delete" ~durable:[ 5 ]
+    ~held:(fun s -> Pstore.delete s 5)
+    ~op:(fun s -> not (Pstore.delete s 5))
+    ~key:5 ~expect:false
+
+let test_failed_replace_waits () =
+  read_then_crash ~what:"failed replace" ~durable:[ 5 ]
+    ~held:(fun s -> Pstore.insert s 7)
+    ~op:(fun s -> not (Pstore.replace s ~remove:5 ~add:7))
+    ~key:7 ~expect:true
+
+let test_snapshot_waits () =
+  read_then_crash ~what:"snapshot" ~durable:[]
+    ~held:(fun s -> Pstore.insert s 5)
+    ~op:(fun s ->
+      match Pstore.snapshot s with
+      | Some v -> v.Dset_intf.v_fold ~init:false ~f:(fun acc k -> acc || k = 5)
+      | None -> Alcotest.fail "no snapshot capability")
+    ~key:5 ~expect:true
+
 (* A crash-consistency smoke that needs no processes: copy the data
    directory while the store is being mutated (what a kill would leave),
    then recover the copy.  The copy is taken file-at-a-time like a
@@ -484,18 +575,7 @@ let test_dirty_copy_recovers () =
   in
   Unix.sleepf 0.05;
   (* Racy copy of every file, byte-ranged like a crash image. *)
-  Array.iter
-    (fun n ->
-      let b =
-        let ic = open_in_bin (Filename.concat src n) in
-        let len = in_channel_length ic in
-        let b = really_input_string ic len in
-        close_in ic; b
-      in
-      let oc = open_out_bin (Filename.concat dst n) in
-      output_string oc b;
-      close_out oc)
-    (Sys.readdir src);
+  copy_files ~src ~dst;
   Atomic.set stop true;
   Domain.join mutator;
   Pstore.close s;
@@ -892,6 +972,16 @@ let () =
             test_log_order_is_set_order;
           Alcotest.test_case "dirty copy recovers" `Quick
             test_dirty_copy_recovers;
+          Alcotest.test_case "member waits for its write" `Quick
+            test_member_waits_for_its_write;
+          Alcotest.test_case "failed insert waits for its write" `Quick
+            test_failed_insert_waits;
+          Alcotest.test_case "failed delete waits for its write" `Quick
+            test_failed_delete_waits;
+          Alcotest.test_case "failed replace waits for its write" `Quick
+            test_failed_replace_waits;
+          Alcotest.test_case "snapshot waits for its writes" `Quick
+            test_snapshot_waits;
           Alcotest.test_case "equals forced replay" `Quick
             test_recovery_equivalence;
           Alcotest.test_case "raw logs equal forced replay" `Quick

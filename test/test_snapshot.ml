@@ -292,6 +292,127 @@ let test_renewal_flags_parent () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
 
+(* One trie's side of [false_updates_write_nothing], keys as ints. *)
+type subject = {
+  insert : int -> bool;
+  delete : int -> bool;
+  replace : int -> int -> bool;
+  snapshot : unit -> unit -> int list; (* a view's walk *)
+  live : unit -> int list;
+  stale_on_path : int -> int;
+  counter : string -> int;
+  audit : unit -> (unit, string) result;
+}
+
+let pat_subject () =
+  let t = P.create ~universe:1000 ~record_stats:true () in
+  {
+    insert = P.insert t;
+    delete = P.delete t;
+    replace = (fun remove add -> P.replace t ~remove ~add);
+    snapshot =
+      (fun () ->
+        let v = P.snapshot t in
+        fun () -> P.View.to_list v);
+    live = (fun () -> P.to_list t);
+    stale_on_path = P.For_testing.stale_on_path t;
+    counter =
+      (fun c -> List.assoc c (P.stats_to_alist (Option.get (P.stats_snapshot t))));
+    audit = (fun () -> P.check_invariants t);
+  }
+
+(* PAT-VLK over the same ints as fixed-width decimal strings, whose
+   encoded order is the ints' order. *)
+let vlk_subject () =
+  let t = V.create ~record_stats:true () in
+  let key = Printf.sprintf "%04d" in
+  let ints = List.map int_of_string in
+  {
+    insert = (fun k -> V.insert t (key k));
+    delete = (fun k -> V.delete t (key k));
+    replace = (fun remove add -> V.replace t ~remove:(key remove) ~add:(key add));
+    snapshot =
+      (fun () ->
+        let v = V.snapshot t in
+        fun () -> ints (V.View.to_list v));
+    live = (fun () -> ints (V.to_list t));
+    stale_on_path =
+      (fun k -> V.For_testing.stale_on_path t (Bitkey.Bitstr.encode_bytes (key k)));
+    counter =
+      (fun c -> List.assoc c (Option.get (V.For_testing.counters t)));
+    audit = (fun () -> V.check_invariants t);
+  }
+
+(* After a snapshot every path is stale.  An insert, a delete and a
+   replace that return false have only searched, as a find does: they
+   run no descriptor, renew nothing and leave every stale run where it
+   was.  A committing update on one of those paths then renews its run,
+   and every view still walks the set it froze. *)
+let false_updates_write_nothing name (s : subject) =
+  let st = Random.State.make [| 32 |] in
+  let model = ref IS.empty in
+  for _ = 1 to 400 do
+    let k = Random.State.int st 1000 in
+    if s.insert k then model := IS.add k !model
+  done;
+  let views = ref [] in
+  let snap () =
+    views := (s.snapshot (), IS.elements !model) :: !views
+  in
+  snap ();
+  let stale k = s.stale_on_path k in
+  let pick p lo =
+    List.find (fun k -> p k && stale k >= 2) (List.init (1000 - lo) (( + ) lo))
+  in
+  let present k = IS.mem k !model and absent k = not (IS.mem k !model) in
+  let p1 = pick present 100 and a1 = pick absent 300 in
+  let p2 = pick present 500 and a2 = pick absent 700 in
+  let keys = [ p1; p2; a1; a2 ] in
+  let stale0 = List.map stale keys in
+  let counters () =
+    List.map s.counter [ "renewals"; "renew_paths"; "descriptors_run" ]
+  in
+  let c0 = counters () in
+  List.iter
+    (fun (what, r) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %s" name what) false r)
+    [
+      ("insert of a present key", s.insert p1);
+      ("delete of an absent key", s.delete a1);
+      ("replace of an absent key", s.replace a1 a2);
+      ("replace by a present key", s.replace p1 p2);
+    ];
+  Alcotest.(check (list int))
+    (name ^ ": renewals, renewal descriptors and descriptors run")
+    c0 (counters ());
+  Alcotest.(check (list int)) (name ^ ": stale runs left in place") stale0
+    (List.map stale keys);
+  (* The same paths, now updated: each renews its run to commit. *)
+  let renewals = s.counter "renewals" in
+  Alcotest.(check bool) (name ^ ": insert commits") true (s.insert a1);
+  model := IS.add a1 !model;
+  if s.counter "renewals" <= renewals then
+    Alcotest.failf "%s: the committing insert renewed nothing" name;
+  Alcotest.(check int) (name ^ ": its path is live") 0 (stale a1);
+  snap ();
+  Alcotest.(check bool) (name ^ ": replace commits") true (s.replace p1 a2);
+  model := IS.add a2 (IS.remove p1 !model);
+  Alcotest.(check int) (name ^ ": the added key's path is live") 0 (stale a2);
+  List.iter
+    (fun (walk, frozen) ->
+      Alcotest.(check (list int)) (name ^ ": a view walks its frozen set")
+        frozen (walk ()))
+    !views;
+  Alcotest.(check (list int)) (name ^ ": live set") (IS.elements !model)
+    (s.live ());
+  match s.audit () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: invariants: %s" name e
+
+let test_false_updates_write_nothing () =
+  false_updates_write_nothing "PAT" (pat_subject ());
+  false_updates_write_nothing "PAT-VLK" (vlk_subject ())
+
 let test_storm_stability () =
   (* Snapshots taken during an insert/delete/replace storm: every view
      must be internally stable (re-walking gives the same answer) and
@@ -594,6 +715,8 @@ let () =
             test_renewal_continues;
           Alcotest.test_case "a renewal flags only the run's parent" `Quick
             test_renewal_flags_parent;
+          Alcotest.test_case "an update that returns false writes nothing"
+            `Quick test_false_updates_write_nothing;
         ] );
       ( "storms",
         [
