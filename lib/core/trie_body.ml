@@ -25,24 +25,24 @@
    - [Atomic.compare_and_set] compares by physical equality, which matches
      the paper's pointer-identity CAS.
    - The paper avoids the ABA problem on [info] fields by installing a
-     *newly allocated* Unflag object on every unflag/backtrack CAS; we
-     reproduce this with [Unflag { mutable u : unit }], a 2-word block
-     that is fresh per allocation (a mutable block is never shared), so
-     two Unflags are never physically equal.  A new node starts with the
-     immediate [Clean] instead and allocates no Unflag; since only the
-     CASes that release a flag install an Unflag, and always a fresh
-     one, an info field that reads [Clean] has never been flagged, and
-     a flag CAS expecting [Clean] is as ABA-free as one expecting an
-     Unflag.  Leaves are never unflagged, so they never hold one.
+     *newly allocated* Unflag object on every unflag/backtrack CAS.  A
+     committed update here unflags each node whose child it CASed with
+     the child it installed there instead, so the commit allocates
+     nothing.  That is as ABA-free: a node is never installed as the
+     same parent's child twice (a new child is a block the descriptor
+     allocated or a sibling moving up, and a node unlinked from a
+     parent is never linked again), so the unflagged values one node's
+     info takes never repeat.  A backtrack, and a snapshot's release of
+     the superseded root, still install a fresh [Unflag], a 2-word
+     mutable block the compiler never shares.  A new node starts with
+     the immediate [Clean]: an info field that reads [Clean] has never
+     been flagged.  Leaves are never unflagged.
    - A node an update removes is flagged for good, as in the paper, but
      not with the descriptor: whoever completes a committed descriptor
      CASes each node it removed from the Flag to the immediate [Dead].
      A removed node already in the major heap would otherwise keep the
      whole descriptor alive after the update returns, and every minor
      collection would promote it.
-   - A Flag descriptor must be wrapped in the [info] variant exactly once
-     so that all CASes and reads compare the same physical value; the
-     shared wrapper is created in [new_flag] and threaded everywhere.
 
    With unbounded keys (PAT-VLK) searches remain non-blocking but are no
    longer wait-free, as the paper notes: concurrent insertions of
@@ -122,35 +122,42 @@ end
 
 module _ : KEY = K
 
-(* Node kinds, for the type index of [tnode]: a leaf and an internal node
-   are distinct types, so a descriptor's [internal array] can hold only
-   internal nodes, while a child field holds either kind as a [node]. *)
-type lk = |
-type ik = |
+(* Type indices of [tnode].  The first names the constructor: a leaf and
+   an internal node are distinct types, so a descriptor's [internal
+   array] can hold only internal nodes, and a function taking a [flag]
+   or a [snap] matches its one constructor with no tag test.  The second
+   says whether the value is a node, so a child field holds only a leaf
+   or an internal node.  Each index has a constructor, never used: the
+   front ends' matches see these types from another compilation unit,
+   where empty types are not known to differ. *)
+type lk = Lk
+type ik = Ik
+type fk = Fk
+type sk = Sk
+type mk = Mk
+type is_node = Is_node
+type not_node = Not_node
 
-(* The info field of a node (paper Figure 2).  [Clean] is the immediate
-   value every new node starts with; only the CASes that release a flag
-   (unflag, backtrack, and a snapshot's release of the old root) install
-   an [Unflag], and always a freshly allocated one (the mutable field
-   keeps the compiler from sharing the block), so a field that reads
-   [Clean] has never been flagged.  [Dead] marks a node a committed
-   update removed: it replaces that update's [Flag] once the child CASes
-   are done, is flagged for good, and no CAS ever expects it. *)
-type info =
-  | Clean
-  | Dead
-  | Unflag of { mutable u : unit }
-  | Flag of flag
-  | Snap of snap
+(* The info field of a node (paper Figure 2): any [tnode], so a node, a
+   descriptor or a mark is an info value with no cast and no wrapper.
+   [Clean] is the immediate value every new node starts with; [Flag] and
+   [Snap] descriptors are their own info values; a commit unflags a node
+   to the child it installed there, a backtrack to a fresh [Unflag] (see
+   above).  [Dead] marks a node a committed update removed: it replaces
+   that update's [Flag] once the child CASes are done, is flagged for
+   good, and no CAS ever expects it.  Unboxed: [Info x] is [x] itself at
+   run time, so the flag CASes compare the blocks. *)
+type info = Info : (_, _) tnode -> info [@@unboxed]
 
 (* A node carries its fields inline, as the paper's node does: an
    internal node is one block, and a child field points straight at the
    child's block, with no wrapper box between.  The info word is field 0
    of both kinds and is accessed only through [info_cell] below, never
    as a record field.  The children are read as plain fields and written
-   after construction only by [cas_child], never with [<-]. *)
-and _ tnode =
-  | Leaf : { mutable linfo : info; key : K.key } -> lk tnode
+   after construction only by [cas_child], never with [<-].  [Leaf] and
+   [Internal] come first, so their tags are 0 and 1. *)
+and (_, _) tnode =
+  | Leaf : { mutable linfo : info; key : K.key } -> (lk, is_node) tnode
   | Internal : {
       mutable iinfo : info;
       label : K.label;
@@ -165,15 +172,64 @@ and _ tnode =
              belong to the live generation and the frozen generations
              behind past snapshots are never mutated. *)
     }
-      -> ik tnode
+      -> (ik, is_node) tnode
+  | Clean : (mk, not_node) tnode
+  | Dead : (mk, not_node) tnode
+  | Unflag : { mutable u : unit } -> (mk, not_node) tnode
+  (* The Flag descriptor (paper Figure 2, lines 8-16).  [flag_nodes]
+     are the internal nodes to flag, sorted by label; [old_infos.(i)] is
+     the value that must still be in [flag_nodes.(i)]'s info for the
+     flag CAS to succeed.  Child [k] of [pnodes.(i)] is CASed from
+     [old_children.(i)] to [new_children.(i)], and [pnodes.(i)] is then
+     unflagged to [new_children.(i)]; flagged nodes absent from
+     [pnodes] are removed from the trie and stay flagged ("marked")
+     forever, as [Dead] once the child CASes are done.  [rmv_leaf] is
+     the leaf logically removed by a general-case replace, flagged and
+     then marked [Dead] the same way. *)
+  | Flag : {
+      flag_nodes : internal array;
+      old_infos : info array;
+      pnodes : internal array;
+      old_children : node array;
+      new_children : node array;
+      rmv_leaf : leaf option;
+      decision : decision Atomic.t;
+          (* Replaces the paper's [flag_done] bit: [Commit] is decided
+             by the single CAS of a process that observed every flag CAS
+             succeed *and* the owning trie's holder still equal to
+             [fholder]; the child CASes run only under a [Commit].  The
+             paper's semantics are the special case where the holder
+             never changes. *)
+      fholder : holder; (* the generation this attempt's search ran against *)
+      fcell : holder Atomic.t; (* the owning trie's holder cell, for validation *)
+      fstats : stats option;
+          (* The owning trie's counters, carried by the descriptor so
+             that helpers — which see only the descriptor — can
+             attribute events (descriptors run, helps received, lost
+             child CASes, backtracks) to the right trie. *)
+    }
+      -> (fk, not_node) tnode
+  (* Descriptor of an in-flight snapshot, installed on the old root's
+     [iinfo] like a one-node flag: it proves the root's children did not
+     change between being copied into [s_new.hroot] and the holder CAS,
+     and it lets any process (an update that finds it while flagging the
+     root, or a concurrent snapshot) complete the swing. *)
+  | Snap : {
+      s_old : holder;
+      s_new : holder;
+      s_cell : holder Atomic.t;
+    }
+      -> (sk, not_node) tnode
 
 (* A child of either kind.  Unboxed: [Any n] is [n] itself at run time,
    so a node has one physical identity however it is reached, which is
    what the child CASes compare. *)
-and node = Any : 'k tnode -> node [@@unboxed]
+and node = Any : (_, is_node) tnode -> node [@@unboxed]
 
-and leaf = lk tnode
-and internal = ik tnode
+and leaf = (lk, is_node) tnode
+and internal = (ik, is_node) tnode
+and flag = (fk, not_node) tnode
+and snap = (sk, not_node) tnode
 
 (* One generation of the trie.  [hroot] is that generation's root;
    [hgen] is the identity the root's descendants are stamped with.
@@ -210,46 +266,6 @@ and cache = { bits : int; slots : internal array }
    decision CAS is the only place an update commits, so a snapshot that
    swings the holder strictly before that CAS is never missed. *)
 and decision = Pending | Commit | Abort
-
-(* The Flag descriptor (paper Figure 2, lines 8-16).  [flag_nodes] are the
-   internal nodes to flag, sorted by label; [old_infos.(i)] is the value
-   that must still be in [flag_nodes.(i)]'s info for the flag CAS to
-   succeed.  Child [k] of [pnodes.(i)] is CASed from [old_children.(i)]
-   to [new_children.(i)].  [unflag_nodes] are unflagged afterwards; flagged
-   nodes absent from it are removed from the trie and stay flagged
-   ("marked") forever, as [Dead] once the child CASes are done.
-   [rmv_leaf] is the leaf logically removed by a general-case replace,
-   flagged and then marked [Dead] the same way. *)
-and flag = {
-  flag_nodes : internal array;
-  old_infos : info array;
-  unflag_nodes : internal array;
-  pnodes : internal array;
-  old_children : node array;
-  new_children : node array;
-  rmv_leaf : leaf option;
-  decision : decision Atomic.t;
-      (* Replaces the paper's [flag_done] bit: [Commit] is decided by
-         the single CAS of a process that observed every flag CAS
-         succeed *and* the owning trie's holder still equal to
-         [fholder]; the child CASes run only under a [Commit].  The
-         paper's semantics are the special case where the holder never
-         changes. *)
-  fholder : holder; (* the generation this attempt's search ran against *)
-  fcell : holder Atomic.t; (* the owning trie's holder cell, for validation *)
-  fstats : stats option;
-      (* The owning trie's counters, carried by the descriptor so that
-         helpers — which see only the descriptor — can attribute events
-         (descriptors run, helps received, lost child CASes, backtracks)
-         to the right trie. *)
-}
-
-(* Descriptor of an in-flight snapshot, installed on the old root's
-   [iinfo] like a one-node flag: it proves the root's children did not
-   change between being copied into [s_new.hroot] and the holder CAS,
-   and it lets any process (an update that finds it while flagging the
-   root, or a concurrent snapshot) complete the swing. *)
-and snap = { s_old : holder; s_new : holder; s_cell : holder Atomic.t }
 
 (* Counters for the help-rate ablation and the observability layer;
    disabled (None) by default so the hot path pays a single branch.
@@ -315,7 +331,7 @@ type snapshot = {
 type t = {
   ctx : K.ctx;
   holder : holder Atomic.t; (* the live generation; swung only by snapshots *)
-  slots : info option Atomic.t list Atomic.t;
+  slots : flag option Atomic.t list Atomic.t;
       (* Published-descriptor registry: one slot per domain that ever
          updated this trie.  An update publishes its descriptor before
          the flagging phase and clears the slot after completion, so a
@@ -330,7 +346,7 @@ type t = {
 
 (* What one domain keeps for one trie, written by that domain only. *)
 and mine = {
-  mutable slot : info option Atomic.t option;
+  mutable slot : flag option Atomic.t option;
       (* its published-descriptor slot, registered on first update *)
   mutable descents : int; (* its cached descents, for sampling *)
 }
@@ -353,7 +369,7 @@ let my_slot t =
       m.slot <- Some s;
       s
 
-let fresh_unflag () = Unflag { u = () }
+let fresh_unflag () = Info (Unflag { u = () })
 
 (* A node's info word as an atomic cell.  [Atomic.get],
    [compare_and_set] and [set] act on field 0 of whatever block they are
@@ -361,9 +377,9 @@ let fresh_unflag () = Unflag { u = () }
    node kinds is the info word (the layout test of test_patricia and
    test_patricia_vlk pins this).  The one cast in the trie: OCaml 5.4's
    atomic record fields would replace it. *)
-external info_cell : _ tnode -> info Atomic.t = "%identity"
+external info_cell : (_, is_node) tnode -> info Atomic.t = "%identity"
 
-let new_leaf key : leaf = Leaf { linfo = Clean; key }
+let new_leaf key : leaf = Leaf { linfo = Info Clean; key }
 
 (* Field access on a typed node: the pattern is exhaustive at its type,
    so each compiles to a single load with no tag test. *)
@@ -389,7 +405,7 @@ let node_span = function
   | Any (Internal i) -> K.label_span i.label
 
 let make_internal ~gen label c0 c1 : internal =
-  Internal { iinfo = Clean; label; c0; c1; gen }
+  Internal { iinfo = Info Clean; label; c0; c1; gen }
 
 (* A copy of [i] in generation [gen], children read now: callers read
    [i]'s info field first (see [copy_node]). *)
@@ -505,9 +521,10 @@ let[@inline] attempt_retry (stats : stats option) kind ~key ~attempt ~t0 cause =
         | Conflict -> "conflict")
       ~t0
 
-let[@inline] flagged = function
+let[@inline] flagged (Info i) =
+  match i with
   | Flag _ | Snap _ | Dead -> true
-  | Clean | Unflag _ -> false
+  | Clean | Unflag _ | Leaf _ | Internal _ -> false
 
 (* Cause of a [None] return from [new_flag], recovered from the info
    values the attempt read: if any was a Flag we restarted after helping
@@ -560,12 +577,13 @@ let make ~record_stats ctx =
    replace is logically removed once the replace's first child CAS has
    happened, i.e. once oldChild[0] is no longer a child of pNode[0].  A
    leaf reads [Dead] only after both child CASes. *)
-let logically_removed = function
+let logically_removed (Info i) =
+  match i with
   | Dead -> true
-  | Clean | Unflag _ | Snap _ -> false
   | Flag f ->
       let (Internal p) = f.pnodes.(0) and old = f.old_children.(0) in
       not (p.c0 == old || p.c1 == old)
+  | Clean | Unflag _ | Snap _ | Leaf _ | Internal _ -> false
 
 type search_result = {
   gp : internal option;
@@ -606,20 +624,29 @@ let[@inline] found hint gp gp_info p p_info d node =
     hint;
   }
 
-let search_from (root : internal) v =
-  (* The root's label is a prefix of every key, so the loop body runs at
-     least once and [p] is always an internal node on return. *)
-  let rec go gp gp_info p p_info d =
-    let node = child p (K.bit (label p) v) in
-    match node with
-    | Any (Internal r as i) when K.is_prefix r.label v ->
-        go p p_info i (Atomic.get (iinfo i)) (d + 1)
-    | _ -> found root gp gp_info p p_info d node
-  in
-  let ri = Atomic.get (iinfo root) in
-  go root ri root ri 0
+(* The descent of a search for [v] below [p], whose info read [p_info]:
+   the loop of [search] and [search_from].  [hint] is the last node
+   passed whose label fits a [2^bits]-slot level cache ([K.fits]), or
+   the start node.  The start node's label is a prefix of [v], so the
+   loop body runs at least once and [p] is always an internal node on
+   return.  A top-level function of its arguments, not a closure over
+   [ctx], [bits] and [v], so a search allocates only its result. *)
+let rec descend ctx bits v hint gp gp_info p p_info d =
+  let node = child p (K.bit (label p) v) in
+  match node with
+  | Any (Internal r as i) when K.is_prefix r.label v ->
+      descend ctx bits v
+        (if K.fits ctx bits r.label then i else hint)
+        p p_info i (Atomic.get (iinfo i)) (d + 1)
+  | _ -> found hint gp gp_info p p_info d node
 
-let search_root t v = search_from (Atomic.get t.holder).hroot v
+(* A search for [v] from [root], with no level cache: with no bits, only
+   the root's label fits, so the hint stays [root]. *)
+let search_from ctx (root : internal) v =
+  let ri = Atomic.get (iinfo root) in
+  descend ctx 0 v root root ri root ri 0
+
+let search_root t v = search_from t.ctx (Atomic.get t.holder).hroot v
 
 (* ------------------------------------------------------------------ *)
 (* The level cache, after the cache tries of Prokopec, Bagwell and
@@ -676,11 +703,14 @@ let cache_cap = 16
 
 (* A new array starts with [no_cache]'s one node, the dummy, in every
    slot.  No search ever writes to [no_cache]: with no bits, only the
-   root's label fits. *)
+   root's label fits.  The sample starts over: depths below the old
+   array's hints say nothing about the new one's. *)
 let install_cache t h bits =
   h.hcache <-
     (if bits = 0 then t.no_cache
-     else { bits; slots = Array.make (1 lsl bits) t.no_cache.slots.(0) })
+     else { bits; slots = Array.make (1 lsl bits) t.no_cache.slots.(0) });
+  h.hsamples <- 0;
+  h.hdepth <- 0
 
 (* Whether a descent that started at a hint of a [2^bits]-slot array
    joins the sample: one in 64 of the calling domain's, every one with
@@ -712,9 +742,7 @@ let size_cache t h depth =
       let bits = lc.bits in
       let want = ((2 * ((bits * n) + sum)) - (5 * n)) / (2 * n) in
       let want = min (min cache_cap (K.max_bits t.ctx)) want in
-      if n lsl (if bits < 6 then 0 else 6) >= 1 lsl max want bits then begin
-        h.hsamples <- 0;
-        h.hdepth <- 0;
+      if n lsl (if bits < 6 then 0 else 6) >= 1 lsl max want bits then
         if bits > 0 && sum >= (h.hbase - 1) * n then begin
           install_cache t h 0;
           h.hbase <- -1
@@ -723,7 +751,10 @@ let size_cache t h depth =
           install_cache t h want;
           h.hbase <- bits + (sum / n)
         end
-      end
+        else begin
+          h.hsamples <- 0;
+          h.hdepth <- 0
+        end
     end
   end
 
@@ -737,15 +768,6 @@ let search t (h : holder) v =
   let ctx = t.ctx in
   let lc = h.hcache in
   let bits = lc.bits in
-  let rec go hint gp gp_info p p_info d =
-    let node = child p (K.bit (label p) v) in
-    match node with
-    | Any (Internal r as i) when K.is_prefix r.label v ->
-        go
-          (if K.fits ctx bits r.label then i else hint)
-          p p_info i (Atomic.get (iinfo i)) (d + 1)
-    | _ -> found hint gp gp_info p p_info d node
-  in
   let slot = K.slot ctx bits v in
   let c = Array.unsafe_get lc.slots slot in
   chaos_point Chaos.Cache;
@@ -753,13 +775,13 @@ let search t (h : holder) v =
   let root = h.hroot in
   let r =
     if (not (flagged ci)) && K.is_prefix (label c) v then begin
-      let r = go c c ci c ci 0 in
+      let r = descend ctx bits v c c ci c ci 0 in
       if sampled t bits then size_cache t h r.depth;
       r
     end
     else
       let ri = Atomic.get (iinfo root) in
-      let r = go root root ri root ri 0 in
+      let r = descend ctx bits v root root ri root ri 0 in
       if bits = 0 then size_cache t h r.depth;
       r
   in
@@ -777,14 +799,15 @@ let key_in_trie node v rmvd =
 (* ------------------------------------------------------------------ *)
 (* help (lines 86-106) *)
 
-(* [flag_phase fi f] performs the flag CASes in order (lines 87-92) and
-   returns the paper's [doChildCAS]: whether every node in f.flag_nodes
-   was observed flagged with [fi] immediately after our CAS on it.
+(* [flag_phase fl] performs the flag CASes in order (lines 87-92) and
+   returns the paper's [doChildCAS]: whether every node in flag_nodes
+   was observed flagged with [fl] immediately after our CAS on it.
 
-   A CAS that fails while the node nevertheless holds [fi] means some
+   A CAS that fails while the node nevertheless holds [fl] means some
    other process installed this very descriptor before us — the
    operation is being helped; count it on the owning trie. *)
-let flag_phase fi f =
+let flag_phase (Flag f as fl : flag) =
+  let fi = Info fl in
   let n = Array.length f.flag_nodes in
   let rec loop i =
     if i >= n then true
@@ -801,24 +824,23 @@ let flag_phase fi f =
   in
   loop 0
 
-let child_cas_phase f =
-  Array.iteri
-    (fun i p ->
-      let nc = f.new_children.(i) in
-      (* Line 97: the child index is the (|p.label|+1)-th bit of the new
-         child's label, which p.label properly prefixes by Invariant 7. *)
-      let b =
-        match nc with
-        | Any (Leaf l) -> K.bit (label p) l.key
-        | Any (Internal c) -> K.child_bit (label p) c.label
-      in
-      chaos_point Chaos.Child_cas;
-      if not (cas_child p b f.old_children.(i) nc) then
-        (* Expected old child already gone: a helper or a conflicting
-           update got there first. *)
-        bump f.fstats (fun s -> s.child_cas_lost);
-      chaos_point Chaos.After_child_cas)
-    f.pnodes
+let child_cas_phase (Flag f : flag) =
+  for i = 0 to Array.length f.pnodes - 1 do
+    let p = f.pnodes.(i) and nc = f.new_children.(i) in
+    (* Line 97: the child index is the (|p.label|+1)-th bit of the new
+       child's label, which p.label properly prefixes by Invariant 7. *)
+    let b =
+      match nc with
+      | Any (Leaf l) -> K.bit (label p) l.key
+      | Any (Internal c) -> K.child_bit (label p) c.label
+    in
+    chaos_point Chaos.Child_cas;
+    if not (cas_child p b f.old_children.(i) nc) then
+      (* Expected old child already gone: a helper or a conflicting
+         update got there first. *)
+      bump f.fstats (fun s -> s.child_cas_lost);
+    chaos_point Chaos.After_child_cas
+  done
 
 (* [index_of a m x 0] is the position of [x] among [a.(0 .. m-1)]
    (physical equality), or -1.  [Array.memq] would allocate a closure
@@ -829,28 +851,17 @@ let rec index_of (a : internal array) m x j =
 (* Complete an in-flight snapshot found installed on a root: swing the
    holder (idempotent — the new holder value is carried by the
    descriptor, so every helper CASes to the same value) and release the
-   old root's info field. *)
-let help_snap (si : info) (s : snap) =
+   old root's info field.  The release installs a fresh [Unflag], not
+   the new root: an old view would otherwise keep every later
+   generation's root alive. *)
+let help_snap (Snap s as sn : snap) =
   ignore (Atomic.compare_and_set s.s_cell s.s_old s.s_new);
-  ignore (Atomic.compare_and_set (iinfo s.s_old.hroot) si (fresh_unflag ()))
+  ignore (Atomic.compare_and_set (iinfo s.s_old.hroot) (Info sn) (fresh_unflag ()))
 
-let rec help (fi : info) : bool =
-  match fi with
-  | Clean | Unflag _ -> assert false
-  | Dead ->
-      (* A completed descriptor's mark: helping it would only make CASes
-         that fail. *)
-      true
-  | Snap s ->
-      (* A snapshot never fails; completing it counts as success and the
-         helper retries its own operation against the new generation. *)
-      help_snap fi s;
-      true
-  | Flag f -> help_flag fi f
-
-and help_flag (fi : info) (f : flag) : bool =
+let help_flag (Flag f as fl : flag) : bool =
+  let fi = Info fl in
   bump f.fstats (fun s -> s.descriptors_run);
-  let do_child_cas = flag_phase fi f in
+  let do_child_cas = flag_phase fl in
   (* The decision CAS (not in the paper): an update commits only if some
      process that saw every flag in place also saw the trie's holder
      still at the generation the attempt searched — so a snapshot that
@@ -871,31 +882,35 @@ and help_flag (fi : info) (f : flag) : bool =
          only the first helper's succeeds: a late helper must not put
          the descriptor back on a leaf already marked [Dead]. *)
       (match f.rmv_leaf with
-      | Some l -> ignore (Atomic.compare_and_set (info_cell l) Clean fi)
+      | Some l -> ignore (Atomic.compare_and_set (info_cell l) (Info Clean) fi)
       | None -> ());
-      child_cas_phase f;
-      (* Lines 99-102: unflag, in reverse order, the nodes still in the trie. *)
+      child_cas_phase fl;
+      (* Lines 99-102: unflag, in reverse order, the nodes still in the
+         trie: exactly the nodes whose children were CASed, each to the
+         child installed there, a value that node never held before.  A
+         node listed twice (a general replace whose insertion point is
+         the deleted leaf's grandparent) is unflagged by the first CAS,
+         and the second fails. *)
       chaos_point Chaos.Unflag;
-      let u = Array.length f.unflag_nodes in
+      let u = Array.length f.pnodes in
       for i = u - 1 downto 0 do
-        ignore
-          (Atomic.compare_and_set (iinfo f.unflag_nodes.(i)) fi
-             (fresh_unflag ()))
+        let (Any c) = f.new_children.(i) in
+        ignore (Atomic.compare_and_set (iinfo f.pnodes.(i)) fi (Info c))
       done;
       (* The nodes the paper leaves flagged forever are out of the trie
          now: mark them [Dead], so that none keeps the descriptor alive. *)
       for i = 0 to Array.length f.flag_nodes - 1 do
         let x = f.flag_nodes.(i) in
-        if index_of f.unflag_nodes u x 0 < 0 then
-          ignore (Atomic.compare_and_set (iinfo x) fi Dead)
+        if index_of f.pnodes u x 0 < 0 then
+          ignore (Atomic.compare_and_set (iinfo x) fi (Info Dead))
       done;
       (match f.rmv_leaf with
-      | Some l -> ignore (Atomic.compare_and_set (info_cell l) fi Dead)
+      | Some l -> ignore (Atomic.compare_and_set (info_cell l) fi (Info Dead))
       | None -> ());
       true
   | Abort ->
       (* Lines 103-106: flagging failed (or the generation moved on) —
-         back the flags out. *)
+         back the flags out, each to a fresh [Unflag]. *)
       chaos_point Chaos.Backtrack;
       bump f.fstats (fun s -> s.backtracks);
       for i = Array.length f.flag_nodes - 1 downto 0 do
@@ -904,6 +919,21 @@ and help_flag (fi : info) (f : flag) : bool =
       done;
       false
   | Pending -> assert false
+
+(* help (lines 86-106) on an info value read flagged. *)
+let help (Info i) : bool =
+  match i with
+  | Flag _ as fl -> help_flag fl
+  | Snap _ as sn ->
+      (* A snapshot never fails; completing it counts as success and the
+         helper retries its own operation against the new generation. *)
+      help_snap sn;
+      true
+  | Dead ->
+      (* A completed descriptor's mark: helping it would only make CASes
+         that fail. *)
+      true
+  | Clean | Unflag _ | Leaf _ | Internal _ -> assert false
 
 (* Position of the first flagged info (a Flag, a Snap or [Dead]) among
    [infos], or its length. *)
@@ -928,23 +958,14 @@ let rec dedup_flags (nodes : internal array) (infos : info array) i m =
     else if infos.(j) == infos.(i) then dedup_flags nodes infos (i + 1) m
     else -1
 
-(* Compacts the first occurrence of each node into [a.(0 .. k-1)]. *)
-let rec dedup_nodes (a : internal array) i k =
-  if i = Array.length a then k
-  else if index_of a k a.(i) 0 >= 0 then dedup_nodes a (i + 1) k
-  else begin
-    a.(k) <- a.(i);
-    dedup_nodes a (i + 1) (k + 1)
-  end
-
 (* newFlag (lines 107-116) for an attempt of [t] that searched
    generation [h].  [nodes.(i)] is a node to flag and [infos.(i)] the
-   info value read from it; returns the shared [Flag] info value, or
-   [None] after helping a conflicting update (the caller then retries).
-   Callers pass fresh array literals, which are de-duplicated and sorted
-   in place. *)
-let new_flag t h ~(nodes : internal array) ~infos ~unflag ~pnodes
-    ~old_children ~new_children ~rmv_leaf =
+   info value read from it; returns the [Flag] descriptor, or [None]
+   after helping a conflicting update (the caller then retries).
+   Callers pass fresh array literals; [nodes] and [infos] are
+   de-duplicated and sorted in place. *)
+let new_flag t h ~(nodes : internal array) ~infos ~pnodes ~old_children
+    ~new_children ~rmv_leaf : flag option =
   let n = Array.length nodes in
   let p = first_flagged infos 0 in
   if p < n then begin
@@ -972,13 +993,11 @@ let new_flag t h ~(nodes : internal array) ~infos ~unflag ~pnodes
         nodes.(!j + 1) <- x;
         infos.(!j + 1) <- xi
       done;
-      let u = Array.length unflag and k = dedup_nodes unflag 0 0 in
       Some
         (Flag
            {
              flag_nodes = (if m = n then nodes else Array.sub nodes 0 m);
              old_infos = (if m = n then infos else Array.sub infos 0 m);
-             unflag_nodes = (if k = u then unflag else Array.sub unflag 0 k);
              pnodes;
              old_children;
              new_children;
@@ -992,12 +1011,10 @@ let new_flag t h ~(nodes : internal array) ~infos ~unflag ~pnodes
 
 (* The single-child-CAS shape: flag [nodes] (read with [infos]), swing
    [p]'s child from [old_child] to [new_child], and unflag only [p] —
-   the other flagged nodes leave the trie.  One array serves as both
-   [unflag] and [pnodes]: de-duplicating a single node changes nothing. *)
+   the other flagged nodes leave the trie. *)
 let swing_flag t h ~nodes ~infos p old_child new_child =
-  let ps = [| p |] in
-  new_flag t h ~nodes ~infos ~unflag:ps ~pnodes:ps
-    ~old_children:[| old_child |] ~new_children:[| new_child |] ~rmv_leaf:None
+  new_flag t h ~nodes ~infos ~pnodes:[| p |] ~old_children:[| old_child |]
+    ~new_children:[| new_child |] ~rmv_leaf:None
 
 (* createNode (lines 117-121): a fresh internal node in [h]'s generation
    over [n1] and [n2], or [None] when one's label prefixes the other's
@@ -1006,7 +1023,7 @@ let create_node t (h : holder) n1 n2 info =
   let s1 = node_span n1 and s2 = node_span n2 in
   if K.within s1 s2 || K.within s2 s1 then begin
     (match info with
-    | Some ((Flag _ | Snap _) as fi) ->
+    | Some (Info (Flag _ | Snap _) as fi) ->
         bump t.stats (fun s -> s.helps_given);
         ignore (help fi)
     | _ -> ());
@@ -1065,10 +1082,10 @@ let copy_node ~gen = function
    them.  The descriptor validates at the same decision CAS as any
    update and aborts if a snapshot intervenes. *)
 
-let run_own t fi =
+let run_own t fl =
   let slot = my_slot t in
-  Atomic.set slot (Some fi);
-  let r = help fi in
+  Atomic.set slot (Some fl);
+  let r = help_flag fl in
   Atomic.set slot None;
   r
 
@@ -1086,11 +1103,11 @@ let run_own t fi =
    the run. *)
 let rec renew_run t h v top (Internal ir as i : internal) =
   match Atomic.get (iinfo i) with
-  | (Flag _ | Snap _ | Dead) as fi ->
+  | Info (Flag _ | Snap _ | Dead) as fi ->
       bump t.stats (fun s -> s.helps_given);
       ignore (help fi);
       -1
-  | Clean | Unflag _ ->
+  | Info (Clean | Unflag _ | Leaf _ | Internal _) ->
       let c0 = ir.c0 and c1 = ir.c1 in
       let b = K.bit ir.label v in
       let n =
@@ -1147,7 +1164,7 @@ let renew_path t (h : holder) p p_info (i : internal) v =
    ended under a stale parent, or, for a delete or a replace, right
    under a hint, with no grandparent: a search of [h] for [v] from the
    root that renews the stale run it meets.  A committed renewal does
-   not end the descent.  It left a fresh Unflag in [p]'s info (the old
+   not end the descent.  It unflagged [p] to the top copy (the old
    [p_info] would fail every later flag CAS on [p]), so the descent
    re-reads it, before the child, the order Lemma 31 needs, and goes on
    through the top copy, under which the rest of the run's copies are
@@ -1156,21 +1173,23 @@ let renew_path t (h : holder) p p_info (i : internal) v =
    the update commits from it.  [None] means a renewal failed (it
    aborted, or it helped a pending descriptor instead): the caller
    restarts from a fresh holder read, so once a snapshot supersedes [h]
-   the descent stops at its first aborted renewal. *)
+   the descent stops at its first aborted renewal.  Its loop is a
+   top-level function, as [descend] is. *)
+let rec renew_descend t h v gp gp_info p p_info d =
+  let node = child p (K.bit (label p) v) in
+  match node with
+  | Any (Internal r as i) when K.is_prefix r.label v ->
+      if r.gen == h.hgen then
+        renew_descend t h v p p_info i (Atomic.get (iinfo i)) (d + 1)
+      else if renew_path t h p p_info i v then
+        renew_descend t h v gp gp_info p (Atomic.get (iinfo p)) d
+      else None
+  | _ -> Some (found h.hroot gp gp_info p p_info d node)
+
 let renew t (h : holder) v =
-  let rec go gp gp_info p p_info d =
-    let node = child p (K.bit (label p) v) in
-    match node with
-    | Any (Internal r as i) when K.is_prefix r.label v ->
-        if r.gen == h.hgen then go p p_info i (Atomic.get (iinfo i)) (d + 1)
-        else if renew_path t h p p_info i v then
-          go gp gp_info p (Atomic.get (iinfo p)) d
-        else None
-    | _ -> Some (found h.hroot gp gp_info p p_info d node)
-  in
   let root = h.hroot in
   let ri = Atomic.get (iinfo root) in
-  go root ri root ri 0
+  renew_descend t h v root ri root ri 0
 
 (* Whether the parent a search of [h] ended under is of [h]'s
    generation, so an update may flag it and CAS its children. *)
@@ -1333,20 +1352,18 @@ let replace_flag t h rd ri vd vi node_info_i =
     match create_node t h copy_i (Any (new_leaf vi)) (Some node_info_i) with
     | None -> None
     | Some new_node_i -> (
-        let unflag = [| gpd; pi |] and pnodes = [| pi; gpd |] in
+        let pnodes = [| pi; gpd |] in
         let old_children = [| node_i; Any pd |]
         and new_children = [| Any new_node_i; node_sibling_d |] in
         match node_i with
         | Any (Internal _ as i) ->
             new_flag t h ~nodes:[| gpd; pd; pi; i |]
               ~infos:[| gpd_info; rd.p_info; ri.p_info; node_info_i |]
-              ~unflag ~pnodes ~old_children ~new_children
-              ~rmv_leaf:(Some leaf_d)
+              ~pnodes ~old_children ~new_children ~rmv_leaf:(Some leaf_d)
         | Any (Leaf _) ->
             new_flag t h ~nodes:[| gpd; pd; pi |]
               ~infos:[| gpd_info; rd.p_info; ri.p_info |]
-              ~unflag ~pnodes ~old_children ~new_children
-              ~rmv_leaf:(Some leaf_d))
+              ~pnodes ~old_children ~new_children ~rmv_leaf:(Some leaf_d))
   end
   else if node_i == node_d then
     (* Special case 1 (lines 58-59): both searches ended at vd's leaf;
@@ -1488,10 +1505,10 @@ let size t = fold t ~init:0 ~f:(fun acc _ -> acc + 1)
         Snap is pending, help it and retry;
      2. read the root's two children and build a fresh-generation root
         copy around them;
-     3. CAS the root's info from the Unflag read in (1) to a [Snap]
+     3. CAS the root's info from the value read in (1) to a [Snap]
         descriptor — the sandwich proves the children did not change
         since (2), because children are only CASed under a Flag and
-        every unflag installs a physically fresh Unflag (no ABA);
+        every unflag installs a value that node never held (no ABA);
      4. swing the holder to the new generation (helpers of the Snap do
         the same CAS, so this is idempotent) and release the old root's
         info field;
@@ -1525,15 +1542,15 @@ let snapshot t =
     let h = Atomic.get t.holder in
     let root = h.hroot in
     match Atomic.get (iinfo root) with
-    | (Flag _ | Snap _) as fi ->
+    | Info (Flag _ | Snap _) as fi ->
         ignore (help fi);
         attempt ()
-    | Dead -> assert false (* a root is never removed *)
-    | (Clean | Unflag _) as ri ->
+    | Info Dead -> assert false (* a root is never removed *)
+    | Info (Clean | Unflag _ | Leaf _ | Internal _) as ri ->
         let gen' = ref () in
         let root' = copy_internal ~gen:gen' root in
         let h' = new_holder ~epoch:(h.epoch + 1) ~gen:gen' root' t.no_cache in
-        let si = Snap { s_old = h; s_new = h'; s_cell = t.holder } in
+        let si = Info (Snap { s_old = h; s_new = h'; s_cell = t.holder }) in
         if Atomic.compare_and_set (iinfo root) ri si then begin
           (* If this holder CAS fails, a concurrent snapshot already
              superseded [h] — then [h] is frozen all the same and this
@@ -1544,7 +1561,7 @@ let snapshot t =
           List.iter
             (fun slot ->
               match Atomic.get slot with
-              | Some fi -> ignore (help fi)
+              | Some fl -> ignore (help_flag fl)
               | None -> ())
             (Atomic.get t.slots);
           h
@@ -1659,14 +1676,15 @@ let check_invariants t =
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
   let rec go path node =
     (match (Atomic.get (node_info node), node) with
-    | (Clean | Unflag _), _ -> ()
-    | Snap _, _ -> err "residual snapshot descriptor on reachable node"
-    | Dead, Any (Leaf l) -> err "dead mark on reachable leaf %a" K.pp_key l.key
-    | Dead, Any (Internal i) ->
+    | Info (Clean | Unflag _ | Leaf _ | Internal _), _ -> ()
+    | Info (Snap _), _ -> err "residual snapshot descriptor on reachable node"
+    | Info Dead, Any (Leaf l) ->
+        err "dead mark on reachable leaf %a" K.pp_key l.key
+    | Info Dead, Any (Internal i) ->
         err "dead mark on internal %a" (K.pp_label c) i.label
-    | Flag _, Any (Leaf l) ->
+    | Info (Flag _), Any (Leaf l) ->
         err "residual flag on reachable leaf %a" K.pp_key l.key
-    | Flag _, Any (Internal i) ->
+    | Info (Flag _), Any (Internal i) ->
         err "residual flag on internal %a" (K.pp_label c) i.label);
     match node with
     | Any (Leaf l) ->
@@ -1681,7 +1699,7 @@ let check_invariants t =
   let root = (Atomic.get t.holder).hroot in
   go (K.label_span (label root)) (Any root);
   (* The two sentinels must always be logically in the trie (Lemma 62). *)
-  let present k = key_in_trie (search_from root k).node k false in
+  let present k = key_in_trie (search_from c root k).node k false in
   if not (present (K.sentinel_lo c)) then err "missing low sentinel";
   if not (present (K.sentinel_hi c)) then err "missing high sentinel";
   match !errors with [] -> Ok () | es -> Error (String.concat "; " es)
@@ -1694,8 +1712,9 @@ let check_invariants t =
      leaf:      block 3 (header, linfo, key)                = 3
 
    plus 2 for a node whose info field holds an Unflag (a one-field
-   mutable block; [Clean] is immediate, and a leaf is never unflagged),
-   plus whatever a boxed label or key adds ([K.label_words],
+   mutable block a backtrack installs; [Clean] and [Dead] are
+   immediate, and a node a commit unflagged holds its child, counted as
+   that child), plus whatever a boxed label or key adds ([K.label_words],
    [K.key_words]; nothing for PAT's immediate ints).  [Any] is unboxed
    and the children are plain fields, so a child field points at the
    child's own block.  [measured_words] cross-checks the estimate with
@@ -1713,7 +1732,10 @@ let check_invariants t =
    a descent wrote it back. *)
 let internal_words = 6
 let leaf_words = 3
-let info_words = function Unflag _ -> 2 | Clean | Dead | Flag _ | Snap _ -> 0
+let info_words (Info i) =
+  match i with
+  | Unflag _ -> 2
+  | Clean | Dead | Flag _ | Snap _ | Leaf _ | Internal _ -> 0
 
 let census t =
   let c = t.ctx in
@@ -1755,9 +1777,9 @@ let census t =
    flagging, which others must complete — paper Section IV, part 4). *)
 
 module For_testing = struct
-  type descriptor = info
+  type descriptor = flag
 
-  let help = help
+  let help = help_flag
 
   (* Run one insert attempt up to and including descriptor creation, but
      do not apply it.  Returns None if the attempt would have restarted. *)
@@ -1779,18 +1801,20 @@ module For_testing = struct
 
   (* Perform only the flagging phase of a descriptor, simulating a
      process that dies between flagging and the child CAS. *)
-  let flag_only fi =
-    match fi with
-    | Flag f -> flag_phase fi f
-    | Clean | Dead | Unflag _ | Snap _ ->
-        invalid_arg "flag_only: not a Flag descriptor"
+  let flag_only = flag_phase
 
   (* Fix the level cache at [2^bits] slots ([Some 0]: none) from the
      next sampled descent of every generation, or return it to sizing
-     itself ([None]).  The live generation's cache is replaced now. *)
+     itself ([None]): the live generation then starts over from no
+     array, as a new trie does.  The live generation's cache is
+     replaced now. *)
   let set_cache_bits t bits =
     match bits with
-    | None -> t.fixed_bits <- -1
+    | None ->
+        let h = Atomic.get t.holder in
+        t.fixed_bits <- -1;
+        install_cache t h 0;
+        h.hbase <- 0
     | Some b ->
         let b = max 0 (min b (min cache_cap (K.max_bits t.ctx))) in
         t.fixed_bits <- b;
@@ -1803,7 +1827,11 @@ module For_testing = struct
   (* Count of nodes currently flagged or marked [Dead] along the search
      path of [v] from [root]. *)
   let flags_from root v =
-    let mark = function Flag _ | Dead -> 1 | Clean | Unflag _ | Snap _ -> 0 in
+    let mark (Info i) =
+      match i with
+      | Flag _ | Dead -> 1
+      | Clean | Unflag _ | Snap _ | Leaf _ | Internal _ -> 0
+    in
     let rec go acc (node : node) =
       match node with
       | Any (Leaf _ as l) -> acc + mark (Atomic.get (info_cell l))
@@ -1839,7 +1867,7 @@ module For_testing = struct
 
   (* Whether a node [layout_on_path] returned reads [Dead]: a committed
      update removed it. *)
-  let is_dead n = Atomic.get (node_info (Obj.obj n : node)) == Dead
+  let is_dead n = Atomic.get (node_info (Obj.obj n : node)) == Info Dead
 
   (* [cas_child] on a node [layout_on_path] returned, for the test that
      pins which field each child bit writes. *)

@@ -305,13 +305,23 @@ let test_stale_descriptor_fails_cleanly () =
       match P.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e
 
 (* Stored keys 65 and 97 share the parent labelled 001 (universe 256:
-   9-bit keys, offset 1); 66 splits 65's leaf and 98 splits 97's. *)
-let test_no_aba ~unflagged_first () =
-  let t = P.create ~universe:256 () in
-  Tutil.stale_delete_after_unflag ~insert:(P.insert t) ~member:(P.member t)
-    ~check:(fun () -> P.check_invariants t)
-    ~prepare_delete:(P.For_testing.prepare_delete t)
-    ~help:P.For_testing.help ~unflagged_first (64, 96, 65, 97)
+   9-bit keys, offset 1); 66 splits 65's leaf, 98 splits 97's and 99
+   splits 98's. *)
+let test_no_aba case () =
+  Tutil.aba_cases
+    ~fresh:(fun () ->
+      let t = P.create ~universe:256 () in
+      {
+        Tutil.a_insert = P.insert t;
+        a_delete = P.delete t;
+        a_member = P.member t;
+        a_check = (fun () -> P.check_invariants t);
+        a_prepare_insert = P.For_testing.prepare_insert t;
+        a_prepare_delete = P.For_testing.prepare_delete t;
+        a_flag_only = P.For_testing.flag_only;
+        a_help = P.For_testing.help;
+      })
+    (64, 96, 65, 97, 98) case
 
 let test_info_word_is_field_0 () =
   let t = P.create ~universe:64 () in
@@ -485,14 +495,19 @@ let member_words ~universe =
 
 (* A search allocates its result once, not once per level: a lookup
    about 16 levels deep (2^16 keys) costs what one about 4 levels deep
-   (2^4) costs, within 2 words. *)
+   (2^4) costs, within 2 words.  And only its result: the descent is a
+   top-level loop, not a closure over the key and the cache, so it
+   costs at most 14 words. *)
 let test_member_allocation_flat () =
   let small = member_words ~universe:16
   and big = member_words ~universe:65536 in
   Alcotest.(check bool)
     (Printf.sprintf "2^16: %.1f words/member <= 2^4: %.1f + 2" big small)
     true
-    (big <= small +. 2.)
+    (big <= small +. 2.);
+  Alcotest.(check bool)
+    (Printf.sprintf "2^16: %.1f words/member <= 14" big)
+    true (big <= 14.)
 
 (* Words promoted to the major heap per successful update over 20 000
    [pair]s on a 4 096-key PAT holding 2 048 random keys, one domain.
@@ -591,6 +606,43 @@ let test_cache_grows_ascending () =
     (Printf.sprintf "2^%d slots after 32768 ascending inserts > 2^6" bits)
     true (bits > 6)
 
+(* Pinning the cache off and unpinning it must leave the trie sizing its
+   cache again.  The trie holds the first half of a seed-7 shuffle of
+   2^16 keys (as the ladder's prefill), warms a 13-bit cache, is pinned
+   to no cache for a while and then unpinned.  Samples kept from the
+   13-bit array, mixed with root-descent depths, once made the trie give
+   its cache up for good (0 bits after 200 000 finds). *)
+let test_cache_unpinned_resizes () =
+  let universe = 65536 in
+  let t = P.create ~universe () in
+  let rng = Rng.of_int_seed 7 in
+  let keys = Array.init universe Fun.id in
+  for i = universe - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- x
+  done;
+  for i = 0 to (universe / 2) - 1 do
+    ignore (P.insert t keys.(i) : bool)
+  done;
+  let rng = Rng.of_int_seed 5 in
+  let finds n =
+    for _ = 1 to n do
+      ignore (P.member t (Rng.int rng universe) : bool)
+    done
+  in
+  finds 100_000;
+  let warm = P.For_testing.cache_bits t in
+  P.For_testing.set_cache_bits t (Some 0);
+  finds 1_000;
+  P.For_testing.set_cache_bits t None;
+  finds 200_000;
+  let bits = P.For_testing.cache_bits t in
+  Alcotest.(check bool)
+    (Printf.sprintf "2^%d slots unpinned, 2^%d warm: at least 2^12" bits warm)
+    true (bits >= 12)
+
 let () =
   Tutil.time_limit 300;
   Alcotest.run "patricia"
@@ -631,9 +683,11 @@ let () =
           Alcotest.test_case "stale delete fails cleanly" `Quick
             test_stale_delete_descriptor;
           Alcotest.test_case "no ABA: Clean is never written back" `Quick
-            (test_no_aba ~unflagged_first:false);
+            (test_no_aba Tutil.Clean_first);
           Alcotest.test_case "no ABA: fresh Unflags are distinct" `Quick
-            (test_no_aba ~unflagged_first:true);
+            (test_no_aba Tutil.Fresh_unflags);
+          Alcotest.test_case "no ABA: unflagged to the installed child" `Quick
+            (test_no_aba Tutil.Installed_child);
           Alcotest.test_case "info word is field 0" `Quick
             test_info_word_is_field_0;
           Alcotest.test_case "child CAS writes its bit's field" `Quick
@@ -655,5 +709,7 @@ let () =
         @ [
             Alcotest.test_case "cache: grows on an ascending build" `Quick
               test_cache_grows_ascending;
+            Alcotest.test_case "cache: resizes once unpinned" `Quick
+              test_cache_unpinned_resizes;
           ] );
     ]

@@ -163,14 +163,25 @@ let test_concurrent_token_conservation () =
 
 (* "aa" and "b" share a parent, whose own parent splits them from the
    low sentinel; "ab" shares more of its prefix with "aa" than "b" does,
-   and "ba" more with "b", so each splits one of the two leaves. *)
-let test_no_aba ~unflagged_first () =
-  let t = V.create () in
-  Tutil.stale_delete_after_unflag ~insert:(V.insert t) ~member:(V.member t)
-    ~check:(fun () -> V.check_invariants t)
-    ~prepare_delete:(fun k ->
-      V.For_testing.prepare_delete t (Bitkey.Bitstr.encode_bytes k))
-    ~help:V.For_testing.help ~unflagged_first ("aa", "b", "ab", "ba")
+   and "ba" more with "b", so each splits one of the two leaves; "bb"
+   shares more with "ba" than with "b", so it splits "ba"'s leaf. *)
+let test_no_aba case () =
+  Tutil.aba_cases
+    ~fresh:(fun () ->
+      let t = V.create () in
+      {
+        Tutil.a_insert = V.insert t;
+        a_delete = V.delete t;
+        a_member = V.member t;
+        a_check = (fun () -> V.check_invariants t);
+        a_prepare_insert =
+          (fun k -> V.For_testing.prepare_insert t (Bitkey.Bitstr.encode_bytes k));
+        a_prepare_delete =
+          (fun k -> V.For_testing.prepare_delete t (Bitkey.Bitstr.encode_bytes k));
+        a_flag_only = V.For_testing.flag_only;
+        a_help = V.For_testing.help;
+      })
+    ("aa", "b", "ab", "ba", "bb") case
 
 let test_info_word_is_field_0 () =
   let t = V.create () and enc = Bitkey.Bitstr.encode_bytes in
@@ -276,9 +287,11 @@ let () =
       ( "helping",
         [
           Alcotest.test_case "no ABA: Clean is never written back" `Quick
-            (test_no_aba ~unflagged_first:false);
+            (test_no_aba Tutil.Clean_first);
           Alcotest.test_case "no ABA: fresh Unflags are distinct" `Quick
-            (test_no_aba ~unflagged_first:true);
+            (test_no_aba Tutil.Fresh_unflags);
+          Alcotest.test_case "no ABA: unflagged to the installed child" `Quick
+            (test_no_aba Tutil.Installed_child);
           Alcotest.test_case "info word is field 0" `Quick
             test_info_word_is_field_0;
           Alcotest.test_case "child CAS writes its bit's field" `Quick

@@ -174,32 +174,85 @@ let model_run ?(seed = 42) ~universe ~steps ops =
   done;
   !model
 
-(* No ABA on a trie's info fields, through its For_testing hooks.  Keys
-   [k] and [s] share a parent p below a grandparent; inserting [k2]
-   splits [k]'s leaf and inserting [s2] splits [s]'s, so each of those
-   inserts flags and then unflags p.  A delete of [k] is prepared (it
-   reads p's info) and stalls; the insert of [k2] then moves p's info
-   through Flag to a fresh Unflag; the stalled delete must fail its flag
-   CAS on p, back out and leave all keys in place.  With
-   [~unflagged_first:false] the delete reads p's initial [Clean], which
-   no unflag may ever write back; with [true] the insert of [s2] runs
-   first, so the delete reads an Unflag, which must not be physically
-   equal to the one the insert of [k2] installs. *)
-let stale_delete_after_unflag ~insert ~member ~check ~prepare_delete ~help
-    ~unflagged_first (k, s, k2, s2) =
-  let keys = [ k; s ] @ if unflagged_first then [ s2 ] else [] in
-  List.iter (fun x -> Alcotest.(check bool) "setup insert" true (insert x)) keys;
-  match prepare_delete k with
-  | None -> Alcotest.fail "prepare_delete unexpectedly conflicted"
-  | Some d ->
-      Alcotest.(check bool) "insert splitting k's leaf" true (insert k2);
-      Alcotest.(check bool) "stale delete does not apply" false (help d);
-      List.iteri
-        (fun i x ->
-          Alcotest.(check bool) (Printf.sprintf "key %d present" i) true
-            (member x))
-        (k2 :: keys);
-      match check () with Ok () -> () | Error e -> Alcotest.fail e
+(* No ABA on a trie's info fields, through its For_testing hooks: a
+   descriptor prepared from one info value of a node p must fail its
+   flag CAS on p once p's children have changed, whatever values p's
+   info went through in between.  Keys [k] and [s] share the parent p
+   below a grandparent; [k2] splits [k]'s leaf and [s2] [s]'s, and [x]
+   splits [s2]'s leaf below [s]'s parent.  [d] is the type of a
+   descriptor. *)
+type ('k, 'd) aba = {
+  a_insert : 'k -> bool;
+  a_delete : 'k -> bool;
+  a_member : 'k -> bool;
+  a_check : unit -> (unit, string) result;
+  a_prepare_insert : 'k -> 'd option;
+  a_prepare_delete : 'k -> 'd option;
+  a_flag_only : 'd -> bool;
+  a_help : 'd -> bool;
+}
+
+type aba_case = Clean_first | Fresh_unflags | Installed_child
+
+let aba_cases ~fresh (k, s, k2, s2, x) case =
+  let o = fresh () in
+  let yes what b = Alcotest.(check bool) what true b in
+  let get what = function
+    | Some d -> d
+    | None -> Alcotest.failf "%s unexpectedly conflicted" what
+  in
+  (* Back p's flag out to a fresh Unflag: a delete of [s] flags p and
+     then [s]'s parent, which [stall] holds flagged first. *)
+  let backtrack_p what stall =
+    let dd = get "prepare_delete s" (o.a_prepare_delete s) in
+    let ds = get "the stalled update" (stall ()) in
+    yes (what ^ ": the stall flags s's parent") (o.a_flag_only ds);
+    Alcotest.(check bool) (what ^ ": delete of s backs out") false (o.a_help dd);
+    yes (what ^ ": the stalled update completes") (o.a_help ds)
+  in
+  let stale, present, absent =
+    match case with
+    | Clean_first ->
+        (* The delete of [k] reads p's initial [Clean], which no unflag
+           may write back; the insert of [k2] unflags p. *)
+        List.iter (fun y -> yes "setup insert" (o.a_insert y)) [ k; s ];
+        let d = get "prepare_delete k" (o.a_prepare_delete k) in
+        yes "insert k2" (o.a_insert k2);
+        (d, [ k; s; k2 ], [])
+    | Fresh_unflags ->
+        (* The delete of [k] reads a backtrack's Unflag on p; the insert
+           of [k2] commits on p and a second backtrack leaves another
+           Unflag, which must not be physically equal to the first: the
+           stale delete would otherwise unlink p and [k2] with it. *)
+        List.iter (fun y -> yes "setup insert" (o.a_insert y)) [ k; s; s2 ];
+        backtrack_p "first" (fun () -> o.a_prepare_insert x);
+        let d = get "prepare_delete k" (o.a_prepare_delete k) in
+        yes "insert k2" (o.a_insert k2);
+        backtrack_p "second" (fun () -> o.a_prepare_delete x);
+        (d, [ k; s; s2; k2 ], [ x ])
+    | Installed_child ->
+        (* A commit unflags p to the child it installed.  The insert of
+           [s2] is prepared after the delete of [s2] left [s] on p; two
+           more commits change that same child, so p's other child
+           stayed [k] throughout, and an unflag to the child a commit
+           left alone would give p the value the stale insert read. *)
+        List.iter (fun y -> yes "setup insert" (o.a_insert y)) [ k; s; s2 ];
+        yes "delete s2" (o.a_delete s2);
+        let d = get "prepare_insert s2" (o.a_prepare_insert s2) in
+        yes "insert s2" (o.a_insert s2);
+        yes "delete s2 again" (o.a_delete s2);
+        (d, [ k; s ], [ s2 ])
+  in
+  Alcotest.(check bool) "stale descriptor does not apply" false (o.a_help stale);
+  List.iteri
+    (fun i y ->
+      Alcotest.(check bool) (Printf.sprintf "key %d present" i) true (o.a_member y))
+    present;
+  List.iteri
+    (fun i y ->
+      Alcotest.(check bool) (Printf.sprintf "key %d absent" i) false (o.a_member y))
+    absent;
+  match o.a_check () with Ok () -> () | Error e -> Alcotest.fail e
 
 (* The info word is field 0 of every node, where [Atomic] operates: for
    each node on a key's search path, [layout] gives the node, what its
@@ -207,7 +260,8 @@ let stale_delete_after_unflag ~insert ~member ~check ~prepare_delete ~help
    that very info value and fields 1.. the named fields, in order: a
    record that put another field first would fail here, where every
    access through the cast would still agree with itself.  Inserting
-   [k] into the empty trie flags and unflags the root; deleting [k]
+   [k] into the empty trie flags the root and unflags it to the node
+   the insert installed there; deleting [k]
    beside [s] flags and unflags internal nodes below it.  Each path is
    checked while the flags are held and after they are released. *)
 let info_word_is_field_0 ~insert ~prepare_insert ~prepare_delete ~flag_only
@@ -241,7 +295,7 @@ let info_word_is_field_0 ~insert ~prepare_insert ~prepare_delete ~flag_only
   | Some d -> (
       match stall "insert" d with
       | (root, info, _) :: (inner, _, _) :: rest ->
-          Alcotest.(check bool) "root holds an Unflag" true (Obj.is_block info);
+          Alcotest.(check bool) "root holds the child it got" true (info == inner);
           Alcotest.(check bool) "root and child are internal" true
             (Obj.tag root = 1 && Obj.tag inner = 1);
           Alcotest.(check bool) "path ends at a leaf" true
