@@ -17,7 +17,10 @@ module Store = Persist.Store.Make (struct
   let snapshot = Core.Patricia.snapshot_capability
 end)
 
-let dir = Filename.concat (Filename.get_temp_dir_name ()) "durable_set_example"
+let dir =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "durable_set_example_%d" (Unix.getpid ()))
 
 let () =
   (* First life: create, mutate, checkpoint, mutate some more. *)

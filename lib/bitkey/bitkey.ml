@@ -13,11 +13,19 @@
 
 let max_width = 62
 
-(** Number of bits needed to represent [n]; [bit_length 0 = 0]. *)
+(** Number of bits needed to represent [n]; [bit_length 0 = 0].  Six
+    halving shifts narrow [n] below 2 whatever its size: PAT computes
+    one for every internal node it creates. *)
 let bit_length n =
   if n < 0 then invalid_arg "Bitkey.bit_length: negative";
-  let rec go acc n = if n = 0 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
+  let n = ref n and r = ref 0 in
+  if !n lsr 32 <> 0 then begin n := !n lsr 32; r := 32 end;
+  if !n lsr 16 <> 0 then begin n := !n lsr 16; r := !r + 16 end;
+  if !n lsr 8 <> 0 then begin n := !n lsr 8; r := !r + 8 end;
+  if !n lsr 4 <> 0 then begin n := !n lsr 4; r := !r + 4 end;
+  if !n lsr 2 <> 0 then begin n := !n lsr 2; r := !r + 2 end;
+  if !n lsr 1 <> 0 then begin n := !n lsr 1; r := !r + 1 end;
+  !r + !n
 
 (** [bit ~width k i] is the i-th bit of the width-bit string for [k],
     1-indexed from the most significant bit, as the paper counts bits. *)

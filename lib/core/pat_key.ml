@@ -66,11 +66,14 @@ module K = struct
 
   let within a b = b.lo <= a.lo && a.hi <= b.hi
 
-  (* Two disjoint spans first differ at bit [p] of their low ends; the
-     label keeps the bits above [p] and puts its marker at [p]. *)
-  let lcp a b =
-    let p = Bitkey.bit_length (a.lo lxor b.lo) - 1 in
-    ((a.lo lsr p) lor 1) lsl p
+  (* Two distinct keys first differ at bit [p]; their common prefix
+     keeps the bits above [p] and puts its marker at [p].  Two disjoint
+     spans share the prefix of their low ends. *)
+  let key_lcp a b =
+    let p = Bitkey.bit_length (a lxor b) - 1 in
+    ((a lsr p) lor 1) lsl p
+
+  let lcp a b = key_lcp a.lo b.lo
 
   let span_bit m s = s.lo land low m <> 0
   let label_length c m = c.width - Bitkey.bit_length (low m)

@@ -46,6 +46,19 @@ val create_width : width:int -> ?record_stats:bool -> unit -> t
 
     @raise Invalid_argument unless [2 <= width <= 62]. *)
 
+val load_ascending : t -> int array -> unit
+(** [load_ascending t keys] fills [t] with [keys], which must be
+    strictly ascending and in the universe, and [t] fresh from {!create}
+    or {!create_width}: empty, never updated or snapshotted, and not yet
+    shared with another domain.  The trie is built bottom-up in one O(n)
+    pass over adjacent keys' common prefixes, with no search,
+    descriptor or CAS; it is the trie the same keys inserted one by one
+    would build.  Store recovery loads the recovered keys this way.
+
+    @raise Invalid_argument on a key out of the universe, a duplicate or
+    descending key, or a trie that is not fresh; [t] is left as it
+    was. *)
+
 val insert : t -> int -> bool
 (** [insert t v] adds [v] and returns [true], or returns [false] if [v]
     was already present.  Lock-free.  An insert, delete or replace that

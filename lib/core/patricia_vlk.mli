@@ -84,6 +84,12 @@ val delete_key : t -> Bitkey.Bitstr.t -> bool
 val member_key : t -> Bitkey.Bitstr.t -> bool
 val replace_key : t -> Bitkey.Bitstr.t -> Bitkey.Bitstr.t -> bool
 
+val load_ascending : t -> Bitkey.Bitstr.t array -> unit
+(** {!Patricia.load_ascending} over encoded keys, strictly ascending in
+    bit order (the trie's in-order order, which for prefix-free keys is
+    [String.compare] on their data).  Same preconditions and the same
+    [Invalid_argument]s. *)
+
 (** {1 Structure forensics} *)
 
 val census : t -> Dset_intf.census option

@@ -101,6 +101,11 @@ module type KEY = sig
   val half : label -> bool -> span
   val within : span -> span -> bool
   val lcp : span -> span -> label
+
+  val key_lcp : key -> key -> label
+  (** The longest common prefix of two distinct keys: [lcp] of their
+      spans, without building them. *)
+
   val span_bit : label -> span -> bool
   val label_length : ctx -> label -> int
 
@@ -569,6 +574,85 @@ let make ~record_stats ctx =
     no_cache;
     fixed_bits = -1;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Bulk loading (not part of the paper; DESIGN.md "Recovery builds the
+   trie bottom-up").  A Patricia trie's shape is a function of its key
+   set: listed in ascending order, every two adjacent keys have one
+   internal node, labelled with their longest common prefix, and each
+   node's parent is the one of its two neighbouring nodes in that list
+   with the longer label, as in a Cartesian tree over the label
+   lengths.  The sentinels are the first and the last key, and the
+   adjacent pair where the first bit changes gives the root.  A trie
+   that no other domain can reach yet is therefore built bottom-up in
+   one pass: the flag and unflag protocol orders concurrent updates,
+   and there are none to order. *)
+
+(* [load_ascending t keys] fills [t], fresh from [make], with [keys]:
+   a stack holds the nodes still waiting for their right subtree,
+   labels lengthening towards the top, and each next key completes
+   every node whose label is longer than its common prefix with the
+   key before.  New nodes are [Clean] and of the live generation, and
+   the built root is published with one write of the holder.  Every
+   check runs before that write, so a rejected call leaves [t] as it
+   was. *)
+let load_ascending t keys =
+  let c = t.ctx in
+  let h = Atomic.get t.holder in
+  let (Internal r as root) = h.hroot in
+  (* A root that was never flagged has its sentinel children still, and
+     epoch 0 means no snapshot; both root children being leaves tells a
+     loaded trie apart, as the loaded root is Clean too. *)
+  (match (Atomic.get (iinfo root), r.c0, r.c1) with
+  | Info Clean, Any (Leaf _), Any (Leaf _) when h.epoch = 0 -> ()
+  | _ -> invalid_arg (name ^ ".load_ascending: the trie is not fresh"));
+  let gen = h.hgen in
+  (* The stack: each pending node's label and left subtree.  It doubles
+     when full; an entry is written before it is read. *)
+  let labels = ref (Array.make 64 r.label) and lefts = ref (Array.make 64 r.c0) in
+  let sp = ref 0 in
+  (* The complete subtree that ends at [!last], the key placed last. *)
+  let cur = ref r.c0 and last = ref (K.sentinel_lo c) in
+  let place key leaf =
+    if K.equal_key !last key then
+      invalid_arg (name ^ ".load_ascending: duplicate key");
+    let l = K.key_lcp !last key in
+    if not (K.bit l key) then
+      invalid_arg (name ^ ".load_ascending: keys not ascending");
+    let len = K.label_length c l in
+    while !sp > 0 && K.label_length c (Array.unsafe_get !labels (!sp - 1)) > len do
+      decr sp;
+      cur :=
+        Any
+          (make_internal ~gen
+             (Array.unsafe_get !labels !sp)
+             (Array.unsafe_get !lefts !sp)
+             !cur)
+    done;
+    if !sp = Array.length !labels then begin
+      labels := Array.append !labels !labels;
+      lefts := Array.append !lefts !lefts
+    end;
+    Array.unsafe_set !labels !sp l;
+    Array.unsafe_set !lefts !sp !cur;
+    incr sp;
+    cur := leaf;
+    last := key
+  in
+  Array.iter
+    (fun u ->
+      let k = K.import c u in
+      place k (Any (new_leaf k)))
+    keys;
+  place (K.sentinel_hi c) r.c1;
+  while !sp > 0 do
+    decr sp;
+    cur := Any (make_internal ~gen (!labels).(!sp) (!lefts).(!sp) !cur)
+  done;
+  match !cur with
+  | Any (Internal _ as root') ->
+      Atomic.set t.holder (new_holder ~epoch:h.epoch ~gen root' t.no_cache)
+  | Any (Leaf _) -> assert false (* the sentinels always differ *)
 
 (* ------------------------------------------------------------------ *)
 (* Search (lines 76-85) — no writes; wait-free for fixed-width keys *)

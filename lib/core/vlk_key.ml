@@ -75,6 +75,7 @@ module K = struct
   let half l b = B.extend l (if b then 1 else 0)
   let within a b = B.is_prefix b a
   let lcp = B.lcp
+  let key_lcp = B.lcp
   let span_bit = bit
   let label_length () = B.length
 

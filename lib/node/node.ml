@@ -30,7 +30,7 @@ end)
 let pp_recovery ppf (ri : Store.recovery_info) =
   Format.fprintf ppf
     "recovered: checkpoint %s (%d keys%s), wal %d segments / %d records / %d \
-     replayed%s, last seq %d, %d keys loaded in %.1f ms"
+     replayed%s, last seq %d, %d keys loaded in %.1f ms (scan %.1f, build %.1f)"
     (match ri.Store.checkpoint_seq with
     | Some s -> Printf.sprintf "@%d" s
     | None -> "none")
@@ -39,8 +39,9 @@ let pp_recovery ppf (ri : Store.recovery_info) =
        Printf.sprintf ", %d corrupt skipped" ri.Store.checkpoints_skipped
      else "")
     ri.Store.wal_segments ri.Store.wal_records ri.Store.wal_replayed
-    (if ri.Store.torn_tail then ", torn tail truncated" else "")
+    (if ri.Store.torn_tail then ", torn tail" else "")
     ri.Store.last_seq ri.Store.keys_loaded (ri.Store.elapsed_s *. 1e3)
+    (ri.Store.scan_s *. 1e3) (ri.Store.build_s *. 1e3)
 
 (* ------------------------------------------------------------------ *)
 (* The store as served operations, as a follower's apply target, and

@@ -29,7 +29,13 @@ val crc32 : ?crc:int -> Bytes.t -> off:int -> len:int -> int
     concatenation. *)
 
 val crc32c : ?crc:int -> Bytes.t -> off:int -> len:int -> int
-(** Like {!crc32} with the Castagnoli polynomial. *)
+(** Like {!crc32} with the Castagnoli polynomial.  Both fold eight bytes
+    per step (slicing-by-8) and allocate nothing when called without
+    [?crc]. *)
+
+val crc32c_bytewise : ?crc:int -> Bytes.t -> off:int -> len:int -> int
+(** {!crc32c} one byte per step through a single table: the reference
+    the sliced loop is tested against. *)
 
 val crc32_string : string -> int
 (** [crc32_string s] is [crc32] over all of [s]. *)

@@ -80,7 +80,7 @@ let emit b =
   c "patserve_wal_segments_truncated_total"
     "Obsolete WAL segments deleted after a checkpoint" segments_truncated;
   c "patserve_wal_torn_tails_total"
-    "Recoveries that truncated a torn WAL tail at a bad CRC" torn_tails;
+    "Recoveries that found a torn WAL tail at a bad CRC" torn_tails;
   c "patserve_wal_records_replayed_total"
     "WAL records replayed during recovery" records_replayed;
   c "patserve_wal_sync_waits_total"

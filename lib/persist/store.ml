@@ -1,15 +1,16 @@
-(** A durable concurrent set: any [CONCURRENT_SET_WITH_REPLACE] fronted
-    by the segmented WAL ({!Wal}) and checkpoint images
-    ({!Checkpoint}).
+(** A durable concurrent set: any [CONCURRENT_SET_WITH_REPLACE] with a
+    bulk loader ({!SET}) fronted by the segmented WAL ({!Wal}) and
+    checkpoint images ({!Checkpoint}).
 
     Opening a store recovers: load the newest valid checkpoint, replay
-    the WAL tail ([seq > replay_from]) with {e forced} semantics,
-    truncating a torn tail at the first bad CRC, then start a fresh
-    segment for new appends.  Forced replay is idempotent over any
-    image: every logged record is a mutation that succeeded, so each
-    one asserts its effect (an inserted or [add]ed key present, a
-    deleted or [remove]d key absent) and the last record on a key
-    decides it, whatever the state it lands on.  Replaying the same log
+    the WAL tail ([seq > replay_from]) with {e forced} semantics up to
+    the first bad CRC, and, in a logging mode, truncate a torn tail
+    there and start a fresh segment for new appends.  A read-only
+    ({!Make.Ephemeral}) open changes no file.  Forced replay is
+    idempotent over any image: every logged record is a mutation that
+    succeeded, so each one asserts its effect (an inserted or [add]ed
+    key present, a deleted or [remove]d key absent) and the last record
+    on a key decides it, whatever the state it lands on.  Replaying the same log
     twice, or over an image that already holds a suffix of its effects
     (a checkpoint's snapshot is taken after its cut is read), therefore
     converges to the same set.  Exact replay of a conditional Replace
@@ -20,11 +21,12 @@
     forced replay without replaying: a first pass folds the image's
     keys and then the tail, in log order, into a per-key last-effect
     set ({!Last_effect}; Insert present, Delete absent, Replace
-    [remove] absent then [add] present), and a second pass inserts the
-    keys that end present into the fresh structure in ascending order.
-    The recovered set is the one per-record forced replay would build,
-    for one insert per recovered key instead of one update per record
-    (two per Replace), with no descriptors flagged for a key that a
+    [remove] absent then [add] present), and a second pass hands the
+    keys that end present, in ascending order, to the structure's
+    bulk loader ([load_ascending]), which builds the fresh, unshared
+    structure bottom-up.  The recovered set is the one per-record
+    forced replay would build, with no update at all: no search,
+    descriptor or CAS per recovered key, and none for a key that a
     later record undoes.
 
     {2 Durability contract}
@@ -74,15 +76,13 @@ module Last_effect = struct
   (* Fibonacci hashing: the top bits of the 63-bit product. *)
   let[@inline] home t w = (w * 0x1E3779B97F4A7C15) lsr t.shift
 
-  (* The slot holding [w], or the free slot where it belongs. *)
-  let slot t w =
-    let words = t.words in
-    let m = Array.length words - 1 in
-    let rec go i =
-      let x = Array.unsafe_get words i in
-      if x = w || x = -1 then i else go ((i + 1) land m)
-    in
-    go (home t w)
+  (* The slot holding [w], or the free slot where it belongs: a loop of
+     its arguments, not a closure, so a probe allocates nothing. *)
+  let rec probe words w m i =
+    let x = Array.unsafe_get words i in
+    if x = w || x = -1 then i else probe words w m ((i + 1) land m)
+
+  let slot t w = probe t.words w (Array.length t.words - 1) (home t w)
 
   let grow t =
     let words = t.words and masks = t.masks in
@@ -124,26 +124,50 @@ module Last_effect = struct
     let i = slot t w in
     if t.words.(i) = w then t.masks.(i) <- t.masks.(i) land lnot (1 lsl (k land 31))
 
-  (** Fold [f] over the present keys in ascending order. *)
-  let fold_ascending t ~init ~f =
-    let live = Array.make t.used 0 and n = ref 0 in
+  let rec popcount n m = if m = 0 then n else popcount (n + 1) (m land (m - 1))
+
+  (** The present keys, ascending. *)
+  let to_ascending t =
+    let live = Array.make t.used 0 and n = ref 0 and keys = ref 0 in
     Array.iteri
       (fun i w ->
-        if w <> -1 && t.masks.(i) <> 0 then begin
+        let m = t.masks.(i) in
+        if w <> -1 && m <> 0 then begin
           live.(!n) <- w;
-          incr n
+          incr n;
+          keys := popcount !keys m
         end)
       t.words;
     let live = Array.sub live 0 !n in
     Array.sort Int.compare live;
-    let rec bits acc base m =
-      if m = 0 then acc
-      else bits (if m land 1 = 0 then acc else f acc base) (base + 1) (m lsr 1)
-    in
-    Array.fold_left (fun acc w -> bits acc (w lsl 5) t.masks.(slot t w)) init live
+    let out = Array.make !keys 0 and j = ref 0 in
+    Array.iter
+      (fun w ->
+        let m = ref t.masks.(slot t w) and k = ref (w lsl 5) in
+        while !m <> 0 do
+          if !m land 1 <> 0 then begin
+            out.(!j) <- !k;
+            incr j
+          end;
+          m := !m lsr 1;
+          incr k
+        done)
+      live;
+    out
 end
 
-module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
+(** What {!Make} needs of a set: the concurrent set with replace, and a
+    bulk loader for recovery. *)
+module type SET = sig
+  include Dset_intf.CONCURRENT_SET_WITH_REPLACE
+
+  val load_ascending : t -> int array -> unit
+  (** [load_ascending t keys] fills [t], fresh from [create] and not
+      yet shared, with strictly ascending [keys] (see
+      {!Core.Patricia.load_ascending}). *)
+end
+
+module Make (S : SET) = struct
   type mode =
     | Ephemeral  (** recover at open, log nothing (read-only durability) *)
     | Async  (** log every mutation; {!barrier} writes, never fsyncs *)
@@ -161,10 +185,15 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
     wal_records : int;  (** valid records found in the log *)
     wal_replayed : int;  (** records past the cut, folded into the set *)
     wal_segments : int;
-    torn_tail : bool;  (** a torn tail was truncated at a bad CRC *)
+    torn_tail : bool;
+        (** the log ended at a bad CRC; a logging open truncated it *)
     last_seq : int;  (** highest durable sequence number recovered *)
-    keys_loaded : int;  (** inserts recovery made into the structure *)
+    keys_loaded : int;  (** keys the bulk loader put in the structure *)
     elapsed_s : float;  (** wall time [open_] spent recovering *)
+    scan_s : float;
+        (** of which reading the checkpoint, scanning the log and
+            folding the last effects *)
+    build_s : float;  (** of which building the structure *)
   }
 
   type t = {
@@ -243,25 +272,28 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
           c.Checkpoint.replay_from
       | None -> -1
     in
-    let fold ~seq:_ = function
-      | Wal.Insert k -> present k
-      | Wal.Delete k -> absent k
-      | Wal.Replace { remove; add } ->
-          absent remove;
-          present add
+    let fold ~seq:_ op a b =
+      match op with
+      | Wal.Op_insert -> present a
+      | Wal.Op_delete -> absent a
+      | Wal.Op_replace ->
+          absent a;
+          present b
     in
+    (* Only the writer, which holds the directory lock, truncates a torn
+       tail: a read-only open may be looking at a live writer's batch
+       in progress. *)
     let scan =
-      match Wal.scan ~dir ~replay_from ~f:fold with
+      match Wal.scan ~dir ~replay_from ~repair:(mode <> Ephemeral) ~f:fold with
       | Result.Ok s -> s
       | Result.Error msg -> failwith ("Persist.Store: " ^ msg)
     in
-    (* Pass 2: one insert per present key, in ascending order. *)
+    (* Pass 2: the present keys, ascending, built into the structure. *)
+    let keys = Last_effect.to_ascending effects in
+    let t1 = Obs.Clock.now_ns () in
     let set = S.create ~universe () in
-    let keys_loaded =
-      Last_effect.fold_ascending effects ~init:0 ~f:(fun n k ->
-          ignore (S.insert set k : bool);
-          n + 1)
-    in
+    S.load_ascending set keys;
+    let t2 = Obs.Clock.now_ns () in
     let last_seq = max scan.Wal.last_seq replay_from in
     let info =
       {
@@ -275,8 +307,10 @@ module Make (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) = struct
         wal_segments = scan.Wal.segments;
         torn_tail = scan.Wal.torn;
         last_seq;
-        keys_loaded;
-        elapsed_s = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9;
+        keys_loaded = Array.length keys;
+        elapsed_s = float_of_int (t2 - t0) /. 1e9;
+        scan_s = float_of_int (t1 - t0) /. 1e9;
+        build_s = float_of_int (t2 - t1) /. 1e9;
       }
     in
     let writer =

@@ -17,11 +17,12 @@
     segments; they are what checkpoints cut against ({!Checkpoint}) and
     what recovery replays from.  A crash can leave the final segment
     with a torn tail — a record whose bytes are short or whose CRC does
-    not match; {!scan} truncates the file at the first such record and
-    reports it, so a recovered log is always well-formed for the next
-    appender.  Torn bytes can only exist at the tail of the {e last}
-    segment; a bad record in an earlier segment means real corruption
-    and is reported as an error rather than silently dropped.
+    not match; {!scan} stops at the first such record and reports it,
+    and the writer's recovery truncates the file there, so a recovered
+    log is always well-formed for the next appender.  Torn bytes can
+    only exist at the tail of the {e last} segment; a bad record in an
+    earlier segment means real corruption and is reported as an error
+    rather than silently dropped.
 
     {2 Group commit}
 
@@ -82,13 +83,11 @@ let put_u64 buf v =
   put_u32 buf ((v lsr 32) land 0xFFFFFFFF);
   put_u32 buf (v land 0xFFFFFFFF)
 
-let get_u32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
+(* One bounds-checked load each; the int32 and int64 stay unboxed. *)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
-let get_u64 b off = (get_u32 b off lsl 32) lor get_u32 b (off + 4)
+(* The low 63 bits, as the two 32-bit halves shifted together gave. *)
+let get_u64 b off = Int64.to_int (Bytes.get_int64_be b off)
 
 let write_all fd b off len =
   let rec go off remaining =
@@ -146,18 +145,37 @@ let encode_record b off ~seq record =
   set_u32 b (off + 4) (Crc.crc32c b ~off:p ~len:plen);
   p + plen
 
-(** Decode the payload at [b.(off), b.(off+len)); CRC already checked. *)
-let decode_payload b ~off ~len =
-  if len < 8 + 1 + 8 then Result.Error "record payload too short"
-  else
-    let seq = get_u64 b off in
-    let key = get_u64 b (off + 9) in
-    match Bytes.get b (off + 8) with
-    | '\001' when len = 17 -> Result.Ok (seq, Insert key)
-    | '\002' when len = 17 -> Result.Ok (seq, Delete key)
-    | '\003' when len = 25 ->
-        Result.Ok (seq, Replace { remove = key; add = get_u64 b (off + 17) })
-    | _ -> Result.Error "unknown record tag or inconsistent length"
+(** What a record does, as {!scan} reports it: an immediate value, so
+    reporting a record allocates nothing. *)
+type op = Op_insert | Op_delete | Op_replace
+
+(** The record {!scan} reports as [op a b]. *)
+let record_of op a b =
+  match op with
+  | Op_insert -> Insert a
+  | Op_delete -> Delete a
+  | Op_replace -> Replace { remove = a; add = b }
+
+(* The [len] payload bytes at [p], CRC already checked, are a record: a
+   known tag with its length. *)
+let payload_ok b p len =
+  match Bytes.get b (p + 8) with
+  | '\001' | '\002' -> len = 17
+  | '\003' -> len = 25
+  | _ -> false
+
+(* The payload at [p], once [payload_ok]: its op and keys, read in
+   place (the second key is 0 but for a Replace). *)
+let[@inline] op_at b p =
+  match Bytes.get b (p + 8) with
+  | '\001' -> Op_insert
+  | '\002' -> Op_delete
+  | _ -> Op_replace
+
+let[@inline] key_a b p = get_u64 b (p + 9)
+let[@inline] key_b b p = function
+  | Op_replace -> get_u64 b (p + 17)
+  | Op_insert | Op_delete -> 0
 
 let encode_header buf ~base =
   Buffer.add_string buf magic;
@@ -173,7 +191,7 @@ type scan = {
   records : int;  (** valid records seen (before any [replay_from] filter) *)
   replayed : int;  (** records passed to [f] *)
   segments : int;
-  torn : bool;  (** a torn tail was truncated *)
+  torn : bool;  (** the last segment ended in a torn tail *)
 }
 
 let list_segments dir =
@@ -205,14 +223,18 @@ let truncate_file path len =
   Unix.ftruncate fd len;
   Unix.fsync fd
 
-(** [scan ~dir ~replay_from ~f] walks every segment in sequence order,
-    validates headers and record CRCs, calls [f ~seq record] for every
-    valid record with [seq > replay_from], and truncates a torn tail of
-    the last segment in place (a header too damaged to read in the last
-    segment deletes the file).  Returns [Error] on corruption that is
-    not a tail — a bad record followed by more segments means lost
+(** [scan ~dir ~replay_from ~repair ~f] walks every segment in sequence
+    order, validates headers and record CRCs, and calls [f ~seq op a b]
+    for every valid record with [seq > replay_from]: [a] is the key of
+    an insert or delete and a replace's [remove], [b] a replace's [add]
+    (0 otherwise).  Each record is decoded in place, with no allocation
+    of its own.  A torn tail of the last segment ends the scan; with
+    [~repair:true] the scan also truncates it in place (a header too
+    damaged to read in the last segment deletes the file), which only
+    the directory's writer may do.  Returns [Error] on corruption that
+    is not a tail — a bad record followed by more segments means lost
     acknowledged data, which must not be silently skipped. *)
-let scan ~dir ~replay_from ~f =
+let scan ~dir ~replay_from ~repair ~f =
   let segs = list_segments dir in
   let n_segs = List.length segs in
   let torn = ref false in
@@ -224,6 +246,13 @@ let scan ~dir ~replay_from ~f =
     List.iteri
       (fun i (base, path) ->
         let is_last = i = n_segs - 1 in
+        (* A bad frame at [off]: the torn tail of the last segment, or
+           corruption anywhere else. *)
+        let tail off what =
+          if not is_last then raise (Corrupt (Printf.sprintf "%s: %s" path what));
+          torn := true;
+          if repair then truncate_file path off
+        in
         let b = read_file path in
         let size = Bytes.length b in
         let header_ok =
@@ -237,61 +266,55 @@ let scan ~dir ~replay_from ~f =
             (* A segment created during rotation but killed before its
                header hit the disk whole: nothing in it can be valid. *)
             torn := true;
-            Sys.remove path;
-            fsync_dir dir
+            if repair then begin
+              Sys.remove path;
+              fsync_dir dir
+            end
           end
           else raise (Corrupt (Printf.sprintf "%s: bad segment header" path))
         else begin
           let off = ref header_len in
           let stop = ref false in
           while not !stop do
-            if !off = size then stop := true
-            else if size - !off < frame_overhead then begin
-              (* short frame prefix: torn tail *)
-              if not is_last then
-                raise (Corrupt (Printf.sprintf "%s: short record frame" path));
-              torn := true;
-              truncate_file path !off;
+            let o = !off in
+            if o = size then stop := true
+            else if size - o < frame_overhead then begin
+              tail o "short record frame";
               stop := true
             end
             else
-              let plen = get_u32 b !off in
-              let crc = get_u32 b (!off + 4) in
+              let plen = get_u32 b o in
+              let p = o + frame_overhead in
               if
                 plen > max_record_payload
                 || plen < 17
-                || size - !off - frame_overhead < plen
-                || Crc.crc32c b ~off:(!off + frame_overhead) ~len:plen <> crc
+                || size - p < plen
+                || Crc.crc32c b ~off:p ~len:plen <> get_u32 b (o + 4)
               then begin
-                if not is_last then
-                  raise
-                    (Corrupt (Printf.sprintf "%s: bad record CRC or length" path));
-                torn := true;
-                truncate_file path !off;
+                tail o "bad record CRC or length";
                 stop := true
               end
-              else
-                match decode_payload b ~off:(!off + frame_overhead) ~len:plen with
-                | Result.Error _ when is_last ->
-                    torn := true;
-                    truncate_file path !off;
-                    stop := true
-                | Result.Error msg ->
-                    raise (Corrupt (Printf.sprintf "%s: %s" path msg))
-                | Result.Ok (seq, record) ->
-                    if seq <= !last_seq then
-                      raise
-                        (Corrupt
-                           (Printf.sprintf
-                              "%s: sequence numbers not increasing (%d after %d)"
-                              path seq !last_seq));
-                    last_seq := seq;
-                    incr records;
-                    if seq > replay_from then begin
-                      incr replayed;
-                      f ~seq record
-                    end;
-                    off := !off + frame_overhead + plen
+              else if not (payload_ok b p plen) then begin
+                  tail o "unknown record tag or inconsistent length";
+                  stop := true
+                end
+                else begin
+                  let seq = get_u64 b p in
+                  if seq <= !last_seq then
+                    raise
+                      (Corrupt
+                         (Printf.sprintf
+                            "%s: sequence numbers not increasing (%d after %d)"
+                            path seq !last_seq));
+                  last_seq := seq;
+                  incr records;
+                  if seq > replay_from then begin
+                    incr replayed;
+                    let op = op_at b p in
+                    f ~seq op (key_a b p) (key_b b p op)
+                  end;
+                  off := p + plen
+                end
           done
         end)
       segs;
@@ -753,20 +776,20 @@ module Tail = struct
             let pb = Bytes.create plen in
             if pread fd ~off:(t.off + frame_overhead) pb ~len:plen <> plen then
               `End
-            else if Crc.crc32c pb ~off:0 ~len:plen <> crc then `End
+            else if Crc.crc32c pb ~off:0 ~len:plen <> crc || not (payload_ok pb 0 plen)
+            then `End
             else
-              match decode_payload pb ~off:0 ~len:plen with
-              | Result.Error _ -> `End
-              | Result.Ok (seq, record) ->
-                  if seq > limit then `End
-                  else begin
-                    t.off <- t.off + frame_overhead + plen;
-                    if seq < t.next_seq then `Skip
-                    else begin
-                      t.next_seq <- seq + 1;
-                      `Record (seq, record)
-                    end
-                  end)
+              let seq = get_u64 pb 0 in
+              if seq > limit then `End
+              else begin
+                t.off <- t.off + frame_overhead + plen;
+                if seq < t.next_seq then `Skip
+                else begin
+                  t.next_seq <- seq + 1;
+                  let op = op_at pb 0 in
+                  `Record (seq, record_of op (key_a pb 0) (key_b pb 0 op))
+                end
+              end)
 
   (** [next_batch t ~max_records ~timeout_s] returns the next run of
       records in sequence order, at most [max_records].  A live cursor

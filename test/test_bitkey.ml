@@ -18,7 +18,32 @@ let test_bit_length () =
   check_int "255" 8 (bit_length 255);
   check_int "256" 9 (bit_length 256);
   Alcotest.check_raises "negative" (Invalid_argument "Bitkey.bit_length: negative")
-    (fun () -> ignore (bit_length (-1)))
+    (fun () -> ignore (bit_length (-1)));
+  Alcotest.check_raises "min_int" (Invalid_argument "Bitkey.bit_length: negative")
+    (fun () -> ignore (bit_length min_int))
+
+(* The reference: one shift per bit. *)
+let bit_length_loop n =
+  let rec go acc n = if n = 0 then acc else go (acc + 1) (n lsr 1) in
+  go 0 n
+
+let test_bit_length_reference () =
+  let agree n =
+    check_int (Printf.sprintf "bit_length %d" n) (bit_length_loop n) (bit_length n)
+  in
+  agree 0;
+  agree max_int;
+  for i = 0 to 61 do
+    let p = 1 lsl i in
+    agree (p - 1);
+    agree p;
+    agree (p + 1)
+  done;
+  let rng = Rng.of_int_seed 17 in
+  for _ = 1 to 100_000 do
+    (* Random values below 2^62, spread over every length. *)
+    agree (Rng.int rng max_int lsr Rng.int rng 62)
+  done
 
 let test_bit () =
   (* key 0b1010 over width 4: bits 1..4 are 1,0,1,0 *)
@@ -175,6 +200,8 @@ let () =
       ( "bits",
         [
           Alcotest.test_case "bit_length" `Quick test_bit_length;
+          Alcotest.test_case "bit_length matches the loop" `Quick
+            test_bit_length_reference;
           Alcotest.test_case "bit" `Quick test_bit;
           Alcotest.test_case "popcount" `Quick test_popcount;
         ] );

@@ -92,6 +92,49 @@ let test_result_range () =
       Alcotest.failf "crc out of [0, 2^32): %d" c
   done
 
+(* The sliced loop against the byte-wise reference: every offset in an
+   8-byte word, every length through ten whole steps and a tail, and
+   chained calls that split the buffer anywhere. *)
+let test_sliced_matches_bytewise () =
+  let rng = Rng.of_int_seed 14 in
+  let buf = Bytes.init 96 (fun _ -> Char.chr (Rng.int rng 256)) in
+  for off = 0 to 7 do
+    for len = 0 to 80 do
+      let want = Crc.crc32c_bytewise buf ~off ~len in
+      let got = Crc.crc32c buf ~off ~len in
+      if got <> want then
+        Alcotest.failf "off %d len %d: sliced %s, byte-wise %s" off len (hex got)
+          (hex want)
+    done
+  done;
+  for _ = 1 to 2000 do
+    let len = Rng.int rng 300 in
+    let b = Bytes.init len (fun _ -> Char.chr (Rng.int rng 256)) in
+    let seed = Rng.int rng 0x1_0000_0000 in
+    Alcotest.(check string)
+      "random buffer" (hex (Crc.crc32c_bytewise ~crc:seed b ~off:0 ~len))
+      (hex (Crc.crc32c ~crc:seed b ~off:0 ~len));
+    let cut = Rng.int rng (len + 1) in
+    let chained =
+      Crc.crc32c ~crc:(Crc.crc32c b ~off:0 ~len:cut) b ~off:cut ~len:(len - cut)
+    in
+    Alcotest.(check string)
+      "chained = byte-wise whole" (hex (Crc.crc32c_bytewise b ~off:0 ~len))
+      (hex chained)
+  done
+
+(* A check on a WAL record's payload allocates nothing. *)
+let test_sliced_allocates_nothing () =
+  let b = Bytes.make 25 'w' in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc lxor Crc.crc32c b ~off:0 ~len:25
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc : int);
+  if words > 100. then Alcotest.failf "10000 checks allocated %.0f words" words
+
 let () =
   Alcotest.run "crc"
     [
@@ -106,5 +149,9 @@ let () =
           Alcotest.test_case "bit flips detected" `Quick test_bit_flip_detected;
           Alcotest.test_case "offset/length validation" `Quick test_range;
           Alcotest.test_case "result in range" `Quick test_result_range;
+          Alcotest.test_case "sliced = byte-wise" `Quick
+            test_sliced_matches_bytewise;
+          Alcotest.test_case "sliced allocates nothing" `Quick
+            test_sliced_allocates_nothing;
         ] );
     ]

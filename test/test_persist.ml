@@ -13,7 +13,10 @@ let tmpdir = Tutil.fresh_dirs "persist_test"
 
 let scan_all ~dir =
   let acc = ref [] in
-  match Wal.scan ~dir ~replay_from:(-1) ~f:(fun ~seq r -> acc := (seq, r) :: !acc) with
+  match
+    Wal.scan ~dir ~replay_from:(-1) ~repair:true ~f:(fun ~seq op a b ->
+        acc := (seq, Wal.record_of op a b) :: !acc)
+  with
   | Result.Ok s -> (s, List.rev !acc)
   | Result.Error m -> Alcotest.fail ("scan: " ^ m)
 
@@ -79,7 +82,7 @@ let test_wal_replay_from () =
   Wal.Writer.wait_durable w 10;
   Wal.Writer.stop w;
   let n = ref 0 in
-  (match Wal.scan ~dir ~replay_from:7 ~f:(fun ~seq:_ _ -> incr n) with
+  (match Wal.scan ~dir ~replay_from:7 ~repair:false ~f:(fun ~seq:_ _ _ _ -> incr n) with
   | Result.Ok s ->
       Alcotest.(check int) "replayed" 3 s.Wal.replayed;
       Alcotest.(check int) "records" 10 s.Wal.records
@@ -210,7 +213,7 @@ let test_mid_log_corruption_is_error () =
   ignore (Unix.lseek fd 100 Unix.SEEK_SET : int);
   ignore (Unix.write_substring fd "\255" 0 1 : int);
   Unix.close fd;
-  match Wal.scan ~dir ~replay_from:(-1) ~f:(fun ~seq:_ _ -> ()) with
+  match Wal.scan ~dir ~replay_from:(-1) ~repair:true ~f:(fun ~seq:_ _ _ _ -> ()) with
   | Result.Ok _ -> Alcotest.fail "mid-log corruption not reported"
   | Result.Error _ -> ()
 
@@ -338,7 +341,7 @@ let test_torn_tail_store_recovery () =
     (List.init 50 (fun i -> i + 1))
     (sorted_keys r);
   Pstore.close r;
-  (* Recovery truncated the tail; a durable reopen appends after it. *)
+  (* A durable reopen truncates the tail and appends after it. *)
   let s2 = mk_store dir in
   ignore (Pstore.insert s2 1000 : bool);
   Pstore.barrier s2;
@@ -615,7 +618,10 @@ let forced_replay ~dir ~universe =
     | Result.Ok None -> -1
     | Result.Error m -> Alcotest.fail ("oracle: " ^ m)
   in
-  (match Wal.scan ~dir ~replay_from ~f:(fun ~seq:_ r -> apply set r) with
+  (match
+     Wal.scan ~dir ~replay_from ~repair:false ~f:(fun ~seq:_ op a b ->
+         apply set (Wal.record_of op a b))
+   with
   | Result.Ok _ -> ()
   | Result.Error m -> Alcotest.fail ("oracle: " ^ m));
   List.sort compare (Core.Patricia.to_list set)
@@ -669,7 +675,7 @@ let equivalence_trial seed =
   Alcotest.(check (list int)) (what ^ ": second open") got1 (sorted_keys r2);
   Alcotest.(check (list int)) (what ^ ": recovered = live") live got1;
   Alcotest.(check int)
-    (what ^ ": one insert per recovered key")
+    (what ^ ": every recovered key loaded")
     (List.length got1) (Pstore.recovery_info r1).Pstore.keys_loaded;
   (match Core.Patricia.check_invariants (Pstore.underlying r1) with
   | Result.Ok () -> ()
@@ -783,6 +789,136 @@ let test_offline_compaction_deletes_every_segment () =
   let r = mk_store ~mode:Pstore.Ephemeral dir in
   Alcotest.(check (list int)) "appends after compaction recover"
     (0 :: live) (sorted_keys r);
+  Pstore.close r
+
+(* Every file of [dir], by name, with its bytes. *)
+let dir_image dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun n ->
+         let ic = open_in_bin (Filename.concat dir n) in
+         let b = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         (n, b))
+
+(* A read-only open takes no directory lock, so it may be reading a
+   live writer's batch in progress as a torn tail: it reports the tail
+   and changes no file.  Both tails a writer's recovery repairs, a
+   partial frame and a cut segment header, are left in place. *)
+let test_read_only_open_writes_nothing () =
+  let dir = tmpdir () in
+  let s = mk_store dir in
+  for k = 1 to 30 do ignore (Pstore.insert s k : bool) done;
+  Pstore.barrier s;
+  Pstore.close s;
+  append_file (last_segment dir) "\000\000\000\017torn-bytes-here!!";
+  let before = dir_image dir in
+  let r = mk_store ~mode:Pstore.Ephemeral dir in
+  Alcotest.(check bool) "torn reported" true (Pstore.recovery_info r).Pstore.torn_tail;
+  Alcotest.(check (list int)) "acked prefix" (List.init 30 (fun i -> i + 1)) (sorted_keys r);
+  Pstore.close r;
+  Alcotest.(check bool) "torn tail: every file byte-identical" true
+    (dir_image dir = before);
+  (* The writer's open repairs it. *)
+  Pstore.close (mk_store dir);
+  let r = mk_store ~mode:Pstore.Ephemeral dir in
+  Alcotest.(check bool) "clean after the writer's open" false
+    (Pstore.recovery_info r).Pstore.torn_tail;
+  Pstore.close r;
+  (* A rotation killed before its header was whole. *)
+  let dir = tmpdir () in
+  let s = mk_store dir in
+  for k = 1 to 30 do ignore (Pstore.insert s k : bool) done;
+  Pstore.close s;
+  let seg = Filename.concat dir (Wal.segment_name 31) in
+  let oc = open_out_bin seg in
+  output_string oc "PATWAL";
+  close_out oc;
+  let before = dir_image dir in
+  let r = mk_store ~mode:Pstore.Ephemeral dir in
+  Alcotest.(check bool) "cut header reported" true (Pstore.recovery_info r).Pstore.torn_tail;
+  Alcotest.(check int) "records" 30 (Pstore.recovery_info r).Pstore.wal_records;
+  Pstore.close r;
+  Alcotest.(check bool) "cut header: every file byte-identical" true
+    (dir_image dir = before);
+  (* The writer's open deletes it and starts its own segment there. *)
+  Pstore.close (mk_store dir);
+  let r = mk_store ~mode:Pstore.Ephemeral dir in
+  Alcotest.(check bool) "clean after the writer's open" false
+    (Pstore.recovery_info r).Pstore.torn_tail;
+  Alcotest.(check (list int)) "same keys" (List.init 30 (fun i -> i + 1)) (sorted_keys r);
+  Pstore.close r
+
+(* A log of about 29 000 records over a 2^16 universe that ends with
+   about 24 000 keys: random inserts, then replaces and deletes. *)
+let word_count_log () =
+  let dir = tmpdir () in
+  let universe = 1 lsl 16 in
+  let s = mk_store ~mode:Pstore.Async ~universe dir in
+  let rng = Rng.of_int_seed 34 in
+  for _ = 1 to 28_000 do ignore (Pstore.insert s (Rng.int rng universe) : bool) done;
+  for _ = 1 to 3_000 do
+    let k = Rng.int rng universe in
+    ignore (Pstore.replace s ~remove:k ~add:(Rng.int rng universe) : bool)
+  done;
+  for _ = 1 to 2_000 do ignore (Pstore.delete s (Rng.int rng universe) : bool) done;
+  Pstore.close s;
+  (dir, universe)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let x = f () in
+  (x, Gc.minor_words () -. w0)
+
+(* What a recovery allocates, counted: a scan record decoded in place
+   costs nothing beyond the callback, and a recovered key about the
+   leaf and the internal node the loader builds for it (9 words). *)
+let test_recovery_word_counts () =
+  let dir, universe = word_count_log () in
+  let sum = ref 0 in
+  let scan, words =
+    minor_words (fun () ->
+        Wal.scan ~dir ~replay_from:(-1) ~repair:false ~f:(fun ~seq:_ _ a b ->
+            sum := !sum + a + b))
+  in
+  let records =
+    match scan with Result.Ok s -> s.Wal.records | Result.Error m -> Alcotest.fail m
+  in
+  let per_record = words /. float_of_int records in
+  Printf.printf "Wal.scan: %d records, %.3f minor words per record\n" records per_record;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words per scanned record <= 1" per_record)
+    true (per_record <= 1.);
+  let r, words = minor_words (fun () -> mk_store ~mode:Pstore.Ephemeral ~universe dir) in
+  let keys = (Pstore.recovery_info r).Pstore.keys_loaded in
+  let per_key = words /. float_of_int keys in
+  Printf.printf "Store.open_: %d records, %d keys, %.2f minor words per key\n"
+    (Pstore.recovery_info r).Pstore.wal_records keys per_key;
+  Alcotest.(check bool) "thousands of keys" true (keys > 20_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per recovered key <= 20" per_key)
+    true (per_key <= 20.);
+  Pstore.close r
+
+(* The recovered trie is built, not updated: a store whose trie counts
+   its updates shows none after recovering its keys. *)
+let test_recovery_updates_nothing () =
+  let dir = tmpdir () in
+  let s = mk_store ~mode:Pstore.Async dir in
+  for k = 0 to 999 do ignore (Pstore.insert s (3 * k) : bool) done;
+  for k = 0 to 99 do ignore (Pstore.replace s ~remove:(3 * k) ~add:((3 * k) + 1) : bool) done;
+  Pstore.close s;
+  Node.record_stats := true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Node.record_stats := false)
+      (fun () -> mk_store ~mode:Pstore.Ephemeral dir)
+  in
+  Alcotest.(check int) "keys recovered" 1000 (Pstore.recovery_info r).Pstore.keys_loaded;
+  (match Core.Patricia.stats_snapshot (Pstore.underlying r) with
+  | None -> Alcotest.fail "no counters"
+  | Some st ->
+      Alcotest.(check int) "attempts" 0 st.Core.Patricia.attempts;
+      Alcotest.(check int) "descriptors run" 0 st.Core.Patricia.descriptors_run);
   Pstore.close r
 
 (* ------------------------------------------------------------------ *)
@@ -990,6 +1126,12 @@ let () =
             test_recovery_sparse_universe;
           Alcotest.test_case "compaction leaves no segment" `Quick
             test_offline_compaction_deletes_every_segment;
+          Alcotest.test_case "a read-only open writes nothing" `Quick
+            test_read_only_open_writes_nothing;
+          Alcotest.test_case "words per record and per key" `Quick
+            test_recovery_word_counts;
+          Alcotest.test_case "recovery updates nothing" `Quick
+            test_recovery_updates_nothing;
         ] );
       ( "group commit",
         [
