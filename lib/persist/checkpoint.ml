@@ -64,22 +64,22 @@ let list_checkpoints dir =
     and removes every older checkpoint file (and stray temp files).
     Returns the new image's path. *)
 let write ~dir ~universe ~replay_from ~keys =
-  let buf = Buffer.create (fixed_len + (8 * List.length keys) + 4) in
-  Buffer.add_string buf magic;
-  Wal.put_u64 buf universe;
-  Wal.put_u64 buf replay_from;
-  Wal.put_u64 buf (List.length keys);
-  List.iter (fun k -> Wal.put_u64 buf k) keys;
-  let body = Buffer.to_bytes buf in
-  Wal.put_u32 buf (Crc.crc32c body ~off:0 ~len:(Bytes.length body));
-  let bytes = Buffer.to_bytes buf in
+  let count = Array.length keys in
+  let len = fixed_len + (8 * count) + 4 in
+  let b = Bytes.create len in
+  Bytes.blit_string magic 0 b 0 8;
+  Wal.set_u64 b 8 universe;
+  Wal.set_u64 b 16 replay_from;
+  Wal.set_u64 b 24 count;
+  Array.iteri (fun i k -> Wal.set_u64 b (fixed_len + (8 * i)) k) keys;
+  Wal.set_u32 b (len - 4) (Crc.crc32c b ~off:0 ~len:(len - 4));
   let path = Filename.concat dir (name replay_from) in
   let tmp = path ^ ".tmp" in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   (try
-     Wal.write_all fd bytes 0 (Bytes.length bytes);
+     Wal.write_all fd b 0 len;
      Unix.fsync fd;
      Unix.close fd
    with e ->
@@ -99,12 +99,12 @@ let write ~dir ~universe ~replay_from ~keys =
         try Sys.remove (Filename.concat dir n) with _ -> ())
     (Sys.readdir dir);
   Obs.Counter.incr Metrics.checkpoints;
-  Obs.Counter.add Metrics.checkpoint_keys (List.length keys);
+  Obs.Counter.add Metrics.checkpoint_keys count;
   path
 
 type loaded = {
   replay_from : int;
-  keys : int list;  (** ascending, as serialized *)
+  keys : int array;  (** ascending, as serialized *)
   skipped : int;  (** newer-but-invalid images passed over *)
 }
 
@@ -131,7 +131,7 @@ let validate ~universe path =
            file_universe universe)
     else
       let keys =
-        List.init count (fun i -> Wal.get_u64 b (fixed_len + (8 * i)))
+        Array.init count (fun i -> Wal.get_u64 b (fixed_len + (8 * i)))
       in
       Result.Ok { replay_from; keys; skipped = 0 }
 

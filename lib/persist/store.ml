@@ -268,7 +268,7 @@ module Make (S : SET) = struct
     let replay_from =
       match ckpt with
       | Some c ->
-          List.iter present c.Checkpoint.keys;
+          Array.iter present c.Checkpoint.keys;
           c.Checkpoint.replay_from
       | None -> -1
     in
@@ -299,7 +299,7 @@ module Make (S : SET) = struct
       {
         checkpoint_seq = Option.map (fun c -> c.Checkpoint.replay_from) ckpt;
         checkpoint_keys =
-          (match ckpt with Some c -> List.length c.Checkpoint.keys | None -> 0);
+          (match ckpt with Some c -> Array.length c.Checkpoint.keys | None -> 0);
         checkpoints_skipped =
           (match ckpt with Some c -> c.Checkpoint.skipped | None -> 0);
         wal_records = scan.Wal.records;
@@ -544,8 +544,12 @@ module Make (S : SET) = struct
     let keys =
       match S.snapshot t.set with
       | Some v ->
-          List.rev (v.Dset_intf.v_fold ~init:[] ~f:(fun acc k -> k :: acc))
-      | None -> S.to_list t.set
+          (* A frozen view: count it, then fill the image in order. *)
+          let n = v.Dset_intf.v_fold ~init:0 ~f:(fun n _ -> n + 1) in
+          let keys = Array.make n 0 in
+          ignore (v.v_fold ~init:0 ~f:(fun i k -> keys.(i) <- k; i + 1) : int);
+          keys
+      | None -> Array.of_list (S.to_list t.set)
     in
     (* The image supersedes everything <= s0 and may hold records past
        it: make every record logged so far durable before the image is
@@ -564,7 +568,7 @@ module Make (S : SET) = struct
     let deleted =
       Wal.delete_obsolete_segments ~dir:t.dir ~upto:s0 ?keep_from ?log_end ()
     in
-    (List.length keys, deleted)
+    (Array.length keys, deleted)
 
   (** Commit every logged record, seal the log with a final fsync and
       release the directory lock.  The store must not be mutated

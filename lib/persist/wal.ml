@@ -24,6 +24,15 @@
     earlier segment means real corruption and is reported as an error
     rather than silently dropped.
 
+    {2 One reader}
+
+    The format is read in one place: one segment-header check and one
+    frame walk over a byte buffer, which checks each frame's length,
+    CRC, payload and seq order and decodes its record in place.
+    {!scan} (recovery) runs the walk over each segment read whole;
+    {!Tail} (replication) runs it over bounded chunks read from its
+    cursor's offset.
+
     {2 Group commit}
 
     There is no log thread: the domain that needs its records on disk
@@ -73,21 +82,24 @@ let segment_base_of_name name =
 (* ------------------------------------------------------------------ *)
 (* Byte plumbing *)
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let put_u64 buf v =
-  put_u32 buf ((v lsr 32) land 0xFFFFFFFF);
-  put_u32 buf (v land 0xFFFFFFFF)
-
 (* One bounds-checked load each; the int32 and int64 stay unboxed. *)
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
 (* The low 63 bits, as the two 32-bit halves shifted together gave. *)
 let get_u64 b off = Int64.to_int (Bytes.get_int64_be b off)
+
+(* Read into [b] from [off] until [len] bytes or the end of the file;
+   returns how many bytes came. *)
+let read_into fd b off len =
+  let rec go got =
+    if got >= len then got
+    else
+      match Unix.read fd b (off + got) (len - got) with
+      | 0 -> got
+      | n -> go (got + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
+  in
+  go 0
 
 let write_all fd b off len =
   let rec go off remaining =
@@ -118,9 +130,7 @@ let max_frame = frame_overhead + 8 + 1 + 16
 
 let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 
-let set_u64 b off v =
-  set_u32 b off ((v lsr 32) land 0xFFFFFFFF);
-  set_u32 b (off + 4) (v land 0xFFFFFFFF)
+let set_u64 b off v = Bytes.set_int64_be b off (Int64.of_int v)
 
 (** Write the full frame (length, CRC, payload) for [record] into [b]
     at [off], which must have {!max_frame} bytes of room, and return
@@ -177,11 +187,78 @@ let[@inline] key_b b p = function
   | Op_replace -> get_u64 b (p + 17)
   | Op_insert | Op_delete -> 0
 
-let encode_header buf ~base =
-  Buffer.add_string buf magic;
-  put_u64 buf base;
-  let hb = Buffer.to_bytes buf in
-  put_u32 buf (Crc.crc32c hb ~off:0 ~len:16)
+let encode_header b ~base =
+  Bytes.blit_string magic 0 b 0 8;
+  set_u64 b 8 base;
+  set_u32 b 16 (Crc.crc32c b ~off:0 ~len:16)
+
+(* ------------------------------------------------------------------ *)
+(* Reading: one header check and one frame walk, for scan and Tail *)
+
+(* The first [len] bytes of [b] hold the whole, intact header of the
+   segment with base [base]. *)
+let header_ok b ~len ~base =
+  len >= header_len
+  && Bytes.sub_string b 0 8 = magic
+  && get_u64 b 8 = base
+  && get_u32 b 16 = Crc.crc32c b ~off:0 ~len:16
+
+(* Where a walk stands: the offset of the next frame in its buffer,
+   the highest seq walked over (-1 before any), and the valid frames
+   walked and handed on so far. *)
+type pos = {
+  mutable off : int;
+  mutable last : int;
+  mutable walked : int;
+  mutable passed : int;
+}
+
+(* Why a walk stopped at [pos.off]. *)
+type stop =
+  | End  (** the bytes end at a frame boundary *)
+  | Torn of string  (** an incomplete or invalid frame starts here *)
+  | Unordered of int  (** a valid frame with this seq, not above [pos.last] *)
+  | Past_limit  (** a valid frame with a seq above [limit] *)
+  | Full  (** [count] records were handed on *)
+
+(* Walk the frames of [b] from [pos.off] up to [len]: check each one's
+   length bounds, CRC, payload and seq order, and hand every record with
+   [from <= seq <= limit] to [f ~seq op a b], decoded in place, until
+   [pos.passed] reaches [count].  Allocates nothing per frame. *)
+let walk b pos ~len ~from ~limit ~count f =
+  let rec go () =
+    let o = pos.off in
+    if pos.passed >= count then Full
+    else if o = len then End
+    else if len - o < frame_overhead then Torn "short record frame"
+    else
+      let plen = get_u32 b o in
+      let p = o + frame_overhead in
+      if
+        plen > max_record_payload
+        || plen < 17
+        || len - p < plen
+        || Crc.crc32c b ~off:p ~len:plen <> get_u32 b (o + 4)
+      then Torn "bad record CRC or length"
+      else if not (payload_ok b p plen) then
+        Torn "unknown record tag or inconsistent length"
+      else
+        let seq = get_u64 b p in
+        if seq <= pos.last then Unordered seq
+        else if seq > limit then Past_limit
+        else begin
+          pos.off <- p + plen;
+          pos.last <- seq;
+          pos.walked <- pos.walked + 1;
+          if seq >= from then begin
+            pos.passed <- pos.passed + 1;
+            let op = op_at b p in
+            f ~seq op (key_a b p) (key_b b p op)
+          end;
+          go ()
+        end
+  in
+  go ()
 
 (* ------------------------------------------------------------------ *)
 (* Scanning (recovery read path) *)
@@ -206,15 +283,8 @@ let read_file path =
   Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) @@ fun () ->
   let size = (Unix.fstat fd).Unix.st_size in
   let b = Bytes.create size in
-  let rec go off =
-    if off >= size then off
-    else
-      match Unix.read fd b off (size - off) with
-      | 0 -> off (* shrank under us; treat the rest as absent *)
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  let got = go 0 in
+  (* A file that shrank under us: the rest is absent. *)
+  let got = read_into fd b 0 size in
   if got = size then b else Bytes.sub b 0 got
 
 let truncate_file path len =
@@ -238,30 +308,15 @@ let scan ~dir ~replay_from ~repair ~f =
   let segs = list_segments dir in
   let n_segs = List.length segs in
   let torn = ref false in
-  let last_seq = ref (-1) in
-  let records = ref 0 in
-  let replayed = ref 0 in
+  let pos = { off = 0; last = -1; walked = 0; passed = 0 } in
   let exception Corrupt of string in
   try
     List.iteri
       (fun i (base, path) ->
         let is_last = i = n_segs - 1 in
-        (* A bad frame at [off]: the torn tail of the last segment, or
-           corruption anywhere else. *)
-        let tail off what =
-          if not is_last then raise (Corrupt (Printf.sprintf "%s: %s" path what));
-          torn := true;
-          if repair then truncate_file path off
-        in
         let b = read_file path in
-        let size = Bytes.length b in
-        let header_ok =
-          size >= header_len
-          && Bytes.sub_string b 0 8 = magic
-          && get_u64 b 8 = base
-          && get_u32 b 16 = Crc.crc32c b ~off:0 ~len:16
-        in
-        if not header_ok then
+        let len = Bytes.length b in
+        if not (header_ok b ~len ~base) then
           if is_last then begin
             (* A segment created during rotation but killed before its
                header hit the disk whole: nothing in it can be valid. *)
@@ -273,58 +328,34 @@ let scan ~dir ~replay_from ~repair ~f =
           end
           else raise (Corrupt (Printf.sprintf "%s: bad segment header" path))
         else begin
-          let off = ref header_len in
-          let stop = ref false in
-          while not !stop do
-            let o = !off in
-            if o = size then stop := true
-            else if size - o < frame_overhead then begin
-              tail o "short record frame";
-              stop := true
-            end
-            else
-              let plen = get_u32 b o in
-              let p = o + frame_overhead in
-              if
-                plen > max_record_payload
-                || plen < 17
-                || size - p < plen
-                || Crc.crc32c b ~off:p ~len:plen <> get_u32 b (o + 4)
-              then begin
-                tail o "bad record CRC or length";
-                stop := true
-              end
-              else if not (payload_ok b p plen) then begin
-                  tail o "unknown record tag or inconsistent length";
-                  stop := true
-                end
-                else begin
-                  let seq = get_u64 b p in
-                  if seq <= !last_seq then
-                    raise
-                      (Corrupt
-                         (Printf.sprintf
-                            "%s: sequence numbers not increasing (%d after %d)"
-                            path seq !last_seq));
-                  last_seq := seq;
-                  incr records;
-                  if seq > replay_from then begin
-                    incr replayed;
-                    let op = op_at b p in
-                    f ~seq op (key_a b p) (key_b b p op)
-                  end;
-                  off := p + plen
-                end
-          done
+          pos.off <- header_len;
+          match
+            walk b pos ~len ~from:(replay_from + 1) ~limit:max_int
+              ~count:max_int f
+          with
+          | End | Past_limit | Full -> ()
+          | Unordered seq ->
+              raise
+                (Corrupt
+                   (Printf.sprintf
+                      "%s: sequence numbers not increasing (%d after %d)" path
+                      seq pos.last))
+          | Torn what ->
+              (* The torn tail of the last segment, or corruption
+                 anywhere else. *)
+              if not is_last then
+                raise (Corrupt (Printf.sprintf "%s: %s" path what));
+              torn := true;
+              if repair then truncate_file path pos.off
         end)
       segs;
     if !torn then Obs.Counter.incr Metrics.torn_tails;
-    Obs.Counter.add Metrics.records_replayed !replayed;
+    Obs.Counter.add Metrics.records_replayed pos.passed;
     Result.Ok
       {
-        last_seq = !last_seq;
-        records = !records;
-        replayed = !replayed;
+        last_seq = pos.last;
+        records = pos.walked;
+        replayed = pos.passed;
         segments = n_segs;
         torn = !torn;
       }
@@ -399,10 +430,9 @@ module Writer = struct
     let fd =
       Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
     in
-    let buf = Buffer.create header_len in
-    encode_header buf ~base;
-    let hb = Buffer.to_bytes buf in
-    write_all fd hb 0 (Bytes.length hb);
+    let hb = Bytes.create header_len in
+    encode_header hb ~base;
+    write_all fd hb 0 header_len;
     Unix.fsync fd;
     fsync_dir dir;
     fd
@@ -627,6 +657,12 @@ end
       {!scan} would truncate — so a recovery-side consumer sees exactly
       the replayable history.
 
+    The cursor reads in bounded chunks into one reused buffer and walks
+    them with {!scan}'s frame walk.  A frame the chunk holds only part
+    of is not consumed: the next read starts at it, so a frame still
+    being written is re-read, never delivered.  So is a segment header
+    not yet whole: a rotation creates the file before it writes one.
+
     A cursor positioned at [from_seq] pins segments from the one
     containing [from_seq] onward; {!delete_obsolete_segments}'s
     [keep_from] is how an owner keeps checkpoint GC from deleting them
@@ -637,28 +673,13 @@ module Tail = struct
     writer : Writer.t option;
     mutable cur_base : int;
     mutable fd : Unix.file_descr option;
-    mutable off : int;  (** next unread byte offset in the segment *)
+    mutable off : int;
+        (** next unread byte offset in the segment; 0 until its header
+            has been read *)
     mutable next_seq : int;  (** next sequence number to deliver *)
+    mutable buf : Bytes.t;  (** the chunk last read, reused *)
+    pos : pos;  (** the walk's place in [buf] and the last seq walked *)
   }
-
-  let pread fd ~off b ~len =
-    ignore (Unix.lseek fd off Unix.SEEK_SET : int);
-    let rec go got =
-      if got >= len then got
-      else
-        match Unix.read fd b got (len - got) with
-        | 0 -> got
-        | n -> go (got + n)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
-    in
-    go 0
-
-  let header_valid fd ~base =
-    let b = Bytes.create header_len in
-    pread fd ~off:0 b ~len:header_len = header_len
-    && Bytes.sub_string b 0 8 = magic
-    && get_u64 b 8 = base
-    && get_u32 b 16 = Crc.crc32c b ~off:0 ~len:16
 
   let close t =
     (match t.fd with
@@ -666,19 +687,29 @@ module Tail = struct
     | None -> ());
     t.fd <- None
 
+  (* Read from the cursor's offset into [buf] until [len] bytes or the
+     end of the segment.  At offset 0 the header comes first, and until
+     it reads whole and valid nothing does (only the last segment can
+     have a torn one). *)
+  let fill t len =
+    match t.fd with
+    | None -> 0
+    | Some fd ->
+        let read_at off len =
+          ignore (Unix.lseek fd off Unix.SEEK_SET : int);
+          read_into fd t.buf 0 len
+        in
+        let base = t.cur_base in
+        if t.off = 0 && header_ok t.buf ~len:(read_at 0 header_len) ~base then
+          t.off <- header_len;
+        if t.off = 0 then 0 else read_at t.off len
+
   let open_segment t base =
     close t;
     let path = Filename.concat t.dir (segment_name base) in
-    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    t.fd <- Some fd;
+    t.fd <- Some (Unix.openfile path [ Unix.O_RDONLY ] 0);
     t.cur_base <- base;
-    t.off <- header_len;
-    if not (header_valid fd ~base) then begin
-      (* Only the last segment can legitimately have a torn header (a
-         rotation killed before the header hit disk); position at its
-         end so the cursor reports no records from it. *)
-      t.off <- max_int
-    end
+    t.off <- 0
 
   (** [open_ ~dir ~from_seq ()] positions a cursor so the next record it
       delivers is the first one with [seq >= from_seq].  Errors loudly
@@ -711,8 +742,10 @@ module Tail = struct
                 writer;
                 cur_base = start_base;
                 fd = None;
-                off = header_len;
+                off = 0;
                 next_seq = from_seq;
+                buf = Bytes.create max_frame;
+                pos = { off = 0; last = -1; walked = 0; passed = 0 };
               }
             in
             match open_segment t start_base with
@@ -756,48 +789,14 @@ module Tail = struct
         else acc)
       cur_remaining (list_segments t.dir)
 
-  (* Read one frame at the current offset.  [`Record] advances past it;
-     [`Skip] advanced past a record older than the cursor position;
-     [`End] means no complete, valid frame is readable here — end of
-     durable data (live), torn tail (offline), or a frame beyond the
-     durability limit. *)
-  let read_frame t ~limit =
-    match t.fd with
-    | None -> `End
-    | Some fd -> (
-        let hd = Bytes.create frame_overhead in
-        if t.off = max_int || pread fd ~off:t.off hd ~len:frame_overhead <> frame_overhead
-        then `End
-        else
-          let plen = get_u32 hd 0 in
-          let crc = get_u32 hd 4 in
-          if plen > max_record_payload || plen < 17 then `End
-          else
-            let pb = Bytes.create plen in
-            if pread fd ~off:(t.off + frame_overhead) pb ~len:plen <> plen then
-              `End
-            else if Crc.crc32c pb ~off:0 ~len:plen <> crc || not (payload_ok pb 0 plen)
-            then `End
-            else
-              let seq = get_u64 pb 0 in
-              if seq > limit then `End
-              else begin
-                t.off <- t.off + frame_overhead + plen;
-                if seq < t.next_seq then `Skip
-                else begin
-                  t.next_seq <- seq + 1;
-                  let op = op_at pb 0 in
-                  `Record (seq, record_of op (key_a pb 0) (key_b pb 0 op))
-                end
-              end)
-
   (** [next_batch t ~max_records ~timeout_s] returns the next run of
       records in sequence order, at most [max_records].  A live cursor
       that has drained the durable prefix blocks on group-commit
       progress for up to [timeout_s] and returns [[]] if nothing new
       committed (also when the writer stopped); an offline cursor
       returns [[]] at the end of the log.  Rotation is followed
-      transparently. *)
+      transparently.  A read takes at most [max_records] (capped at
+      {!Writer.batch_limit}) frames' worth of bytes. *)
   let next_batch t ~max_records ~timeout_s =
     let limit =
       match t.writer with
@@ -808,23 +807,36 @@ module Tail = struct
           else d
       | None -> max_int
     in
+    let want = min max_records Writer.batch_limit * max_frame in
+    if Bytes.length t.buf < want then t.buf <- Bytes.create want;
     let acc = ref [] in
-    let n = ref 0 in
-    let continue = ref true in
-    while !continue && !n < max_records do
-      match read_frame t ~limit with
-      | `Record (seq, r) ->
-          acc := (seq, r) :: !acc;
-          incr n
-      | `Skip -> ()
-      | `End -> (
+    let deliver ~seq op a b = acc := (seq, record_of op a b) :: !acc in
+    let pos = t.pos in
+    pos.passed <- 0;
+    let rec go () =
+      let got = fill t want in
+      pos.off <- 0;
+      let stop =
+        walk t.buf pos ~len:got ~from:t.next_seq ~limit ~count:max_records
+          deliver
+      in
+      t.off <- t.off + pos.off;
+      t.next_seq <- max t.next_seq (pos.last + 1);
+      match stop with
+      | Full | Past_limit -> ()
+      | (End | Torn _) when got = want && pos.off > 0 ->
+          (* A full chunk: the segment may go on past it. *)
+          go ()
+      | End | Torn _ | Unordered _ -> (
           (* Exhausted the readable part of this segment: follow a
              rotation when the next segment starts exactly where the
              cursor stands; otherwise there is nothing more (yet). *)
           match next_segment t with
-          | Some base when base <= t.next_seq && base > t.cur_base ->
-              open_segment t base
-          | _ -> continue := false)
-    done;
+          | Some base when base <= t.next_seq ->
+              open_segment t base;
+              go ()
+          | _ -> ())
+    in
+    go ();
     List.rev !acc
 end

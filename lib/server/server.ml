@@ -23,9 +23,7 @@
     Submodules: {!Protocol} (the wire format), {!Client} (a blocking
     pipelined client), {!Loadgen} (a multi-domain load generator:
     one connection loop per domain, closed or open pacing, latency
-    timed from each request's due time), {!Loopback} (an adapter that makes a served set look
-    like an ordinary [CONCURRENT_SET_WITH_REPLACE] again, for running
-    generic tests over the network path). *)
+    timed from each request's due time). *)
 
 module Protocol = Protocol
 module Client = Client
@@ -1093,150 +1091,3 @@ let overloaded t = overloaded t.shared
 let stop ?(drain_s = 1.0) t =
   Atomic.set t.drain_s drain_s;
   Obs.Net.stop t.net
-
-(* ------------------------------------------------------------------ *)
-(* Loopback adapter: a served set re-packaged as an ordinary
-   CONCURRENT_SET_WITH_REPLACE, so generic tests (the registry
-   batteries, the linearizability checker) run unmodified with every
-   operation making a real protocol round trip over localhost. *)
-
-module Loopback (S : Dset_intf.CONCURRENT_SET_WITH_REPLACE) : sig
-  include Dset_intf.CONCURRENT_SET_WITH_REPLACE
-
-  val shutdown : t -> unit
-  (** Stop the instance's server (also registered via [at_exit]). *)
-end = struct
-  type server = t (* the enclosing module's server handle *)
-
-  type t = {
-    id : int;
-    universe : int;
-    server : server;
-    port : int;
-    inner : S.t; (* keeps the served structure alive *)
-  }
-
-  let name = S.name ^ "/net"
-
-  let next_id = Atomic.make 0
-
-  (* Every domain talks to a given instance over its own connection
-     (the client is not domain-safe); lazily established, keyed by
-     instance id.  Connections are reclaimed with the domain. *)
-  let clients_key : (int, Client.t) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-  let client inst =
-    let tbl = Domain.DLS.get clients_key in
-    match Hashtbl.find_opt tbl inst.id with
-    | Some c -> c
-    | None ->
-        let c = Client.connect ~port:inst.port () in
-        Hashtbl.add tbl inst.id c;
-        c
-
-  (* Stop the leaked servers of instances nobody shut down explicitly —
-     generic test code has no close hook in the signature. *)
-  let live : (int, t) Hashtbl.t = Hashtbl.create 8
-  let live_mu = Mutex.create ()
-  let at_exit_registered = ref false
-  let stop_instance inst = stop ~drain_s:0.2 inst.server
-
-  let shutdown inst =
-    Mutex.lock live_mu;
-    Hashtbl.remove live inst.id;
-    Mutex.unlock live_mu;
-    stop_instance inst
-
-  let register inst =
-    Mutex.lock live_mu;
-    if not !at_exit_registered then begin
-      at_exit_registered := true;
-      at_exit (fun () ->
-          Mutex.lock live_mu;
-          let all = Hashtbl.fold (fun _ i acc -> i :: acc) live [] in
-          Hashtbl.reset live;
-          Mutex.unlock live_mu;
-          List.iter stop_instance all)
-    end;
-    Hashtbl.replace live inst.id inst;
-    Mutex.unlock live_mu
-
-  let create ~universe () =
-    let inner = S.create ~universe () in
-    let server = start ~port:0 ~domains:2 (ops_of_set (module S) inner) in
-    let inst =
-      {
-        id = Atomic.fetch_and_add next_id 1;
-        universe;
-        server;
-        port = port server;
-        inner;
-      }
-    in
-    register inst;
-    inst
-
-  let insert t k = Client.insert (client t) k
-  let delete t k = Client.delete (client t) k
-  let member t k = Client.member (client t) k
-  let replace t ~remove ~add = Client.replace (client t) ~remove ~add
-  let size t = Client.size (client t)
-
-  (* The served structure lives in this process, so the shape/descent
-     capabilities read it directly rather than over the wire. *)
-  let census t = S.census t.inner
-  let descent_stats t = S.descent_stats t.inner
-
-  (* Loopback epochs are client-side: each snapshot gets a fresh one,
-     which never claims two distinct versions equal. *)
-  let snapshot_epoch = Atomic.make 0
-
-  (* Over the wire when one page covers the whole universe — a single
-     SCAN request is answered from one frozen server-side snapshot, so
-     the page itself is atomic and the linearizability battery
-     exercises the real scan path.  Universes too big for one page
-     delegate to the in-process structure's snapshot (still a true
-     frozen view, just not a wire round trip). *)
-  let snapshot t =
-    if t.universe > Protocol.max_page_keys then S.snapshot t.inner
-    else
-      let p = Client.scan_page ~count:t.universe (client t) ~cursor:(-1) in
-      if not p.Client.complete then
-        raise
-          (Client.Protocol_error
-             "single-page SCAN of the whole universe came back incomplete")
-      else
-        let keys = Array.of_list p.Client.keys in
-        Some
-          Dset_intf.
-            {
-              v_epoch = Atomic.fetch_and_add snapshot_epoch 1;
-              v_fold =
-                (fun ~init ~f -> Array.fold_left f init keys);
-              v_fold_range =
-                (fun ~lo ~hi ~init ~f ->
-                  Array.fold_left
-                    (fun acc k -> if k >= lo && k <= hi then f acc k else acc)
-                    init keys);
-              v_to_seq = (fun () -> Array.to_seq keys);
-            }
-
-  (* The protocol deliberately has no LIST bulk dump; enumerate the
-     bounded universe with pipelined MEMBER batches instead (quiescent
-     accuracy, which is all the signature promises). *)
-  let to_list t =
-    let c = client t in
-    let acc = ref [] in
-    let k = ref 0 in
-    while !k < t.universe do
-      let hi = min t.universe (!k + 512) in
-      let ops = List.init (hi - !k) (fun i -> Protocol.Member (!k + i)) in
-      let base = !k in
-      List.iteri
-        (fun i b -> if b then acc := (base + i) :: !acc)
-        (Client.batch c ops);
-      k := hi
-    done;
-    List.rev !acc
-end

@@ -320,7 +320,8 @@ let test_image_ahead_of_cut () =
   Pstore.barrier s;
   let final = sorted_keys s in
   ignore
-    (Checkpoint.write ~dir ~universe:(1 lsl 12) ~replay_from:0 ~keys:final
+    (Checkpoint.write ~dir ~universe:(1 lsl 12) ~replay_from:0
+       ~keys:(Array.of_list final)
       : string);
   Pstore.close s;
   let r = mk_store ~mode:Pstore.Ephemeral dir in
@@ -613,7 +614,7 @@ let forced_replay ~dir ~universe =
   let replay_from =
     match Checkpoint.load_newest ~dir ~universe with
     | Result.Ok (Some c) ->
-        List.iter (fun k -> ignore (Core.Patricia.insert set k : bool)) c.Checkpoint.keys;
+        Array.iter (fun k -> ignore (Core.Patricia.insert set k : bool)) c.Checkpoint.keys;
         c.Checkpoint.replay_from
     | Result.Ok None -> -1
     | Result.Error m -> Alcotest.fail ("oracle: " ^ m)
@@ -655,7 +656,7 @@ let equivalence_trial seed =
       ignore
         (Checkpoint.write ~dir ~universe
            ~replay_from:(!last_cut + ((cut - !last_cut) / 2))
-           ~keys:(sorted_keys s)
+           ~keys:(Array.of_list (sorted_keys s))
           : string)
     end
   done;
@@ -716,7 +717,7 @@ let test_raw_log_equivalence () =
     if Rng.bool rng then
       ignore
         (Checkpoint.write ~dir ~universe ~replay_from:(Rng.int rng (n + 1))
-           ~keys:(List.init (Rng.int rng 20) (fun _ -> key ()))
+           ~keys:(Array.of_list (List.init (Rng.int rng 20) (fun _ -> key ())))
           : string);
     let r = mk_store ~mode:Pstore.Ephemeral ~universe dir in
     Alcotest.(check (list int))

@@ -1,8 +1,7 @@
 (* Tests driven through the first-class CONCURRENT_SET packaging: the
    same generic battery must pass for every structure of the evaluation
    ([Harness.structures]) without this file naming any of them; the
-   replace battery runs PAT, the one structure with an atomic replace,
-   in process and over the network. *)
+   replace battery runs PAT, the one structure with an atomic replace. *)
 
 module IS = Set.Make (Int)
 
@@ -50,19 +49,10 @@ let replace_battery (Dset_intf.Packed_replace (module S)) () =
 
 let name_of (Dset_intf.Packed (module S)) = S.name
 
-(* PAT behind the patserve network protocol: every operation is a round
-   trip to an in-process loopback server, so the replace battery
-   exercises the whole serving path (framing, pipelining, worker
-   domains) with no test written specifically for it. *)
-module Served_pat = Server.Loopback (Harness.Pat)
-
 (* The structures with the paper's atomic replace: only PAT, as the
-   evaluation notes, plus PAT served over the loopback network path. *)
+   evaluation notes.  test_server runs it over the network. *)
 let with_replace : Dset_intf.packed_replace list =
-  [
-    Dset_intf.Packed_replace (module Harness.Pat);
-    Dset_intf.Packed_replace (module Served_pat);
-  ]
+  [ Dset_intf.Packed_replace (module Harness.Pat) ]
 
 let test_legend_order () =
   Alcotest.(check (list string))

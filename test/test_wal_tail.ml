@@ -3,7 +3,8 @@
    final segments, loud errors when the requested history was
    checkpointed away, the [keep_from] retention low-water mark that an
    attached cursor pins, and live cursors that follow group commit
-   without ever delivering past the durable horizon. *)
+   without ever delivering past the durable horizon or a frame not yet
+   whole; a drain reports exactly what Wal.scan does. *)
 
 module Wal = Persist.Wal
 
@@ -21,19 +22,29 @@ let last_segment dir =
   | seg :: _ -> Filename.concat dir seg
   | [] -> Alcotest.fail "no wal segment found"
 
+let file_bytes path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
 let segment_count dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun n -> Filename.check_suffix n ".seg")
   |> List.length
 
 (* Drain an offline cursor to the end of the log. *)
-let drain t =
+let drain ?(max_records = 64) t =
   let acc = ref [] in
   let continue = ref true in
   while !continue do
-    match Wal.Tail.next_batch t ~max_records:64 ~timeout_s:0.0 with
+    match Wal.Tail.next_batch t ~max_records ~timeout_s:0.0 with
     | [] -> continue := false
-    | batch -> acc := List.rev_append batch !acc
+    | batch ->
+        if List.length batch > max_records then
+          Alcotest.failf "batch of %d over max_records %d" (List.length batch)
+            max_records;
+        acc := List.rev_append batch !acc
   done;
   List.rev !acc
 
@@ -220,6 +231,159 @@ let test_live_cursor_never_passes_durable () =
   Wal.Tail.close t
 
 (* ------------------------------------------------------------------ *)
+(* One reader: the cursor walks frames as Wal.scan does *)
+
+(* A log of inserts, deletes and replaces over tiny segments, so it
+   rotates many times, ending in a torn final record. *)
+let write_mixed_log ~dir n =
+  let w =
+    Wal.Writer.create ~dir ~start_seq:1 ~segment_bytes:8192 ~fsync:false ()
+  in
+  let rng = Rng.of_int_seed 35 in
+  for _ = 1 to n do
+    let k = Rng.int rng 1000 in
+    let r =
+      match Rng.int rng 3 with
+      | 0 -> Wal.Insert k
+      | 1 -> Wal.Delete k
+      | _ -> Wal.Replace { remove = k; add = Rng.int rng 1000 }
+    in
+    Wal.Writer.wait_durable w (Wal.Writer.append w r)
+  done;
+  Wal.Writer.stop w;
+  append_file (last_segment dir) "\000\000\000\025\001\002\003\004torn"
+
+let test_drain_matches_scan () =
+  let dir = tmpdir () in
+  let n = 1500 in
+  write_mixed_log ~dir n;
+  if segment_count dir < 3 then Alcotest.fail "expected several segments";
+  let scanned from_seq =
+    let acc = ref [] in
+    match
+      Wal.scan ~dir ~replay_from:(from_seq - 1) ~repair:false
+        ~f:(fun ~seq op a b -> acc := (seq, Wal.record_of op a b) :: !acc)
+    with
+    | Result.Ok s ->
+        if not s.Wal.torn then Alcotest.fail "scan saw no torn tail";
+        List.rev !acc
+    | Result.Error m -> Alcotest.fail m
+  in
+  let drained ~max_records from_seq =
+    let t = open_tail ~dir ~from_seq () in
+    let got = drain ~max_records t in
+    Wal.Tail.close t;
+    got
+  in
+  let interior_base =
+    match List.sort compare (Sys.readdir dir |> Array.to_list) with
+    | _ :: second :: _ -> Scanf.sscanf second "wal-%x.seg" (fun b -> b)
+    | _ -> Alcotest.fail "no second segment"
+  in
+  (* The log's start, a segment's first seq, its last record and past
+     the end. *)
+  List.iter
+    (fun from_seq ->
+      let expected = scanned from_seq in
+      List.iter
+        (fun max_records ->
+          if drained ~max_records from_seq <> expected then
+            Alcotest.failf "from_seq %d, max_records %d: Tail differs from scan"
+              from_seq max_records)
+        [ 1; 7; 4096 ])
+    [ 1; 2; 700; interior_base; interior_base + 1; n; n + 1 ]
+
+let test_partial_frame_not_delivered () =
+  let dir = tmpdir () in
+  let w = Wal.Writer.create ~dir ~start_seq:1 ~fsync:false () in
+  for k = 1 to 10 do ignore (Wal.Writer.append w (Wal.Insert k) : int) done;
+  Wal.Writer.wait_durable w 10;
+  let t = open_tail ~writer:w ~dir ~from_seq:1 () in
+  check_seqs "durable prefix" (List.init 10 (fun i -> i + 1))
+    (Wal.Tail.next_batch t ~max_records:100 ~timeout_s:0.5);
+  (* Record 11 is committed, then taken off the file and put back a few
+     bytes at a time, as a reader racing the write would find it. *)
+  Wal.Writer.wait_durable w
+    (Wal.Writer.append w (Wal.Replace { remove = 3; add = 11 }));
+  let seg = last_segment dir in
+  let bytes = file_bytes seg in
+  let size = String.length bytes and frame_len = Wal.max_frame in
+  let frame = String.sub bytes (size - frame_len) frame_len in
+  Unix.truncate seg (size - frame_len);
+  let written = ref 0 in
+  List.iter
+    (fun upto ->
+      append_file seg (String.sub frame !written (upto - !written));
+      written := upto;
+      Alcotest.(check int)
+        (Printf.sprintf "nothing from %d of %d bytes" upto frame_len)
+        0
+        (List.length (Wal.Tail.next_batch t ~max_records:100 ~timeout_s:0.01));
+      Alcotest.(check int) "cursor stays before the frame" 11
+        (Wal.Tail.pos_seq t))
+    [ 1; 4; 8; 9; 17; frame_len - 1 ];
+  append_file seg (String.sub frame !written (frame_len - !written));
+  (match Wal.Tail.next_batch t ~max_records:100 ~timeout_s:0.5 with
+  | [ (11, Wal.Replace { remove = 3; add = 11 }) ] -> ()
+  | got -> Alcotest.failf "completed frame: got %d records" (List.length got));
+  Wal.Writer.stop w;
+  Wal.Tail.close t
+
+(* A rotation creates the next segment before it writes the header, so
+   a live cursor can open a segment that is still empty.  It must read
+   the header again later, not give the segment up, which would leave
+   a follower stuck at the rotation for good. *)
+let test_header_not_yet_written () =
+  let dir = tmpdir () in
+  let w =
+    Wal.Writer.create ~dir ~start_seq:1 ~segment_bytes:8192 ~fsync:false ()
+  in
+  let n = ref 0 in
+  while segment_count dir < 2 do
+    incr n;
+    Wal.Writer.wait_durable w (Wal.Writer.append w (Wal.Insert !n))
+  done;
+  let seg = last_segment dir in
+  let bytes = file_bytes seg in
+  Unix.truncate seg 0;
+  let t = open_tail ~writer:w ~dir ~from_seq:1 () in
+  let first = Wal.Tail.next_batch t ~max_records:4096 ~timeout_s:0.5 in
+  Alcotest.(check int) "nothing from the empty segment" 0
+    (List.length (Wal.Tail.next_batch t ~max_records:4096 ~timeout_s:0.01));
+  append_file seg bytes;
+  let rest = Wal.Tail.next_batch t ~max_records:4096 ~timeout_s:0.5 in
+  check_seqs "every record, across the late header"
+    (List.init !n (fun i -> i + 1))
+    (first @ rest);
+  Wal.Writer.stop w;
+  Wal.Tail.close t
+
+(* What a drain allocates per record: the returned list's cons, tuple
+   and record, and the reversal that puts the batch in order (11 words
+   for an insert); the frames themselves are walked in place. *)
+let test_drain_words_per_record () =
+  let dir = tmpdir () in
+  let n = 12_000 in
+  write_log ~dir ~start_seq:1 n;
+  let t = open_tail ~dir ~from_seq:1 () in
+  let delivered = ref 0 in
+  let w0 = Gc.minor_words () in
+  let continue = ref true in
+  while !continue do
+    match Wal.Tail.next_batch t ~max_records:4096 ~timeout_s:0.0 with
+    | [] -> continue := false
+    | batch -> delivered := !delivered + List.length batch
+  done;
+  let per_record = (Gc.minor_words () -. w0) /. float_of_int !delivered in
+  Wal.Tail.close t;
+  Alcotest.(check int) "every record" n !delivered;
+  Printf.printf "Tail.next_batch: %d records, %.2f minor words per record\n"
+    !delivered per_record;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per delivered record <= 12" per_record)
+    true (per_record <= 12.)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "wal_tail"
@@ -236,6 +400,9 @@ let () =
             test_from_seq_checkpointed_away;
           Alcotest.test_case "keep_from pins segments" `Quick
             test_retention_floor_keeps_segments;
+          Alcotest.test_case "drain equals scan" `Quick test_drain_matches_scan;
+          Alcotest.test_case "words per delivered record" `Quick
+            test_drain_words_per_record;
         ] );
       ( "live",
         [
@@ -243,5 +410,9 @@ let () =
             test_live_cursor_follows_writer;
           Alcotest.test_case "never delivers past durable" `Quick
             test_live_cursor_never_passes_durable;
+          Alcotest.test_case "partial frame not delivered" `Quick
+            test_partial_frame_not_delivered;
+          Alcotest.test_case "header written after open" `Quick
+            test_header_not_yet_written;
         ] );
     ]
